@@ -108,6 +108,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.cycles import (
@@ -387,7 +388,9 @@ class AdmissibilityChecker:
     incoming message per event, digraph acyclicity) is the caller's
     responsibility when growing incrementally; events fed from a recorded
     trace or an :class:`~repro.core.execution_graph.ExecutionGraph`
-    satisfy it by construction.
+    satisfy it by construction.  Summary compaction is the one place
+    that depends on acyclicity, and it checks: a causal cycle in the
+    region to fold raises ``ValueError``.
 
     Negative-cycle detection itself is delegated to a pluggable *kernel*
     (see :mod:`repro.core.kernel`): ``kernel=None`` follows the ambient
@@ -1031,7 +1034,8 @@ class AdmissibilityChecker:
 
         Both modes renumber the digraph: checkpoints are invalidated
         (epoch-guarded) and the call is rejected inside
-        :meth:`speculate`.
+        :meth:`speculate`.  Summary mode raises ``ValueError``, leaving
+        the checker unchanged, when the region holds a causal cycle.
         """
         if mode not in ("exact", "summary"):
             raise ValueError(f"unknown compaction mode {mode!r}")
@@ -1071,10 +1075,12 @@ class AdmissibilityChecker:
         for process, stop in stops.items():
             for index in range(self._first_live.get(process, 0), stop):
                 dead.add(self._index[Event(process, index)])
-            self._first_live[process] = stop
+        # Summarize before mutating anything: the search rejects a
+        # causal cycle with ValueError and must leave the checker whole.
         summaries = (
             self._summarize_region(dead, floor) if mode == "summary" else ()
         )
+        self._first_live.update(stops)
         self._compact(dead)
         for edge in summaries:
             self._attach_summary(edge)
@@ -1121,15 +1127,13 @@ class AdmissibilityChecker:
         """Pareto shortest-path summaries of the region about to die.
 
         For every live *boundary* node ``x`` with an H-edge into the
-        region, a label-correcting search (the SPFA discipline of the
-        oracle, run on hop profiles instead of one scalar weight)
-        explores traversal walks through region nodes only, recording at
-        every live exit node ``y`` the Pareto frontier of reachable
-        ``(forward, backward, local)`` profiles.  The per-query weight
-        is ``scale * (p * f - q * b) - l`` with ``(p, q)`` unknown at
-        compaction time; over the query range the caller needs
-        (``p/q >= 1`` for ``floor=None``, ``p/q > floor = a/c``
-        otherwise) a profile ``x`` dominates ``y`` iff
+        region, a label-setting search explores traversal walks through
+        region nodes only, recording at every live exit node ``y`` the
+        Pareto frontier of reachable ``(forward, backward, local)``
+        profiles.  The per-query weight is ``scale * (p * f - q * b) - l``
+        with ``(p, q)`` unknown at compaction time; over the query range
+        the caller needs (``p/q >= 1`` for ``floor=None``, ``p/q > floor
+        = a/c`` otherwise) a profile ``x`` dominates ``y`` iff
 
             ``f_x <= f_y``  and  ``a * (f_x - f_y) <= c * (b_x - b_y)``
 
@@ -1142,47 +1146,67 @@ class AdmissibilityChecker:
         floor -- keeping the label space region-bounded even when the
         settled past is full of relevant cycles.
 
-        Caps bound the search without touching exactness, derived from
-        the fact that only *simple* walks through the region need
-        covering (genuine relevant cycles are simple; a walk label may
-        loop, but every label some simple path needs must survive).  A
-        label is always cut off when its forward hops exceed the sum of
-        the ``|region| + 1`` largest per-edge forward capacities.  In
-        the *inclusive* mode only -- where the weight order cannot
-        prune loop staircases around region cycles -- a label is
-        additionally cut off when its *hop count* (edges traversed, an
-        old summary counting as one) exceeds ``|region| + 1``: a simple
-        walk uses each edge at most once and at most that many overall.
-        The hop count then joins the dominance order (a label only
-        dominates labels with at least as many hops), which is what
-        lets the coverage induction survive the cap: a covering label
-        never has more hops than the simple walk it covers, so its
-        extensions are never the ones discarded.  The floored mode
-        leaves hops out entirely: its weight order already prunes every
-        loop of ratio ``<= floor``, and the extra coordinate would only
-        fracture the frontier into hop-distinct duplicates.  Finished
+        Labels are settled in increasing forward hops ``f`` (a bucket
+        queue) and, within one ``f``, in a topological order of the
+        region's zero-forward edges: backward messages, backward locals
+        and older summaries with ``forward == 0``.  These form a DAG,
+        because a backward-only walk follows the causal order in
+        reverse.  ``f`` leads both dominance orders, so by a node's turn
+        every label that could dominate its candidates is known, and
+        each surviving label is extended exactly once.  A causal cycle
+        in the region (the public :meth:`add_message` can build one)
+        raises ``ValueError`` instead.
+
+        Caps bound the search without touching exactness, since only
+        *simple* walks need covering (genuine relevant cycles are
+        simple).  A label is cut off when its forward hops exceed the
+        sum of the ``|region| + 1`` largest per-edge forward capacities.
+        The inclusive mode, whose weight order cannot prune loop
+        staircases around region cycles, also cuts a label off when its
+        *hop count* (an old summary counting as one) exceeds ``|region|
+        + 1``; the hop count then joins its dominance order, so a
+        covering label never has more hops than the simple walk it
+        covers and is never the one the cap discards.  The floored mode
+        leaves hops out: its weight order already prunes every loop of
+        ratio ``<= floor``, and the extra coordinate would only fracture
+        the frontier into hop-distinct duplicates.  Finished
         entry-to-exit walks are re-pruned by weight alone either way --
         a walk's hop count is invisible to every future query.  Older
-        summary edges with an endpoint in the region participate with
+        summary edges with an endpoint in the region take part with
         their stored profiles and are folded into the new walks, so
         repeated compaction never loses structure.
         """
-        entries: dict[int, list[int]] = {}  # live tail -> edges into region
-        internal: dict[int, list[int]] = {}  # region tail -> region edges
-        exits: dict[int, list[int]] = {}  # region tail -> edges out to live
+        # Region edges as (head, forward, backward, local, eidx).
+        entries: dict[int, list[tuple]] = {}  # live tail -> edges in
+        leaving: dict[int, list[tuple]] = {}  # region tail -> out-edges
         forward_caps: list[int] = []
-        for eidx in range(len(self._tails)):
-            tail_dead = self._tails[eidx] in dead
-            head_dead = self._heads[eidx] in dead
-            if not tail_dead and not head_dead:
+        indegree = dict.fromkeys(sorted(dead), 0)  # zero-forward in-edges
+        for eidx, (tail, head) in enumerate(zip(self._tails, self._heads)):
+            if tail not in dead and head not in dead:
                 continue
-            forward_caps.append(self._edge_hops(self._kinds[eidx])[0])
-            if tail_dead and head_dead:
-                internal.setdefault(self._tails[eidx], []).append(eidx)
-            elif head_dead:
-                entries.setdefault(self._tails[eidx], []).append(eidx)
+            edge = (head, *self._edge_hops(self._kinds[eidx]), eidx)
+            forward_caps.append(edge[1])
+            if tail not in dead:
+                entries.setdefault(tail, []).append(edge)
             else:
-                exits.setdefault(self._tails[eidx], []).append(eidx)
+                leaving.setdefault(tail, []).append(edge)
+                if head in dead and not edge[1]:
+                    indegree[head] += 1
+        # Kahn's algorithm over the zero-forward region edges; node ids
+        # are no guide (a graph-built checker adds events per process).
+        order = [node for node, degree in indegree.items() if not degree]
+        for node in order:
+            for head, forward, *_ in leaving.get(node, ()):
+                if not forward and head in dead:
+                    indegree[head] -= 1
+                    if not indegree[head]:
+                        order.append(head)
+        if len(order) < len(dead):
+            raise ValueError(
+                "the region to compact contains a causal cycle; summary "
+                "compaction needs an acyclic execution"
+            )
+        rank = {node: r for r, node in enumerate(order)}
         # A simple walk through the region uses each edge at most once
         # and at most |region| + 1 edges in total.
         forward_caps.sort(reverse=True)
@@ -1202,9 +1226,9 @@ class AdmissibilityChecker:
             # parent chain reconstructs the realizing walk.
             frontier: dict[int, list[tuple]] = {}
             results: dict[int, list[tuple]] = {}
-            work: list[tuple[int, tuple]] = []
+            buckets: dict[int, list[int]] = {}  # f -> heap of node ranks
 
-            def dominates(x_lab: tuple, y_lab: tuple, hops: bool = use_hops) -> bool:
+            def dominates(x_lab: tuple, y_lab: tuple, hops: bool) -> bool:
                 if hops and x_lab[3] > y_lab[3]:
                     return False  # more hops: the coverage induction
                 df = x_lab[0] - y_lab[0]  # needs extensions of y too
@@ -1218,68 +1242,49 @@ class AdmissibilityChecker:
                 return not tie or x_lab[2] >= y_lab[2]
 
             def offer(
-                store: dict[int, list[tuple]], node: int, label: tuple
+                labels: list[tuple], cand: tuple, hops: bool = use_hops
             ) -> bool:
-                labels = store.setdefault(node, [])
                 for o in labels:
-                    if dominates(o, label):
+                    if dominates(o, cand, hops):
                         return False  # dominated (or duplicate)
-                labels[:] = [o for o in labels if not dominates(label, o)]
-                labels.append(label)
+                labels[:] = [o for o in labels if not dominates(cand, o, hops)]
+                labels.append(cand)
                 return True
 
-            def relax(node_label: tuple, eidx: int) -> tuple | None:
-                nh = node_label[3] + 1
+            def extend(label: tuple, edges: list[tuple]) -> None:
+                nh = label[3] + 1
                 if use_hops and nh > h_cap:
-                    return None
-                df, db, dl = self._edge_hops(self._kinds[eidx])
-                nf = node_label[0] + df
-                if nf > f_cap:
-                    return None
-                return (
-                    nf,
-                    node_label[1] + db,
-                    node_label[2] + dl,
-                    nh,
-                    node_label,
-                    eidx,
-                )
+                    return
+                for head, df, db, dl, eidx in edges:
+                    nf = label[0] + df
+                    if nf > f_cap:
+                        continue
+                    nxt = (nf, label[1] + db, label[2] + dl, nh, label, eidx)
+                    if head not in dead:
+                        offer(results.setdefault(head, []), nxt)
+                    elif offer(frontier.setdefault(head, []), nxt):
+                        heappush(buckets.setdefault(nf, []), rank[head])
 
-            for eidx in seed_edges:
-                label = relax((0, 0, 0, 0, None, -1), eidx)
-                if label is not None and offer(
-                    frontier, self._heads[eidx], label
-                ):
-                    work.append((self._heads[eidx], label))
-            while work:
-                node, label = work.pop()
-                for eidx in internal.get(node, ()):
-                    nxt = relax(label, eidx)
-                    if nxt is not None and offer(
-                        frontier, self._heads[eidx], nxt
-                    ):
-                        work.append((self._heads[eidx], nxt))
-                for eidx in exits.get(node, ()):
-                    nxt = relax(label, eidx)
-                    if nxt is not None:
-                        offer(results, self._heads[eidx], nxt)
-            x_event = self._nodes[x]
+            extend((0, 0, 0, 0, None, -1), seed_edges)
+            while buckets:
+                f = min(buckets)
+                heap = buckets[f]  # zero-forward hops push more here
+                turn = -1
+                while heap:
+                    r = heappop(heap)
+                    if r == turn:
+                        continue  # one turn per node and bucket
+                    turn = r
+                    node = order[r]
+                    for label in [o for o in frontier[node] if o[0] == f]:
+                        extend(label, leaving.get(node, ()))
+                del buckets[f]
             for y, labels in results.items():
-                y_event = self._nodes[y]
-                # The hop coordinate protected the in-region coverage
-                # induction; a *finished* walk's hop count is invisible
-                # to every future query, so re-prune the terminal set by
-                # weight alone -- otherwise hop-distinct but
-                # weight-dominated siblings survive as pure-overhead
-                # parallel summary edges.
+                # Re-prune by weight alone, or hop-distinct but dominated
+                # siblings would survive as parallel summary edges.
                 pruned: list[tuple] = []
                 for label in labels:
-                    if any(dominates(o, label, hops=False) for o in pruned):
-                        continue
-                    pruned[:] = [
-                        o for o in pruned if not dominates(label, o, hops=False)
-                    ]
-                    pruned.append(label)
+                    offer(pruned, label, hops=False)
                 for label in pruned:
                     chain: list[int] = []
                     cursor: tuple | None = label
@@ -1289,8 +1294,8 @@ class AdmissibilityChecker:
                     chain.reverse()
                     out.append(
                         SummaryEdge(
-                            tail=x_event,
-                            head=y_event,
+                            tail=self._nodes[x],
+                            head=self._nodes[y],
                             forward=label[0],
                             backward=label[1],
                             local=label[2],

@@ -19,17 +19,23 @@ per ``(p, q)`` query.  The contract under test:
   ``speculate()``, stale checkpoints are epoch-rejected, and exact-mode
   removal after a summary compaction respects summary-edge crossings;
 * **witnesses** -- violation witnesses extracted from a compacted
-  digraph expand into genuine steps of the original execution graph.
+  digraph expand into genuine steps of the original execution graph;
+* **search order** -- the checker's label-setting summary search keeps,
+  per ``(tail, head)`` pair, exactly the profile set of a plain
+  label-correcting reference search over the same dominance orders.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from repro.analysis.online import OnlineAbcMonitor
+from repro.core import synchrony
 from repro.core.events import Event
 from repro.core.execution_graph import ExecutionGraph, GraphBuilder
 from repro.core.synchrony import (
@@ -80,6 +86,173 @@ def interior_worst(
     if not removed:
         return None
     return worst_relevant_ratio(ExecutionGraph(by_process, messages))
+
+
+def reference_summaries(
+    checker: AdmissibilityChecker, dead: set[int], floor: Fraction | None
+) -> list[SummaryEdge]:
+    """The summaries of ``dead``, by a plain label-correcting search.
+
+    Same labels, dominance orders, caps and weight-only re-prune as
+    ``AdmissibilityChecker._summarize_region``, but labels are taken
+    from a LIFO stack in whatever order they arrive: a label beaten
+    later has its whole subtree explored again, which makes the search
+    slow but independent of any visiting order.  Both searches keep the
+    Pareto frontier of every cap-respecting walk, so their profile sets
+    per ``(tail, head)`` pair must be identical; only the choice among
+    equal-profile walks may differ.
+    """
+    entries: dict[int, list[int]] = {}  # live tail -> edges into region
+    internal: dict[int, list[int]] = {}  # region tail -> region edges
+    exits: dict[int, list[int]] = {}  # region tail -> edges out to live
+    forward_caps: list[int] = []
+    for eidx, (tail, head) in enumerate(zip(checker._tails, checker._heads)):
+        if tail not in dead and head not in dead:
+            continue
+        forward_caps.append(checker._edge_hops(checker._kinds[eidx])[0])
+        if tail in dead and head in dead:
+            internal.setdefault(tail, []).append(eidx)
+        elif head in dead:
+            entries.setdefault(tail, []).append(eidx)
+        else:
+            exits.setdefault(tail, []).append(eidx)
+    forward_caps.sort(reverse=True)
+    f_cap = sum(forward_caps[: len(dead) + 1])
+    if floor is None:
+        fa, fc, strict = 1, 1, False
+    else:
+        fa, fc, strict = floor.numerator, floor.denominator, True
+    use_hops = not strict
+    h_cap = len(dead) + 1
+
+    def dominates(x_lab: tuple, y_lab: tuple, hops: bool = use_hops) -> bool:
+        if hops and x_lab[3] > y_lab[3]:
+            return False
+        df = x_lab[0] - y_lab[0]
+        db = x_lab[1] - y_lab[1]
+        if df > 0 or fa * df > fc * db:
+            return False
+        tie = (df == 0 and db == 0) if strict else fa * df == fc * db
+        return not tie or x_lab[2] >= y_lab[2]
+
+    def offer(labels: list[tuple], cand: tuple, hops: bool = use_hops) -> bool:
+        if any(dominates(o, cand, hops) for o in labels):
+            return False
+        labels[:] = [o for o in labels if not dominates(cand, o, hops)]
+        labels.append(cand)
+        return True
+
+    def relax(label: tuple, eidx: int) -> tuple | None:
+        if use_hops and label[3] + 1 > h_cap:
+            return None
+        df, db, dl = checker._edge_hops(checker._kinds[eidx])
+        if label[0] + df > f_cap:
+            return None
+        return (
+            label[0] + df, label[1] + db, label[2] + dl, label[3] + 1,
+            label, eidx,
+        )
+
+    out: list[SummaryEdge] = []
+    for x, seed_edges in entries.items():
+        frontier: dict[int, list[tuple]] = {}
+        results: dict[int, list[tuple]] = {}
+        work: list[tuple[int, tuple]] = []
+        for eidx in seed_edges:
+            nxt = relax((0, 0, 0, 0, None, -1), eidx)
+            head = checker._heads[eidx]
+            if nxt is not None and offer(frontier.setdefault(head, []), nxt):
+                work.append((head, nxt))
+        while work:
+            node, label = work.pop()
+            for eidx in internal.get(node, ()):
+                nxt = relax(label, eidx)
+                head = checker._heads[eidx]
+                if nxt is None:
+                    continue
+                if offer(frontier.setdefault(head, []), nxt):
+                    work.append((head, nxt))
+            for eidx in exits.get(node, ()):
+                nxt = relax(label, eidx)
+                if nxt is not None:
+                    offer(results.setdefault(checker._heads[eidx], []), nxt)
+        for y, labels in results.items():
+            pruned: list[tuple] = []
+            for label in labels:
+                offer(pruned, label, hops=False)
+            for label in pruned:
+                chain = []
+                cursor = label
+                while cursor[4] is not None:
+                    chain.append(checker._steps[cursor[5]])
+                    cursor = cursor[4]
+                out.append(
+                    SummaryEdge(
+                        tail=checker._nodes[x],
+                        head=checker._nodes[y],
+                        forward=label[0],
+                        backward=label[1],
+                        local=label[2],
+                        parts=tuple(reversed(chain)),
+                    )
+                )
+    return out
+
+
+def profile_sets(edges: list[SummaryEdge]) -> dict[tuple, set]:
+    """Per ``(tail, head)`` pair, the set of summary profiles."""
+    out: dict[tuple, set] = {}
+    for edge in edges:
+        out.setdefault((edge.tail, edge.head), set()).add(edge.profile)
+    return out
+
+
+def assert_genuine_walk(summary: SummaryEdge) -> None:
+    """The stored walk of ``summary`` runs from its tail to its head
+    and realizes its profile hop for hop."""
+    forward = backward = local = 0
+    cursor = summary.tail
+    for step in summary.steps:
+        assert step.start == cursor
+        cursor = step.end
+        if step.edge.is_message:
+            if step.direction > 0:
+                forward += 1
+            else:
+                backward += 1
+        else:
+            local += 1
+    assert cursor == summary.head
+    assert (forward, backward, local) == summary.profile
+
+
+def streaming_compactions(rng: random.Random):
+    """Monitors over random streams, summary-compacted every few records
+    with every future sender pinned, so later regions hold the older
+    summaries (``forward == 0`` ones included).  Yields each monitor
+    after its last record."""
+    for _ in range(40):
+        records = list(
+            streaming_records(
+                rng,
+                n_processes=rng.randint(2, 4),
+                n_records=rng.randint(20, 45),
+            )
+        )
+        monitor = OnlineAbcMonitor()
+        every = rng.randint(3, 6)
+        for i, record in enumerate(records):
+            monitor.observe(record)
+            if i % every == every - 1:
+                pinned = [
+                    r.send_event
+                    for r in records[i + 1 :]
+                    if r.send_event is not None
+                ]
+                monitor.forget_prefix(
+                    monitor.compactable_prefix(pinned), summarize=True
+                )
+        yield monitor
 
 
 class TestStaticIdentity:
@@ -344,34 +517,147 @@ class TestWitnesses:
         assert monitor.would_violate()  # answered from the running max
 
 
+@pytest.fixture
+def differential(monkeypatch):
+    """Check every summary search against :func:`reference_summaries`
+    for the duration of a test; returns running counts."""
+    stats: Counter = Counter()
+    search = AdmissibilityChecker._summarize_region
+
+    def checked(self, dead, floor):
+        got = search(self, dead, floor)
+        want = reference_summaries(self, dead, floor)
+        assert profile_sets(got) == profile_sets(want), (dead, floor)
+        for summary in got:
+            assert_genuine_walk(summary)
+        stats["compactions"] += 1
+        for eidx, (tail, head) in enumerate(zip(self._tails, self._heads)):
+            if tail not in dead or head not in dead:
+                continue
+            if self._edge_hops(self._kinds[eidx])[0]:
+                continue
+            # A zero-forward region edge runs from a causally later
+            # event to an earlier one; with tail < head, visiting nodes
+            # by descending id would take it backwards.
+            stats["against_id_order"] += tail < head
+            stats["old_zero_forward"] += isinstance(
+                self._steps[eidx], SummaryEdge
+            )
+        return got
+
+    monkeypatch.setattr(AdmissibilityChecker, "_summarize_region", checked)
+    return stats
+
+
+class TestSearchOrder:
+    def test_graph_built_checkers_match_reference(self, differential):
+        """Graph-built checkers number events process by process, so
+        their node ids do not follow causality.  Two rounds of random
+        cuts each, with the inclusive default and with random floors."""
+        rng = random.Random(47)
+        for _ in range(150):
+            graph = random_execution_graph(
+                rng,
+                n_processes=rng.randint(2, 4),
+                n_messages=rng.randint(5, 14),
+            )
+            first = random_cut(rng, graph)
+            second = random_cut(rng, graph)
+            floor = Fraction(rng.randint(4, 12), rng.randint(2, 4))
+            for compaction_floor in (None, floor):
+                checker = AdmissibilityChecker(graph)
+                checker.compact_prefix(first, floor=compaction_floor)
+                checker.compact_prefix(first + second, floor=compaction_floor)
+        assert differential["compactions"] > 400
+        assert differential["against_id_order"] > 200
+
+    def test_streaming_monitors_match_reference(self, differential):
+        """Monitors compacted every few records: regions hold older
+        summaries, ``forward == 0`` ones included, and the floor is the
+        running worst ratio (``None`` until the first relevant cycle)."""
+        for monitor in streaming_compactions(random.Random(53)):
+            assert monitor.forgotten_message_edges == 0
+        assert differential["compactions"] > 150
+        assert differential["old_zero_forward"] > 100
+
+    def test_each_node_gets_one_turn_per_bucket(self, monkeypatch):
+        """Within one forward-hop bucket, a zero-forward edge only ever
+        reaches a node later in the topological order, so every bucket
+        pops node ranks in non-decreasing order: no node is revisited
+        after its turn, which is what settles each label once.  (A
+        wrong order would still give the right profiles -- the heap
+        would hand the node a second turn -- just more slowly.)"""
+        last: dict[int, tuple[list, int]] = {}  # id(heap) -> (heap, rank)
+        pops = Counter()
+
+        def checked_pop(heap: list) -> int:
+            rank = heapq.heappop(heap)
+            # Keep the heap alive, so its id is not reused.
+            _heap, before = last.get(id(heap), (heap, -1))
+            assert rank >= before
+            last[id(heap)] = (heap, rank)
+            pops["pops"] += 1
+            return rank
+
+        monkeypatch.setattr(synchrony, "heappop", checked_pop)
+        rng = random.Random(59)
+        for _ in range(60):
+            graph = random_execution_graph(
+                rng, n_processes=rng.randint(2, 4), n_messages=14
+            )
+            checker = AdmissibilityChecker(graph)
+            checker.compact_prefix(random_cut(rng, graph))
+        for _monitor in streaming_compactions(random.Random(61)):
+            pass
+        assert pops["pops"] > 1000
+
+    def test_causal_cycle_raises_and_leaves_checker_whole(self):
+        """The public add_message can close a causal cycle; its
+        backward-only H-edges then loop, and the in-bucket order does
+        not exist.  compact_prefix must refuse before mutating."""
+        checker = AdmissibilityChecker()
+        for process in (0, 1):
+            for index in range(3):
+                checker.add_event(Event(process, index))
+        # p0:0 -> p0:1 -> p1:0 -> p1:1 -> p0:0
+        checker.add_message(Event(0, 1), Event(1, 0))
+        checker.add_message(Event(1, 1), Event(0, 0))
+        region = [Event(0, 0), Event(0, 1), Event(1, 0), Event(1, 1)]
+        with pytest.raises(ValueError, match="causal cycle"):
+            checker.compact_prefix(region)
+        assert checker.n_events == 6
+        assert checker.n_summary_edges == 0
+        assert checker.n_tombstoned == 0
+        assert checker.first_live_index(0) == checker.first_live_index(1) == 0
+
+
 class TestSummaryInternals:
     def test_profiles_are_genuine_walks(self):
         """Every stored summary profile must be realized by its stored
         walk: hop counts and endpoints must match exactly (the
-        no-false-positive argument rests on this)."""
+        no-false-positive argument rests on this).  Checked on
+        graph-built checkers cut once and on streaming monitors whose
+        summaries fold older summaries in."""
         rng = random.Random(31)
+        checkers = []
         for _ in range(40):
             graph = random_execution_graph(
                 rng, n_processes=3, n_messages=rng.randint(5, 14)
             )
             checker = AdmissibilityChecker(graph)
             checker.compact_prefix(random_cut(rng, graph))
+            checkers.append(checker)
+        checkers += [
+            monitor._checker
+            for monitor in streaming_compactions(random.Random(37))
+        ]
+        n_summaries = 0
+        for checker in checkers:
             for summary in checker._live_summaries():
                 assert isinstance(summary, SummaryEdge)
-                forward = backward = local = 0
-                cursor = summary.tail
-                for step in summary.steps:
-                    assert step.start == cursor
-                    cursor = step.end
-                    if step.edge.is_message:
-                        if step.direction > 0:
-                            forward += 1
-                        else:
-                            backward += 1
-                    else:
-                        local += 1
-                assert cursor == summary.head
-                assert (forward, backward, local) == summary.profile
+                assert_genuine_walk(summary)
+                n_summaries += 1
+        assert n_summaries > 100
 
     def test_floor_prunes_loop_staircases(self):
         """With the floor at the running worst, compacting a region

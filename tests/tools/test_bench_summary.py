@@ -18,6 +18,20 @@ sys.path.insert(0, str(TOOLS))
 import bench_summary  # noqa: E402
 
 
+PIPELINE_LINE = {
+    "correct": True,
+    "attempted": 168000,
+    "failed": 0,
+    "metrics": {
+        "setup_s": {"value": 0.0171, "unit": "s"},
+        "records_per_s": {"value": 14731.5, "unit": "1/s"},
+        "batch_latency_p50_ms": {"value": 0.0113, "unit": "ms"},
+        "batch_latency_tail_ms": {"value": 70.2, "unit": "ms"},
+        "worker_peak_rss_mb": {"value": 69.8, "unit": "MB"},
+    },
+}
+
+
 def write_artifacts(root: Path) -> list[Path]:
     artifacts = {
         # a gated benchmark: "speedup" is its HEADLINES entry
@@ -38,6 +52,8 @@ def write_artifacts(root: Path) -> list[Path]:
             "gate": {"disabled_overhead_ratio": 0.004},
             "notes": "not a number",
         },
+        # the pipeline benchmark's result line (perfbench/run.py)
+        "BENCH_pipeline.json": PIPELINE_LINE,
     }
     paths = []
     for name, payload in artifacts.items():
@@ -58,6 +74,22 @@ class TestNumericLeaves:
         assert list(bench_summary.numeric_leaves(data)) == []
 
 
+class TestMetricRows:
+    def test_pipeline_metrics_are_rows_by_name(self):
+        rows = dict(bench_summary.metric_rows(PIPELINE_LINE))
+        assert rows == {
+            name: metric["value"]
+            for name, metric in PIPELINE_LINE["metrics"].items()
+        }
+
+    def test_other_shapes_fall_back_to_leaves(self):
+        data = {"gate": {"speedup": 2.0, "count": 7}, "ratio": 0.5}
+        assert dict(bench_summary.metric_rows(data)) == {
+            "gate.speedup": 2.0,
+            "ratio": 0.5,
+        }
+
+
 class TestSummarize:
     def test_renders_markdown_table_with_gated_rows_first(self, tmp_path):
         paths = write_artifacts(tmp_path)
@@ -74,6 +106,12 @@ class TestSummarize:
         assert any("gate.disabled_overhead_ratio" in line for line in gated)
         ungated = [line for line in lines if "**gated**" not in line]
         assert any("overhead.disabled_overhead_ratio" in line for line in ungated)
+        # the pipeline headline is records_per_s; its other metrics
+        # are plain rows named by the metric, small values unrounded
+        headline = "| pipeline | records_per_s | 14,732 | **gated** |"
+        assert headline in gated
+        assert "| pipeline | batch_latency_p50_ms | 0.0113 |  |" in ungated
+        assert not any("attempted" in line for line in lines)
 
     def test_bench_name_strips_prefix(self):
         assert bench_summary.bench_name(Path("BENCH_obs.json")) == "obs"
@@ -117,7 +155,13 @@ class TestMain:
 
 @pytest.mark.parametrize(
     "value,rendered",
-    [(3.25, "3.25"), (120000.0, "120,000"), (0.004, "0.00")],
+    [
+        (3.25, "3.25"),
+        (120000.0, "120,000"),
+        (0.004, "0.004"),
+        (12.345, "12.3"),
+        (999.6, "1,000"),
+    ],
 )
 def test_fmt(value, rendered):
     assert bench_summary.fmt(value) == rendered

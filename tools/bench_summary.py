@@ -11,8 +11,11 @@ The schemas are heterogeneous (each benchmark reports the quantities
 it gates), so extraction is structural: every numeric leaf whose key
 names a comparison -- ``*speedup*``, ``*ratio*`` (recovery's is a
 cost *ceiling*, lower is better), ``*records_per_s`` -- is collected
-with its JSON path.  Headline rows (the gated quantity per benchmark,
-when known) are marked and listed first.
+with its JSON path.  The pipeline benchmark's result line
+(``perfbench/run.py``, saved as ``BENCH_pipeline.json``) is the one
+fixed shape: each ``metrics.<name>.value`` is a row named by the
+metric.  Headline rows (the gated quantity per benchmark, when known)
+are marked and listed first.
 
 Usage::
 
@@ -42,9 +45,15 @@ HEADLINES = {
     # lower is better: the telemetry residue with instruments off,
     # ceilinged at 0.02 in CI
     "obs": "gate.disabled_overhead_ratio",
+    # not floored in CI: the run fails on any wrong answer instead
+    "pipeline": "records_per_s",
 }
 
 METRIC_KEYS = ("speedup", "ratio", "records_per_s")
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def numeric_leaves(value, path=""):
@@ -53,10 +62,23 @@ def numeric_leaves(value, path=""):
         for key, item in value.items():
             sub = f"{path}.{key}" if path else str(key)
             yield from numeric_leaves(item, sub)
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+    elif is_number(value):
         leaf = path.rsplit(".", 1)[-1]
         if any(key in leaf for key in METRIC_KEYS):
             yield path, value
+
+
+def metric_rows(data) -> list[tuple[str, float]]:
+    """``(name, number)`` rows of one artifact: by metric name for a
+    pipeline result line (``metrics.<name>.value``), otherwise the
+    comparison-shaped leaves of :func:`numeric_leaves`."""
+    if isinstance(data, dict) and isinstance(data.get("metrics"), dict):
+        return [
+            (name, metric["value"])
+            for name, metric in data["metrics"].items()
+            if isinstance(metric, dict) and is_number(metric.get("value"))
+        ]
+    return list(numeric_leaves(data))
 
 
 def bench_name(path: Path) -> str:
@@ -65,9 +87,11 @@ def bench_name(path: Path) -> str:
 
 
 def fmt(value: float) -> str:
-    if value >= 1000:
+    """Thousands-separated from 1000 up, three significant digits
+    below (so a 0.004 overhead ratio does not print as 0.00)."""
+    if abs(value) >= 999.5:
         return f"{value:,.0f}"
-    return f"{value:.2f}"
+    return f"{value:.3g}"
 
 
 def summarize(paths: list[Path]) -> str:
@@ -80,7 +104,7 @@ def summarize(paths: list[Path]) -> str:
             continue
         name = bench_name(path)
         headline = HEADLINES.get(name)
-        metrics = list(numeric_leaves(data))
+        metrics = metric_rows(data)
         if not metrics:
             rows.append((name, "(no metrics)", "", ""))
             continue
