@@ -29,9 +29,14 @@ the worst ratio) sit well below message-dense burst profiles -- and the
 sweep keeps that spread visible instead of letting one shape hide in an
 average.
 
-CI gates **oracle-only >= 3x** (shared-runner floor); nominal on a
-quiet machine is ~3.5-4x oracle-only and ~3x end-to-end, recorded in
-the ``BENCH_kernel.json`` artifact.  The end-to-end blend additionally
+CI gates **oracle-only >= 3x** (shared-runner floor); measured on a
+2-vCPU machine it is ~3.25x oracle-only (median of 17 runs, range
+2.4-4.1x) and ~2.5x end-to-end, recorded in the ``BENCH_kernel.json``
+artifact.  Under the worst-ratio
+climb most of the gate's oracle calls are the monitor's one probe per
+message above the worst ratio: ``flat_int`` answers those from its
+certificate, and both kernels share one routine for the probes that
+find a cycle.  The end-to-end blend additionally
 carries a *soft* floor (``--min-e2e-speedup``, warn-only): e2e
 includes ingestion and ratio bookkeeping the kernel cannot touch --
 ``bench_e2e`` owns and gates that span -- so a dip below the soft

@@ -4,7 +4,7 @@ Design choice called out in the incremental-checker rework: the running
 worst relevant ratio of a growing execution is maintained by
 :class:`~repro.analysis.online.OnlineAbcMonitor` (traversal digraph
 extended in place, one Farey-successor oracle call per new message)
-instead of re-running a full Stern-Brocot search per prefix.  Measured:
+instead of re-running a full worst-ratio search per prefix.  Measured:
 wall-clock of the monitor against (a) the frozen seed implementation --
 edge-list Bellman-Ford with the digraph rebuilt on every oracle call and
 an unclamped gallop -- and (b) the current batch checker re-run per
@@ -203,8 +203,9 @@ def test_batch_running_ratio(benchmark):
 
 
 def test_checker_reuse_single_graph(benchmark):
-    """Stern-Brocot search on one large graph: the AdmissibilityChecker
-    builds the traversal digraph once for all oracle calls."""
+    """The worst-ratio climb on one large graph: the
+    AdmissibilityChecker builds the traversal digraph once for all
+    oracle calls."""
     from repro.core.synchrony import AdmissibilityChecker
 
     _trace, prefixes = make_workload(DEFAULT_EVENTS)

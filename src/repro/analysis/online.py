@@ -4,7 +4,7 @@ The Section-6 variants of the ABC model reason about *growing*
 executions: ?ABC asks whether the (unknown) synchrony parameter ``Xi``
 stays above the worst relevant-cycle ratio of every prefix, <>ABC whether
 violations eventually stop.  Monitoring either online with the batch
-checker means re-running a full Stern-Brocot search per prefix -- the
+checker means re-running a full worst-ratio search per prefix -- the
 quadratic-and-worse behavior this module eliminates.
 
 :class:`OnlineAbcMonitor` consumes an execution incrementally, either as
@@ -21,8 +21,9 @@ make this cheap:
 * after a message edge arrives, a *single* oracle call at the Farey
   successor of the current worst ratio (the smallest fraction above it
   with denominator within the message-count bound) decides whether the
-  ratio moved at all.  Only when it did -- rarely -- does a Stern-Brocot
-  search run, warm-started from the bracket just established.
+  ratio moved at all.  Only when it did -- rarely -- does the climb go
+  on: that call returned a cycle, the ratio jumps to the cycle's, and
+  the next probe is that ratio's Farey successor.
 
 The monitor also exposes violation callbacks for a known ``Xi``: the
 first prefix whose worst ratio reaches ``Xi`` triggers ``on_violation``

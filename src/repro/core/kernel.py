@@ -7,8 +7,8 @@ primitive a *kernel* -- a swappable strategy object bound to one checker
 -- selected per checker by constructor flag or the ``REPRO_KERNEL``
 environment variable:
 
-* ``py_object`` (the default): the reference kernel -- exactly the
-  round-batched SPFA the checker has always run, reading the checker's
+* ``py_object`` (the default): the reference kernel -- the
+  round-batched SPFA of :func:`negative_cycle`, reading the checker's
   adjacency lists directly.
 * ``flat_int``: the exact-arithmetic fast kernel, described below.
 * ``vector``: ``flat_int`` with its certificate sweep vectorized over an
@@ -16,10 +16,10 @@ environment variable:
   a query's magnitudes could overflow int64) it behaves exactly like
   ``flat_int``, keeping the stdlib-only default intact.
 
-The ``flat_int`` kernel rests on two exact short-circuits, maintained in
+The ``flat_int`` kernel rests on one exact short-circuit, maintained in
 flat parallel arrays of plain Python integers:
 
-**The potential certificate** (exact ``False`` answers).  If some node
+**The potential certificate** (exact ``None`` answers).  If some node
 potential ``pi`` satisfies ``pi[tail] + w(e) >= pi[head]`` for every
 H-edge at the query weights, summing around any cycle telescopes the
 potentials away, leaving ``weight(cycle) >= 0`` -- no negative cycle.
@@ -48,32 +48,25 @@ feasible potential at the probed weights, and any maintenance slop only
 makes the certificate fail more often, demoting the probe to a genuine
 relaxation run.
 
-**The witness memo** (exact ``True`` answers).  When a detection run
-trips the chain bound, the kernel walks the predecessor edges it
-recorded and extracts the violating cycle's hop profile ``(F, B)``.  A
-cycle with ``q*B >= p*F`` has weight ``s*(p*F - q*B) - L < 0``, so as
-long as its edges remain in the (append-only) digraph, every later
-probe with ``q*B >= p*F`` is answered ``True`` in O(1) -- which is what
-makes the Stern-Brocot searches issued on a genuine worst-ratio
-increase cheap: their below-the-maximum probes all hit the memo.  The
-memo is invalidated the moment a rollback or compaction touches any of
-its edges, and never answers seeded queries (their reachability
-contract belongs to the caller).
+**Detection returns the cycle.**  ``has_negative_cycle`` answers with
+the H-edge ids of one simple negative cycle, or ``None``.  Every
+positive answer of every kernel comes from one routine,
+:func:`negative_cycle`: the reference SPFA, recording the predecessor
+edge of each improvement, pops the cycle out of the very run that
+proves it exists.  The ``flat_int`` kernel answers ``None`` from its
+certificate where it can and calls that routine otherwise, so cycles,
+witnesses and oracle-call counts are identical across kernels by
+construction.  The checker's worst-ratio climb jumps to the ratio
+``B/F`` of each returned cycle, and its Xi witnesses are returned
+cycles too.
 
 **Overflow safety**: there is nothing to argue away -- every comparison
 is performed on arbitrary-precision Python integers (cross-multiplied
 wherever ratios are compared), and the optional numpy sweep guards its
 input magnitudes and falls back to exact arithmetic before int64 could
-saturate.  Deep Stern-Brocot refinement can push ``p`` and ``q`` to the
-full ratio bound and summary profiles can carry large hop counts;
-neither changes any answer.
-
-Witness extraction is kernel-*shared*: :func:`find_negative_cycle_edges`
-runs one round-based Bellman-Ford that records predecessor edge indices
-*during* detection and extracts the cycle from them the moment a
-relaxation chain trips the ``n``-edge bound -- the detection run is
-reused instead of re-running full rounds afterwards -- so the witnesses
-are identical across kernels by construction.
+saturate.  Probes can carry numerators and denominators up to the full
+ratio bound, and summary profiles can carry large hop counts; neither
+changes any answer.
 
 This module deliberately imports nothing from
 :mod:`repro.core.synchrony` (which imports *it*): kernels read the
@@ -98,10 +91,9 @@ __all__ = [
     "PyObjectKernel",
     "VectorKernel",
     "available_kernels",
-    "find_negative_cycle_edges",
     "make_kernel",
+    "negative_cycle",
     "resolve_kernel_name",
-    "spfa_has_negative_cycle",
 ]
 
 # Edge kinds of the traversal digraph; weights per (p, q) query are
@@ -117,24 +109,40 @@ KERNEL_ENV_VAR = "REPRO_KERNEL"
 DEFAULT_KERNEL = "py_object"
 
 
-def spfa_has_negative_cycle(
+def negative_cycle(
     checker: "AdmissibilityChecker",
     p: int,
     q: int,
     sources: list[int] | None = None,
-) -> bool:
-    """The reference detection loop (see
+) -> list[int] | None:
+    """One simple negative H-cycle at ``p/q`` as H-edge ids, or ``None``.
+
+    The one detection routine (see
     :meth:`~repro.core.synchrony.AdmissibilityChecker._has_negative_cycle`
     for the full semantics): round-batched SPFA from a virtual source,
     or genuine Bellman-Ford from ``sources`` with non-sources at
-    ``+inf``.  Shared verbatim by the reference kernel and by the fast
-    kernel's fallback paths, so fallback answers cannot drift."""
+    ``+inf``.  Every improvement records the H-edge it came through.
+    Once a relaxation chain reaches ``n`` edges, the predecessor walk
+    from the improved node is followed to a cycle; every predecessor
+    cycle is negative, because each link was a strict improvement when
+    recorded, so the run returns it.
+
+    A walk can dead-end on a node that was never improved; the run
+    then keeps relaxing.  A cycle still appears: while a negative cycle
+    exists the relaxations never stop, so the integer distances drop
+    below the weight of every walk of fewer than ``n`` edges.  The
+    relaxation that does so has a chain of at least ``n`` edges, and
+    its walk cannot dead-end, since a dead-ended walk traces a simple
+    path whose weight bounds the distance from below.
+    """
     n = len(checker._nodes)
     if n == 0 or (not checker._messages and not checker._n_summaries):
-        return False
+        return None
     wtab = checker._weight_table(p, q)
     adj = checker._adj
+    tails = checker._tails
     chain = [0] * n  # edges in the walk realizing the current dist
+    pred = [-1] * n  # H-edge id that last improved each node
     queued = [False] * n
     if sources is None:
         dist: list[int | float] = [0] * n
@@ -150,13 +158,16 @@ def spfa_has_negative_cycle(
         for u in active:
             du = dist[u]
             cu = chain[u] + 1
-            for v, kind in adj[u]:
+            for v, kind, eidx in adj[u]:
                 nd = du + wtab[kind]
                 if nd < dist[v]:
-                    if cu >= n:
-                        return True
                     dist[v] = nd
                     chain[v] = cu
+                    pred[v] = eidx
+                    if cu >= n:
+                        cycle = _cycle_from_predecessors(pred, tails, v, n)
+                        if cycle is not None:
+                            return cycle
                     if not queued[v]:
                         queued[v] = True
                         push(v)
@@ -169,70 +180,7 @@ def spfa_has_negative_cycle(
         active = next_active
         for v in active:
             queued[v] = False
-    return False
-
-
-def find_negative_cycle_edges(
-    checker: "AdmissibilityChecker", p: int, q: int
-) -> list[int] | None:
-    """One simple negative H-cycle as edge indices, or ``None``.
-
-    Round-based Bellman-Ford that records the predecessor edge index of
-    every improvement *while detecting*: the moment some relaxation
-    chain reaches ``n`` edges a negative cycle is certain, and the
-    predecessor graph -- whose every cycle is negative, because each
-    link was a strict improvement when recorded -- is walked with
-    visited marks to pop the cycle out of the very run that found it.
-    (A predecessor walk can dead-end on a node that was never improved;
-    then the rounds simply continue -- after ``n`` full rounds with
-    updates the classical extraction from the last-updated node is
-    guaranteed.)  This replaces the old two-pass shape where detection
-    ran its rounds and witness extraction re-ran ``n`` full rounds from
-    scratch.
-
-    Kernel-shared on purpose: both kernels extract witnesses through
-    this one routine, so the witness for a given digraph and ratio is
-    identical across kernels by construction.
-    """
-    n = len(checker._nodes)
-    if n == 0 or (not checker._messages and not checker._n_summaries):
-        return None
-    wtab = checker._weight_table(p, q)
-    kinds = checker._kinds
-    tails, heads = checker._tails, checker._heads
-    m = len(tails)
-    dist = [0] * n
-    pred = [-1] * n  # H-edge index that last improved each node
-    chain = [0] * n
-    updated_node = -1
-    for _ in range(n):
-        updated_node = -1
-        for eidx in range(m):
-            tail = tails[eidx]
-            nd = dist[tail] + wtab[kinds[eidx]]
-            head = heads[eidx]
-            if nd < dist[head]:
-                dist[head] = nd
-                pred[head] = eidx
-                updated_node = head
-                cu = chain[tail] + 1
-                chain[head] = cu
-                if cu >= n:
-                    cycle = _cycle_from_predecessors(pred, tails, head, n)
-                    if cycle is not None:
-                        return cycle
-        if updated_node < 0:
-            return None
-    # n rounds elapsed, each with an update: walk n predecessor links to
-    # land on a cycle, then collect it (the classical extraction).
-    node = updated_node
-    for _ in range(n):
-        eidx = pred[node]
-        assert eidx >= 0
-        node = tails[eidx]
-    cycle = _cycle_from_predecessors(pred, tails, node, n)
-    assert cycle is not None
-    return cycle
+    return None
 
 
 def _cycle_from_predecessors(
@@ -286,7 +234,9 @@ class Kernel:
 
     def has_negative_cycle(
         self, p: int, q: int, sources: list[int] | None = None
-    ) -> bool:
+    ) -> list[int] | None:
+        """The H-edge ids of one simple negative cycle at ``p/q``, or
+        ``None`` when there is none."""
         raise NotImplementedError
 
     def notify_rollback(self, n_nodes: int, n_edges: int) -> None:
@@ -297,20 +247,21 @@ class Kernel:
 
 
 class PyObjectKernel(Kernel):
-    """The reference kernel: today's SPFA over the checker's adjacency
-    lists, no cached state.  Every other kernel is measured -- and
-    proven -- against this one."""
+    """The reference kernel: :func:`negative_cycle` over the checker's
+    adjacency lists, no cached state.  Every other kernel is measured
+    -- and proven -- against this one."""
 
     name = "py_object"
 
     def has_negative_cycle(
         self, p: int, q: int, sources: list[int] | None = None
-    ) -> bool:
-        return spfa_has_negative_cycle(self._checker, p, q, sources)
+    ) -> list[int] | None:
+        return negative_cycle(self._checker, p, q, sources)
 
 
 class FlatIntKernel(Kernel):
-    """Exact integer kernel: clock-profile certificate + witness memo.
+    """Exact integer kernel: a clock-profile certificate for negative
+    answers, :func:`negative_cycle` for the rest.
 
     See the module docstring for the design.  All state lives in flat
     parallel lists of plain Python integers, synced lazily from the
@@ -349,9 +300,8 @@ class FlatIntKernel(Kernel):
         self._pl: list[int] = []
         self._out: list[list[int]] = []  # edge ids by tail
         self._in: list[list[int]] = []  # edge ids by head
-        self._et: list[int] = []  # per-edge tail/head/kind copies
+        self._et: list[int] = []  # per-edge tail/head copies
         self._eh: list[int] = []
-        self._ek: list[int] = []
         self._ef: list[int] = []  # per-edge hop profiles
         self._eb: list[int] = []
         self._el: list[int] = []
@@ -366,14 +316,8 @@ class FlatIntKernel(Kernel):
         # The ratio the clock's lex comparisons are pinned at (moved by
         # convergent speculative re-pins; see has_negative_cycle).
         self._pin: tuple[int, int] | None = None
-        # Witness memo: hop profile (F, B) of a known-present negative
-        # cycle and the largest edge id it uses (for invalidation).
-        self._wit: tuple[int, int] | None = None
-        self._wit_max_eid = -1
 
     def notify_rollback(self, n_nodes: int, n_edges: int) -> None:
-        if self._wit is not None and self._wit_max_eid >= n_edges:
-            self._wit = None
         if self._ne > n_edges:
             sf, sb, sl = self._sf, self._sb, self._sl
             for eidx in range(self._ne - 1, n_edges - 1, -1):
@@ -385,7 +329,7 @@ class FlatIntKernel(Kernel):
                 self._out[self._et[eidx]].pop()
                 self._in[self._eh[eidx]].pop()
             for arr in (
-                self._et, self._eh, self._ek,
+                self._et, self._eh,
                 self._ef, self._eb, self._el,
                 sf, sb, sl,
             ):
@@ -585,9 +529,9 @@ class FlatIntKernel(Kernel):
             self._pin = (2, 1)
         tails, heads, kinds = checker._tails, checker._heads, checker._kinds
         summary_profiles = checker._summary_profiles
-        et, eh, ek = self._et, self._eh, self._ek
+        et, eh = self._et, self._eh
         ef, eb, el = self._ef, self._eb, self._el
-        et_app, eh_app, ek_app = et.append, eh.append, ek.append
+        et_app, eh_app = et.append, eh.append
         ef_app, eb_app, el_app = ef.append, eb.append, el.append
         out, into = self._out, self._in
         sf_app = self._sf.append
@@ -618,7 +562,6 @@ class FlatIntKernel(Kernel):
                 hf, hb, hl = summary_profiles[kind - SUMMARY]
             et_app(tail)
             eh_app(head)
-            ek_app(kind)
             ef_app(hf)
             eb_app(hb)
             el_app(hl)
@@ -670,8 +613,8 @@ class FlatIntKernel(Kernel):
         tight cap is deliberate, because the probe discovering a
         genuine worst-ratio increase re-pins at a *violated* ratio
         where the fixpoint diverges outright.  Keeping the old pin in
-        that case costs nothing (the relaxation run that follows seeds
-        the witness memo) and preserves a certificate that still
+        that case costs nothing (the relaxation run that follows
+        returns the cycle) and preserves a certificate that still
         answers the monitor's successor stream."""
         n, m = self._nn, self._ne
         pf = [0] * n
@@ -735,105 +678,35 @@ class FlatIntKernel(Kernel):
 
     def has_negative_cycle(
         self, p: int, q: int, sources: list[int] | None = None
-    ) -> bool:
+    ) -> list[int] | None:
         checker = self._checker
         if len(checker._nodes) == 0 or (
             not checker._messages and not checker._n_summaries
         ):
-            return False
+            return None
         if p < q:
             # The certificate's safe-slack class (df >= max(db, 0),
             # dl <= 0) is only universally nonnegative for ratios >= 1,
             # the model's domain; answer out-of-domain probes exactly
             # via the reference loop.
-            return spfa_has_negative_cycle(checker, p, q, sources)
+            return negative_cycle(checker, p, q, sources)
         if len(checker._tails) != self._ne or len(checker._nodes) != self._nn:
             self._sync()
-        wit = self._wit
-        if wit is not None and sources is None and q * wit[1] >= p * wit[0]:
-            # A recorded cycle with hop profile (F, B) and q*B >= p*F
-            # has weight s*(p*F - q*B) - L < 0 at this query, and its
-            # edges are all still present: True in O(1).
-            return True
         s = checker._n_locals + checker._summary_locals + 1
         if self._window_passes(p, q, s) or self._sweep_clean(p, q, s):
-            return False
+            return None
         # Certificate failed at an un-pinned ratio: re-pin the clock
         # there (a few flat passes, cheaper than one relaxation run)
         # and re-evaluate.  With the fixpoint reached at the probed
         # pin the certificate is complete, so a clean probe converts
         # here; only genuine violations (where the pinned fixpoint
         # diverges, the pass cap trips, and the speculative re-pin
-        # discards its passes) fall through to the relaxation run --
-        # and those seed the witness memo, so a probe burst below the
-        # worst ratio pays at most one run.
+        # discards its passes) fall through to the relaxation run,
+        # which returns the cycle.
         if (p, q) != self._pin and self._repin(p, q):
             if self._window_passes(p, q, s) or self._sweep_clean(p, q, s):
-                return False
-        if sources is not None:
-            return spfa_has_negative_cycle(checker, p, q, sources)
-        return self._detect(p, q)
-
-    def _detect(self, p: int, q: int) -> bool:
-        """The reference SPFA over the kernel's flat arrays, plus
-        predecessor recording so a chain-bound trip can seed the
-        witness memo from the very run that found the cycle.
-
-        (A slack-reweighted, seeded variant -- potentials confine the
-        search to the violated region -- measured *slower* here: a
-        violated ratio admits no feasible potential at all, so after
-        the divergent capped re-pin the "region" is the whole digraph,
-        and the seeded run tends to trip on a shallower cycle whose
-        memo covers fewer later probes.)"""
-        n = self._nn
-        wtab = self._checker._weight_table(p, q)
-        eh, ek = self._eh, self._ek
-        out = self._out
-        dist = [0] * n
-        chain = [0] * n
-        queued = [False] * n
-        pred = [-1] * n
-        active = [u for u in range(n) if out[u]]
-        while active:
-            next_active: list[int] = []
-            push = next_active.append
-            for u in active:
-                du = dist[u]
-                cu = chain[u] + 1
-                for eidx in out[u]:
-                    v = eh[eidx]
-                    nd = du + wtab[ek[eidx]]
-                    if nd < dist[v]:
-                        if cu >= n:
-                            pred[v] = eidx
-                            self._record_witness(pred, v)
-                            return True
-                        dist[v] = nd
-                        chain[v] = cu
-                        pred[v] = eidx
-                        if not queued[v]:
-                            queued[v] = True
-                            push(v)
-            next_active.sort(reverse=True)
-            active = next_active
-            for v in active:
-                queued[v] = False
-        return False
-
-    def _record_witness(self, pred: list[int], start: int) -> None:
-        """Extract the negative cycle enclosed by the predecessor graph
-        (every predecessor-graph cycle is negative: each link was a
-        strict improvement when recorded) and memoize its hop profile;
-        best-effort -- a dead-ended walk just leaves the memo empty."""
-        cycle = _cycle_from_predecessors(pred, self._et, start, self._nn)
-        if cycle is None:
-            return
-        ef, eb = self._ef, self._eb
-        self._wit = (
-            sum(ef[e] for e in cycle),
-            sum(eb[e] for e in cycle),
-        )
-        self._wit_max_eid = max(cycle)
+                return None
+        return negative_cycle(checker, p, q, sources)
 
 
 class VectorKernel(FlatIntKernel):

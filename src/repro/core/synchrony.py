@@ -42,15 +42,16 @@ negative-cycle detection.
 :class:`AdmissibilityChecker` is the workhorse behind every public
 function here: it builds the *topology* of ``H`` exactly once per
 execution graph (nodes, adjacency, traversal steps) and re-derives only
-the edge weights per ``(p, q)`` query, so the many oracle calls issued by
-a Stern-Brocot search -- or by the online monitor of
+the edge weights per ``(p, q)`` query, so the oracle calls issued by a
+worst-ratio search -- or by the online monitor of
 :mod:`repro.analysis.online` -- share all of the construction work.
 Negative cycles are found with an early-terminating queue-based detector
 (SPFA): nodes are relaxed from a work queue seeded with every node (the
 classical virtual source), the queue draining proves the absence of a
-negative cycle, and a relaxation chain growing to ``n`` edges proves its
-presence.  The checker is also *extendable in place* (``add_event`` /
-``add_message``), which is what makes incremental monitoring cheap.
+negative cycle, and once a relaxation chain grows to ``n`` edges the
+recorded predecessor edges yield the cycle itself.  The checker is also
+*extendable in place* (``add_event`` / ``add_message``), which is what
+makes incremental monitoring cheap.
 
 Two further mutation modes make the checker the substrate of the
 ABC-*enforcing* scheduler and of the <>ABC stabilization search:
@@ -93,14 +94,14 @@ ABC-*enforcing* scheduler and of the <>ABC stabilization search:
   which the layers above carry as a running maximum.)
 
 On top of the oracle, :func:`worst_relevant_ratio` finds the exact maximum
-``|Z-|/|Z+|`` over all relevant cycles by Stern-Brocot search: the ratio
-is a fraction with numerator and denominator bounded by the message count,
-so the search terminates with the exact rational.  The search clamps its
-galloping probes to that denominator bound (a mediant below the current
-bracket whose denominator exceeds the bound can never be the answer, so
-probing it would waste a full negative-cycle run) and short-circuits
-re-queries through a monotone result cache, optionally warm-started from
-a ratio already known to be reached (``at_least``).
+``|Z-|/|Z+|`` over all relevant cycles -- the maximum cycle ratio ``B/F``
+of ``H`` -- by climbing from cycle to cycle (Dinkelbach's parametric
+method).  Every positive oracle run returns the negative cycle it found,
+whose ratio ``B/F`` is realized and at least the probed ratio; the search
+jumps there and probes the Farey successor under the denominator bound
+(the message count).  The first probe that finds no cycle proves the last
+realized ratio exact: no fraction with denominator within the bound lies
+strictly between the two.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.cycles import (
     AGAINST,
@@ -128,7 +129,6 @@ from repro.core.execution_graph import (
 )
 from repro.core.kernel import (
     Kernel,
-    find_negative_cycle_edges,
     make_kernel,
     resolve_kernel_name,
 )
@@ -183,8 +183,8 @@ def as_xi(xi: Fraction | float | int | str) -> Fraction:
 
 
 def _as_ratio(xi: Fraction | float | int | str) -> Fraction:
-    # The hot callers (Stern-Brocot probes) always pass a Fraction
-    # already; skip the re-normalizing constructor for those.
+    # The hot callers (the enforcing scheduler's Xi probes) pass a
+    # Fraction already; skip the re-normalizing constructor for those.
     ratio = xi if type(xi) is Fraction else Fraction(xi)
     if ratio <= 0:
         raise ValueError(f"ratio must be positive, got {ratio}")
@@ -199,10 +199,10 @@ def farey_successor(value: Fraction, max_den: int) -> Fraction:
     ``b*c - a*d == 1`` and the largest ``d <= max_den``, found from one
     extended-gcd solution shifted by multiples of ``(a, b)``.  Any
     fraction strictly between the two has denominator ``> max_den`` --
-    the arithmetic backbone of the incremental worst-ratio refresh
-    (:meth:`AdmissibilityChecker.updated_worst_ratio`): a worst ratio
-    that moved at all under graph extension must have reached at least
-    this value.
+    the step of the worst-ratio climb
+    (:meth:`AdmissibilityChecker.worst_relevant_ratio`): when no cycle
+    reaches the successor of a realized ratio, that ratio is the
+    maximum.
     """
     a, b = value.numerator, value.denominator
     if b > max_den:
@@ -378,7 +378,7 @@ class AdmissibilityChecker:
     nodes, adjacency lists and the :class:`~repro.core.cycles.Step` each
     H-edge corresponds to are all independent of the ratio being tested.
     Each query then only materializes the weight of every edge from its
-    kind, so a Stern-Brocot search issuing dozens of oracle calls pays the
+    kind, so a worst-ratio search issuing several oracle calls pays the
     graph construction exactly once instead of once per call.
 
     The checker can also be *grown in place* -- :meth:`add_event` appends
@@ -426,9 +426,10 @@ class AdmissibilityChecker:
         self._heads: list[int] = []
         self._kinds: list[int] = []
         self._steps: list[Step] = []
-        # node index -> [(head, kind), ...]; the detection hot loop reads
-        # only this, with weights resolved through a 3-entry table.
-        self._adj: list[list[tuple[int, int]]] = []
+        # node index -> [(head, kind, edge id), ...]; the detection hot
+        # loop reads only this, with weights resolved through a per-kind
+        # table, and records edge ids so a run can return its cycle.
+        self._adj: list[list[tuple[int, int, int]]] = []
         self._messages: set[MessageEdge] = set()
         self._n_locals = 0
         # Tombstoning state: first still-live event index per process and
@@ -438,8 +439,8 @@ class AdmissibilityChecker:
         self._epoch = 0
         # Summary-compaction state: the deduplicated (forward, backward,
         # local) profile table indexed by ``kind - _SUMMARY``, plus the
-        # running totals that keep the weighting scale and the
-        # Stern-Brocot ratio bound valid with summaries in the digraph.
+        # running totals that keep the weighting scale and the climb's
+        # ratio bound valid with summaries in the digraph.
         self._summary_profiles: list[tuple[int, int, int]] = []
         self._profile_ids: dict[tuple[int, int, int], int] = {}
         self._n_summaries = 0
@@ -531,8 +532,8 @@ class AdmissibilityChecker:
         each summary edge at most once, so its forward and backward hop
         counts are bounded by the live message count plus the hops
         folded into summaries.  This is the denominator bound of the
-        Stern-Brocot search and of the Farey-successor refresh; without
-        summaries it reduces to the classical message-count bound.
+        worst-ratio climb's Farey-successor steps; without summaries it
+        reduces to the classical message-count bound.
         """
         return max(1, len(self._messages) + self._summary_hops)
 
@@ -635,9 +636,9 @@ class AdmissibilityChecker:
 
         Semantics are bit-identical to the per-record loop, including
         H-edge insertion order (event ``k``'s local edge, then event
-        ``k``'s message edges) -- the negative-cycle witness the kernels
-        report depends on edge order, so the interleaving is part of the
-        contract.  Local-order violations are detected in a validation
+        ``k``'s message edges) -- the cycle every oracle run returns,
+        and so the climb's probes and the witness, depends on edge
+        order, so the interleaving is part of the contract.  Local-order violations are detected in a validation
         pre-pass over the whole batch *before any mutation*, so a bad
         event column leaves the checker untouched; message errors
         (unknown endpoint, self loop) surface mid-apply exactly as they
@@ -746,11 +747,11 @@ class AdmissibilityChecker:
                     step = new_step(Step)
                     step.__dict__["edge"] = edge
                     step.__dict__["direction"] = AGAINST
+                    adj[node_id].append((prev_id, _BWD_LOCAL, len(tails)))
                     tails.append(node_id)
                     heads.append(prev_id)
                     kinds.append(_BWD_LOCAL)
                     steps.append(step)
-                    adj[node_id].append((prev_id, _BWD_LOCAL))
                     self._n_locals += 1
             if messages is None:
                 continue
@@ -784,16 +785,16 @@ class AdmissibilityChecker:
             bwd = new_step(Step)
             bwd.__dict__["edge"] = message
             bwd.__dict__["direction"] = AGAINST
+            adj[src_id].append((node_id, _FWD_MESSAGE, len(tails)))
             tails.append(src_id)
             heads.append(node_id)
             kinds.append(_FWD_MESSAGE)
             steps.append(fwd)
-            adj[src_id].append((node_id, _FWD_MESSAGE))
+            adj[node_id].append((src_id, _BWD_MESSAGE, len(tails)))
             tails.append(node_id)
             heads.append(src_id)
             kinds.append(_BWD_MESSAGE)
             steps.append(bwd)
-            adj[node_id].append((src_id, _BWD_MESSAGE))
             added += 1
         return added
 
@@ -842,42 +843,26 @@ class AdmissibilityChecker:
 
         Fast path of the incremental monitor: under extension the worst
         ratio either stayed at ``previous`` or reached at least its
-        Farey successor under the current denominator bound, so one
-        oracle call usually settles it; only an actual increase -- at
-        most ``O(max_den^2)`` times ever, in practice a handful -- pays
-        a warm-started Stern-Brocot search.
+        Farey successor under the current denominator bound, so the
+        climb's first probe -- one oracle call -- usually settles it;
+        only an actual increase climbs further.
         """
-        if previous is None:
-            if not self.has_ratio_at_least(1):
-                return None
-            return self.worst_relevant_ratio(at_least=Fraction(1))
-        max_den = self.ratio_bound
-        if previous.denominator > max_den:
+        if previous is not None and previous.denominator > self.ratio_bound:
             # Only after tombstoning: the live suffix has fewer messages
-            # than the prefix that realized ``previous``.  No Farey warm
-            # start exists within the new bound; the suffix search is
+            # than the prefix that realized ``previous``.  No Farey step
+            # from it exists within the new bound; the suffix search is
             # cheap (few messages) and the running maximum keeps
             # ``previous``.
-            current = self.worst_relevant_ratio()
+            current = self._climb(None)
             return current if current is not None and current > previous else previous
-        successor = farey_successor(previous, max_den)
-        # Inline the has_ratio_at_least probe: ``successor > previous >=
-        # 1`` already, so the clamp and re-normalization there are pure
-        # overhead on what is by far the most frequent oracle call of
-        # the online monitor (one probe per batch that changed nothing).
-        self.oracle_calls += 1
-        if not self._has_negative_cycle(
-            successor.numerator, successor.denominator
-        ):
-            return previous
-        return self.worst_relevant_ratio(at_least=successor)
+        return self._climb(previous)
 
     def _add_h_edge(self, tail: int, head: int, kind: int, step: Step) -> None:
+        self._adj[tail].append((head, kind, len(self._tails)))
         self._tails.append(tail)
         self._heads.append(head)
         self._kinds.append(kind)
         self._steps.append(step)
-        self._adj[tail].append((head, kind))
 
     # ------------------------------------------------------------------
     # speculative extension (checkpoint / rollback)
@@ -917,10 +902,10 @@ class AdmissibilityChecker:
             # Structural invariant checked eagerly (not via assert, which
             # ``python -O`` strips): a mismatch means the digraph is
             # corrupt and must not be used further.
-            if popped != (self._heads[eidx], kind):
+            if popped != (self._heads[eidx], kind, eidx):
                 raise RuntimeError(
                     f"rollback found adjacency tail {popped} where edge "
-                    f"{eidx} -> {(self._heads[eidx], kind)} was expected; "
+                    f"{(self._heads[eidx], kind, eidx)} was expected; "
                     "the digraph is corrupt"
                 )
             if kind == _FWD_MESSAGE:
@@ -1398,9 +1383,9 @@ class AdmissibilityChecker:
         self._n_locals = n_locals
         self._summary_profiles = profiles
         self._profile_ids = profile_ids
-        adj: list[list[tuple[int, int]]] = [[] for _ in survivors]
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in survivors]
         for eidx in range(len(tails)):
-            adj[tails[eidx]].append((heads[eidx], kinds[eidx]))
+            adj[tails[eidx]].append((heads[eidx], kinds[eidx], eidx))
         self._adj = adj
         self._epoch += 1
         if self._kernel_obj is not None:
@@ -1482,27 +1467,31 @@ class AdmissibilityChecker:
 
     def _has_negative_cycle(
         self, p: int, q: int, sources: list[int] | None = None
-    ) -> bool:
+    ) -> list[int] | None:
         """Queue-based negative-cycle detection on ``H`` weighted for p/q.
+
+        Returns the H-edge ids of one simple negative cycle, in walk
+        order, or ``None`` when there is none.
 
         SPFA with round batching: every node starts at distance 0 on the
         work queue (the classical virtual source connected to all nodes),
         and each round relaxes the out-edges of exactly the nodes improved
         in the previous round -- coalescing the relaxation waves that make
         plain FIFO SPFA revisit nodes redundantly.  The queue draining
-        proves there is no negative cycle; a relaxation chain growing to
-        ``n`` edges proves there is one (the chain walk then revisits a
-        node, and the enclosed loop was traversed by strictly improving
-        relaxations, so its weight is negative).  Early termination cuts
-        both ways: admissible graphs converge once the frontier dies out,
-        without ever touching settled regions again, and grossly violating
-        ones trip the chain bound long before the ``n * m`` worst case.
+        proves there is no negative cycle.  Each improvement records the
+        H-edge it came through; once a relaxation chain grows to ``n``
+        edges, the walk back along those edges closes a cycle, and every
+        such cycle is negative, because each link was a strict
+        improvement when recorded.  Early termination cuts both ways:
+        admissible graphs converge once the frontier dies out, without
+        ever touching settled regions again, and grossly violating ones
+        trip the chain bound long before the ``n * m`` worst case.
 
         With ``sources``, detection becomes Bellman-Ford from a source
         set: the sources start at distance 0 on the queue, every other
         node at ``+inf``, which detects exactly the negative cycles
         *reachable* from the sources (still with no false positives --
-        the chain-length argument is seeding independent).  The ``+inf``
+        the predecessor argument is seeding independent).  The ``+inf``
         initialization is essential: zero-initializing non-sources would
         stall the relaxation wave at the first positive-weight
         (forward-message) edge whose running prefix sum is nonnegative,
@@ -1514,39 +1503,37 @@ class AdmissibilityChecker:
         The detection run itself is delegated to the bound kernel (see
         :mod:`repro.core.kernel`): the reference ``py_object`` kernel is
         exactly the loop described above
-        (:func:`repro.core.kernel.spfa_has_negative_cycle`); the
-        ``flat_int`` kernel short-circuits most probes through an exact
-        integer potential certificate and falls back to a warm
-        relaxation -- every kernel answers bit-identically.
+        (:func:`repro.core.kernel.negative_cycle`); the ``flat_int``
+        kernel answers most negative probes from an exact integer
+        potential certificate and runs that same loop for the rest, so
+        every kernel returns the same cycle.
         """
         return self._kernel.has_negative_cycle(p, q, sources)
 
-    def _negative_cycle_steps(self, p: int, q: int) -> list[Step] | None:
-        """Extract one simple negative cycle, as execution-graph steps.
+    def _cycle_ratio(self, cycle: list[int]) -> Fraction:
+        """``B/F`` of a negative cycle the oracle returned.
 
-        Used only on the witness path (at most once per violation
-        query).  The detection-and-extraction run is the kernel-shared
-        :func:`repro.core.kernel.find_negative_cycle_edges` -- one
-        round-based Bellman-Ford that records predecessor edge indices
-        while detecting and pops the cycle out of the same run (the old
-        shape re-ran ``n`` full rounds after detection just to rebuild
-        the predecessors) -- so witnesses are identical across kernels
-        by construction.
+        Its weight ``s*(p*F - q*B) - L`` is negative with ``0 <= L <
+        s``, so ``B/F >= p/q``; and a simple cycle takes each message
+        and summary edge at most once, so ``F`` is within
+        :attr:`ratio_bound`.  A backward-only cycle (``F == 0``) follows
+        a causal cycle, which the public :meth:`add_message` can build:
+        it has no ratio, so it raises ``ValueError``.
         """
-        cycle_edges = find_negative_cycle_edges(self, p, q)
-        if cycle_edges is None:
-            return None
-        # Summary edges expand into their realizing walks, so the
-        # returned steps are always genuine execution-graph steps (the
-        # expansion may revisit events; classification handles walks).
-        steps: list[Step] = []
-        for eidx in cycle_edges:
-            step = self._steps[eidx]
-            if isinstance(step, SummaryEdge):
-                steps.extend(step.steps)
-            else:
-                steps.append(step)
-        return steps
+        forward = backward = 0
+        for eidx in cycle:
+            f, b, _ = self._edge_hops(self._kinds[eidx])
+            forward += f
+            backward += b
+        if not forward:
+            events = ", ".join(
+                repr(self._nodes[self._tails[eidx]]) for eidx in cycle
+            )
+            raise ValueError(
+                f"the execution contains a causal cycle through {events}; "
+                "relevant-cycle ratios need an acyclic execution"
+            )
+        return Fraction(backward, forward)
 
     # ------------------------------------------------------------------
     # queries
@@ -1582,8 +1569,9 @@ class AdmissibilityChecker:
         source_ids: list[int] | None = None
         if sources is not None:
             source_ids = [self._index[ev] for ev in sources]
-        return self._has_negative_cycle(
-            r.numerator, r.denominator, source_ids
+        return (
+            self._has_negative_cycle(r.numerator, r.denominator, source_ids)
+            is not None
         )
 
     def violating_cycle(
@@ -1592,15 +1580,26 @@ class AdmissibilityChecker:
         """A relevant cycle violating (2) for ``xi``, or ``None``.
 
         Violation means ``|Z-|/|Z+| >= xi``; the returned classification
-        is guaranteed relevant with ``ratio >= xi``.
+        is guaranteed relevant with ``ratio >= xi``.  The witness is the
+        cycle the oracle run at ``xi`` returns.
         """
         xi_frac = as_xi(xi)
         self.oracle_calls += 1
-        steps = self._negative_cycle_steps(
+        cycle = self._has_negative_cycle(
             xi_frac.numerator, xi_frac.denominator
         )
-        if steps is None:
+        if cycle is None:
             return None
+        # Summary edges expand into their realizing walks, so the
+        # witness is always made of genuine execution-graph steps (the
+        # expansion may revisit events; classification handles walks).
+        steps: list[Step] = []
+        for eidx in cycle:
+            step = self._steps[eidx]
+            if isinstance(step, SummaryEdge):
+                steps.extend(step.steps)
+            else:
+                steps.append(step)
         info = classify(Cycle(tuple(steps)))
         if not info.relevant or info.ratio is None or info.ratio < xi_frac:
             raise AssertionError(
@@ -1623,106 +1622,52 @@ class AdmissibilityChecker:
         Returns ``None`` when the graph has no relevant cycle.  The result
         is the infimum of admissible ``Xi`` values: the graph is
         ABC-admissible for ``Xi`` iff ``Xi > worst_relevant_ratio()``.
+        Raises ``ValueError`` when the execution holds a causal cycle.
 
-        Implemented as a Stern-Brocot (mediant) search with run-length
-        acceleration around the monotone oracle
-        :meth:`has_ratio_at_least`.  The maximum is a fraction with
-        numerator and denominator bounded by :attr:`ratio_bound` (the
-        message count, plus the hops folded into summary edges), so
-        once the two bracketing tree nodes have denominator sum exceeding
-        that bound, the lower bracket is exact.  Probes are clamped to the
-        denominator bound: once a bracket ``(lo, hi)`` is established, a
-        mediant descendant with denominator beyond the bound can only test
-        true if the maximum itself lay strictly between the brackets with
-        a small denominator -- impossible by Stern-Brocot adjacency -- so
-        such probes are resolved to ``False`` without running the oracle.
+        Implemented as a climb over the cycles the oracle returns (see
+        :meth:`_climb`): each probe's cycle sets the ratio reached so
+        far, and its Farey successor under :attr:`ratio_bound` is the
+        next probe, until a probe finds no cycle.
 
         Args:
             at_least: a ratio already known to be reached by some relevant
-                cycle (e.g. the worst ratio of a subgraph).  Oracle calls
-                at or below it are answered from the bound, which is what
+                cycle (e.g. the worst ratio of a subgraph).  The climb
+                starts from it instead of from ``1``, which is what
                 warm-starts the incremental monitor.
         """
-        max_den = self.ratio_bound
-        max_num = self.ratio_bound
-        memo: dict[Fraction, bool] = {}
+        if (
+            at_least is None
+            or at_least < 1
+            or at_least.denominator > self.ratio_bound
+        ):
+            return self._climb(None)
+        return self._climb(at_least)
 
-        def oracle(num: int, den: int) -> bool:
-            value = Fraction(num, den)
-            if at_least is not None and value <= at_least:
-                return True
-            cached = memo.get(value)
-            if cached is None:
-                cached = self.has_ratio_at_least(value)
-                memo[value] = cached
-            return cached
+    def _climb(self, best: Fraction | None) -> Fraction | None:
+        """The worst ratio, climbing from ``best``, a ratio known to be
+        reached (``None``: nothing known yet, so probe ``1`` first).
 
-        if at_least is None or at_least < 1:
-            if not oracle(1, 1):
-                return None
-
-        lo_num, lo_den = 1, 1  # oracle true: some relevant cycle exists
-        hi_num, hi_den = 1, 0  # +infinity; oracle false beyond the max
-        while lo_den + hi_den <= max_den:
-            if oracle(lo_num + hi_num, lo_den + hi_den):
-                # Walk lo towards hi while the oracle stays true, clamped
-                # to the denominator bound (numerator bound when hi is
-                # still +infinity: no relevant ratio exceeds the message
-                # count).
-                if hi_den:
-                    cap = (max_den - lo_den) // hi_den
-                else:
-                    cap = max_num * lo_den - lo_num
-                k = _max_k(
-                    lambda k: oracle(
-                        lo_num + k * hi_num, lo_den + k * hi_den
-                    ),
-                    cap,
-                )
-                lo_num += k * hi_num
-                lo_den += k * hi_den
-            else:
-                # Walk hi towards lo while the oracle stays false.  If it
-                # never turns true again before the denominator bound, lo
-                # is exact.
-                def still_false(k: int) -> bool:
-                    return not oracle(k * lo_num + hi_num, k * lo_den + hi_den)
-
-                if not still_false(1):
-                    hi_num += lo_num
-                    hi_den += lo_den
-                    continue
-                cap = (max_den - hi_den) // lo_den
-                k = _max_k(still_false, cap)
-                hi_num += k * lo_num
-                hi_den += k * lo_den
-        # Any fraction strictly between lo and hi has denominator greater
-        # than max_den, so the maximum ratio is exactly the lower bracket.
-        return Fraction(lo_num, lo_den)
-
-
-def _max_k(probe: Callable[[int], bool], cap: int) -> int:
-    """Largest ``k`` in ``[1, cap]`` with ``probe(k)`` true.
-
-    ``probe(1)`` must be known true and ``probe`` monotone (a true prefix
-    followed by a false suffix).  Probes the cap first -- in a converged
-    Stern-Brocot search the whole clamped range is usually still true, so
-    this resolves the walk in one oracle call -- then gallops by doubling
-    and bisects.  Never evaluates beyond ``cap``.
-    """
-    if cap <= 1 or probe(cap):
-        return cap
-    k = 1
-    while 2 * k < cap and probe(2 * k):
-        k *= 2
-    lo, hi = k, min(2 * k, cap)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if probe(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        Dinkelbach's parametric method on the oracle.  A probe at
+        ``p/q`` that finds a cycle returns it, and its ratio ``B/F`` is
+        at least ``p/q`` (see :meth:`_cycle_ratio`).  That cycle is
+        negative at every ratio below ``B/F``, so, under the
+        summary-mode contract, the full graph has relevant cycles at all
+        of them: its worst ratio is at least ``B/F``, and ``best`` jumps
+        there.  A probe at the
+        Farey successor of ``best`` that finds nothing puts the maximum
+        below the successor; no fraction with denominator within
+        :attr:`ratio_bound` lies between the two, so the maximum is
+        ``best``.  Probes strictly increase, so none repeats.
+        """
+        bound = self.ratio_bound
+        probe = Fraction(1) if best is None else farey_successor(best, bound)
+        while True:
+            self.oracle_calls += 1
+            cycle = self._has_negative_cycle(probe.numerator, probe.denominator)
+            if cycle is None:
+                return best
+            best = self._cycle_ratio(cycle)
+            probe = farey_successor(best, bound)
 
 
 # ----------------------------------------------------------------------

@@ -164,7 +164,7 @@ def running_worst_ratio(
     :class:`~repro.core.synchrony.AdmissibilityChecker`: each prefix
     that extends its predecessor is absorbed as a graph diff and settled
     by :meth:`~repro.core.synchrony.AdmissibilityChecker.updated_worst_ratio`
-    (typically one oracle call), instead of paying a full Stern-Brocot
+    (typically one oracle call), instead of paying a full worst-ratio
     search per prefix; non-extending entries fall back to a batch
     search.  To monitor a recorded trace record-by-record -- with
     violation callbacks -- use

@@ -198,7 +198,7 @@ class TestCheckpointRollbackSpeculate:
 
     def test_interleaved_probe_stream(self, kernel):
         # Alternate absorption and probes so each kernel's incremental
-        # state (pin, slacks, witness memo) is exercised mid-growth.
+        # state (pin, clocks, slacks) is exercised mid-growth.
         trace = streaming_trace(
             random.Random(31), n_processes=4, n_records=60
         )

@@ -19,6 +19,7 @@ from repro.core.synchrony import (
     as_xi,
     check_abc,
     check_abc_exhaustive,
+    farey_successor,
     find_violating_cycle,
     has_relevant_cycle_with_ratio_at_least,
     worst_relevant_ratio,
@@ -180,43 +181,73 @@ class TestAdmissibilityChecker:
         assert checker.oracle_calls == 1
 
 
-class TestGallopClamp:
-    def test_search_never_probes_beyond_denominator_bound(self, fig3_like_graph):
-        """Satellite regression: the Stern-Brocot gallop used to probe
-        mediants with denominators beyond the message count -- wasted
-        oracle calls whose answer is forced."""
+class TestClimbProbes:
+    """The worst-ratio climb probes ``1`` first, then only the Farey
+    successor, under ``ratio_bound``, of a ratio already reached: the
+    warm start, or the ratio of a cycle an earlier probe returned."""
+
+    @staticmethod
+    def record(monkeypatch):
+        log: list[tuple[Fraction, Fraction | None]] = []
+        original = AdmissibilityChecker._has_negative_cycle
+
+        def recording(self, p, q, sources=None):
+            cycle = original(self, p, q, sources)
+            found = None if cycle is None else self._cycle_ratio(cycle)
+            log.append((Fraction(p, q), found))
+            return cycle
+
+        monkeypatch.setattr(
+            AdmissibilityChecker, "_has_negative_cycle", recording
+        )
+        return log
+
+    @staticmethod
+    def assert_climb(log, checker, start, result):
+        bound = checker.ratio_bound
+        reached = [] if start is None else [start]
+        for probe, found in log:
+            allowed = {farey_successor(r, bound) for r in reached}
+            if start is None and not reached:
+                allowed.add(Fraction(1))
+            assert probe in allowed, (probe, reached)
+            assert probe.denominator <= bound
+            if found is not None:
+                assert found >= probe
+                reached.append(found)
+        assert log[-1][1] is None, "the climb must end on an empty probe"
+        assert result == (reached[-1] if reached else None)
+        assert reached == sorted(set(reached)), "ratios must strictly increase"
+        probes = [probe for probe, _ in log]
+        assert probes == sorted(set(probes)), "probes must strictly increase"
+
+    def test_cold_search_probes_successors_of_reached_ratios(
+        self, fig3_like_graph, monkeypatch
+    ):
         checker = AdmissibilityChecker(fig3_like_graph)
-        max_den = len(fig3_like_graph.messages)
-        seen: list[Fraction] = []
-        original = AdmissibilityChecker.has_ratio_at_least
+        log = self.record(monkeypatch)
+        worst = checker.worst_relevant_ratio()
+        assert worst == 2
+        self.assert_climb(log, checker, None, worst)
 
-        def recording(self, ratio):
-            seen.append(Fraction(ratio))
-            return original(self, ratio)
-
-        AdmissibilityChecker.has_ratio_at_least = recording
-        try:
-            checker.worst_relevant_ratio()
-        finally:
-            AdmissibilityChecker.has_ratio_at_least = original
-        assert seen, "search made no oracle calls"
-        assert all(r.denominator <= max_den for r in seen)
-
-    def test_search_never_repeats_a_query(self, fig3_like_graph):
-        checker = AdmissibilityChecker(fig3_like_graph)
-        seen: list[Fraction] = []
-        original = AdmissibilityChecker.has_ratio_at_least
-
-        def recording(self, ratio):
-            seen.append(Fraction(ratio))
-            return original(self, ratio)
-
-        AdmissibilityChecker.has_ratio_at_least = recording
-        try:
-            checker.worst_relevant_ratio()
-        finally:
-            AdmissibilityChecker.has_ratio_at_least = original
-        assert len(seen) == len(set(seen))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_warm_refresh_probes_successors_of_reached_ratios(
+        self, seed, monkeypatch
+    ):
+        rng = random.Random(seed)
+        graph = random_execution_graph(rng, 3, 16)
+        checker = AdmissibilityChecker()
+        log = self.record(monkeypatch)
+        worst = None
+        for process in graph.processes:
+            for event in graph.events_of(process):
+                checker.add_event(event)
+        for message in graph.messages:
+            checker.add_message(message.src, message.dst)
+            log.clear()
+            previous, worst = worst, checker.updated_worst_ratio(worst)
+            self.assert_climb(log, checker, previous, worst)
+        assert worst == worst_relevant_ratio(graph)
 
 
 class TestWitnessOnMultigraphs:

@@ -113,6 +113,19 @@ class TestSummarize:
         assert "| pipeline | batch_latency_p50_ms | 0.0113 |  |" in ungated
         assert not any("attempted" in line for line in lines)
 
+    def test_pipeline_workload_artifacts_share_the_headline(self, tmp_path):
+        paths = []
+        for workload in ("fleet-mixed", "fleet-short"):
+            path = tmp_path / f"BENCH_pipeline-{workload}.json"
+            path.write_text(json.dumps(PIPELINE_LINE))
+            paths.append(path)
+        lines = bench_summary.summarize(paths).splitlines()
+        for workload in ("fleet-mixed", "fleet-short"):
+            name = f"pipeline-{workload}"
+            assert f"| {name} | records_per_s | 14,732 | **gated** |" in lines
+            assert f"| {name} | batch_latency_p50_ms | 0.0113 |  |" in lines
+        assert bench_summary.headline_of("pipelines") is None
+
     def test_bench_name_strips_prefix(self):
         assert bench_summary.bench_name(Path("BENCH_obs.json")) == "obs"
         assert bench_summary.bench_name(Path("other.json")) == "other"

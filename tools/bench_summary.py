@@ -12,7 +12,8 @@ it gates), so extraction is structural: every numeric leaf whose key
 names a comparison -- ``*speedup*``, ``*ratio*`` (recovery's is a
 cost *ceiling*, lower is better), ``*records_per_s`` -- is collected
 with its JSON path.  The pipeline benchmark's result line
-(``perfbench/run.py``, saved as ``BENCH_pipeline.json``) is the one
+(``perfbench/run.py``, saved as ``BENCH_pipeline.json``, or as
+``BENCH_pipeline-<workload>.json`` for the other workloads) is the one
 fixed shape: each ``metrics.<name>.value`` is a row named by the
 metric.  Headline rows (the gated quantity per benchmark, when known)
 are marked and listed first.
@@ -86,6 +87,14 @@ def bench_name(path: Path) -> str:
     return stem[6:] if stem.startswith("BENCH_") else stem
 
 
+def headline_of(name: str) -> str | None:
+    """The headline metric of a benchmark; every ``pipeline-<workload>``
+    artifact shares the pipeline benchmark's."""
+    if name.startswith("pipeline-"):
+        name = "pipeline"
+    return HEADLINES.get(name)
+
+
 def fmt(value: float) -> str:
     """Thousands-separated from 1000 up, three significant digits
     below (so a 0.004 overhead ratio does not print as 0.00)."""
@@ -103,7 +112,7 @@ def summarize(paths: list[Path]) -> str:
             rows.append((bench_name(path), "(unreadable)", "", str(exc)))
             continue
         name = bench_name(path)
-        headline = HEADLINES.get(name)
+        headline = headline_of(name)
         metrics = metric_rows(data)
         if not metrics:
             rows.append((name, "(no metrics)", "", ""))
