@@ -108,7 +108,7 @@ __all__ = [
 # (journals + periodic checkpoints), this is a one-shot image: the
 # whole fleet -- configuration *and* state -- as one picklable frame.
 _SNAPSHOT_MAGIC = "abc-fleet-snapshot"
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_VERSION = 2  # see codec.SNAPSHOT_VERSION
 
 
 class MonitorFleet:
@@ -538,8 +538,6 @@ class MonitorFleet:
             )
         from repro.runtime import codec
 
-        # Pre-kernel frames are 9-tuples; tolerate them (their monitors
-        # then follow the restoring process's ambient kernel).
         (
             xi_wire,
             n_shards,
@@ -550,7 +548,7 @@ class MonitorFleet:
             faulty,
             drop_faulty,
             specs_wire,
-            *rest,
+            kernel,
         ) = config
         fleet = cls(
             codec.decode_fraction(xi_wire),
@@ -561,7 +559,7 @@ class MonitorFleet:
             compact_threshold=compact_threshold,
             faulty=frozenset(faulty),
             drop_faulty=drop_faulty,
-            kernel=rest[0] if rest else None,
+            kernel=kernel,
             monitor_factory=monitor_factory,
             monitor_specs=codec.decode_specs(specs_wire),
             on_violation=on_violation,

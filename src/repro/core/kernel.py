@@ -135,8 +135,8 @@ def negative_cycle(
     its walk cannot dead-end, since a dead-ended walk traces a simple
     path whose weight bounds the distance from below.
     """
-    n = len(checker._nodes)
-    if n == 0 or (not checker._messages and not checker._n_summaries):
+    n = len(checker._adj)
+    if n == 0 or (not checker._n_messages and not checker._n_summaries):
         return None
     wtab = checker._weight_table(p, q)
     adj = checker._adj
@@ -510,7 +510,7 @@ class FlatIntKernel(Kernel):
         new events, raise clocks for new lower bounds (cascading along
         the causal future for late edges), and index the new slacks."""
         checker = self._checker
-        n_now = len(checker._nodes)
+        n_now = len(checker._adj)
         pf, pb, pl = self._pf, self._pb, self._pl
         if n_now > self._nn:
             grow = n_now - self._nn
@@ -680,8 +680,8 @@ class FlatIntKernel(Kernel):
         self, p: int, q: int, sources: list[int] | None = None
     ) -> list[int] | None:
         checker = self._checker
-        if len(checker._nodes) == 0 or (
-            not checker._messages and not checker._n_summaries
+        if len(checker._adj) == 0 or (
+            not checker._n_messages and not checker._n_summaries
         ):
             return None
         if p < q:
@@ -690,7 +690,7 @@ class FlatIntKernel(Kernel):
             # the model's domain; answer out-of-domain probes exactly
             # via the reference loop.
             return negative_cycle(checker, p, q, sources)
-        if len(checker._tails) != self._ne or len(checker._nodes) != self._nn:
+        if len(checker._tails) != self._ne or len(checker._adj) != self._nn:
             self._sync()
         s = checker._n_locals + checker._summary_locals + 1
         if self._window_passes(p, q, s) or self._sweep_clean(p, q, s):

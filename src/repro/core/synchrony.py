@@ -41,7 +41,7 @@ negative-cycle detection.
 
 :class:`AdmissibilityChecker` is the workhorse behind every public
 function here: it builds the *topology* of ``H`` exactly once per
-execution graph (nodes, adjacency, traversal steps) and re-derives only
+execution graph (nodes, adjacency, edge kinds) and re-derives only
 the edge weights per ``(p, q)`` query, so the oracle calls issued by a
 worst-ratio search -- or by the online monitor of
 :mod:`repro.analysis.online` -- share all of the construction work.
@@ -109,6 +109,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
@@ -374,12 +375,17 @@ class CheckerCheckpoint:
 class AdmissibilityChecker:
     """Reusable, extendable decision procedure for one execution graph.
 
-    The traversal digraph ``H`` (see the module docstring) is built once:
-    nodes, adjacency lists and the :class:`~repro.core.cycles.Step` each
-    H-edge corresponds to are all independent of the ratio being tested.
-    Each query then only materializes the weight of every edge from its
-    kind, so a worst-ratio search issuing several oracle calls pays the
-    graph construction exactly once instead of once per call.
+    The traversal digraph ``H`` (see the module docstring) is built once,
+    as integers only: a node is its ``(process, index)`` in two int
+    columns, an edge its tail, head and kind, none of which depends on
+    the ratio being tested.  Each query then only materializes the
+    weight of every edge from its kind, so a worst-ratio search issuing
+    several oracle calls pays the graph construction exactly once.
+    :class:`~repro.core.events.Event`, :class:`~repro.core.cycles.Step`
+    and edge objects are built only for answers (witnesses, summary
+    walks, :attr:`messages`): a checker holds its trace's whole history,
+    and every full garbage collection visits every tracked object, so
+    the adjacency row the detection loop reads is the one kept per event.
 
     The checker can also be *grown in place* -- :meth:`add_event` appends
     a receive event (creating the implied local edge), :meth:`add_message`
@@ -417,20 +423,25 @@ class AdmissibilityChecker:
             resolve_kernel_name(kernel)  # fail fast on unknown names
         self._kernel_spec = kernel
         self._kernel_obj: Kernel | None = None
-        self._nodes: list[Event] = []
-        self._index: dict[Event, int] = {}
-        self._events_per_process: dict[ProcessId, int] = {}
-        # H-edges, struct-of-arrays: topology and steps are immutable per
-        # edge, weights are derived per query from ``kind``.
+        # Node ``u`` is event ``(_procs[u], _idxs[u])``.  Compaction
+        # removes per-process prefixes, so ``_ids[p]`` -- the live nodes
+        # of ``p`` in index order -- starts at ``first_live_index(p)``,
+        # and its length counts the events observed at ``p`` after that.
+        self._procs: list[ProcessId] = []
+        self._idxs: list[int] = []
+        self._ids: dict[ProcessId, list[int]] = {}
+        # H-edges, struct-of-arrays: topology is immutable per edge,
+        # weights are derived per query from ``kind``; summary edges
+        # keep their SummaryEdge by edge id.
         self._tails: list[int] = []
         self._heads: list[int] = []
         self._kinds: list[int] = []
-        self._steps: list[Step] = []
+        self._summary_at: dict[int, SummaryEdge] = {}
         # node index -> [(head, kind, edge id), ...]; the detection hot
         # loop reads only this, with weights resolved through a per-kind
         # table, and records edge ids so a run can return its cycle.
         self._adj: list[list[tuple[int, int, int]]] = []
-        self._messages: set[MessageEdge] = set()
+        self._n_messages = 0
         self._n_locals = 0
         # Tombstoning state: first still-live event index per process and
         # the compaction epoch (checkpoints from older epochs are dead).
@@ -501,12 +512,12 @@ class AdmissibilityChecker:
     @property
     def n_events(self) -> int:
         """Number of *live* (non-tombstoned) events in the digraph."""
-        return len(self._nodes)
+        return len(self._procs)
 
     @property
     def n_messages(self) -> int:
         """Number of live message edges."""
-        return len(self._messages)
+        return self._n_messages
 
     @property
     def n_local_edges(self) -> int:
@@ -535,30 +546,66 @@ class AdmissibilityChecker:
         worst-ratio climb's Farey-successor steps; without summaries it
         reduces to the classical message-count bound.
         """
-        return max(1, len(self._messages) + self._summary_hops)
+        return max(1, self._n_messages + self._summary_hops)
 
     @property
     def processes(self) -> tuple[ProcessId, ...]:
         """Processes with at least one observed event (live or not)."""
-        return tuple(self._events_per_process)
+        return tuple(self._ids)
 
     def n_events_of(self, process: ProcessId) -> int:
         """Total events ever observed at ``process`` (tombstoned ones
         included -- this is the index the next :meth:`add_event` must
         carry, and the basis of :meth:`extends`)."""
-        return self._events_per_process.get(process, 0)
+        ids = self._ids.get(process)
+        return 0 if ids is None else self.first_live_index(process) + len(ids)
 
     def first_live_index(self, process: ProcessId) -> int:
         """Index of the earliest non-tombstoned event at ``process``."""
         return self._first_live.get(process, 0)
 
+    def _event(self, node: int) -> Event:
+        """The event node ``node`` stands for."""
+        return Event(self._procs[node], self._idxs[node])
+
+    def _find(self, event: Event) -> int | None:
+        """The node of a live ``event``, or ``None``."""
+        ids = self._ids.get(event.process)
+        if ids is None:
+            return None
+        offset = event.index - self._first_live.get(event.process, 0)
+        return ids[offset] if 0 <= offset < len(ids) else None
+
+    def _node_of(self, event: Event) -> int:
+        node = self._find(event)
+        if node is None:
+            raise KeyError(
+                f"event {event!r} not in the checker (never added, or "
+                "tombstoned)"
+            )
+        return node
+
+    def _has_forward(self, u: int, v: int) -> bool:
+        """Whether the message ``u -> v`` is in the digraph."""
+        for head, kind, _ in self._adj[u]:
+            if head == v and kind == _FWD_MESSAGE:
+                return True
+        return False
+
     @property
     def messages(self) -> frozenset[MessageEdge]:
-        """The message edges added so far (snapshot)."""
-        return frozenset(self._messages)
+        """The live message edges (a snapshot, built on demand)."""
+        event = self._event
+        return frozenset(
+            MessageEdge(event(tail), event(head))
+            for tail, head, kind in zip(self._tails, self._heads, self._kinds)
+            if kind == _FWD_MESSAGE
+        )
 
     def has_message(self, message: MessageEdge) -> bool:
-        return message in self._messages
+        u = self._find(message.src)
+        v = self._find(message.dst)
+        return u is not None and v is not None and self._has_forward(u, v)
 
     def add_event(self, event: Event) -> None:
         """Append the next receive event of its process.
@@ -567,29 +614,25 @@ class AdmissibilityChecker:
         the local edge from the previous event is created implicitly, as a
         backward-only H-edge.
         """
-        expected = self._events_per_process.get(event.process, 0)
+        process = event.process
+        expected = self.n_events_of(process)
         if event.index != expected:
             raise ValueError(
-                f"events of process {event.process} must arrive in local "
+                f"events of process {process} must arrive in local "
                 f"order: expected index {expected}, got {event!r}"
             )
-        self._events_per_process[event.process] = expected + 1
-        self._index[event] = len(self._nodes)
-        self._nodes.append(event)
+        node = len(self._procs)
+        self._procs.append(process)
+        self._idxs.append(expected)
         self._adj.append([])
-        if event.index > 0:
-            prev = Event(event.process, event.index - 1)
-            prev_id = self._index.get(prev)
-            # A tombstoned predecessor leaves the new event without a
-            # local edge, exactly as in the suffix graph.
-            if prev_id is not None:
-                self._add_h_edge(
-                    self._index[event],
-                    prev_id,
-                    _BWD_LOCAL,
-                    Step(LocalEdge(prev, event), AGAINST),
-                )
-                self._n_locals += 1
+        ids = self._ids.setdefault(process, [])
+        # The latest live event is the local predecessor; a tombstoned
+        # one leaves the new event without a local edge, exactly as in
+        # the suffix graph.
+        if ids:
+            self._add_h_edge(node, ids[-1], _BWD_LOCAL)
+            self._n_locals += 1
+        ids.append(node)
 
     def add_message(self, src: Event, dst: Event) -> bool:
         """Add a message edge; returns ``False`` for an exact duplicate.
@@ -598,21 +641,17 @@ class AdmissibilityChecker:
         :class:`~repro.core.execution_graph.ExecutionGraph`, which stores
         messages as a set.
         """
-        message = MessageEdge(src, dst)
-        if message in self._messages:
+        u = self._node_of(src)
+        v = self._node_of(dst)
+        if u == v:
+            raise ValueError(
+                f"message {MessageEdge(src, dst)!r} may not be a self loop"
+            )
+        if self._has_forward(u, v):
             return False
-        for endpoint in (src, dst):
-            if endpoint not in self._index:
-                raise KeyError(
-                    f"event {endpoint!r} not in the checker (never added, "
-                    "or tombstoned)"
-                )
-        if src == dst:
-            raise ValueError(f"message {message!r} may not be a self loop")
-        self._messages.add(message)
-        u, v = self._index[src], self._index[dst]
-        self._add_h_edge(u, v, _FWD_MESSAGE, Step(message, ALONG))
-        self._add_h_edge(v, u, _BWD_MESSAGE, Step(message, AGAINST))
+        self._n_messages += 1
+        self._add_h_edge(u, v, _FWD_MESSAGE)
+        self._add_h_edge(v, u, _BWD_MESSAGE)
         return True
 
     def absorb_batch(
@@ -638,12 +677,12 @@ class AdmissibilityChecker:
         H-edge insertion order (event ``k``'s local edge, then event
         ``k``'s message edges) -- the cycle every oracle run returns,
         and so the climb's probes and the witness, depends on edge
-        order, so the interleaving is part of the contract.  Local-order violations are detected in a validation
-        pre-pass over the whole batch *before any mutation*, so a bad
-        event column leaves the checker untouched; message errors
-        (unknown endpoint, self loop) surface mid-apply exactly as they
-        would mid-stream.  Exact duplicate messages are dropped, as in
-        :meth:`add_message`.
+        order, so the interleaving is part of the contract.
+        Local-order violations are detected in a validation pre-pass
+        over the whole batch *before any mutation*, so a bad event
+        column leaves the checker untouched; message errors (unknown
+        endpoint, self loop) surface mid-apply exactly as they would
+        mid-stream, after the failing row's event.
 
         Appends happen on the flat digraph arrays once per batch; any
         attached kernel discovers them lazily (one ``extend``) at the
@@ -664,137 +703,81 @@ class AdmissibilityChecker:
         # Validation pre-pass: local order per process across the batch,
         # seeded from the observed prefix.  Nothing is mutated before
         # the whole event column is known good.
-        epp = self._events_per_process
         expected: dict[ProcessId, int] = {}
         for k in range(n):
             p = processes[k]
             want = expected.get(p)
             if want is None:
-                want = epp.get(p, 0)
+                want = self.n_events_of(p)
             if indexes[k] != want:
-                bad = Event.__new__(Event)
-                bad.__dict__["process"] = p
-                bad.__dict__["index"] = indexes[k]
                 raise ValueError(
                     f"events of process {p} must arrive in local "
-                    f"order: expected index {want}, got {bad!r}"
+                    f"order: expected index {want}, got p{p}:{indexes[k]}"
                 )
             expected[p] = want + 1
-        # Fused apply pass, locals bound once.  Every object on this
-        # path -- events, edges, traversal steps -- is built from
-        # values the validation pre-pass (or the digraph itself)
-        # already vouched for, so the frozen dataclasses are
-        # fast-constructed via ``__new__`` + direct ``__dict__``
-        # stores, skipping checked ``__init__``/``__post_init__``
-        # exactly as the wire decoder does.  Equality and hash derive
-        # from the fields, so the instances are indistinguishable from
-        # per-record ones.
-        #
-        # Two batch-local shortcuts the per-record loop cannot take:
-        #
-        # * ``batch_ids`` maps the batch's own ``(process, index)``
-        #   pairs to node ids with C-speed tuple hashing, so local
-        #   predecessors and (in dense streams, nearly all) message
-        #   sources resolve without constructing a probe ``Event`` or
-        #   paying its Python-level ``__hash__``.
-        # * The duplicate-message check of :meth:`add_message` is
-        #   skipped outright: row ``k``'s destination is row ``k``'s
-        #   *own just-appended event* -- validation guarantees it is
-        #   new -- so no message to it can already exist.  Self loops
-        #   reduce to ``src_id == node_id`` for the same reason.
-        epp.update(expected)
-        nodes = self._nodes
-        index = self._index
+        # Apply pass: only ints are appended, no Event, Step or edge
+        # objects.  A row's local predecessor is its process's latest
+        # live node, and its message source resolves through ``_ids``.
+        # Row ``k``'s destination is row ``k``'s own new event, so no
+        # duplicate message check is needed, and a self loop is
+        # ``src_id == node_id``.  A process's event count is the length
+        # of its live run, so it advances row by row, and a message
+        # error mid-apply leaves the checker as the per-record loop would.
+        procs = self._procs
+        idxs = self._idxs
+        ids_of = self._ids
+        first_live = self._first_live
         adj = self._adj
         tails = self._tails
         heads = self._heads
         kinds = self._kinds
-        steps = self._steps
-        msgs = self._messages
-        new_event = Event.__new__
-        new_step = Step.__new__
-        new_local = LocalEdge.__new__
-        new_message = MessageEdge.__new__
-        batch_ids: dict[tuple[ProcessId, int], int] = {}
-        batch_hit = batch_ids.get
         added = 0
         for k in range(n):
             p = processes[k]
             i = indexes[k]
-            event = new_event(Event)
-            event.__dict__["process"] = p
-            event.__dict__["index"] = i
-            node_id = len(nodes)
-            index[event] = node_id
-            batch_ids[(p, i)] = node_id
-            nodes.append(event)
-            adj.append([])
-            if i > 0:
-                prev_id = batch_hit((p, i - 1))
-                if prev_id is not None:
-                    prev = nodes[prev_id]
-                else:
-                    prev = new_event(Event)
-                    prev.__dict__["process"] = p
-                    prev.__dict__["index"] = i - 1
-                    prev_id = index.get(prev)
-                # A tombstoned predecessor leaves the new event without
-                # a local edge, exactly as in add_event.
-                if prev_id is not None:
-                    edge = new_local(LocalEdge)
-                    edge.__dict__["src"] = prev
-                    edge.__dict__["dst"] = event
-                    step = new_step(Step)
-                    step.__dict__["edge"] = edge
-                    step.__dict__["direction"] = AGAINST
-                    adj[node_id].append((prev_id, _BWD_LOCAL, len(tails)))
-                    tails.append(node_id)
-                    heads.append(prev_id)
-                    kinds.append(_BWD_LOCAL)
-                    steps.append(step)
-                    self._n_locals += 1
+            node_id = len(procs)
+            procs.append(p)
+            idxs.append(i)
+            row: list[tuple[int, int, int]] = []
+            adj.append(row)
+            ids = ids_of.get(p)
+            if ids is None:
+                ids = ids_of[p] = []
+            elif ids:
+                prev_id = ids[-1]
+                row.append((prev_id, _BWD_LOCAL, len(tails)))
+                tails.append(node_id)
+                heads.append(prev_id)
+                kinds.append(_BWD_LOCAL)
+                self._n_locals += 1
+            ids.append(node_id)
             if messages is None:
                 continue
             origin = messages[k]
             if origin is None:
                 continue
-            src_id = batch_hit(origin)
-            if src_id is not None:
-                src = nodes[src_id]
-            else:
-                src = new_event(Event)
-                src.__dict__["process"] = origin[0]
-                src.__dict__["index"] = origin[1]
-                src_id = index.get(src)
-                if src_id is None:
-                    raise KeyError(
-                        f"event {src!r} not in the checker (never "
-                        "added, or tombstoned)"
-                    )
-            message = new_message(MessageEdge)
-            message.__dict__["src"] = src
-            message.__dict__["dst"] = event
+            sp, si = origin[0], origin[1]
+            src_ids = ids_of.get(sp)
+            offset = si - first_live.get(sp, 0)
+            if src_ids is None or not 0 <= offset < len(src_ids):
+                raise KeyError(
+                    f"event p{sp}:{si} not in the checker (never added, "
+                    "or tombstoned)"
+                )
+            src_id = src_ids[offset]
             if src_id == node_id:
                 raise ValueError(
-                    f"message {message!r} may not be a self loop"
+                    f"message msg(p{sp}:{si}->p{p}:{i}) may not be a self loop"
                 )
-            msgs.add(message)
-            fwd = new_step(Step)
-            fwd.__dict__["edge"] = message
-            fwd.__dict__["direction"] = ALONG
-            bwd = new_step(Step)
-            bwd.__dict__["edge"] = message
-            bwd.__dict__["direction"] = AGAINST
             adj[src_id].append((node_id, _FWD_MESSAGE, len(tails)))
             tails.append(src_id)
             heads.append(node_id)
             kinds.append(_FWD_MESSAGE)
-            steps.append(fwd)
-            adj[node_id].append((src_id, _BWD_MESSAGE, len(tails)))
+            row.append((src_id, _BWD_MESSAGE, len(tails)))
             tails.append(node_id)
             heads.append(src_id)
             kinds.append(_BWD_MESSAGE)
-            steps.append(bwd)
+            self._n_messages += 1
             added += 1
         return added
 
@@ -804,10 +787,11 @@ class AdmissibilityChecker:
         for process in self.processes:
             if len(graph.events_of(process)) < self.n_events_of(process):
                 return False
-        if self._messages:
-            if not self._messages <= set(graph.messages):
-                return False
-        return True
+        if not self._n_messages:
+            return True
+        # The graph's messages are distinct, so it holds every live
+        # message iff it holds as many of them as there are.
+        return sum(map(self.has_message, graph.messages)) == self._n_messages
 
     def absorb(self, graph: ExecutionGraph) -> bool:
         """Add everything ``graph`` has beyond the observed prefix.
@@ -822,8 +806,6 @@ class AdmissibilityChecker:
                 self.add_event(event)
         added = False
         for message in graph.messages:
-            if message in self._messages:
-                continue
             # Messages whose endpoint lies in a tombstoned prefix were
             # forgotten deliberately -- not new edges to absorb.
             if (
@@ -831,8 +813,8 @@ class AdmissibilityChecker:
                 or message.dst.index < self.first_live_index(message.dst.process)
             ):
                 continue
-            self.add_message(message.src, message.dst)
-            added = True
+            if self.add_message(message.src, message.dst):
+                added = True
         return added
 
     def updated_worst_ratio(
@@ -857,12 +839,11 @@ class AdmissibilityChecker:
             return current if current is not None and current > previous else previous
         return self._climb(previous)
 
-    def _add_h_edge(self, tail: int, head: int, kind: int, step: Step) -> None:
+    def _add_h_edge(self, tail: int, head: int, kind: int) -> None:
         self._adj[tail].append((head, kind, len(self._tails)))
         self._tails.append(tail)
         self._heads.append(head)
         self._kinds.append(kind)
-        self._steps.append(step)
 
     # ------------------------------------------------------------------
     # speculative extension (checkpoint / rollback)
@@ -877,7 +858,7 @@ class AdmissibilityChecker:
         which renumbers the digraph.
         """
         return CheckerCheckpoint(
-            len(self._nodes), len(self._tails), self._n_locals, self._epoch
+            len(self._procs), len(self._tails), self._n_locals, self._epoch
         )
 
     def rollback(self, token: CheckerCheckpoint) -> None:
@@ -893,7 +874,7 @@ class AdmissibilityChecker:
                 "checkpoint predates a remove_prefix; the digraph was "
                 "renumbered and cannot be rolled back to it"
             )
-        if token.n_nodes > len(self._nodes) or token.n_edges > len(self._tails):
+        if token.n_nodes > self.n_events or token.n_edges > len(self._tails):
             raise ValueError("cannot roll back to a future checkpoint")
         for eidx in range(len(self._tails) - 1, token.n_edges - 1, -1):
             tail = self._tails[eidx]
@@ -909,26 +890,25 @@ class AdmissibilityChecker:
                     "the digraph is corrupt"
                 )
             if kind == _FWD_MESSAGE:
-                self._messages.remove(self._steps[eidx].edge)
+                self._n_messages -= 1
         del self._tails[token.n_edges :]
         del self._heads[token.n_edges :]
         del self._kinds[token.n_edges :]
-        del self._steps[token.n_edges :]
         self._n_locals = token.n_locals
-        for _ in range(len(self._nodes) - token.n_nodes):
-            event = self._nodes.pop()
-            del self._index[event]
+        for _ in range(len(self._procs) - token.n_nodes):
+            process = self._procs.pop()
+            index = self._idxs.pop()
             leftover = self._adj.pop()
             if leftover:
                 raise RuntimeError(
-                    f"rollback popped node {event!r} with {len(leftover)} "
-                    "outgoing edges still attached; the digraph is corrupt"
+                    f"rollback popped node p{process}:{index} with "
+                    f"{len(leftover)} outgoing edges still attached; the "
+                    "digraph is corrupt"
                 )
-            remaining = self._events_per_process[event.process] - 1
-            if remaining:
-                self._events_per_process[event.process] = remaining
-            else:
-                del self._events_per_process[event.process]
+            ids = self._ids[process]
+            ids.pop()
+            if not ids and process not in self._first_live:
+                del self._ids[process]  # as if never observed
         if self._kernel_obj is not None:
             self._kernel_obj.notify_rollback(token.n_nodes, token.n_edges)
 
@@ -1031,7 +1011,7 @@ class AdmissibilityChecker:
             new_first.setdefault(event.process, []).append(event.index)
         stops: dict[ProcessId, int] = {}
         for process, indices in new_first.items():
-            total = self._events_per_process.get(process, 0)
+            total = self.n_events_of(process)
             first = self._first_live.get(process, 0)
             fresh = sorted(i for i in set(indices) if i >= first)
             if not fresh:
@@ -1058,8 +1038,8 @@ class AdmissibilityChecker:
             return 0
         dead: set[int] = set()
         for process, stop in stops.items():
-            for index in range(self._first_live.get(process, 0), stop):
-                dead.add(self._index[Event(process, index)])
+            first = self._first_live.get(process, 0)
+            dead.update(self._ids[process][: stop - first])
         # Summarize before mutating anything: the search rejects a
         # causal cycle with ValueError and must leave the checker whole.
         summaries = (
@@ -1083,9 +1063,19 @@ class AdmissibilityChecker:
         return self._summary_profiles[kind - _SUMMARY]
 
     def _edge_part(self, eidx: int) -> "Step | SummaryEdge":
-        """One H-edge as a walk part: its step, or the whole summary
-        (shared, not flattened -- see :attr:`SummaryEdge.parts`)."""
-        return self._steps[eidx]
+        """One H-edge as a walk part: its step, built from the edge's
+        kind and endpoints, or the whole summary (shared, not flattened
+        -- see :attr:`SummaryEdge.parts`)."""
+        kind = self._kinds[eidx]
+        if kind >= _SUMMARY:
+            return self._summary_at[eidx]
+        tail = self._event(self._tails[eidx])
+        head = self._event(self._heads[eidx])
+        if kind == _FWD_MESSAGE:
+            return Step(MessageEdge(tail, head), ALONG)
+        # Backward H-edges run from the later endpoint to the earlier.
+        edge = MessageEdge if kind == _BWD_MESSAGE else LocalEdge
+        return Step(edge(head, tail), AGAINST)
 
     def _attach_summary(self, edge: SummaryEdge) -> None:
         key = edge.profile
@@ -1094,17 +1084,13 @@ class AdmissibilityChecker:
             pid = len(self._summary_profiles)
             self._summary_profiles.append(key)
             self._profile_ids[key] = pid
+        self._summary_at[len(self._tails)] = edge
         self._add_h_edge(
-            self._index[edge.tail], self._index[edge.head], _SUMMARY + pid, edge
+            self._node_of(edge.tail), self._node_of(edge.head), _SUMMARY + pid
         )
         self._n_summaries += 1
         self._summary_locals += edge.local
         self._summary_hops += max(edge.forward, edge.backward)
-
-    def _live_summaries(self) -> Iterator[SummaryEdge]:
-        for eidx, kind in enumerate(self._kinds):
-            if kind >= _SUMMARY:
-                yield self._steps[eidx]
 
     def _summarize_region(
         self, dead: set[int], floor: Fraction | None
@@ -1206,6 +1192,8 @@ class AdmissibilityChecker:
         use_hops = not strict
         h_cap = len(dead) + 1
         out: list[SummaryEdge] = []
+        # Built once per call, so Pareto-sibling walks share their parts.
+        part = cache(self._edge_part)
         for x, seed_edges in entries.items():
             # Labels are (f, b, l, h, parent label | None, eidx); the
             # parent chain reconstructs the realizing walk.
@@ -1264,12 +1252,14 @@ class AdmissibilityChecker:
                     for label in [o for o in frontier[node] if o[0] == f]:
                         extend(label, leaving.get(node, ()))
                 del buckets[f]
+            tail = self._event(x)
             for y, labels in results.items():
                 # Re-prune by weight alone, or hop-distinct but dominated
                 # siblings would survive as parallel summary edges.
                 pruned: list[tuple] = []
                 for label in labels:
                     offer(pruned, label, hops=False)
+                head = self._event(y)
                 for label in pruned:
                     chain: list[int] = []
                     cursor: tuple | None = label
@@ -1279,14 +1269,12 @@ class AdmissibilityChecker:
                     chain.reverse()
                     out.append(
                         SummaryEdge(
-                            tail=self._nodes[x],
-                            head=self._nodes[y],
+                            tail=tail,
+                            head=head,
                             forward=label[0],
                             backward=label[1],
                             local=label[2],
-                            parts=tuple(
-                                self._edge_part(eidx) for eidx in chain
-                            ),
+                            parts=tuple(map(part, chain)),
                         )
                     )
         return out
@@ -1307,10 +1295,7 @@ class AdmissibilityChecker:
         layers above).  Returns the removable live events, oldest first
         per process; feed them to :meth:`compact_prefix`.
         """
-        keep: dict[ProcessId, int] = {
-            process: total - 1
-            for process, total in self._events_per_process.items()
-        }
+        keep = {p: self.n_events_of(p) - 1 for p in self._ids}
         for event in pinned:
             if event.process in keep and event.index < keep[event.process]:
                 keep[event.process] = event.index
@@ -1332,18 +1317,19 @@ class AdmissibilityChecker:
         table must stay bounded by the *live* digraph, like everything
         else here.
         """
-        remap = [-1] * len(self._nodes)
-        survivors: list[Event] = []
-        for old_id, event in enumerate(self._nodes):
+        remap = [-1] * len(self._procs)
+        procs: list[ProcessId] = []
+        idxs: list[int] = []
+        for old_id in range(len(remap)):
             if old_id in dead:
-                del self._index[event]
                 continue
-            remap[old_id] = len(survivors)
-            survivors.append(event)
+            remap[old_id] = len(procs)
+            procs.append(self._procs[old_id])
+            idxs.append(self._idxs[old_id])
         tails: list[int] = []
         heads: list[int] = []
         kinds: list[int] = []
-        steps: list[Step] = []
+        summary_at: dict[int, SummaryEdge] = {}
         n_locals = 0
         profiles: list[tuple[int, int, int]] = []
         profile_ids: dict[tuple[int, int, int], int] = {}
@@ -1352,9 +1338,9 @@ class AdmissibilityChecker:
             kind = self._kinds[eidx]
             if tail < 0 or head < 0:
                 if kind == _FWD_MESSAGE:
-                    self._messages.remove(self._steps[eidx].edge)
+                    self._n_messages -= 1
                 elif kind >= _SUMMARY:
-                    summary = self._steps[eidx]
+                    summary = self._summary_at[eidx]
                     self._n_summaries -= 1
                     self._summary_locals -= summary.local
                     self._summary_hops -= max(
@@ -1364,26 +1350,29 @@ class AdmissibilityChecker:
             if kind == _BWD_LOCAL:
                 n_locals += 1
             elif kind >= _SUMMARY:
-                key = self._steps[eidx].profile
+                summary = self._summary_at[eidx]
+                key = summary.profile
                 pid = profile_ids.get(key)
                 if pid is None:
                     pid = len(profiles)
                     profiles.append(key)
                     profile_ids[key] = pid
                 kind = _SUMMARY + pid
+                summary_at[len(tails)] = summary
             tails.append(tail)
             heads.append(head)
             kinds.append(kind)
-            steps.append(self._steps[eidx])
-        self._nodes = survivors
-        for new_id, event in enumerate(survivors):
-            self._index[event] = new_id
+        self._procs, self._idxs = procs, idxs
+        self._ids = {
+            process: [remap[node] for node in ids if remap[node] >= 0]
+            for process, ids in self._ids.items()
+        }
         self._tails, self._heads = tails, heads
-        self._kinds, self._steps = kinds, steps
+        self._kinds, self._summary_at = kinds, summary_at
         self._n_locals = n_locals
         self._summary_profiles = profiles
         self._profile_ids = profile_ids
-        adj: list[list[tuple[int, int, int]]] = [[] for _ in survivors]
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in procs]
         for eidx in range(len(tails)):
             adj[tails[eidx]].append((heads[eidx], kinds[eidx], eidx))
         self._adj = adj
@@ -1417,7 +1406,7 @@ class AdmissibilityChecker:
         prefix is worth the compaction cost).
         """
         # keep[p] = first index that must stay live; start fully removable.
-        keep = dict(self._events_per_process)
+        keep = {process: self.n_events_of(process) for process in self._ids}
         for event in pinned:
             if event.process in keep and event.index < keep[event.process]:
                 keep[event.process] = event.index
@@ -1425,19 +1414,23 @@ class AdmissibilityChecker:
         # crossing walks -- may span the boundary, in either direction:
         # shrink until closed (each pass only lowers keep[], so this
         # terminates).
-        spans = [(m.src, m.dst) for m in self._messages]
-        spans.extend((s.tail, s.head) for s in self._live_summaries())
+        procs, idxs = self._procs, self._idxs
+        spans = [
+            (procs[tail], idxs[tail], procs[head], idxs[head])
+            for tail, head, kind in zip(self._tails, self._heads, self._kinds)
+            if kind == _FWD_MESSAGE or kind >= _SUMMARY
+        ]
         changed = True
         while changed:
             changed = False
-            for src, dst in spans:
-                src_live = src.index >= keep[src.process]
-                dst_live = dst.index >= keep[dst.process]
+            for sp, si, dp, di in spans:
+                src_live = si >= keep[sp]
+                dst_live = di >= keep[dp]
                 if src_live and not dst_live:
-                    keep[dst.process] = dst.index
+                    keep[dp] = di
                     changed = True
                 elif dst_live and not src_live:
-                    keep[src.process] = src.index
+                    keep[sp] = si
                     changed = True
         return tuple(
             Event(process, index)
@@ -1527,7 +1520,7 @@ class AdmissibilityChecker:
             backward += b
         if not forward:
             events = ", ".join(
-                repr(self._nodes[self._tails[eidx]]) for eidx in cycle
+                repr(self._event(self._tails[eidx])) for eidx in cycle
             )
             raise ValueError(
                 f"the execution contains a causal cycle through {events}; "
@@ -1568,7 +1561,7 @@ class AdmissibilityChecker:
         self.oracle_calls += 1
         source_ids: list[int] | None = None
         if sources is not None:
-            source_ids = [self._index[ev] for ev in sources]
+            source_ids = [self._node_of(ev) for ev in sources]
         return (
             self._has_negative_cycle(r.numerator, r.denominator, source_ids)
             is not None
@@ -1595,11 +1588,11 @@ class AdmissibilityChecker:
         # expansion may revisit events; classification handles walks).
         steps: list[Step] = []
         for eidx in cycle:
-            step = self._steps[eidx]
-            if isinstance(step, SummaryEdge):
-                steps.extend(step.steps)
+            part = self._edge_part(eidx)
+            if isinstance(part, SummaryEdge):
+                steps.extend(part.steps)
             else:
-                steps.append(step)
+                steps.append(part)
         info = classify(Cycle(tuple(steps)))
         if not info.relevant or info.ratio is None or info.ratio < xi_frac:
             raise AssertionError(

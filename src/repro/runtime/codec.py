@@ -501,7 +501,9 @@ def decode_specs(
 # ----------------------------------------------------------------------
 
 GROUP_SNAPSHOT_MAGIC = "abc-group-snapshot"
-SNAPSHOT_VERSION = 1
+# 2: checkers store their digraph as int columns; version-1 monitor
+# pickles do not restore.
+SNAPSHOT_VERSION = 2
 
 
 def encode_monitor(monitor: OnlineAbcMonitor) -> bytes:

@@ -750,6 +750,24 @@ class TestSnapshotRestore:
             )
         assert restored.report() == fleet.report()
 
+    def test_snapshot_of_another_version_is_rejected(self):
+        """A store written under another snapshot version -- whose
+        pickled checkers may have another shape -- fails loudly, both
+        at the fleet frame and at the group frame inside it."""
+        stream = list(
+            concurrent_workload(
+                random.Random(3), n_traces=3, records_per_trace=(5, 10)
+            )
+        )
+        fleet = MonitorFleet(xi=Fraction(2), n_shards=2)
+        fleet.ingest_many(stream)
+        magic, version, config, group_frame = fleet.snapshot()
+        with pytest.raises(ValueError, match="version"):
+            MonitorFleet.restore((magic, version - 1, config, group_frame))
+        old_group = (group_frame[0], group_frame[1] - 1, *group_frame[2:])
+        with pytest.raises(ValueError, match="version"):
+            MonitorFleet.restore((magic, version, config, old_group))
+
     def test_restore_reattaches_callbacks(self):
         stream = list(
             concurrent_workload(

@@ -184,12 +184,12 @@ def reference_summaries(
                 chain = []
                 cursor = label
                 while cursor[4] is not None:
-                    chain.append(checker._steps[cursor[5]])
+                    chain.append(checker._edge_part(cursor[5]))
                     cursor = cursor[4]
                 out.append(
                     SummaryEdge(
-                        tail=checker._nodes[x],
-                        head=checker._nodes[y],
+                        tail=checker._event(x),
+                        head=checker._event(y),
                         forward=label[0],
                         backward=label[1],
                         local=label[2],
@@ -540,9 +540,7 @@ def differential(monkeypatch):
             # event to an earlier one; with tail < head, visiting nodes
             # by descending id would take it backwards.
             stats["against_id_order"] += tail < head
-            stats["old_zero_forward"] += isinstance(
-                self._steps[eidx], SummaryEdge
-            )
+            stats["old_zero_forward"] += eidx in self._summary_at
         return got
 
     monkeypatch.setattr(AdmissibilityChecker, "_summarize_region", checked)
@@ -653,7 +651,7 @@ class TestSummaryInternals:
         ]
         n_summaries = 0
         for checker in checkers:
-            for summary in checker._live_summaries():
+            for summary in checker._summary_at.values():
                 assert isinstance(summary, SummaryEdge)
                 assert_genuine_walk(summary)
                 n_summaries += 1
@@ -706,7 +704,7 @@ class TestReviewRegressions:
                     monitor.compactable_prefix(in_flight), summarize=True
                 )
         checker = monitor._checker
-        live = {s.profile for s in checker._live_summaries()}
+        live = {s.profile for s in checker._summary_at.values()}
         assert set(checker._summary_profiles) == live
         assert len(checker._summary_profiles) <= 2 * checker.n_summary_edges
 

@@ -1,0 +1,212 @@
+"""The checker's integer-only traversal digraph.
+
+:class:`~repro.core.synchrony.AdmissibilityChecker` stores ``H`` as int
+columns and builds :class:`~repro.core.events.Event`, step and edge
+objects only where an answer hands them out.  Two properties follow and
+are checked here:
+
+* the checker keeps no object per event beyond the adjacency row the
+  detection loop reads, so the garbage collector's full passes stay
+  cheap however much history open traces hold;
+* every view materialized from the columns (``messages``,
+  ``has_message``, ``extends``, ``removable_prefix``,
+  ``summarizable_prefix``) agrees with the execution graph it was built
+  from, after speculation and after compaction in either mode.
+"""
+
+from __future__ import annotations
+
+import gc
+import random
+
+import pytest
+
+from repro.core.events import Event
+from repro.core.synchrony import AdmissibilityChecker
+from repro.scenarios.generators import random_execution_graph
+
+N_ROWS = 2000
+SLACK = 64  # the checker's own lists and dicts, the kernel object, ...
+
+
+def seeded_rows(rng: random.Random, n: int, counts: dict[int, int]):
+    """``n`` columnar rows over four processes, continuing ``counts``.
+
+    Each message comes from one of the last three events of another
+    process, so a compaction that pins those keeps every later source
+    live.
+    """
+    processes: list[int] = []
+    indexes: list[int] = []
+    messages: list[tuple[int, int] | None] = []
+    for _ in range(n):
+        p = rng.randrange(4)
+        i = counts.get(p, 0)
+        counts[p] = i + 1
+        senders = sorted(q for q in counts if q != p)
+        if senders and rng.random() < 0.8:
+            q = rng.choice(senders)
+            first = max(0, counts[q] - 3)
+            messages.append((q, rng.randrange(first, counts[q])))
+        else:
+            messages.append(None)
+        processes.append(p)
+        indexes.append(i)
+    return (processes, indexes), messages
+
+
+def tracked() -> int:
+    gc.collect()
+    return len(gc.get_objects())
+
+
+class TestNoObjectPerEvent:
+    def test_columnar_path(self):
+        events, messages = seeded_rows(random.Random(1), N_ROWS, {})
+        before = tracked()
+        checker = AdmissibilityChecker()
+        checker.absorb_batch(events, messages)
+        assert checker.n_events == N_ROWS
+        assert tracked() - before <= checker.n_events + SLACK
+
+    def test_per_record_path(self):
+        events, messages = seeded_rows(random.Random(2), N_ROWS, {})
+        before = tracked()
+        checker = AdmissibilityChecker()
+        for p, i, origin in zip(*events, messages):
+            checker.add_event(Event(p, i))
+            if origin is not None:
+                checker.add_message(Event(*origin), Event(p, i))
+        assert checker.n_events == N_ROWS
+        assert tracked() - before <= checker.n_events + SLACK
+
+    def test_after_summary_compaction_and_rollback(self):
+        """Compaction and speculation reintroduce no per-event object:
+        events absorbed afterwards cost one tracked object each, and a
+        rolled-back speculation leaves nothing behind."""
+        rng = random.Random(3)
+        counts: dict[int, int] = {}
+        checker = AdmissibilityChecker()
+        checker.absorb_batch(*seeded_rows(rng, N_ROWS // 2, counts))
+        pins = [Event(p, max(0, n - 3)) for p, n in counts.items()]
+        floor = checker.worst_relevant_ratio()
+        removed = checker.compact_prefix(
+            checker.summarizable_prefix(pins), mode="summary", floor=floor
+        )
+        assert removed and checker.n_summary_edges
+        events, messages = seeded_rows(rng, N_ROWS // 2, counts)
+        before = tracked()
+        with checker.speculate():
+            checker.absorb_batch(events, messages)
+            checker.worst_relevant_ratio()
+        assert tracked() - before <= SLACK
+        checker.absorb_batch(events, messages)
+        assert tracked() - before <= N_ROWS // 2 + SLACK
+
+
+def live_messages(checker: AdmissibilityChecker, graph) -> frozenset:
+    """The graph's messages whose endpoints are both live."""
+    return frozenset(
+        m
+        for m in graph.messages
+        if all(
+            ev.index >= checker.first_live_index(ev.process)
+            for ev in (m.src, m.dst)
+        )
+    )
+
+
+def reference_removable(checker, graph, pinned) -> tuple[Event, ...]:
+    """``removable_prefix`` recomputed over Event pairs: the graph's
+    live messages and the checker's summary edges may not cross."""
+    keep = {p: checker.n_events_of(p) for p in checker.processes}
+    for event in pinned:
+        keep[event.process] = min(keep[event.process], event.index)
+    spans = [(m.src, m.dst) for m in live_messages(checker, graph)]
+    spans += [(s.tail, s.head) for s in checker._summary_at.values()]
+    changed = True
+    while changed:
+        changed = False
+        for src, dst in spans:
+            src_live = src.index >= keep[src.process]
+            dst_live = dst.index >= keep[dst.process]
+            if src_live != dst_live:
+                lower = dst if src_live else src
+                keep[lower.process] = lower.index
+                changed = True
+    return tuple(
+        Event(p, i)
+        for p, stop in sorted(keep.items())
+        for i in range(checker.first_live_index(p), stop)
+    )
+
+
+def reference_summarizable(checker, pinned) -> tuple[Event, ...]:
+    """Every live event below each process's frontier and the pins."""
+    keep = {p: checker.n_events_of(p) - 1 for p in checker.processes}
+    for event in pinned:
+        keep[event.process] = min(keep[event.process], event.index)
+    return tuple(
+        Event(p, i)
+        for p, stop in sorted(keep.items())
+        for i in range(checker.first_live_index(p), stop)
+    )
+
+
+def check_views(checker, graph, rng) -> None:
+    want = live_messages(checker, graph)
+    assert checker.messages == want
+    assert checker.n_messages == len(want)
+    assert all(checker.has_message(m) for m in want)
+    assert not any(checker.has_message(m) for m in set(graph.messages) - want)
+    assert checker.extends(graph)
+    live = {
+        p: (checker.first_live_index(p), checker.n_events_of(p))
+        for p in checker.processes
+    }
+    pinned = [
+        Event(p, rng.randrange(first, stop))
+        for p, (first, stop) in live.items()
+        if stop > first and rng.random() < 0.5
+    ]
+    for pins in ((), pinned):
+        assert checker.removable_prefix(pins) == reference_removable(
+            checker, graph, pins
+        )
+        assert checker.summarizable_prefix(pins) == reference_summarizable(
+            checker, pins
+        )
+
+
+def grow(checker, rng) -> None:
+    """A random extension beyond the graph (rolled back by the caller)."""
+    added = []
+    for _ in range(rng.randint(1, 4)):
+        p = rng.randrange(3)
+        event = Event(p, checker.n_events_of(p))
+        checker.add_event(event)
+        added.append(event)
+    for event in added:
+        q = (event.process + 1) % 3
+        if checker.n_events_of(q) > checker.first_live_index(q):
+            checker.add_message(Event(q, checker.n_events_of(q) - 1), event)
+
+
+class TestMaterializedViews:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_views_match_the_graph(self, seed):
+        rng = random.Random(seed)
+        graph = random_execution_graph(rng, 3, rng.randint(4, 24))
+        checker = AdmissibilityChecker(graph)
+        check_views(checker, graph, rng)
+        with checker.speculate():
+            grow(checker, rng)
+        check_views(checker, graph, rng)
+        checker.compact_prefix(checker.removable_prefix(), mode="exact")
+        check_views(checker, graph, rng)
+        cut = checker.summarizable_prefix()
+        checker.compact_prefix(cut[: rng.randint(0, len(cut))], mode="summary")
+        check_views(checker, graph, rng)
+        with checker.speculate():
+            grow(checker, rng)
+        check_views(checker, graph, rng)

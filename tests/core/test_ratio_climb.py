@@ -225,7 +225,7 @@ class TestReferenceDifferential:
                 for _ in range(rng.randint(1, 3)):
                     process = rng.randrange(3)
                     event = Event(process, checker.n_events_of(process))
-                    src = rng.choice(checker._nodes)
+                    src = checker._event(rng.choice(range(checker.n_events)))
                     checker.add_event(event)
                     if src.process != process:
                         checker.add_message(src, event)

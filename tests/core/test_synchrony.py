@@ -361,7 +361,8 @@ class TestAbsorbBatch:
         """Every observable -- event/message counts, worst-ratio
         refresh sequence, oracle-call counts -- must match the
         per-record loop at every batch boundary.  In-batch message
-        sources (the firehose norm) exercise the batch-local id cache."""
+        sources (the firehose norm) resolve to nodes appended by the
+        same batch."""
         from repro.scenarios.generators import profiled_trace_records
 
         records = profiled_trace_records(random.Random(13), profile, 70)
@@ -435,6 +436,55 @@ class TestAbsorbBatch:
         ch = AdmissibilityChecker()
         with pytest.raises(ValueError, match="self loop"):
             ch.absorb_batch(([0], [0]), [(0, 0)])
+
+    def test_negative_source_index_does_not_wrap(self):
+        ch = AdmissibilityChecker()
+        with pytest.raises(KeyError, match="not in the checker"):
+            ch.absorb_batch(([0, 1], [0, 0]), [None, (0, -1)])
+        assert ch.n_messages == 0
+
+    @pytest.mark.parametrize(
+        "origin, error",
+        [
+            ((5, 3), KeyError),  # never added
+            ((0, 1), KeyError),  # a later row of the same batch
+            ((2, 0), KeyError),  # tombstoned
+            ((1, 0), ValueError),  # self loop
+        ],
+    )
+    def test_mid_apply_error_matches_per_record_loop(self, origin, error):
+        """A message error mid-apply leaves every count where the
+        per-record loop leaves it: the failing row's event is in, the
+        rows after it are not, and the next genuine event is accepted."""
+        rows = ([0, 1, 0], [0, 0, 1])
+        messages = [None, origin, None]
+        loop = AdmissibilityChecker()
+        bulk = AdmissibilityChecker()
+        for ch in (loop, bulk):
+            for i in range(3):
+                ch.add_event(Event(2, i))
+            ch.compact_prefix([Event(2, 0)], mode="exact")
+        with pytest.raises(error):
+            for p, i, m in zip(*rows, messages):
+                loop.add_event(Event(p, i))
+                if m is not None:
+                    loop.add_message(Event(*m), Event(p, i))
+        with pytest.raises(error):
+            bulk.absorb_batch(rows, messages)
+        for p in (0, 1, 2):
+            assert bulk.n_events_of(p) == loop.n_events_of(p)
+        assert bulk.processes == loop.processes
+        assert (bulk.n_events, bulk.n_messages, bulk.n_local_edges) == (
+            loop.n_events,
+            loop.n_messages,
+            loop.n_local_edges,
+        )
+        for ch in (loop, bulk):
+            ch.add_event(Event(0, ch.n_events_of(0)))
+            ch.add_message(Event(1, 0), Event(0, 1))
+        assert bulk.n_events_of(0) == loop.n_events_of(0) == 2
+        assert bulk.messages == loop.messages
+        assert bulk.worst_relevant_ratio() == loop.worst_relevant_ratio()
 
     def test_tombstoned_predecessor_skips_local_edge(self):
         """After an exact compaction, the next event of a process whose

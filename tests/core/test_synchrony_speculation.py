@@ -34,16 +34,16 @@ RATIO_GRID = [Fraction(1), Fraction(4, 3), Fraction(3, 2), Fraction(2), Fraction
 def fingerprint(checker: AdmissibilityChecker):
     """Every piece of digraph state an oracle answer can depend on."""
     return (
-        list(checker._nodes),
-        dict(checker._index),
+        list(checker._procs),
+        list(checker._idxs),
+        {process: list(ids) for process, ids in checker._ids.items()},
         list(checker._tails),
         list(checker._heads),
         list(checker._kinds),
-        list(checker._steps),
+        dict(checker._summary_at),
         [list(adj) for adj in checker._adj],
-        set(checker._messages),
+        checker._n_messages,
         checker._n_locals,
-        dict(checker._events_per_process),
         dict(checker._first_live),
     )
 
@@ -56,7 +56,8 @@ def grow_speculatively(checker: AdmissibilityChecker, rng: random.Random) -> Non
         event = Event(process, checker.n_events_of(process))
         checker.add_event(event)
         added.append(event)
-    candidates = [ev for ev in checker._nodes if ev not in added]
+    live = [Event(p, i) for p, i in zip(checker._procs, checker._idxs)]
+    candidates = [ev for ev in live if ev not in added]
     for event in added:
         src = rng.choice(candidates) if candidates else None
         if src is not None and src != event:
