@@ -14,25 +14,22 @@ the shape batches actually have when they reach a worker:
   filtering included) against the columnar path (transpose the same
   rows with ``decode_records_columnar``, bulk-absorb with
   ``absorb_batch``) on the firehose gate workload.  This span --
-  wire to kernel arrays -- is exactly what the columnar PR rebuilt,
-  and the number CI floors (``--min-speedup``, default 1.5x; nominal
-  ~2.2-2.5x with the ``flat_int`` kernel).  The ratio-search oracle
-  is deliberately *outside* the timed span: it is byte-identical
-  code on both sides, it has its own benchmark and CI floor
-  (``bench_kernel.py``, 3x), and on monitor-dominated workloads it
-  swamps the ingest delta -- see the monitor number below, reported
-  so that share stays visible instead of hidden inside a blended
-  ratio.
+  wire to digraph arrays -- is exactly what the columnar PR rebuilt,
+  and the number CI floors (``--min-speedup``, default 1.5x).  The
+  ratio-search oracle is deliberately *outside* the timed span: it is
+  byte-identical code on both sides, and on monitor-dominated
+  workloads it swamps the ingest delta -- see the monitor number
+  below, reported so that share stays visible instead of hidden
+  inside a blended ratio.
 * **monitor e2e (reported, not gated)** -- the same wire batches
   replayed through full monitors (``observe_batch`` vs
   ``observe_batch_columnar``), every worst-ratio refresh included.
   Doubles as the differential harness: every rep asserts per-batch
   worst-ratio sequences, oracle-call counts, ratio-change logs and
   forgotten-edge counters **bit-identical**.  Expect ~1.1-1.4x: the
-  exact Farey-successor search dominates this blend (the motivation
-  for the columnar path was precisely that the kernel's 3.8x left
-  e2e ingest as the laggard -- this number is the honest blend, the
-  ingest number above is the part this PR owns).
+  exact ratio search dominates this blend (this number is the
+  honest blend; the ingest number above is the part the columnar
+  path owns).
 * **ingest plane (reported, not gated)** -- the >=400-trace
   multi-producer workload of ``bench_ingest`` (storm/burst/idler mix)
   pushed through a full :class:`~repro.runtime.shard.ShardGroup` per
@@ -77,7 +74,6 @@ DEFAULT_GATE_TRACES = 15
 DEFAULT_REPS = 5
 DEFAULT_BATCH = 64
 DEFAULT_MIN_SPEEDUP = 1.5
-DEFAULT_KERNEL = "flat_int"
 GATE_SEED = 7
 PROFILES = ("storm", "burst", "idler", "relay", "firehose")
 PROFILE_EVENTS = 150
@@ -97,7 +93,7 @@ def encode_stream(records) -> list[tuple]:
 
 
 # ----------------------------------------------------------------------
-# ingest: wire rows -> kernel arrays, no oracle in the timed span
+# ingest: wire rows -> digraph arrays, no oracle in the timed span
 # ----------------------------------------------------------------------
 
 
@@ -114,7 +110,7 @@ def _timed_span():
     return was_enabled
 
 
-def ingest_object(wires, batch, faulty, kernel):
+def ingest_object(wires, batch, faulty):
     """The per-record object path: decode records, absorb one at a
     time through ``add_event``/``add_message``, with the monitor's
     message filter (faulty senders, forgotten prefixes) replicated
@@ -124,7 +120,7 @@ def ingest_object(wires, batch, faulty, kernel):
     start = time.perf_counter()
     checkers = []
     for wire in wires:
-        checker = AdmissibilityChecker(kernel=kernel)
+        checker = AdmissibilityChecker()
         first_live = checker.first_live_index
         for i in range(0, len(wire), batch):
             for _tick, _tid, record in codec.decode_records(
@@ -147,7 +143,7 @@ def ingest_object(wires, batch, faulty, kernel):
     return elapsed, [(c.n_events, c.n_messages) for c in checkers]
 
 
-def ingest_columnar(wires, batch, faulty, kernel):
+def ingest_columnar(wires, batch, faulty):
     """The columnar path: transpose the same rows, bulk-absorb with
     ``absorb_batch`` -- zero record objects, same message filter."""
     drop = True
@@ -155,7 +151,7 @@ def ingest_columnar(wires, batch, faulty, kernel):
     start = time.perf_counter()
     checkers = []
     for wire in wires:
-        checker = AdmissibilityChecker(kernel=kernel)
+        checker = AdmissibilityChecker()
         first_live = checker.first_live_index
         for i in range(0, len(wire), batch):
             _ticks, _tids, cols = codec.decode_records_columnar(
@@ -190,10 +186,10 @@ def ingest_columnar(wires, batch, faulty, kernel):
 # ----------------------------------------------------------------------
 
 
-def replay_object(wire, batch, faulty, kernel):
+def replay_object(wire, batch, faulty):
     """Object path: decode records, absorb via ``observe_batch``."""
     start = time.perf_counter()
-    monitor = OnlineAbcMonitor(faulty=faulty, kernel=kernel)
+    monitor = OnlineAbcMonitor(faulty=faulty)
     ratios = []
     for i in range(0, len(wire), batch):
         rows = codec.decode_records(wire[i : i + batch])
@@ -204,11 +200,11 @@ def replay_object(wire, batch, faulty, kernel):
     return elapsed, ratios, monitor
 
 
-def replay_columnar(wire, batch, faulty, kernel):
+def replay_columnar(wire, batch, faulty):
     """Columnar path: transpose rows, absorb via
     ``observe_batch_columnar`` -- zero record objects."""
     start = time.perf_counter()
-    monitor = OnlineAbcMonitor(faulty=faulty, kernel=kernel)
+    monitor = OnlineAbcMonitor(faulty=faulty)
     ratios = []
     for i in range(0, len(wire), batch):
         _ticks, _ids, cols = codec.decode_records_columnar(
@@ -219,13 +215,13 @@ def replay_columnar(wire, batch, faulty, kernel):
     return elapsed, ratios, monitor
 
 
-def assert_monitor_identity(wire, batch, faulty, kernel):
+def assert_monitor_identity(wire, batch, faulty):
     """One full-monitor differential rep: object vs columnar replay
     with every observable asserted bit-identical.  Returns both
     elapsed times so callers can aggregate the (untimed-by-the-gate)
     monitor e2e blend."""
-    obj_s, obj_ratios, obj_mon = replay_object(wire, batch, faulty, kernel)
-    col_s, col_ratios, col_mon = replay_columnar(wire, batch, faulty, kernel)
+    obj_s, obj_ratios, obj_mon = replay_object(wire, batch, faulty)
+    col_s, col_ratios, col_mon = replay_columnar(wire, batch, faulty)
     assert obj_ratios == col_ratios, (
         "columnar path diverged on the per-batch worst-ratio sequence"
     )
@@ -242,11 +238,11 @@ def assert_monitor_identity(wire, batch, faulty, kernel):
     return obj_s, col_s
 
 
-def gate_shootout(wires, faulty, batch, reps, kernel) -> dict:
+def gate_shootout(wires, faulty, batch, reps) -> dict:
     """Interleaved min-of-``reps`` ingest shootout on a fleet of
     traces, identity-checked every rep.
 
-    The timed span is wire rows -> kernel arrays (decode + filter +
+    The timed span is wire rows -> digraph arrays (decode + filter +
     absorb).  Each rep also runs the full-monitor differential replay
     on every trace -- oracle included, outside the timed span -- so
     the bit-identity contract (ratios, oracle calls, change logs,
@@ -261,14 +257,14 @@ def gate_shootout(wires, faulty, batch, reps, kernel) -> dict:
         "monitor_columnar_s": float("inf"),
     }
     for _rep in range(reps):
-        obj_s, obj_stats = ingest_object(wires, batch, faulty, kernel)
-        col_s, col_stats = ingest_columnar(wires, batch, faulty, kernel)
+        obj_s, obj_stats = ingest_object(wires, batch, faulty)
+        col_s, col_stats = ingest_columnar(wires, batch, faulty)
         assert obj_stats == col_stats, (
             "columnar ingest diverged on per-trace event/message counts"
         )
         mon_obj = mon_col = 0.0
         for wire in wires:
-            o, c = assert_monitor_identity(wire, batch, faulty, kernel)
+            o, c = assert_monitor_identity(wire, batch, faulty)
             mon_obj += o
             mon_col += c
         best["object_s"] = min(best["object_s"], obj_s)
@@ -279,7 +275,6 @@ def gate_shootout(wires, faulty, batch, reps, kernel) -> dict:
         "traces": len(wires),
         "records": n_records,
         "batch": batch,
-        "kernel": kernel,
         "object_s": round(best["object_s"], 6),
         "columnar_s": round(best["columnar_s"], 6),
         "object_records_per_s": round(n_records / best["object_s"]),
@@ -294,7 +289,7 @@ def gate_shootout(wires, faulty, batch, reps, kernel) -> dict:
     }
 
 
-def monitor_shootout(records, faulty, batch, reps, kernel) -> dict:
+def monitor_shootout(records, faulty, batch, reps) -> dict:
     """Interleaved min-of-``reps`` full-monitor replay of one trace,
     identity-checked every rep (per-batch ratios, oracle calls, change
     log, forgotten edges).  Oracle included: this is the blended e2e
@@ -302,13 +297,12 @@ def monitor_shootout(records, faulty, batch, reps, kernel) -> dict:
     wire = encode_stream(records)
     best = {"object_s": float("inf"), "columnar_s": float("inf")}
     for _rep in range(reps):
-        obj_s, col_s = assert_monitor_identity(wire, batch, faulty, kernel)
+        obj_s, col_s = assert_monitor_identity(wire, batch, faulty)
         best["object_s"] = min(best["object_s"], obj_s)
         best["columnar_s"] = min(best["columnar_s"], col_s)
     return {
         "records": len(records),
         "batch": batch,
-        "kernel": kernel,
         "object_s": round(best["object_s"], 6),
         "columnar_s": round(best["columnar_s"], 6),
         "e2e_speedup": round(best["object_s"] / best["columnar_s"], 3),
@@ -450,7 +444,6 @@ def run(
     gate_events: int,
     reps: int,
     batch: int,
-    kernel: str,
     profile_events: int,
     sweep: bool,
     plane: bool,
@@ -460,14 +453,14 @@ def run(
     wires = gate_workload(gate_traces, gate_events)
     gate = {
         "workload": f"firehose-{gate_traces}x{gate_events}",
-        **gate_shootout(wires, frozenset(), batch, reps, kernel),
+        **gate_shootout(wires, frozenset(), batch, reps),
     }
     out = {"gate": gate, "profiles": {}, "plane": None}
     if sweep:
         for profile in PROFILES:
             records, faulty = profile_trace(profile, profile_events)
             out["profiles"][profile] = monitor_shootout(
-                records, faulty, batch, max(2, reps // 2), kernel
+                records, faulty, batch, max(2, reps // 2)
             )
     if plane:
         out["plane"] = plane_shootout(
@@ -499,7 +492,6 @@ def test_e2e_bit_identity():
         gate_events=60,
         reps=2,
         batch=16,
-        kernel="flat_int",
         profile_events=40,
         sweep=True,
         plane=True,
@@ -520,7 +512,7 @@ def test_e2e_bit_identity():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=(
-            "columnar vs object ingest shootout: wire-to-kernel ingest "
+            "columnar vs object ingest shootout: wire-to-digraph ingest "
             "on the firehose gate workload (bit-identity asserted every "
             "rep, full-monitor differential included) plus the "
             "oracle-inclusive monitor blend and the shard-engine "
@@ -542,11 +534,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--batch", type=int, default=DEFAULT_BATCH,
         help="records per wire batch (the flush watermark)",
-    )
-    parser.add_argument(
-        "--kernel", default=DEFAULT_KERNEL,
-        help="detection kernel for both paths (default flat_int, the "
-        "production configuration)",
     )
     parser.add_argument(
         "--profile-events", type=int, default=PROFILE_EVENTS,
@@ -573,7 +560,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--min-speedup", type=float, default=DEFAULT_MIN_SPEEDUP,
         help=(
-            "hard floor on the wire-to-kernel ingest speedup of the "
+            "hard floor on the wire-to-digraph ingest speedup of the "
             "gate workload (0 disables; CI uses 1.5, nominal is "
             "~2.2-2.5)"
         ),
@@ -589,7 +576,6 @@ def main(argv=None) -> int:
         args.gate_events,
         args.reps,
         args.batch,
-        args.kernel,
         args.profile_events,
         not args.no_sweep,
         not args.no_plane,
@@ -601,8 +587,8 @@ def main(argv=None) -> int:
     )
     gate = result["gate"]
     print(
-        f"[bench_e2e] ingest {gate['workload']} ({gate['kernel']}, "
-        f"batch={gate['batch']}): "
+        f"[bench_e2e] ingest {gate['workload']} "
+        f"(batch={gate['batch']}): "
         f"object {gate['object_s'] * 1e3:.1f}ms -> "
         f"columnar {gate['columnar_s'] * 1e3:.1f}ms "
         f"({gate['e2e_speedup']:.2f}x, "

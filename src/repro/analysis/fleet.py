@@ -108,7 +108,7 @@ __all__ = [
 # (journals + periodic checkpoints), this is a one-shot image: the
 # whole fleet -- configuration *and* state -- as one picklable frame.
 _SNAPSHOT_MAGIC = "abc-fleet-snapshot"
-_SNAPSHOT_VERSION = 2  # see codec.SNAPSHOT_VERSION
+_SNAPSHOT_VERSION = 3  # see codec.SNAPSHOT_VERSION
 
 
 class MonitorFleet:
@@ -150,10 +150,6 @@ class MonitorFleet:
         faulty: processes whose sent messages are dropped, applied to
             every trace (as in :class:`~repro.analysis.online.OnlineAbcMonitor`).
         drop_faulty: disable the faulty-sender filter when ``False``.
-        kernel: detection-kernel name for every default-constructed
-            monitor (``None`` follows the ambient ``REPRO_KERNEL``
-            environment; per-trace specs may override).  Every kernel
-            is exact -- a speed knob, never an answer change.
         monitor_factory: optional ``factory(trace_id) -> OnlineAbcMonitor``
             for per-trace monitor customization; the fleet chains its
             own violation bookkeeping onto the returned monitor's
@@ -186,7 +182,6 @@ class MonitorFleet:
         compact_threshold: float | None = None,
         faulty: frozenset[ProcessId] | set[ProcessId] = frozenset(),
         drop_faulty: bool = True,
-        kernel: str | None = None,
         monitor_factory: Callable[[TraceId], OnlineAbcMonitor] | None = None,
         monitor_specs: MonitorSpec | dict[TraceId, MonitorSpec] | None = None,
         on_violation: Callable[[TraceId, CycleClassification], None] | None = None,
@@ -217,7 +212,6 @@ class MonitorFleet:
             compact_threshold=compact_threshold,
             faulty=faulty,
             drop_faulty=drop_faulty,
-            kernel=kernel,
             monitor_factory=monitor_factory,
             monitor_specs=monitor_specs,
             emit_violation=self._emit_violation,
@@ -297,20 +291,6 @@ class MonitorFleet:
     @drop_faulty.setter
     def drop_faulty(self, value: bool) -> None:
         self._group.drop_faulty = value
-
-    @property
-    def kernel(self) -> str | None:
-        """Detection-kernel name for monitors this fleet creates from
-        here on (existing monitors keep their kernel until restored)."""
-        return self._group.kernel
-
-    @kernel.setter
-    def kernel(self, value: str | None) -> None:
-        if value is not None:
-            from repro.core.kernel import resolve_kernel_name
-
-            resolve_kernel_name(value)
-        self._group.kernel = value
 
     @property
     def peak_live_events(self) -> int:
@@ -489,7 +469,6 @@ class MonitorFleet:
             tuple(group.faulty),
             group.drop_faulty,
             codec.encode_specs(group.monitor_specs),
-            group.kernel,
         )
         frame = (
             _SNAPSHOT_MAGIC,
@@ -548,7 +527,6 @@ class MonitorFleet:
             faulty,
             drop_faulty,
             specs_wire,
-            kernel,
         ) = config
         fleet = cls(
             codec.decode_fraction(xi_wire),
@@ -559,7 +537,6 @@ class MonitorFleet:
             compact_threshold=compact_threshold,
             faulty=frozenset(faulty),
             drop_faulty=drop_faulty,
-            kernel=kernel,
             monitor_factory=monitor_factory,
             monitor_specs=codec.decode_specs(specs_wire),
             on_violation=on_violation,

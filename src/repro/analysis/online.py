@@ -89,11 +89,10 @@ class MonitorObs:
     """The monitor's instrument bundle on some registry.
 
     Oracle-call and compaction counters are *deterministic*: both are
-    functions of the observed record stream (the kernel conformance
-    gate already asserts oracle-call counts bit-identical), so they
-    merge identically across process and thread backends.  Refresh
-    latency is wall clock and is not.  The refresh histogram doubles as
-    the ``kernel_sweep`` lifecycle stage.
+    functions of the observed record stream, so they merge identically
+    across process and thread backends.  Refresh latency is wall clock
+    and is not.  The refresh histogram doubles as the ``kernel_sweep``
+    lifecycle stage.
     """
 
     __slots__ = ("oracle_calls", "compactions", "refresh_ns", "sweep_ns")
@@ -178,10 +177,6 @@ class OnlineAbcMonitor:
             complete sends metadata keep the monitor exact under this
             mode (as with fleet eviction, an unannounced in-flight send
             degrades the ratio to a counted lower bound).
-        kernel: optional detection-kernel name for the underlying
-            :class:`~repro.core.synchrony.AdmissibilityChecker`
-            (``None`` follows the ambient ``REPRO_KERNEL`` environment);
-            every kernel is exact, so this is purely a speed knob.
     """
 
     def __init__(
@@ -193,7 +188,6 @@ class OnlineAbcMonitor:
         on_violation: Callable[[CycleClassification], None] | None = None,
         on_ratio_increase: Callable[[RatioChange], None] | None = None,
         compact_threshold: float | None = None,
-        kernel: str | None = None,
     ) -> None:
         if compact_threshold is not None and compact_threshold <= 1:
             raise ValueError(
@@ -215,8 +209,7 @@ class OnlineAbcMonitor:
         # maintained only under compact_threshold (the fleet tracks its
         # own copy per trace for eviction pinning).
         self._in_flight: dict[tuple[Event, ProcessId], int] = {}
-        self.kernel = kernel
-        self._checker = AdmissibilityChecker(kernel=kernel)
+        self._checker = AdmissibilityChecker()
         self._worst: Fraction | None = None
         # Telemetry handle: ``None`` when disabled (one attribute read
         # per refresh, the emit_ratio contract).  Standalone monitors
@@ -263,17 +256,6 @@ class OnlineAbcMonitor:
     def oracle_calls(self) -> int:
         """Total negative-cycle runs issued (incrementality metric)."""
         return self._checker.oracle_calls
-
-    @property
-    def kernel_name(self) -> str:
-        """The detection kernel the monitor's checker resolves to."""
-        return self._checker.kernel_name
-
-    def set_kernel(self, kernel: str | None) -> None:
-        """Re-pin the detection kernel (see
-        :meth:`~repro.core.synchrony.AdmissibilityChecker.set_kernel`)."""
-        self.kernel = kernel
-        self._checker.set_kernel(kernel)
 
     @property
     def summary_edges(self) -> int:
@@ -475,7 +457,7 @@ class OnlineAbcMonitor:
         search; correct on any sequence of graphs, fast on growing ones.
         """
         if not self._checker.extends(graph):
-            self._checker = AdmissibilityChecker(graph, kernel=self.kernel)
+            self._checker = AdmissibilityChecker(graph)
             self._worst = None
             self.violation = None
             self.changes = []

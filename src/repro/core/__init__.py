@@ -54,11 +54,7 @@ from repro.core.delay_assignment import (
     verify_normalized,
 )
 from repro.core.events import Event, ProcessId
-from repro.core.kernel import (
-    KERNEL_ENV_VAR,
-    available_kernels,
-    resolve_kernel_name,
-)
+from repro.core.kernel import resolve_kernel_name
 from repro.core.execution_graph import (
     Edge,
     ExecutionGraph,
@@ -120,9 +116,7 @@ __all__ = [
     "classify",
     "enumerate_cycles",
     "relevant_cycles",
-    # kernels
-    "KERNEL_ENV_VAR",
-    "available_kernels",
+    # kernel
     "resolve_kernel_name",
     # synchrony
     "AdmissibilityChecker",

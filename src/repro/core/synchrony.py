@@ -128,11 +128,7 @@ from repro.core.execution_graph import (
     LocalEdge,
     MessageEdge,
 )
-from repro.core.kernel import (
-    Kernel,
-    make_kernel,
-    resolve_kernel_name,
-)
+from repro.core.kernel import PyObjectKernel
 from repro.core import kernel as _kernel_mod
 
 __all__ = [
@@ -271,8 +267,8 @@ def farey_predecessor(value: Fraction, max_den: int) -> Fraction:
 
 # Edge kinds of the traversal digraph; weights per (p, q) query are
 # derived from the kind, so only these tags are stored per edge.  The
-# canonical definitions live in :mod:`repro.core.kernel` (the kernels
-# read them without importing this module); these aliases keep the
+# canonical definitions live in :mod:`repro.core.kernel` (the detection
+# routine reads them without importing this module); these aliases keep the
 # checker's internals spelled the way they always were.
 _FWD_MESSAGE = _kernel_mod.FWD_MESSAGE
 _BWD_MESSAGE = _kernel_mod.BWD_MESSAGE
@@ -398,31 +394,17 @@ class AdmissibilityChecker:
     that depends on acyclicity, and it checks: a causal cycle in the
     region to fold raises ``ValueError``.
 
-    Negative-cycle detection itself is delegated to a pluggable *kernel*
-    (see :mod:`repro.core.kernel`): ``kernel=None`` follows the ambient
-    ``REPRO_KERNEL`` environment variable (default ``py_object``, the
-    reference SPFA), an explicit name pins one.  Every kernel is exact
-    and bit-identical on every query surface; the choice is purely a
-    speed/bookkeeping trade-off.  The kernel object itself is transient
-    state -- it is dropped on pickling and lazily re-created, so
-    snapshots restore under whatever kernel the restoring process
-    selects (kernel-portable checkpoints).
+    Negative-cycle detection itself is
+    :func:`repro.core.kernel.negative_cycle`, reached through a
+    :class:`~repro.core.kernel.PyObjectKernel` made for each run, so
+    the checker (and every snapshot of it) holds no detection state.
 
     Attributes:
         oracle_calls: number of negative-cycle runs issued so far (for
             benchmarks and incrementality tests).
     """
 
-    def __init__(
-        self,
-        graph: ExecutionGraph | None = None,
-        *,
-        kernel: str | None = None,
-    ) -> None:
-        if kernel is not None:
-            resolve_kernel_name(kernel)  # fail fast on unknown names
-        self._kernel_spec = kernel
-        self._kernel_obj: Kernel | None = None
+    def __init__(self, graph: ExecutionGraph | None = None) -> None:
         # Node ``u`` is event ``(_procs[u], _idxs[u])``.  Compaction
         # removes per-process prefixes, so ``_ids[p]`` -- the live nodes
         # of ``p`` in index order -- starts at ``first_live_index(p)``,
@@ -465,45 +447,6 @@ class AdmissibilityChecker:
                     self.add_event(event)
             for message in graph.messages:
                 self.add_message(message.src, message.dst)
-
-    # ------------------------------------------------------------------
-    # kernel selection
-    # ------------------------------------------------------------------
-
-    @property
-    def _kernel(self) -> Kernel:
-        """The bound detection kernel, created lazily (and re-created
-        lazily after unpickling or :meth:`set_kernel`)."""
-        obj = self._kernel_obj
-        if obj is None:
-            obj = self._kernel_obj = make_kernel(self._kernel_spec, self)
-        return obj
-
-    @property
-    def kernel_name(self) -> str:
-        """The kernel this checker resolves to right now (an unpinned
-        checker follows the ``REPRO_KERNEL`` environment variable)."""
-        if self._kernel_obj is not None:
-            return self._kernel_obj.name
-        return resolve_kernel_name(self._kernel_spec)
-
-    def set_kernel(self, kernel: str | None) -> None:
-        """Re-pin the detection kernel (``None`` = follow the ambient
-        environment); any cached kernel state is discarded.  Purely a
-        strategy switch -- every subsequent answer is bit-identical to
-        what any other kernel would produce."""
-        if kernel is not None:
-            resolve_kernel_name(kernel)
-        self._kernel_spec = kernel
-        self._kernel_obj = None
-
-    def __getstate__(self) -> dict:
-        # The kernel object is transient (it may hold module references
-        # and derived caches); drop it so snapshots are kernel-portable
-        # and the restoring process re-resolves lazily.
-        state = self.__dict__.copy()
-        state["_kernel_obj"] = None
-        return state
 
     # ------------------------------------------------------------------
     # incremental construction
@@ -684,9 +627,8 @@ class AdmissibilityChecker:
         endpoint, self loop) surface mid-apply exactly as they would
         mid-stream, after the failing row's event.
 
-        Appends happen on the flat digraph arrays once per batch; any
-        attached kernel discovers them lazily (one ``extend``) at the
-        next oracle probe.  Returns the number of message edges added.
+        Appends happen on the flat digraph arrays once per batch.
+        Returns the number of message edges added.
         """
         processes, indexes = events
         n = len(processes)
@@ -909,8 +851,6 @@ class AdmissibilityChecker:
             ids.pop()
             if not ids and process not in self._first_live:
                 del self._ids[process]  # as if never observed
-        if self._kernel_obj is not None:
-            self._kernel_obj.notify_rollback(token.n_nodes, token.n_edges)
 
     @contextmanager
     def speculate(self) -> Iterator["AdmissibilityChecker"]:
@@ -1377,8 +1317,6 @@ class AdmissibilityChecker:
             adj[tails[eidx]].append((heads[eidx], kinds[eidx], eidx))
         self._adj = adj
         self._epoch += 1
-        if self._kernel_obj is not None:
-            self._kernel_obj.notify_compact()
 
     def removable_prefix(
         self, pinned: Iterable[Event] = ()
@@ -1493,15 +1431,11 @@ class AdmissibilityChecker:
         the sources, e.g. because the graph without the speculative
         additions is known negative-cycle-free.
 
-        The detection run itself is delegated to the bound kernel (see
-        :mod:`repro.core.kernel`): the reference ``py_object`` kernel is
-        exactly the loop described above
-        (:func:`repro.core.kernel.negative_cycle`); the ``flat_int``
-        kernel answers most negative probes from an exact integer
-        potential certificate and runs that same loop for the rest, so
-        every kernel returns the same cycle.
+        The loop described above is
+        :func:`repro.core.kernel.negative_cycle`, reached through a
+        :class:`~repro.core.kernel.PyObjectKernel` made for this run.
         """
-        return self._kernel.has_negative_cycle(p, q, sources)
+        return PyObjectKernel(self).has_negative_cycle(p, q, sources)
 
     def _cycle_ratio(self, cycle: list[int]) -> Fraction:
         """``B/F`` of a negative cycle the oracle returned.

@@ -100,10 +100,7 @@ def check_eventual_abc(
 
 
 def earliest_stabilization_cut(
-    graph: ExecutionGraph,
-    xi: Fraction | int | float,
-    *,
-    kernel: str | None = None,
+    graph: ExecutionGraph, xi: Fraction | int | float
 ) -> Cut:
     """A (greedy, left-closed) stabilization cut for <>ABC.
 
@@ -125,7 +122,7 @@ def earliest_stabilization_cut(
     exactly those cycles, so the search must forget them.
     """
     absorbed: set[Event] = set()
-    checker = AdmissibilityChecker(graph, kernel=kernel)
+    checker = AdmissibilityChecker(graph)
     while True:
         witness = checker.violating_cycle(xi)
         if witness is None:
@@ -138,22 +135,18 @@ def earliest_stabilization_cut(
         checker.compact_prefix(absorbed, mode="exact")
 
 
-def unknown_xi_infimum(
-    graph: ExecutionGraph, *, kernel: str | None = None
-) -> Fraction | None:
+def unknown_xi_infimum(graph: ExecutionGraph) -> Fraction | None:
     """?ABC: the unknown parameter must exceed this bound.
 
     For a finite prefix, the execution is ?ABC-admissible for precisely
     those (unknown) ``Xi`` strictly above the worst relevant-cycle ratio;
     ``None`` means every ``Xi > 1`` works (no relevant cycle at all).
     """
-    return AdmissibilityChecker(graph, kernel=kernel).worst_relevant_ratio()
+    return AdmissibilityChecker(graph).worst_relevant_ratio()
 
 
 def running_worst_ratio(
     prefixes: Iterable[ExecutionGraph],
-    *,
-    kernel: str | None = None,
 ) -> list[Fraction | None]:
     """The worst relevant ratio of each prefix of a growing execution.
 
@@ -179,7 +172,7 @@ def running_worst_ratio(
             if checker.absorb(graph):
                 worst = checker.updated_worst_ratio(worst)
         else:
-            checker = AdmissibilityChecker(graph, kernel=kernel)
+            checker = AdmissibilityChecker(graph)
             worst = checker.updated_worst_ratio(None)
         out.append(worst)
     return out

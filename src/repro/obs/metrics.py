@@ -326,8 +326,8 @@ class MetricsRegistry:
     def to_rows(self) -> tuple[tuple, ...]:
         """Serialize to plain tuples, sorted by (name, labels, kind).
 
-        Row shape: ``(kind, name, labels, deterministic, payload)``;
-        decoders must tolerate trailing extensions (``*rest``).
+        Row shape: exactly ``(kind, name, labels, deterministic,
+        payload)``; :meth:`merge_rows` rejects any other.
         """
         rows = []
         for (kind, name, labels), instrument in self._instruments.items():
@@ -344,9 +344,13 @@ class MetricsRegistry:
         return tuple(rows)
 
     def merge_rows(self, rows: Iterable[tuple]) -> None:
-        """Fold serialized rows into this registry (integer sums)."""
+        """Fold serialized rows into this registry (integer sums).
+
+        A row of another length, or of an unknown instrument kind,
+        raises ``ValueError``.
+        """
         for row in rows:
-            kind, name, labels, deterministic, payload, *_rest = row
+            kind, name, labels, deterministic, payload = row
             if kind == "histogram":
                 instrument = self.histogram(
                     name,
@@ -363,7 +367,7 @@ class MetricsRegistry:
                     name, labels, deterministic=bool(deterministic)
                 )
             else:
-                continue  # unknown instrument kind from a newer peer
+                raise ValueError(f"unknown instrument kind {kind!r}")
             instrument._merge_payload(payload)
 
     # -- export surfaces ---------------------------------------------------

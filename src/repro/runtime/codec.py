@@ -416,24 +416,24 @@ def encode_metrics_rows(rows: tuple[tuple, ...]) -> tuple[tuple, ...]:
     pickles canonically."""
     out = []
     for row in rows:
-        kind, name, labels, deterministic, payload, *rest = row
+        kind, name, labels, deterministic, payload = row
         if kind == "histogram":
             bounds, counts, count, total = payload
             payload = (tuple(bounds), tuple(counts), count, total)
         out.append(
             (kind, name, tuple(tuple(pair) for pair in labels),
-             deterministic, payload, *rest)
+             deterministic, payload)
         )
     return tuple(out)
 
 
 def decode_metrics_rows(wire: tuple[tuple, ...]) -> tuple[tuple, ...]:
-    """Validate and return telemetry rows; tolerates trailing row
-    extensions (``*rest``) from newer peers, like every other frame."""
+    """Validate and return telemetry rows: each must be exactly
+    ``(kind, name, labels, deterministic, payload)``."""
     rows = []
     for row in wire:
-        kind, name, labels, deterministic, payload, *rest = row
-        rows.append((kind, name, labels, deterministic, payload, *rest))
+        kind, name, labels, deterministic, payload = row
+        rows.append((kind, name, labels, deterministic, payload))
     return tuple(rows)
 
 
@@ -450,20 +450,16 @@ def encode_spec(spec: MonitorSpec) -> tuple:
         spec.compact_threshold,
         None if spec.faulty is None else tuple(spec.faulty),
         spec.drop_faulty,
-        spec.kernel,
     )
 
 
 def decode_spec(wire: tuple) -> MonitorSpec:
-    # Pre-kernel frames are 4-tuples; tolerate them so old snapshots
-    # restore (their specs simply inherit the restoring group's kernel).
-    xi, compact_threshold, faulty, drop_faulty, *rest = wire
+    xi, compact_threshold, faulty, drop_faulty = wire
     return MonitorSpec(
         xi=decode_fraction(xi),
         compact_threshold=compact_threshold,
         faulty=None if faulty is None else frozenset(faulty),
         drop_faulty=drop_faulty,
-        kernel=rest[0] if rest else None,
     )
 
 
@@ -503,7 +499,9 @@ def decode_specs(
 GROUP_SNAPSHOT_MAGIC = "abc-group-snapshot"
 # 2: checkers store their digraph as int columns; version-1 monitor
 # pickles do not restore.
-SNAPSHOT_VERSION = 2
+# 3: checkers, monitors, specs and fleet configs carry no kernel field;
+# version-2 images do not restore.
+SNAPSHOT_VERSION = 3
 
 
 def encode_monitor(monitor: OnlineAbcMonitor) -> bytes:

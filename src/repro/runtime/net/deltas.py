@@ -27,9 +27,8 @@ Frames (plain tuples, like everything on this wire):
 ``("end", seq)``
     the publisher shut down; nothing follows.
 
-Both sides decode with ``*rest`` tolerance: a view reading an older
-publisher's four-element frames sees no metrics rows, and an older
-view reading these frames ignores the fifth element.
+A snapshot or delta frame of any other length fails to unpack
+(``ValueError``); both ends ship together, so no older shape exists.
 
 Sequence numbers are contiguous per store, and a snapshot at ``seq``
 is followed by deltas ``seq+1, seq+2, ...`` -- a view can therefore
@@ -252,19 +251,17 @@ class DeltaView:
     def apply(self, frame: Any) -> None:
         kind = frame[0]
         if kind == "snapshot":
-            _kind, seq, ratio_rows, violation_rows, *rest = frame
+            _kind, seq, ratio_rows, violation_rows, metrics_rows = frame
             self.ratios = {
                 trace_id: codec.decode_fraction(wire)
                 for trace_id, wire in ratio_rows
             }
             self._rows = list(violation_rows)
             self._seen = set(violation_rows)
-            self._metrics = (
-                {_metric_key(row): row for row in rest[0]} if rest else {}
-            )
+            self._metrics = {_metric_key(row): row for row in metrics_rows}
             self.seq = seq
         elif kind == "delta":
-            _kind, seq, ratio_rows, violation_rows, *rest = frame
+            _kind, seq, ratio_rows, violation_rows, metrics_rows = frame
             if self.seq < 0:
                 raise ValueError("delta before snapshot")
             if seq != self.seq + 1:
@@ -277,9 +274,8 @@ class DeltaView:
                 if row not in self._seen:
                     self._seen.add(row)
                     self._rows.append(row)
-            if rest:
-                for row in rest[0]:
-                    self._metrics[_metric_key(row)] = row
+            for row in metrics_rows:
+                self._metrics[_metric_key(row)] = row
             self.seq = seq
         elif kind == "end":
             self.seq = max(self.seq, frame[1])

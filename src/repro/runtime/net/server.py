@@ -56,17 +56,19 @@ frame                                        direction / meaning
 ``("hello", ver, "produce", producer_id)``  first client frame
 ``("welcome", ver, n_fronts, n_shards,      server reply: resume
 ``  ``acked, credit_window)``               point + credit window
-``("produce", seq, rows)``                  numbered row batch
-``("produce", seq, cols, "cols")``          columnar batch: ``cols``
-                                            is ``(trace_ids,
-                                            wire_records)`` parallel
-                                            columns (old frames keep
-                                            decoding via ``*rest``)
+``("produce", seq, rows)``                  numbered row batch:
+                                            ``seq`` an int, ``rows``
+                                            a list or tuple of
+                                            ``(trace_id, wire_record)``
+                                            pairs
 ``("ack", acked)``                          highest contiguous
                                             absorbed seq
 ``("bye",)``                                clean producer exit
 ``("error", message)``                      protocol failure
 ==========================================  ========================
+
+A frame of any other shape draws an ``error`` frame and closes the
+connection before any of its rows is enqueued.
 
 Subscribers send ``("hello", ver, "subscribe", name)`` and then just
 read: a ``snapshot`` frame, ``delta`` frames as ingestion progresses,
@@ -190,11 +192,9 @@ def _label_rows(rows: Iterable[tuple], key: str, value: str) -> tuple:
     identically named instruments from different sources (fronts)
     stay distinct series instead of clobbering each other."""
     labeled = []
-    for kind, name, labels, deterministic, payload, *rest in rows:
+    for kind, name, labels, deterministic, payload in rows:
         new_labels = tuple(sorted((*labels, (key, value))))
-        labeled.append(
-            (kind, name, new_labels, deterministic, payload, *rest)
-        )
+        labeled.append((kind, name, new_labels, deterministic, payload))
     return tuple(labeled)
 
 
@@ -234,7 +234,6 @@ class IngestServer:
         inbox_capacity: int = 16,
         credit_window: int = 32,
         monitor_specs: Any = None,
-        kernel: str | None = None,
         metrics_interval: float = 0.5,
     ) -> None:
         if n_fronts < 1:
@@ -276,7 +275,6 @@ class IngestServer:
                 wire_batch=wire_batch,
                 inbox_capacity=inbox_capacity,
                 monitor_specs=monitor_specs,
-                kernel=kernel,
                 shard_subset=tuple(
                     s for s in range(n_shards) if s % n_fronts == f
                 ),
@@ -484,20 +482,6 @@ class IngestServer:
                 finally:
                     done()
                 self._stage_deltas(front)
-            elif kind == "cols":
-                _kind, trace_ids, records, done = item
-                try:
-                    fleet.ingest_wire_columns(trace_ids, records)
-                except Exception:  # keep the front alive; surface it
-                    front.error = traceback.format_exc()
-                    logger.error(
-                        "columnar ingest batch failed on front %d:\n%s",
-                        front.index,
-                        front.error,
-                    )
-                finally:
-                    done()
-                self._stage_deltas(front)
             elif kind == "call":
                 _kind, fn, box, event = item
                 try:
@@ -640,34 +624,29 @@ class IngestServer:
         try:
             while True:
                 frame = await read_frame(reader)
-                if frame is None or frame[0] == "bye":
+                if frame is None:
+                    return
+                if not isinstance(frame, tuple) or not frame:
+                    await self._send(writer, ("error", "expected a tuple"))
+                    return
+                if frame[0] == "bye":
                     return
                 if frame[0] != "produce":
                     await self._send(
                         writer, ("error", f"unexpected {frame[0]!r}")
                     )
                     return
-                # Forward-compatible decode, as for the spec frames:
-                # old producers send ("produce", seq, rows); columnar
-                # producers append a "cols" marker and ship the rows as
-                # two parallel columns ``(trace_ids, wire_records)``.
-                _kind, seq, rows, *rest = frame
-                mode = rest[0] if rest else "rows"
-                if mode not in ("rows", "cols"):
-                    await self._send(
-                        writer,
-                        ("error", f"unknown produce mode {mode!r}"),
-                    )
-                    return
-                if mode == "cols" and not (
-                    isinstance(rows, tuple)
-                    and len(rows) == 2
-                    and len(rows[0]) == len(rows[1])
+                if not (
+                    len(frame) == 3
+                    and type(frame[1]) is int
+                    and isinstance(frame[2], (list, tuple))
                 ):
                     await self._send(
-                        writer, ("error", "ragged columnar produce frame")
+                        writer,
+                        ("error", "expected ('produce', int seq, rows)"),
                     )
                     return
+                _kind, seq, rows = frame
                 if seq <= producer.seen:
                     continue  # replay of an already-enqueued frame
                 if seq != producer.seen + 1:
@@ -680,68 +659,60 @@ class IngestServer:
                         ),
                     )
                     return
-                producer.seen = seq
                 obs = producer.obs
                 start = 0 if obs is None else time.perf_counter_ns()
-                self._dispatch(producer, seq, rows, mode)
+                try:
+                    by_front = self._route(rows)
+                except ValueError as exc:
+                    await self._send(writer, ("error", str(exc)))
+                    return
+                producer.seen = seq
+                self._dispatch(producer, seq, by_front)
                 if obs is not None:
                     self._accept_ns.observe(
                         time.perf_counter_ns() - start
                     )
                     obs.frames.inc()
-                    obs.records.inc(
-                        len(rows[0]) if mode == "cols" else len(rows)
-                    )
+                    obs.records.inc(len(rows))
                     obs.credit.set(producer.seen - producer.acked)
         finally:
             if producer.writer is writer:
                 producer.writer = None
 
+    def _route(self, rows: Iterable[tuple]) -> dict[int, list[tuple]]:
+        """Split a produce frame's rows by front (loop thread); raises
+        ``ValueError`` if a row is not a ``(trace_id, wire_record)``
+        pair, before anything is enqueued."""
+        n_fronts, n_shards = len(self._fronts), self._n_shards
+        by_front: dict[int, list[tuple]] = {}
+        for row in rows:
+            try:
+                trace_id, _record = row
+            except (TypeError, ValueError):
+                raise ValueError(
+                    "produce row is not a (trace_id, wire_record) pair"
+                ) from None
+            front_index = shard_index_of(trace_id, n_shards) % n_fronts
+            by_front.setdefault(front_index, []).append(row)
+        return by_front
+
     def _dispatch(
         self,
         producer: _Producer,
         seq: int,
-        rows: Iterable[tuple],
-        mode: str = "rows",
+        by_front: dict[int, list[tuple]],
     ) -> None:
-        """Route a produce frame's rows to their fronts (loop thread).
+        """Enqueue a produce frame's routed rows on their fronts (loop
+        thread).
 
         The ack for ``seq`` is released only once every front involved
         has absorbed its slice; per-front FIFO queues preserve the
-        producer's per-trace row order.  Columnar frames
-        (``mode == "cols"``) route the same way -- per-trace front
-        assignment is row-shaped either way -- but each front's slice
-        stays a pair of parallel columns, feeding the fleet's columnar
-        ingest entry."""
-        n_fronts, n_shards = len(self._fronts), self._n_shards
+        producer's per-trace row order."""
         self._inflight += 1
-        if mode == "cols":
-            trace_ids, records = rows
-            by_cols: dict[int, tuple[list, list]] = {}
-            for i, trace_id in enumerate(trace_ids):
-                front_index = shard_index_of(trace_id, n_shards) % n_fronts
-                slot = by_cols.get(front_index)
-                if slot is None:
-                    slot = by_cols[front_index] = ([], [])
-                slot[0].append(trace_id)
-                slot[1].append(records[i])
-            items = [
-                (index, ("cols", ids, recs))
-                for index, (ids, recs) in by_cols.items()
-            ]
-        else:
-            by_front: dict[int, list[tuple]] = {}
-            for row in rows:
-                front_index = shard_index_of(row[0], n_shards) % n_fronts
-                by_front.setdefault(front_index, []).append(row)
-            items = [
-                (index, ("rows", front_rows))
-                for index, front_rows in by_front.items()
-            ]
-        if not items:  # an empty frame still advances the seq line
+        if not by_front:  # an empty frame still advances the seq line
             self._complete(producer, seq)
             return
-        remaining = len(items)
+        remaining = len(by_front)
         loop = self._loop
         assert loop is not None
 
@@ -754,8 +725,9 @@ class IngestServer:
             if remaining == 0:
                 self._complete(producer, seq)
 
-        for front_index, payload in items:
-            self._fronts[front_index].queue.put((*payload, absorbed))
+        for front_index, front_rows in by_front.items():
+            front = self._fronts[front_index]
+            front.queue.put(("rows", front_rows, absorbed))
 
     def _complete(self, producer: _Producer, seq: int) -> None:
         self._inflight -= 1

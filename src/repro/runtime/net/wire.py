@@ -37,7 +37,9 @@ __all__ = [
     "read_frame",
 ]
 
-PROTOCOL_VERSION = 1
+# 2: one produce-frame shape, ("produce", seq, rows); no columnar frame
+# and no trailing fields.
+PROTOCOL_VERSION = 2
 
 
 class ProtocolError(RuntimeError):

@@ -120,12 +120,11 @@ import logging
 import os
 import time
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro.analysis.online import OnlineAbcMonitor
 from repro.core.cycles import CycleClassification
 from repro.core.events import ProcessId
-from repro.core.kernel import resolve_kernel_name
 from repro.obs import metrics as _obs_metrics
 from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry
 from repro.runtime import codec
@@ -244,10 +243,6 @@ class ParallelFleet:
             module docstring's carve-out.
         compact_threshold: adaptive compaction cadence, per monitor.
         faulty / drop_faulty: per-monitor message filtering.
-        kernel: detection-kernel name shipped to every worker's shard
-            group (``None`` lets each worker follow its own
-            ``REPRO_KERNEL`` environment).  Every kernel is exact, so
-            mixed-kernel fleets stay bit-identical to serial runs.
         backend: ``"process"`` (default), ``"thread"``, or a backend
             instance (anything with ``spawn(...) -> WorkerHandle``).
         start_method: multiprocessing start method for the default
@@ -305,7 +300,6 @@ class ParallelFleet:
         compact_threshold: float | None = None,
         faulty: frozenset[ProcessId] | set[ProcessId] = frozenset(),
         drop_faulty: bool = True,
-        kernel: str | None = None,
         backend: str | Any = "process",
         start_method: str | None = None,
         wire_batch: int = 256,
@@ -407,9 +401,6 @@ class ParallelFleet:
         self._compact_threshold = compact_threshold
         self._faulty = frozenset(faulty)
         self._drop_faulty = drop_faulty
-        if kernel is not None:
-            resolve_kernel_name(kernel)  # fail in the caller, not a worker
-        self._kernel = kernel
         self._monitor_factory = monitor_factory
         self._monitor_specs = monitor_specs
         self._inbox_capacity = inbox_capacity
@@ -570,7 +561,6 @@ class ParallelFleet:
             "compact_threshold": self._compact_threshold,
             "faulty": tuple(self._faulty),
             "drop_faulty": self._drop_faulty,
-            "kernel": self._kernel,
             "monitor_specs": codec.encode_specs(self._monitor_specs),
             # Pin the parent's telemetry setting in the child: fork
             # inherits it anyway, spawn would re-read only REPRO_OBS
@@ -609,10 +599,6 @@ class ParallelFleet:
     @property
     def event_budget(self) -> int | None:
         return self._event_budget
-
-    @property
-    def kernel(self) -> str | None:
-        return self._kernel
 
     # ------------------------------------------------------------------
     # routing and low-level messaging
@@ -1054,30 +1040,6 @@ class ParallelFleet:
             self._tick = tick
             self._ingested += accepted
 
-    def ingest_wire_columns(
-        self,
-        trace_ids: Sequence[TraceId],
-        wire_records: Sequence[tuple],
-    ) -> None:
-        """Columnar :meth:`ingest_wire_many`: two parallel columns, as
-        carried by the columnar produce frame of the network plane.
-
-        Routing and per-shard buffering are inherently row-oriented
-        (each record joins its shard's ``(tick, trace_id, wire)``
-        batch), so the columns are re-paired with one C-speed ``zip``;
-        the zero-object payoff happens on the worker side, where the
-        shard batch is transposed back into columns and absorbed
-        without building a single record.  A ragged frame (column
-        lengths disagree) raises ``ValueError`` here, before any row
-        is buffered.
-        """
-        if len(trace_ids) != len(wire_records):
-            raise ValueError(
-                f"ragged columnar frame: {len(trace_ids)} trace ids, "
-                f"{len(wire_records)} records"
-            )
-        self.ingest_wire_many(zip(trace_ids, wire_records))
-
     def _ship(self, shard: int) -> None:
         batch = self._buffers.pop(shard, None)
         if not batch:
@@ -1322,7 +1284,6 @@ class ParallelFleet:
             "compact_threshold": self._compact_threshold,
             "faulty": tuple(self._faulty),
             "drop_faulty": self._drop_faulty,
-            "kernel": self._kernel,
             "backend": self._backend_kind,
             "wire_batch": self.wire_batch,
             "inbox_capacity": self._inbox_capacity,
@@ -1389,7 +1350,6 @@ class ParallelFleet:
             compact_threshold=cfg["compact_threshold"],
             faulty=frozenset(cfg["faulty"]),
             drop_faulty=cfg["drop_faulty"],
-            kernel=cfg.get("kernel"),
             backend=backend,
             start_method=start_method,
             wire_batch=cfg["wire_batch"],

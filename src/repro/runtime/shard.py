@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 from repro.core.cycles import CycleClassification
 from repro.core.events import Event, ProcessId
-from repro.core.kernel import resolve_kernel_name
 from repro.obs import metrics as _obs_metrics
 from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry
 from repro.sim.trace import ReceiveRecord, RecordColumns
@@ -130,15 +129,12 @@ class MonitorSpec:
             exceed 1 when given, as for the group-level knob).
         faulty: processes whose messages the monitor treats as faulty.
         drop_faulty: whether faulty messages are dropped or kept.
-        kernel: detection-kernel name for the trace's checker (every
-            kernel is exact -- purely a speed knob, answers identical).
     """
 
     xi: Fraction | float | int | str | None = None
     compact_threshold: float | None = None
     faulty: frozenset[ProcessId] | None = None
     drop_faulty: bool | None = None
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
         if self.compact_threshold is not None and self.compact_threshold <= 1:
@@ -148,8 +144,6 @@ class MonitorSpec:
             )
         if self.faulty is not None and not isinstance(self.faulty, frozenset):
             object.__setattr__(self, "faulty", frozenset(self.faulty))
-        if self.kernel is not None:
-            resolve_kernel_name(self.kernel)  # fail fast on unknown names
 
 
 _NO_SPEC = MonitorSpec()
@@ -515,10 +509,6 @@ class ShardGroup:
             to every default-constructed monitor (see
             :class:`~repro.analysis.online.OnlineAbcMonitor`).
         faulty / drop_faulty: per-monitor message filtering.
-        kernel: detection-kernel name for every default-constructed
-            monitor (``None`` follows the ambient ``REPRO_KERNEL``
-            environment; per-trace specs may override).  Every kernel
-            is exact, so this never changes an answer.
         monitor_factory: optional ``factory(trace_id) -> OnlineAbcMonitor``
             (thread-backend escape hatch; prefer ``monitor_specs``).
         monitor_specs: declarative per-trace monitor configuration --
@@ -542,7 +532,6 @@ class ShardGroup:
         compact_threshold: float | None = None,
         faulty: frozenset[ProcessId] | set[ProcessId] = frozenset(),
         drop_faulty: bool = True,
-        kernel: str | None = None,
         monitor_factory: Callable[[TraceId], OnlineAbcMonitor] | None = None,
         monitor_specs: MonitorSpec | dict[TraceId, MonitorSpec] | None = None,
         emit_violation: Callable[[TraceId, CycleClassification], None]
@@ -564,9 +553,6 @@ class ShardGroup:
         self.compact_threshold = compact_threshold
         self.faulty = frozenset(faulty)
         self.drop_faulty = drop_faulty
-        if kernel is not None:
-            resolve_kernel_name(kernel)  # fail fast, as for specs
-        self.kernel = kernel
         self.monitor_factory = monitor_factory
         self.monitor_specs = monitor_specs
         self.emit_violation = emit_violation
@@ -670,7 +656,6 @@ class ShardGroup:
                     if spec.compact_threshold is None
                     else spec.compact_threshold
                 ),
-                kernel=self.kernel if spec.kernel is None else spec.kernel,
             )
         return monitor
 
@@ -682,18 +667,7 @@ class ShardGroup:
         updates.  Called for newly created monitors and for
         imported/restored ones, which arrive with callbacks stripped
         (they close over the *source* group and its shard objects) and
-        must be re-wired to their new owner.
-
-        Imported monitors are also re-pinned to *this* group's kernel
-        resolution: checkpoints are kernel-portable, so a snapshot taken
-        under one kernel restores under whatever the restoring group
-        selects (factory-made monitors are left alone -- the factory's
-        choice stands)."""
-        if self.monitor_factory is None:
-            spec = self._spec_for(trace_id) or _NO_SPEC
-            monitor.set_kernel(
-                self.kernel if spec.kernel is None else spec.kernel
-            )
+        must be re-wired to their new owner."""
         if self.metrics is not None:
             # Re-bind the monitor's instruments (global registry by
             # default, stripped entirely on import/restore) to this

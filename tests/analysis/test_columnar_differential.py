@@ -8,7 +8,7 @@ worst ratios, oracle-call counts, ratio-change logs, forgotten-edge
 counters, violation witnesses and callback order.  These tests drive
 both paths in lockstep over every generator profile (the firehose
 profile is the message-dense shape the columnar path was built for),
-both detection kernels, degraded metadata-free streams, adaptive
+degraded metadata-free streams, adaptive
 compaction, and snapshot round trips -- and compare after *every*
 batch, so a divergence pinpoints the batch that introduced it.
 """
@@ -27,7 +27,6 @@ from repro.scenarios.generators import (
 from repro.sim.trace import RecordColumns
 
 PROFILES = ("storm", "burst", "idler", "relay", "firehose")
-KERNELS = ("py_object", "flat_int")
 
 
 def batches_of(records, size):
@@ -77,13 +76,12 @@ def assert_lockstep(obj_mon, col_mon, records, batch, *, via_wire=False):
 
 
 class TestMonitorLockstep:
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("profile", PROFILES)
-    def test_every_profile_every_kernel(self, profile, kernel):
+    def test_every_profile(self, profile):
         records = profiled_trace_records(random.Random(5), profile, 90)
         assert_lockstep(
-            OnlineAbcMonitor(kernel=kernel),
-            OnlineAbcMonitor(kernel=kernel),
+            OnlineAbcMonitor(),
+            OnlineAbcMonitor(),
             records,
             batch=16,
         )

@@ -26,7 +26,7 @@ from repro.core.synchrony import AdmissibilityChecker
 from repro.scenarios.generators import random_execution_graph
 
 N_ROWS = 2000
-SLACK = 64  # the checker's own lists and dicts, the kernel object, ...
+SLACK = 64  # the checker's own lists and dicts, ...
 
 
 def seeded_rows(rng: random.Random, n: int, counts: dict[int, int]):

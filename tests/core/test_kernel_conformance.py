@@ -1,24 +1,30 @@
-"""Targeted adversarial conformance cases for the integer kernels.
+"""Targeted adversarial conformance cases for the detection kernel.
 
-Where :mod:`tests.core.test_kernel_differential` sweeps whole random
-workloads, this suite aims at the specific shapes that can break an
-integer kernel while leaving random sweeps green:
+:func:`repro.core.kernel.negative_cycle` is the one detection routine:
+the round-batched SPFA every oracle query bottoms out in.  Where
+:mod:`tests.core.test_kernel_differential` sweeps whole workloads
+against from-scratch and exhaustive references, this suite aims at the
+specific shapes that can break the routine while leaving random sweeps
+green.  Each case is answered twice more, independently:
 
-* cross-multiplication overflow -- probes at deep mediant ratios
-  with huge numerators/denominators, including ones past the vector
-  backend's int64 guard (which must *degrade*, not overflow);
-* the ``p < q`` domain boundary of the safe-slack certificate class;
-* exact tie resolution at the worst ratio (the probe at the worst
-  ratio itself answers True, its Farey successor False -- a boundary
-  float arithmetic cannot hold);
-* summary re-weighting above and below the compaction floor;
-* the PR 2 seeded Bellman-Ford counterexample (seeded detection must
-  climb through forward edges on every kernel);
-* the certificate-window soundness invariant: whenever the O(1) window
-  pre-check passes, the exact sweep must also pass -- with a direct
-  regression for the ``(df=0, db=0, dl>0)`` always-negative slack
-  class that once slipped through the window;
-* kernel state across checkpoint/rollback.
+* by :func:`textbook_negative_cycle`, plain Bellman-Ford over the same
+  weighted traversal digraph (every edge, every pass, no queue, no
+  early cycle extraction);
+* where a ratio threshold applies, by
+  :func:`~repro.core.synchrony.worst_relevant_ratio_exhaustive`, the
+  cycle enumerator of Definition 3.
+
+The shapes:
+
+* big-integer probes -- deep mediant ratios whose numerators and
+  denominators grow exponentially, and offsets past ``2**63`` on either
+  side of the worst ratio (a boundary only exact arithmetic holds);
+* the ``p < q`` domain below every relevant-cycle ratio;
+* summary re-weighting above and below the compaction floor, down to
+  the hop profile of every summary edge;
+* source-seeded detection, which must find exactly the negative cycles
+  reachable from the sources;
+* answers after checkpoint/rollback.
 """
 
 import random
@@ -26,17 +32,13 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.events import Event
-from repro.core.execution_graph import ExecutionGraph, MessageEdge
-from repro.core.kernel import (
-    FlatIntKernel,
-    available_kernels,
-    make_kernel,
-    negative_cycle,
-)
+from repro.core.cycles import ALONG, AGAINST
+from repro.core.execution_graph import LocalEdge, MessageEdge
+from repro.core.kernel import SUMMARY, negative_cycle
 from repro.core.synchrony import (
     AdmissibilityChecker,
     farey_successor,
+    worst_relevant_ratio_exhaustive,
 )
 from repro.scenarios.generators import (
     random_execution_graph,
@@ -44,21 +46,68 @@ from repro.scenarios.generators import (
 )
 from repro.sim.trace import Trace, build_execution_graph
 
-REFERENCE = "py_object"
-KERNELS = [name for name in available_kernels() if name != REFERENCE]
+RATIO_GRID = tuple(
+    Fraction(num, den) for num in range(1, 9) for den in range(1, 5)
+)
 
 
-def random_checker_pair(kernel, seed, n_processes=3, n_messages=14):
-    graph = random_execution_graph(
-        random.Random(seed), n_processes, n_messages
-    )
-    return (
-        AdmissibilityChecker(graph, kernel=REFERENCE),
-        AdmissibilityChecker(graph, kernel=kernel),
-    )
+def textbook_negative_cycle(checker, p, q, sources=None):
+    """Whether ``H`` weighted for ``p/q`` holds a negative cycle
+    (reachable from the node ids ``sources``, if given).
+
+    Plain Bellman-Ford: nodes start at 0 (a virtual source) or, with
+    ``sources``, at 0 for the sources and unreached elsewhere; each
+    pass relaxes every edge.  Simple paths have fewer than ``n`` edges,
+    so a pass that changes nothing ends the run clean, and a run whose
+    ``n`` passes all changed something holds a negative cycle iff one
+    more pass still improves a node.
+    """
+    n = len(checker._adj)
+    wtab = checker._weight_table(p, q)
+    edges = [
+        (u, v, wtab[kind])
+        for u, row in enumerate(checker._adj)
+        for v, kind, _eidx in row
+    ]
+    if sources is None:
+        dist = [0] * n
+    else:
+        dist = [None] * n
+        for u in sources:
+            dist[u] = 0
+
+    def relax_all():
+        changed = False
+        for u, v, w in edges:
+            if dist[u] is not None and (
+                dist[v] is None or dist[u] + w < dist[v]
+            ):
+                dist[v] = dist[u] + w
+                changed = True
+        return changed
+
+    for _ in range(n):
+        if not relax_all():
+            return False
+    return relax_all()
 
 
-def stern_brocot_path(depth: int) -> list[Fraction]:
+def assert_simple_negative(checker, cycle, p, q):
+    tails = [checker._tails[e] for e in cycle]
+    heads = [checker._heads[e] for e in cycle]
+    assert len(set(tails)) == len(tails), "cycle revisits a node"
+    assert heads == tails[1:] + tails[:1], "edges do not close a walk"
+    wtab = checker._weight_table(p, q)
+    assert sum(wtab[checker._kinds[e]] for e in cycle) < 0
+
+
+def reaches(worst, ratio):
+    """The oracle's answer implied by an exact worst ratio: some
+    relevant cycle has ratio at least ``max(ratio, 1)``."""
+    return worst is not None and worst >= max(ratio, Fraction(1))
+
+
+def stern_brocot_path(depth):
     """Mediant descent toward sqrt(2): numerators and denominators grow
     exponentially, far past the ratio bound of any execution here."""
     lo, hi = Fraction(1), Fraction(2)
@@ -75,97 +124,118 @@ def stern_brocot_path(depth: int) -> list[Fraction]:
     return path
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-class TestOverflowShapes:
-    def test_deep_stern_brocot_probes(self, kernel):
-        ref, alt = random_checker_pair(kernel, seed=2)
-        for ratio in stern_brocot_path(120)[::7]:
-            assert ref.has_ratio_at_least(ratio) == alt.has_ratio_at_least(
-                ratio
-            ), f"diverged at {ratio.numerator}/{ratio.denominator}"
-
-    def test_past_int64_guard(self, kernel):
-        # Numerator/denominator far beyond 2**63: any fixed-width
-        # backend must detect the overflow hazard and degrade to exact
-        # big-int arithmetic rather than wrap.
-        huge = Fraction(2**70 + 1, 2**70 - 1)
-        astronomically = Fraction(10**40 + 7, 10**40 - 9)
-        for seed in (3, 4, 5):
-            ref, alt = random_checker_pair(kernel, seed=seed)
-            for ratio in (huge, astronomically):
-                assert ref.has_ratio_at_least(
-                    ratio
-                ) == alt.has_ratio_at_least(ratio)
-
-    def test_worst_ratio_search_on_dense_graph(self, kernel):
-        # End-to-end worst-ratio climb.
-        for seed in range(6):
-            ref, alt = random_checker_pair(
-                kernel, seed=seed, n_messages=20
-            )
-            assert ref.worst_relevant_ratio() == alt.worst_relevant_ratio()
+def small_graph(seed, n_messages=10):
+    return random_execution_graph(random.Random(seed), 3, n_messages)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-class TestDomainBoundaries:
-    def test_p_below_q_probes(self, kernel):
-        # Ratios below 1 are out of the safe-slack certificate's domain
-        # (its nonnegativity argument needs p >= q); the kernel must
-        # answer them exactly anyway, returning the reference loop's
-        # cycle.
-        found = 0
-        for seed in range(5):
-            graph = random_execution_graph(random.Random(seed), 3, 12)
-            checker = AdmissibilityChecker(graph, kernel=kernel)
-            k = checker._kernel
-            for p, q in ((1, 2), (2, 3), (1, 5), (3, 4)):
-                cycle = k.has_negative_cycle(p, q, None)
-                assert cycle == negative_cycle(checker, p, q, None), (
-                    seed, p, q,
-                )
-                found += cycle is not None
-        assert found, "no probe below 1 found a cycle"
-
-    def test_exact_tie_at_worst_ratio(self, kernel):
-        # has_ratio_at_least(worst) is True and has_ratio_at_least just
-        # above worst is False: a zero-weight cycle tie that exact
-        # arithmetic must resolve identically on every kernel.
-        hits = 0
-        for seed in range(12):
-            ref, alt = random_checker_pair(kernel, seed=seed)
-            worst = ref.worst_relevant_ratio()
-            if worst is None:
-                continue
-            hits += 1
-            above = farey_successor(worst, ref.ratio_bound)
-            for checker in (ref, alt):
-                assert checker.has_ratio_at_least(worst)
-                assert not checker.has_ratio_at_least(above)
-        assert hits >= 3, "workload produced too few relevant cycles"
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-class TestSummaryReweighting:
-    def _trace(self, seed=13, n=70):
-        return streaming_trace(
-            random.Random(seed), n_processes=4, n_records=n
-        )
-
-    def test_probes_above_floor_match_full_graph(self, kernel):
-        trace = self._trace()
-        graph = build_execution_graph(trace)
-        full = AdmissibilityChecker(graph, kernel=REFERENCE)
-        compacted = AdmissibilityChecker(graph, kernel=kernel)
-        cut = [
-            event
-            for process in range(trace.n)
-            for event in graph.events_of(process)[
-                : len(graph.events_of(process)) // 2
-            ]
+def half_cut(graph, processes):
+    return [
+        event
+        for process in processes
+        for event in graph.events_of(process)[
+            : len(graph.events_of(process)) // 2
         ]
-        floor = compacted.worst_relevant_ratio()
-        compacted.compact_prefix(cut, mode="summary", floor=floor)
-        assert compacted.n_summary_edges > 0
+    ]
+
+
+class TestBigIntegerProbes:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_deep_stern_brocot_probes(self, seed):
+        graph = small_graph(seed)
+        checker = AdmissibilityChecker(graph)
+        worst = worst_relevant_ratio_exhaustive(graph)
+        for ratio in stern_brocot_path(120)[::7]:
+            p, q = ratio.numerator, ratio.denominator
+            found = negative_cycle(checker, p, q) is not None
+            at = f"{p}/{q}"
+            assert found == textbook_negative_cycle(checker, p, q), at
+            assert found == reaches(worst, ratio), at
+            assert checker.has_ratio_at_least(ratio) == found, at
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_offsets_past_int64_around_the_worst_ratio(self, seed):
+        # worst - 1/D is reached and worst + 1/D is not, for D far past
+        # 2**63: the weights overflow every fixed-width integer, and
+        # only exact comparison separates the two probes.
+        graph = small_graph(seed, n_messages=12)
+        checker = AdmissibilityChecker(graph)
+        worst = worst_relevant_ratio_exhaustive(graph)
+        assert worst is not None, "workload has no relevant cycle"
+        for den in (2**63 + 1, 2**70 - 1, 10**40 + 7):
+            below = worst - Fraction(1, den)
+            above = worst + Fraction(1, den)
+            for ratio, expected in ((below, True), (above, False)):
+                p, q = ratio.numerator, ratio.denominator
+                found = negative_cycle(checker, p, q) is not None
+                assert found == expected, (den, ratio)
+                assert textbook_negative_cycle(checker, p, q) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_huge_ratios_just_above_one(self, seed):
+        # (D+1)/(D-1) with D past 2**63 sits strictly between 1 and
+        # every other ratio of a small execution: reached exactly when
+        # some relevant cycle has ratio above 1.
+        graph = small_graph(seed, n_messages=12)
+        checker = AdmissibilityChecker(graph)
+        worst = worst_relevant_ratio_exhaustive(graph)
+        for ratio in (
+            Fraction(2**70 + 1, 2**70 - 1),
+            Fraction(10**40 + 7, 10**40 - 9),
+        ):
+            expected = worst is not None and worst > 1
+            assert checker.has_ratio_at_least(ratio) == expected
+            assert (
+                textbook_negative_cycle(
+                    checker, ratio.numerator, ratio.denominator
+                )
+                == expected
+            )
+
+
+class TestDomainBoundaries:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_p_below_q_probes(self, seed):
+        # Below 1 the weighted digraph still has a definite answer; the
+        # routine must give it, and back a hit with a genuine simple
+        # negative cycle.
+        graph = random_execution_graph(random.Random(seed), 3, 12)
+        checker = AdmissibilityChecker(graph)
+        for p, q in ((1, 2), (2, 3), (1, 5), (3, 4), (99, 100)):
+            cycle = negative_cycle(checker, p, q)
+            assert (cycle is not None) == textbook_negative_cycle(
+                checker, p, q
+            ), (seed, p, q)
+            if cycle is not None:
+                assert_simple_negative(checker, cycle, p, q)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ratios_at_and_below_one_ask_for_any_relevant_cycle(self, seed):
+        graph = random_execution_graph(random.Random(seed), 3, 12)
+        checker = AdmissibilityChecker(graph)
+        any_relevant = worst_relevant_ratio_exhaustive(graph) is not None
+        for ratio in (1, Fraction(1, 2), Fraction(3, 4), Fraction(1, 10**30)):
+            assert checker.has_ratio_at_least(ratio) == any_relevant
+
+
+class TestSummaryReweighting:
+    @staticmethod
+    def compacted(seed, n_records=70):
+        trace = streaming_trace(
+            random.Random(seed), n_processes=4, n_records=n_records
+        )
+        graph = build_execution_graph(trace)
+        checker = AdmissibilityChecker(graph)
+        floor = checker.worst_relevant_ratio()
+        checker.compact_prefix(
+            half_cut(graph, range(trace.n)), mode="summary", floor=floor
+        )
+        assert checker.n_summary_edges > 0
+        return graph, checker, floor
+
+    @pytest.mark.parametrize("seed", (13, 15, 17))
+    def test_probes_above_floor_match_full_graph(self, seed):
+        graph, compacted, floor = self.compacted(seed)
+        full = AdmissibilityChecker(graph)
         probe = floor if floor is not None else Fraction(1)
         for _ in range(6):
             probe = farey_successor(probe, full.ratio_bound)
@@ -173,209 +243,113 @@ class TestSummaryReweighting:
                 probe
             ) == full.has_ratio_at_least(probe), probe
 
-    def test_below_floor_kernels_agree_with_each_other(self, kernel):
-        # Below the floor the compacted graph legitimately differs from
-        # the full graph -- but the kernels must still agree on *it*.
-        trace = self._trace(seed=14)
-        graph = build_execution_graph(trace)
-        cut = [
-            event
-            for process in range(trace.n)
-            for event in graph.events_of(process)[
-                : len(graph.events_of(process)) // 2
-            ]
-        ]
-        pair = []
-        for name in (REFERENCE, kernel):
-            checker = AdmissibilityChecker(graph, kernel=name)
-            floor = checker.worst_relevant_ratio()
-            checker.compact_prefix(cut, mode="summary", floor=floor)
-            pair.append(checker)
-        ref, alt = pair
-        for num in range(1, 9):
-            for den in range(1, 5):
-                ratio = Fraction(num, den)
-                assert ref.has_ratio_at_least(
-                    ratio
-                ) == alt.has_ratio_at_least(ratio), ratio
-        assert ref.worst_relevant_ratio() == alt.worst_relevant_ratio()
+    @pytest.mark.parametrize("seed", (14, 16, 18))
+    def test_every_probe_matches_textbook_on_the_compacted_digraph(
+        self, seed
+    ):
+        # Below the floor the compacted digraph legitimately differs
+        # from the full graph, but the routine must still answer
+        # exactly for the digraph it holds.
+        _graph, checker, floor = self.compacted(seed)
+        for ratio in RATIO_GRID:
+            p, q = ratio.numerator, ratio.denominator
+            cycle = negative_cycle(checker, p, q)
+            assert (cycle is not None) == textbook_negative_cycle(
+                checker, p, q
+            ), ratio
+            if cycle is not None:
+                assert_simple_negative(checker, cycle, p, q)
+        assert checker.worst_relevant_ratio() == floor
+
+    @pytest.mark.parametrize("seed", (13, 14, 15))
+    def test_summary_weights_are_their_walks_weights(self, seed):
+        # A summary edge re-weights from its (forward, backward, local)
+        # profile; the profile must count the hops of the walk it
+        # stands for, and the walk must join the edge's endpoints.
+        _graph, checker, _floor = self.compacted(seed)
+        p, q = 7, 3
+        wtab = checker._weight_table(p, q)
+        scale = wtab[0] // p
+        assert checker._summary_at
+        for eidx, summary in checker._summary_at.items():
+            kind = checker._kinds[eidx]
+            assert kind >= SUMMARY
+            assert checker._event(checker._tails[eidx]) == summary.tail
+            assert checker._event(checker._heads[eidx]) == summary.head
+            steps = summary.steps
+            assert steps[0].start == summary.tail
+            assert steps[-1].end == summary.head
+            for a, b in zip(steps, steps[1:]):
+                assert a.end == b.start
+            forward = backward = local = 0
+            for step in steps:
+                if isinstance(step.edge, MessageEdge):
+                    forward += step.direction == ALONG
+                    backward += step.direction == AGAINST
+                else:
+                    assert isinstance(step.edge, LocalEdge)
+                    assert step.direction == AGAINST
+                    local += 1
+            assert summary.profile == (forward, backward, local)
+            assert wtab[kind] == scale * (p * forward - q * backward) - local
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-class TestSeededCounterexample:
-    def test_seeded_search_climbs_through_forward_edges(self, kernel):
-        """PR 2's five-process counterexample: the violating cycle's
-        prefix weight turns nonnegative at a forward edge, so anything
-        short of true Bellman-Ford from the source set misses it."""
-        xi = Fraction(3, 2)
-        a0, b0 = Event(0, 0), Event(1, 0)
-        c0, c1 = Event(2, 0), Event(2, 1)
-        d0, d1 = Event(3, 0), Event(3, 1)
-        e0, e1 = Event(4, 0), Event(4, 1)
-        base = ExecutionGraph(
-            {0: [a0], 1: [b0], 2: [c0, c1], 3: [d0, d1], 4: [e0]},
-            [
-                MessageEdge(b0, e0),
-                MessageEdge(b0, c1),
-                MessageEdge(d1, c0),
-                MessageEdge(a0, d0),
-            ],
-        )
-        checker = AdmissibilityChecker(base, kernel=kernel)
-        assert not checker.has_ratio_at_least(xi)
-        checker.add_event(e1)
-        checker.add_message(a0, e1)
-        assert checker.has_ratio_at_least(xi)
-        assert checker.has_ratio_at_least(xi, sources=(e1,))
-
+class TestSeededDetection:
     @pytest.mark.parametrize("seed", range(8))
-    def test_seeded_matches_full_on_frontier_extensions(self, kernel, seed):
-        rng = random.Random(seed)
-        graph = random_execution_graph(rng, 3, rng.randint(4, 10))
-        checker = AdmissibilityChecker(graph, kernel=kernel)
-        worst = checker.worst_relevant_ratio()
-        src = rng.choice(sorted(graph.events()))
-        process = rng.randrange(3)
-        dst = Event(process, checker.n_events_of(process))
-        checker.add_event(dst)
-        if src != dst:
-            checker.add_message(src, dst)
-        probe = Fraction(1) if worst is None else worst
-        for _ in range(4):
-            assert checker.has_ratio_at_least(
-                probe, sources=(dst,)
-            ) == checker.has_ratio_at_least(probe), (seed, probe)
-            probe = farey_successor(probe, checker.ratio_bound)
+    def test_seeded_detection_matches_textbook(self, seed):
+        # Seeded runs must find exactly the negative cycles reachable
+        # from the sources -- no more (non-sources start unreached),
+        # no fewer (no stall at a nonnegative prefix).
+        rng = random.Random(seed + 40)
+        graph = random_execution_graph(rng, 3, rng.randint(6, 14))
+        checker = AdmissibilityChecker(graph)
+        n = len(checker._adj)
+        hits = misses = 0
+        for _ in range(6):
+            sources = sorted(rng.sample(range(n), rng.randint(1, 3)))
+            for ratio in RATIO_GRID[::3]:
+                p, q = ratio.numerator, ratio.denominator
+                cycle = negative_cycle(checker, p, q, sources)
+                expected = textbook_negative_cycle(checker, p, q, sources)
+                assert (cycle is not None) == expected, (sources, ratio)
+                if cycle is not None:
+                    assert_simple_negative(checker, cycle, p, q)
+                hits += expected
+                misses += not expected
+        if worst_relevant_ratio_exhaustive(graph) is not None:
+            assert hits, "no seeded probe found a cycle"
+        assert misses, "every seeded probe found a cycle"
 
 
-class TestWindowSoundness:
-    """The flat kernel's O(1) certificate window must never claim a pass
-    the exact sweep would refute -- the invariant whose violation once
-    produced a wrong ``False`` (missed violation) after compaction."""
-
-    def test_always_bad_df_zero_db_positive(self):
-        checker = AdmissibilityChecker(kernel="flat_int")
-        k = FlatIntKernel(checker)
-        k._reset()
-        k._bucket_add((0, 1, 0))
-        assert k._n_always_bad == 1
-        assert not k._window_passes(5, 1, 10)
-        k._bucket_remove((0, 1, 0))
-        assert k._n_always_bad == 0
-
-    def test_always_bad_df_zero_db_zero_dl_positive(self):
-        # Regression: (df=0, db=0, dl>0) evaluates to exactly -dl at
-        # *every* ratio -- its ratio term is identically zero, so the
-        # max_dl >= s guard never applies and only the always-bad count
-        # can catch it.  Settled clock fixpoints cannot produce the
-        # triple, but capped cascades / capped re-pin passes can.
-        checker = AdmissibilityChecker(kernel="flat_int")
-        k = FlatIntKernel(checker)
-        k._reset()
-        k._bucket_add((0, 0, 3))
-        assert k._n_always_bad == 1
-        for p, q, s in ((5, 1, 100), (2, 1, 4), (7, 3, 10**6)):
-            assert not k._window_passes(p, q, s)
-        k._bucket_remove((0, 0, 3))
-        assert k._n_always_bad == 0
-        # The harmless df == 0 profiles do not trip the counter.
-        k._bucket_add((0, 0, 0))
-        k._bucket_add((0, 0, -2))
-        k._bucket_add((0, -1, 5))
-        assert k._n_always_bad == 0
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_window_pass_implies_sweep_clean(self, kernel, monkeypatch):
-        # Property: on live workloads, every window pass must be backed
-        # by a clean exact sweep (the window is an optimization of the
-        # sweep, never a relaxation of it).
-        window = FlatIntKernel._window_passes
-        sweep = FlatIntKernel._sweep_clean
-        checked = {"passes": 0}
-
-        def checked_window(self, p, q, s):
-            ok = window(self, p, q, s)
-            if ok:
-                checked["passes"] += 1
-                assert sweep(self, p, q, s), (
-                    f"window certified ({p},{q},{s}) but the exact "
-                    "sweep refutes it"
-                )
-            return ok
-
-        monkeypatch.setattr(FlatIntKernel, "_window_passes", checked_window)
-        for seed in range(6):
-            trace = streaming_trace(
-                random.Random(seed), n_processes=3, n_records=50
-            )
-            checker = AdmissibilityChecker(kernel=kernel)
-            for k in range(10, len(trace.records) + 1, 10):
-                checker.absorb(
-                    build_execution_graph(
-                        Trace(trace.n, trace.faulty, trace.records[:k])
-                    )
-                )
-                checker.worst_relevant_ratio()
-        assert checked["passes"] > 0, "window certificate never engaged"
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
 class TestRollbackAgreement:
-    def test_answers_match_reference_after_rollback(self, kernel):
+    @pytest.mark.parametrize("seed", range(8))
+    def test_answers_match_a_fresh_checker_after_rollback(self, seed):
         # Rolling the stream back past the cycles the grown digraph
-        # answered with must leave the kernel's state consistent:
-        # post-rollback answers match the reference exactly.
-        for seed in range(8):
-            trace = streaming_trace(
-                random.Random(seed), n_processes=3, n_records=50
-            )
-            cut = 25
-            half = build_execution_graph(
-                Trace(trace.n, trace.faulty, trace.records[:cut])
-            )
-            full = build_execution_graph(trace)
-            ref = AdmissibilityChecker(half, kernel=REFERENCE)
-            alt = AdmissibilityChecker(half, kernel=kernel)
-            half_worst = ref.worst_relevant_ratio()
-            assert alt.worst_relevant_ratio() == half_worst
-            tokens = (ref.checkpoint(), alt.checkpoint())
-            ref.absorb(full)
-            alt.absorb(full)
-            full_worst = ref.worst_relevant_ratio()
-            assert alt.worst_relevant_ratio() == full_worst
-            if full_worst is not None:
-                assert alt.has_ratio_at_least(full_worst)
-            ref.rollback(tokens[0])
-            alt.rollback(tokens[1])
-            assert alt.worst_relevant_ratio() == half_worst
-            probe = Fraction(1) if full_worst is None else full_worst
-            for _ in range(3):
-                assert ref.has_ratio_at_least(
-                    probe
-                ) == alt.has_ratio_at_least(probe), (seed, probe)
-                probe = farey_successor(probe, ref.ratio_bound)
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-class TestKernelSelection:
-    def test_env_var_selection(self, kernel, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
-        assert AdmissibilityChecker().kernel_name == kernel
-        monkeypatch.delenv("REPRO_KERNEL")
-        assert AdmissibilityChecker().kernel_name == REFERENCE
-
-    def test_ctor_overrides_env(self, kernel, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", REFERENCE)
-        assert AdmissibilityChecker(kernel=kernel).kernel_name == kernel
-
-    def test_pickle_is_kernel_portable(self, kernel):
-        import pickle
-
-        graph = random_execution_graph(random.Random(7), 3, 10)
-        checker = AdmissibilityChecker(graph, kernel=kernel)
-        worst = checker.worst_relevant_ratio()
-        clone = pickle.loads(pickle.dumps(checker))
-        assert clone.kernel_name == kernel
-        assert clone.worst_relevant_ratio() == worst
-        clone.set_kernel(REFERENCE)
-        assert clone.worst_relevant_ratio() == worst
+        # answered with must leave the digraph the routine reads
+        # exactly the half graph's.
+        trace = streaming_trace(
+            random.Random(seed), n_processes=3, n_records=50
+        )
+        half = build_execution_graph(
+            Trace(trace.n, trace.faulty, trace.records[:25])
+        )
+        full = build_execution_graph(trace)
+        checker = AdmissibilityChecker(half)
+        fresh = AdmissibilityChecker(half)
+        half_worst = fresh.worst_relevant_ratio()
+        assert checker.worst_relevant_ratio() == half_worst
+        token = checker.checkpoint()
+        checker.absorb(full)
+        full_worst = checker.worst_relevant_ratio()
+        assert full_worst == AdmissibilityChecker(full).worst_relevant_ratio()
+        if full_worst is not None:
+            assert checker.has_ratio_at_least(full_worst)
+        checker.rollback(token)
+        assert checker.worst_relevant_ratio() == half_worst
+        probe = Fraction(1) if full_worst is None else full_worst
+        for _ in range(3):
+            p, q = probe.numerator, probe.denominator
+            answer = checker.has_ratio_at_least(probe)
+            assert answer == fresh.has_ratio_at_least(probe), (seed, probe)
+            assert answer == textbook_negative_cycle(checker, p, q)
+            probe = farey_successor(probe, fresh.ratio_bound)

@@ -5,6 +5,7 @@ cycle enumeration on hand-crafted and random graphs (the central
 correctness property of the whole library).
 """
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.events import Event
 from repro.core.execution_graph import GraphBuilder
+from repro.core.kernel import PyObjectKernel, resolve_kernel_name
 from repro.core.synchrony import (
     AdmissibilityChecker,
     as_xi,
@@ -179,6 +181,55 @@ class TestAdmissibilityChecker:
         assert checker.oracle_calls == 0
         checker.has_ratio_at_least(2)
         assert checker.oracle_calls == 1
+
+    def test_exact_tie_at_worst_ratio(self):
+        # has_ratio_at_least(worst) is True and has_ratio_at_least of
+        # its Farey successor is False: a zero-weight cycle tie that
+        # only exact arithmetic resolves.
+        hits = 0
+        for seed in range(12):
+            graph = random_execution_graph(random.Random(seed), 3, 14)
+            checker = AdmissibilityChecker(graph)
+            worst = checker.worst_relevant_ratio()
+            if worst is None:
+                continue
+            hits += 1
+            above = farey_successor(worst, checker.ratio_bound)
+            assert checker.has_ratio_at_least(worst)
+            assert not checker.has_ratio_at_least(above)
+        assert hits >= 3, "workload produced too few relevant cycles"
+
+
+class TestOneKernel:
+    """Detection has one routine; no environment variable selects
+    another."""
+
+    def test_environment_selects_nothing(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "flat_int")
+        assert resolve_kernel_name(None) == "py_object"
+        with pytest.raises(ValueError):
+            resolve_kernel_name("flat_int")
+        calls = []
+        original = PyObjectKernel.has_negative_cycle
+
+        def counted(self, p, q, sources=None):
+            calls.append((p, q))
+            return original(self, p, q, sources)
+
+        monkeypatch.setattr(PyObjectKernel, "has_negative_cycle", counted)
+        graph = random_execution_graph(random.Random(7), 3, 10)
+        checker = AdmissibilityChecker(graph)
+        checker.worst_relevant_ratio()
+        assert checker.oracle_calls > 0
+        assert len(calls) == checker.oracle_calls
+
+    def test_pickle_holds_no_detection_state(self):
+        graph = random_execution_graph(random.Random(7), 3, 10)
+        checker = AdmissibilityChecker(graph)
+        worst = checker.worst_relevant_ratio()
+        blob = pickle.dumps(checker)
+        assert b"Kernel" not in blob
+        assert pickle.loads(blob).worst_relevant_ratio() == worst
 
 
 class TestClimbProbes:

@@ -93,10 +93,10 @@ class TestCodec:
         (encoded,) = codec.encode_metrics_rows((row,))
         assert encoded[4] == ((1, 2), (0, 1, 0), 1, 2)
 
-    def test_decode_tolerates_trailing_extensions(self):
-        wire = (("counter", "c_total", (), 1, 5, "newer-peer-field"),)
-        (row,) = codec.decode_metrics_rows(wire)
-        assert row == ("counter", "c_total", (), 1, 5, "newer-peer-field")
+    def test_decode_rejects_trailing_fields(self):
+        wire = (("counter", "c_total", (), 1, 5, "trailing-field"),)
+        with pytest.raises(ValueError):
+            codec.decode_metrics_rows(wire)
 
 
 # ----------------------------------------------------------------------

@@ -134,16 +134,13 @@ class TestRegistry:
         with pytest.raises(ValueError, match="bucket bounds differ"):
             b.merge_rows(a.to_rows())
 
-    def test_merge_tolerates_unknown_kinds_and_trailing_fields(self):
+    def test_merge_rejects_unknown_kinds_and_trailing_fields(self):
         registry = MetricsRegistry()
-        registry.merge_rows(
-            [
-                ("summary", "future_metric", (), 1, (1, 2)),  # unknown kind
-                ("counter", "c_total", (), 1, 5, "from-a-newer-peer"),
-            ]
-        )
-        assert registry.counter("c_total").value == 5
-        assert len(registry.to_rows()) == 1
+        with pytest.raises(ValueError, match="instrument kind"):
+            registry.merge_rows([("summary", "s", (), 1, (1, 2))])
+        with pytest.raises(ValueError):
+            registry.merge_rows([("counter", "c_total", (), 1, 5, "extra")])
+        assert registry.to_rows() == ()
 
     def test_event_buffer_records_drains_and_bounds(self):
         registry = MetricsRegistry()

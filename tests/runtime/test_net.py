@@ -137,11 +137,11 @@ class TestDeltas:
 
     def test_gap_detection(self):
         view = DeltaView()
-        view.apply(("snapshot", 3, (), ()))
+        view.apply(("snapshot", 3, (), (), ()))
         with pytest.raises(ValueError, match="gap"):
-            view.apply(("delta", 5, (), ()))
+            view.apply(("delta", 5, (), (), ()))
         with pytest.raises(ValueError, match="before snapshot"):
-            DeltaView().apply(("delta", 1, (), ()))
+            DeltaView().apply(("delta", 1, (), (), ()))
 
     def test_publish_without_changes_is_noop(self):
         store = DeltaStore()
@@ -479,103 +479,28 @@ class TestIngestServer:
             assert set(server.violating_traces()) == violating
 
 
-class TestMixedKernelFronts:
-    """Cross-kernel bit identity through the network plane: fronts on
-    different detection kernels, interleaved tick spaces, and the full
-    socket server must all reproduce the ``py_object`` serial answers
-    exactly (the kernel contract of :mod:`repro.core.kernel`)."""
+class TestProduceFrames:
+    """One produce-frame shape, ``("produce", int seq, rows)`` with rows
+    ``(trace_id, wire_record)`` pairs; anything else draws an error
+    frame before any of its rows is enqueued."""
 
-    def test_mixed_kernel_fronts_interleave_bit_identically(self):
-        # Front 0 runs flat_int, front 1 runs py_object: the merged
-        # answers and violation feed must match the uniform serial
-        # fleet, tick interleaving and all.
-        stream = workload(seed=21, n_traces=26)
-        ratios, degraded, violating = serial_answers(stream)
-        fronts = [
-            ParallelFleet(
-                XI,
-                n_workers=1,
-                n_shards=8,
-                batch_size=16,
-                backend="thread",
-                shard_subset=tuple(s for s in range(8) if s % 2 == f),
-                tick_start=f + 1,
-                tick_step=2,
-                kernel=("flat_int", "py_object")[f],
-            )
-            for f in range(2)
-        ]
-        try:
-            for tid, rec in stream:
-                fronts[shard_index_of(tid, 8) % 2].ingest(tid, rec)
-            for front in fronts:
-                front.flush()
-            got_ratios = {}
-            rows = []
-            for front in fronts:
-                got_ratios.update(dict(front.all_ratios()))
-                rows.extend(front.violation_feed())
-            assert got_ratios == ratios
-            for tid in got_ratios:
-                assert (
-                    fronts[shard_index_of(tid, 8) % 2].is_degraded(tid)
-                    == degraded[tid]
-                )
-            ticks = [t for t, _ in rows]
-            assert len(ticks) == len(set(ticks))
-            assert {tid for _t, tid in rows} == violating
-        finally:
-            for front in fronts:
-                front.shutdown()
+    @staticmethod
+    def connect(server, name):
+        sock = socket.create_connection(server.address, timeout=10)
+        fs = FrameSocket(sock)
+        fs.send(("hello", PROTOCOL_VERSION, "produce", name))
+        welcome = fs.recv()
+        assert welcome[0] == "welcome"
+        return fs, welcome[4]
 
-    def test_server_on_flat_int_matches_serial_over_sockets(self):
-        # The whole ingestion plane -- framing, credit windows, sharded
-        # fronts -- with every front's workers on the flat kernel.
-        stream = workload(seed=22, n_traces=20)
-        ratios, _degraded, violating = serial_answers(stream)
-        ids = sorted({tid for tid, _ in stream}, key=str)
-        with IngestServer(
-            XI,
-            n_fronts=2,
-            batch_size=16,
-            kernel="flat_int",
-        ) as server:
-            drive(server, stream)
-            assert {
-                tid: server.worst_ratio(tid) for tid in ids
-            } == ratios
-            assert set(server.violating_traces()) == violating
-
-
-class TestColumnarWire:
-    """Mixed-version wire compatibility for columnar produce frames."""
-
-    def test_mixed_producers_match_serial(self):
-        """Old-style row producers and columnar producers interleaving
-        on the same server must agree with the serial fleet -- the
-        frame shape is transport, not semantics."""
+    def test_interleaved_producers_match_serial(self):
         stream = workload(seed=21, n_traces=18)
         ratios, degraded, violating = serial_answers(stream)
         ids = sorted(ratios, key=str)
-        owner = {tid: i % 3 for i, tid in enumerate(ids)}
         with IngestServer(
             XI, n_fronts=2, n_shards=8, batch_size=16, backend="thread"
         ) as server:
-            clients = [
-                ProducerClient(
-                    server.address,
-                    producer_id=f"p{i}",
-                    batch=7,
-                    columnar=(i % 2 == 0),  # p0, p2 columnar; p1 rows
-                )
-                for i in range(3)
-            ]
-            try:
-                for tid, rec in stream:
-                    clients[owner[tid]].send(tid, rec)
-            finally:
-                for client in clients:
-                    client.close()
+            drive(server, stream, n_producers=3)
             server.flush()
             assert {
                 tid: server.worst_ratio(tid) for tid in ids
@@ -587,41 +512,73 @@ class TestColumnarWire:
             assert server.ingested_records == len(stream)
             assert server.front_errors() == ()
 
-    def test_ragged_columnar_frame_rejected(self):
-        """A columnar frame whose id and record columns disagree in
-        length must draw an error frame, not desynchronize a front."""
-        record = workload(seed=1, n_traces=1)[0][1]
+    def test_malformed_frames_draw_an_error_frame(self):
+        """A produce frame of the wrong shape is answered with an error
+        frame (not a dropped connection), leaves the producer's
+        sequence line untouched, and does not disturb a well-formed
+        producer on the same server."""
+        stream = workload(seed=3, n_traces=6)
+        with IngestServer(
+            XI, n_fronts=2, n_shards=8, batch_size=16, backend="thread"
+        ) as server:
+            good = ProducerClient(server.address, producer_id="good", batch=5)
+            half = len(stream) // 2
+            for tid, rec in stream[:half]:
+                good.send(tid, rec)
+            good.flush()
+            for frame in (("produce", 1), ("produce", "one", []), 7):
+                fs, acked = self.connect(server, "evil")
+                assert acked == 0
+                fs.send(frame)
+                kind, _message = fs.recv()
+                assert kind == "error", frame
+                assert fs.recv() is None  # then the server hangs up
+                fs.close()
+            # The sequence line never moved: seq 1 is still the next
+            # frame, and it is acked.
+            fs, acked = self.connect(server, "evil")
+            assert acked == 0
+            fs.send(("produce", 1, []))
+            assert fs.recv() == ("ack", 1)
+            fs.close()
+            for tid, rec in stream[half:]:
+                good.send(tid, rec)
+            good.flush()
+            assert good.unacked_frames == 0
+            good.close()
+            server.flush()
+            assert server.ingested_records == len(stream)
+            assert server.front_errors() == ()
+
+    def test_row_that_is_not_a_pair_rejected(self):
+        """A row that does not unpack as ``(trace_id, wire_record)``
+        rejects the whole frame: no row of it is ingested."""
+        record = codec.encode_record(workload(seed=1, n_traces=1)[0][1])
         with IngestServer(
             XI, n_fronts=1, n_shards=8, backend="thread"
         ) as server:
-            sock = socket.create_connection(server.address, timeout=10)
-            fs = FrameSocket(sock)
-            fs.send(("hello", PROTOCOL_VERSION, "produce", "evil"))
-            assert fs.recv()[0] == "welcome"
-            fs.send(
-                (
-                    "produce",
-                    1,
-                    (("t1", "t2"), (codec.encode_record(record),)),
-                    "cols",
-                )
-            )
+            fs, _acked = self.connect(server, "evil")
+            fs.send(("produce", 1, [("t1", record), ("t2",)]))
             kind, message = fs.recv()
-            assert kind == "error" and "ragged" in message
+            assert kind == "error" and "pair" in message
+            fs.close()
+            server.flush()
+            assert server.ingested_records == 0
+            fs, acked = self.connect(server, "evil")
+            assert acked == 0
             fs.close()
 
-    def test_unknown_produce_mode_rejected(self):
-        record = workload(seed=1, n_traces=1)[0][1]
+    def test_trailing_field_rejected(self):
+        """No trailing-field tolerance: the columnar frame's fourth
+        element, or any other, is a malformed frame."""
+        record = codec.encode_record(workload(seed=1, n_traces=1)[0][1])
         with IngestServer(
             XI, n_fronts=1, n_shards=8, backend="thread"
         ) as server:
-            sock = socket.create_connection(server.address, timeout=10)
-            fs = FrameSocket(sock)
-            fs.send(("hello", PROTOCOL_VERSION, "produce", "odd"))
-            assert fs.recv()[0] == "welcome"
-            fs.send(
-                ("produce", 1, [("t1", codec.encode_record(record))], "zst")
-            )
+            fs, _acked = self.connect(server, "odd")
+            fs.send(("produce", 1, [("t1", record)], "cols"))
             kind, message = fs.recv()
-            assert kind == "error" and "mode" in message
+            assert kind == "error" and "produce" in message
             fs.close()
+            server.flush()
+            assert server.ingested_records == 0

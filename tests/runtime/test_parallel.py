@@ -16,7 +16,6 @@ import pytest
 
 from repro.analysis.fleet import MonitorFleet
 from repro.analysis.online import OnlineAbcMonitor
-from repro.core.kernel import available_kernels
 from repro.runtime import MonitorSpec, ParallelFleet, TraceSummary, WorkerCrashed
 from repro.scenarios.generators import (
     concurrent_workload,
@@ -720,177 +719,6 @@ class TestCloseSurface:
         fleet.close()  # idempotent, like shutdown()
         with pytest.raises(RuntimeError, match="shut down"):
             fleet.ingest("t", records[1])
-
-
-class TestMixedKernelMatrix:
-    """Cross-kernel bit identity through the runtime plane.
-
-    The kernel contract (:mod:`repro.core.kernel`) says kernel choice
-    is invisible to every answer; here that is exercised where it is
-    easiest to lose -- across the wire codec, process boundaries,
-    snapshots, SIGKILL recovery, and per-trace spec overrides -- by
-    racing ``flat_int`` (and ``vector``) fleets against the
-    ``py_object`` serial reference.
-    """
-
-    KERNELS = [
-        name for name in available_kernels() if name != "py_object"
-    ]
-
-    def _stream(self, seed=6, n_traces=14):
-        return list(
-            concurrent_workload(
-                random.Random(seed),
-                n_traces=n_traces,
-                records_per_trace=(20, 45),
-            )
-        )
-
-    def _serial_reference(self, stream, xi=Fraction(3, 2)):
-        serial = MonitorFleet(xi, n_shards=8, batch_size=8)
-        serial.ingest_many(stream)
-        return serial
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_flat_workers_match_py_object_serial(self, backend):
-        for kernel in self.KERNELS:
-            stream = self._stream()
-            serial = self._serial_reference(stream)
-            with ParallelFleet(
-                Fraction(3, 2),
-                n_workers=2,
-                n_shards=8,
-                batch_size=8,
-                backend=backend,
-                wire_batch=16,
-                kernel=kernel,
-            ) as fleet:
-                fleet.ingest_many(stream)
-                for tid in sorted({t for t, _ in stream}):
-                    assert fleet.worst_ratio(tid) == serial.worst_ratio(
-                        tid
-                    ), (kernel, tid)
-                    assert fleet.is_degraded(tid) == serial.is_degraded(tid)
-                assert set(fleet.violating_traces()) == set(
-                    serial.violating_traces()
-                ), kernel
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_per_trace_kernel_specs_cross_the_wire(self, backend):
-        # A spec registry mixing kernels *within* one fleet: the kernel
-        # field rides the spec tuple through the wire codec into
-        # process workers, and every trace still answers exactly like
-        # the uniform py_object serial fleet.
-        stream = self._stream(seed=8)
-        trace_ids = sorted({t for t, _ in stream})
-        kernels = ["py_object", *self.KERNELS]
-        specs = {
-            tid: MonitorSpec(kernel=kernels[i % len(kernels)])
-            for i, tid in enumerate(trace_ids)
-        }
-        serial = self._serial_reference(stream)
-        with ParallelFleet(
-            Fraction(3, 2),
-            n_workers=2,
-            n_shards=8,
-            batch_size=8,
-            backend=backend,
-            wire_batch=16,
-            monitor_specs=specs,
-        ) as fleet:
-            fleet.ingest_many(stream)
-            for tid in trace_ids:
-                assert fleet.worst_ratio(tid) == serial.worst_ratio(tid), tid
-            assert set(fleet.violating_traces()) == set(
-                serial.violating_traces()
-            )
-
-    def test_sigkill_recovery_under_flat_int(self, tmp_path):
-        # SIGKILL a flat_int worker mid-stream: the respawn decodes the
-        # snapshot (taken by a flat_int monitor), replays the journal
-        # suffix, and the recovered fleet still matches the py_object
-        # serial reference bit for bit.
-        import os as _os
-        import signal as _signal
-        import time as _time
-
-        from repro.runtime import Durability
-
-        stream = self._stream(seed=11, n_traces=18)
-        serial = self._serial_reference(stream)
-        with ParallelFleet(
-            Fraction(3, 2),
-            n_workers=2,
-            n_shards=8,
-            batch_size=8,
-            backend="process",
-            wire_batch=16,
-            kernel="flat_int",
-            durability=Durability(root=tmp_path, checkpoint_every=200),
-        ) as fleet:
-            cut = len(stream) // 2
-            fleet.ingest_many(stream[:cut])
-            _os.kill(
-                fleet._backend._processes[1].pid, _signal.SIGKILL
-            )
-            _time.sleep(0.2)
-            fleet.ingest_many(stream[cut:])
-            assert fleet.dropped_records == 0
-            assert fleet._recoveries.get(1, 0) >= 1
-            for tid in sorted({t for t, _ in stream}):
-                assert fleet.worst_ratio(tid) == serial.worst_ratio(tid), tid
-            assert set(fleet.violating_traces()) == set(
-                serial.violating_traces()
-            )
-
-    def test_checkpoint_restores_under_the_other_kernel(self, tmp_path):
-        # Kernel-portable snapshots, whole-fleet edition: checkpoint a
-        # flat_int fleet, abandon it, restore -- then verify the restored
-        # monitors answer exactly like a py_object-from-origin run.
-        from repro.runtime import Durability
-
-        stream = self._stream(seed=12)
-        serial = self._serial_reference(stream)
-        cut = (len(stream) * 2) // 3
-        fleet = ParallelFleet(
-            Fraction(3, 2),
-            n_workers=2,
-            n_shards=8,
-            batch_size=8,
-            backend="thread",
-            wire_batch=16,
-            kernel="flat_int",
-            durability=Durability(root=tmp_path, checkpoint_every=150),
-        )
-        fleet.ingest_many(stream[:cut])
-        del fleet
-        restored = ParallelFleet.restore(tmp_path)
-        with restored:
-            assert restored.kernel == "flat_int"
-            restored.ingest_many(stream[restored.ingested_records :])
-            for tid in sorted({t for t, _ in stream}):
-                assert restored.worst_ratio(tid) == serial.worst_ratio(
-                    tid
-                ), tid
-            assert set(restored.violating_traces()) == set(
-                serial.violating_traces()
-            )
-
-    def test_serial_fleet_snapshot_round_trips_kernel(self):
-        stream = self._stream(seed=13, n_traces=8)
-        fleet = MonitorFleet(Fraction(3, 2), kernel="flat_int")
-        fleet.ingest_many(stream)
-        restored = MonitorFleet.restore(fleet.snapshot())
-        assert restored.kernel == "flat_int"
-        reference = self._serial_reference(stream)
-        for tid in sorted({t for t, _ in stream}):
-            assert restored.worst_ratio(tid) == reference.worst_ratio(tid)
-
-    def test_unknown_kernel_fails_in_the_caller(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            ParallelFleet(n_workers=1, backend="thread", kernel="nope")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            MonitorSpec(kernel="nope")
 
 
 class TestCountersPurity:

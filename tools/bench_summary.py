@@ -41,7 +41,6 @@ HEADLINES = {
     "parallel": "speedup",
     "recovery": "ratio",
     "ingest": "speedup",
-    "kernel": "gate.oracle_speedup",
     "e2e": "gate.e2e_speedup",
     # lower is better: the telemetry residue with instruments off,
     # ceilinged at 0.02 in CI
@@ -83,7 +82,7 @@ def metric_rows(data) -> list[tuple[str, float]]:
 
 
 def bench_name(path: Path) -> str:
-    stem = path.stem  # BENCH_kernel -> kernel
+    stem = path.stem  # BENCH_fleet -> fleet
     return stem[6:] if stem.startswith("BENCH_") else stem
 
 
