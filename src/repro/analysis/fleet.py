@@ -5,8 +5,8 @@ production deployment monitors a *population* of executions at once --
 one growing trace per session, service, or shard pair -- the regime the
 asynchronous-fleet literature reasons about in aggregate.  Running one
 :class:`~repro.analysis.online.OnlineAbcMonitor` per trace in a plain
-loop is exact but pays one Farey-successor oracle call per message
-record and holds every trace's full digraph live forever.
+loop is exact but pays one repair pass per message record and holds
+every trace's full digraph live forever.
 
 :class:`MonitorFleet` keeps the per-trace exactness while amortizing
 both costs across the population:
@@ -24,7 +24,7 @@ both costs across the population:
   trace's pending buffer reaches the ``batch_size`` watermark (or on an
   explicit :meth:`MonitorFleet.flush`), the burst is absorbed through
   :meth:`~repro.analysis.online.OnlineAbcMonitor.observe_batch` with a
-  single deferred worst-ratio refresh -- one oracle call per flush
+  single deferred worst-ratio refresh -- one repair pass per flush
   instead of one per record, which is where the fleet's throughput over
   the naive loop comes from (``benchmarks/bench_fleet.py``).  Bulk
   ingestion (:meth:`MonitorFleet.ingest_many`) groups the stream per
@@ -108,7 +108,7 @@ __all__ = [
 # (journals + periodic checkpoints), this is a one-shot image: the
 # whole fleet -- configuration *and* state -- as one picklable frame.
 _SNAPSHOT_MAGIC = "abc-fleet-snapshot"
-_SNAPSHOT_VERSION = 3  # see codec.SNAPSHOT_VERSION
+_SNAPSHOT_VERSION = 4  # see codec.SNAPSHOT_VERSION
 
 
 class MonitorFleet:

@@ -18,12 +18,12 @@ make this cheap:
 * the worst ratio is non-decreasing under extension (old cycles persist),
   so a new receive event without a message edge cannot change it and is
   absorbed with zero oracle work;
-* after a message edge arrives, a *single* oracle call at the Farey
-  successor of the current worst ratio (the smallest fraction above it
-  with denominator within the message-count bound) decides whether the
-  ratio moved at all.  Only when it did -- rarely -- does the climb go
-  on: that call returned a cycle, the ratio jumps to the cycle's, and
-  the next probe is that ratio's Farey successor.
+* the checker keeps one potential -- a time per event, every message
+  delay within ``[d, a]`` for the worst ratio ``a/d`` -- so after a
+  message edge arrives, a *single* repair pass checks each new H-edge
+  against it and repairs it locally where one is violated.  Only when a
+  repair closes a cycle -- rarely -- did the ratio move: it jumps to
+  that cycle's ratio, and the pass goes on from there.
 
 The monitor also exposes violation callbacks for a known ``Xi``: the
 first prefix whose worst ratio reaches ``Xi`` triggers ``on_violation``
@@ -47,8 +47,8 @@ tombstones a settled prefix no message crosses; summary mode
 chain-shaped executions included, where the no-crossing criterion
 removes nothing -- replacing it by boundary-to-boundary summary edges.
 Either way the running worst ratio keeps its historical maximum, and
-because the monitor only ever refreshes at ratios strictly above that
-maximum (the Farey-successor step), every ratio it reports after
+because the monitor only ever asks for cycles strictly above that
+maximum (the potential sits at it), every ratio it reports after
 summary compaction is still bit-identical to an uncompacted monitor's.
 
 Compaction *cadence* can be left to the monitor itself: constructed
@@ -63,8 +63,8 @@ how little a fixed cadence would remove (see
 A third facility serves the *multi-trace* deployment of
 :mod:`repro.analysis.fleet`: :meth:`OnlineAbcMonitor.observe_batch`
 absorbs a burst of records with the refresh deferred to the end of the
-batch, so a storm of messages on one trace costs one Farey-successor
-oracle call per flush instead of one per record, while the worst ratio
+batch, so a storm of messages on one trace costs one repair pass per
+flush instead of one per record, while the worst ratio
 at every batch boundary stays bit-identical to record-at-a-time
 observation (the ratio is a function of the observed graph alone).
 """
@@ -88,19 +88,39 @@ from repro.obs.trace import STAGE_METRIC
 class MonitorObs:
     """The monitor's instrument bundle on some registry.
 
-    Oracle-call and compaction counters are *deterministic*: both are
-    functions of the observed record stream, so they merge identically
-    across process and thread backends.  Refresh latency is wall clock
-    and is not.  The refresh histogram doubles as the ``kernel_sweep``
-    lifecycle stage.
+    Oracle-call, detector and compaction counters are *deterministic*:
+    all are functions of the observed record stream, so they merge
+    identically across process and thread backends.  Refresh latency is
+    wall clock and is not.  The refresh histogram doubles as the
+    ``kernel_sweep`` lifecycle stage.
     """
 
-    __slots__ = ("oracle_calls", "compactions", "refresh_ns", "sweep_ns")
+    __slots__ = (
+        "oracle_calls",
+        "repairs",
+        "repaired_nodes",
+        "ratio_jumps",
+        "compactions",
+        "refresh_ns",
+        "sweep_ns",
+    )
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.oracle_calls = registry.counter(
             "repro_monitor_oracle_calls_total",
-            help="negative-cycle oracle runs issued by monitor refreshes",
+            help="detection passes issued by monitor refreshes",
+        )
+        self.repairs = registry.counter(
+            "repro_monitor_repairs_total",
+            help="potential repairs run by monitor refreshes",
+        )
+        self.repaired_nodes = registry.counter(
+            "repro_monitor_repaired_nodes_total",
+            help="nodes labeled by potential repairs",
+        )
+        self.ratio_jumps = registry.counter(
+            "repro_monitor_ratio_jumps_total",
+            help="worst-ratio rises, one per cycle a repair closed",
         )
         self.compactions = registry.counter(
             "repro_monitor_compaction_passes_total",
@@ -134,8 +154,10 @@ class RatioChange:
     """One increase of the running worst relevant ratio.
 
     Attributes:
-        n_events: number of events observed when the increase happened.
-        n_messages: number of message edges observed at that point.
+        n_events: number of events observed when the increase happened
+            (compacted ones included).
+        n_messages: number of message edges observed at that point
+            (compacted ones included).
         previous: the worst ratio before (``None`` = no relevant cycle).
         worst: the worst ratio after.
     """
@@ -370,7 +392,7 @@ class OnlineAbcMonitor:
         if track:
             # After the refresh: the compaction floor is the *current*
             # running worst, which keeps the compacted digraph exact for
-            # every ratio the Farey-successor step will ever probe.
+            # every ratio a later refresh can reach.
             self.maybe_compact()
         return self._worst
 
@@ -452,15 +474,20 @@ class OnlineAbcMonitor:
         ``graph`` should extend the observed prefix (more events per
         process, a superset of messages): the diff is then absorbed
         incrementally with a single refresh.  A non-extension resets the
-        monitor -- including its violation and ratio-change history,
-        which referred to the abandoned execution -- and pays one batch
-        search; correct on any sequence of graphs, fast on growing ones.
+        monitor -- including its violation, ratio-change history and
+        degradation state (forgotten edges, compaction count, in-flight
+        sends), which referred to the abandoned execution -- and pays
+        one batch search; correct on any sequence of graphs, fast on
+        growing ones.
         """
         if not self._checker.extends(graph):
             self._checker = AdmissibilityChecker(graph)
             self._worst = None
             self.violation = None
             self.changes = []
+            self.forgotten_message_edges = 0
+            self.auto_compactions = 0
+            self._in_flight = {}
             added = self._checker.n_messages > 0
         else:
             added = self._checker.absorb(graph)
@@ -520,9 +547,10 @@ class OnlineAbcMonitor:
         messages: Iterable[tuple[Event, Event] | MessageEdge] = (),
     ) -> Fraction | None:
         """The exact worst ratio the extension would produce, without
-        observing it: one Farey-successor oracle call in the common case
-        (see :meth:`~repro.core.synchrony.AdmissibilityChecker.updated_worst_ratio`),
-        with every speculative addition rolled back on return."""
+        observing it: one repair pass in the common case (see
+        :meth:`~repro.core.synchrony.AdmissibilityChecker.updated_worst_ratio`),
+        with every speculative addition -- and the potential's repairs
+        -- rolled back on return."""
         with self._checker.speculate() as checker:
             self._push_extension(events, messages)
             return checker.updated_worst_ratio(self._worst)
@@ -559,8 +587,8 @@ class OnlineAbcMonitor:
         prefix from :meth:`compactable_prefix` is replaced by
         boundary-to-boundary summary edges that preserve every query
         strictly above the current worst ratio -- which is the only
-        range the monitor's Farey-successor refresh ever asks about, so
-        reported ratios stay bit-identical to an uncompacted monitor's.
+        range the monitor's refresh ever asks about, so reported ratios
+        stay bit-identical to an uncompacted monitor's.
 
         Either way the running worst ratio keeps its historical
         maximum -- cycles confined to the forgotten prefix can no
@@ -715,30 +743,39 @@ class OnlineAbcMonitor:
 
         Delegates to
         :meth:`~repro.core.synchrony.AdmissibilityChecker.updated_worst_ratio`
-        (one Farey-successor oracle call in the steady state, a
-        warm-started search on the rare increase) and fires the
-        callbacks when the ratio moved.
+        (one repair pass in the steady state, a jump per cycle a repair
+        closes on the rare increase) and fires the callbacks when the
+        ratio moved.  The first violation's witness is the cycle that
+        realizes the new worst, so it costs no further detection run.
         """
         checker = self._checker
         obs = self._obs
         previous = self._worst
         if obs is not None:
             start = time.perf_counter_ns()
-            calls_before = checker.oracle_calls
+            before = _detector_counts(checker)
             self._worst = checker.updated_worst_ratio(previous)
             duration = time.perf_counter_ns() - start
             obs.refresh_ns.observe(duration)
             obs.sweep_ns.observe(duration)
-            issued = checker.oracle_calls - calls_before
-            if issued:
-                obs.oracle_calls.inc(issued)
+            counters = (
+                obs.oracle_calls,
+                obs.repairs,
+                obs.repaired_nodes,
+                obs.ratio_jumps,
+            )
+            for counter, now, then in zip(
+                counters, _detector_counts(checker), before
+            ):
+                if now > then:
+                    counter.inc(now - then)
         else:
             self._worst = checker.updated_worst_ratio(previous)
         if self._worst is None or self._worst == previous:
             return
         change = RatioChange(
-            n_events=checker.n_events,
-            n_messages=checker.n_messages,
+            n_events=checker.n_events + checker.n_tombstoned,
+            n_messages=checker.n_messages + checker.n_compacted_messages,
             previous=previous,
             worst=self._worst,
         )
@@ -750,11 +787,22 @@ class OnlineAbcMonitor:
             and self.violation is None
             and self._worst >= self.xi
         ):
-            witness = checker.violating_cycle(self.xi)
-            assert witness is not None
+            witness = checker.worst_cycle()
+            assert witness is not None and witness.ratio == self._worst
             self.violation = witness
             if self.on_violation is not None:
                 self.on_violation(witness)
+
+
+def _detector_counts(checker: AdmissibilityChecker) -> tuple[int, ...]:
+    """The checker's work counters, in the order of the refresh's
+    telemetry counters."""
+    return (
+        checker.oracle_calls,
+        checker.repairs,
+        checker.repaired_nodes,
+        checker.ratio_jumps,
+    )
 
 
 def running_worst_ratio_of_trace(trace: Trace) -> list[Fraction | None]:

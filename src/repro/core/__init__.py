@@ -71,7 +71,6 @@ from repro.core.synchrony import (
     check_abc,
     check_abc_exhaustive,
     farey_predecessor,
-    farey_successor,
     find_violating_cycle,
     has_relevant_cycle_with_ratio_at_least,
     worst_relevant_ratio,
@@ -127,7 +126,6 @@ __all__ = [
     "check_abc",
     "check_abc_exhaustive",
     "farey_predecessor",
-    "farey_successor",
     "find_violating_cycle",
     "has_relevant_cycle_with_ratio_at_least",
     "worst_relevant_ratio",

@@ -42,16 +42,16 @@ negative-cycle detection.
 :class:`AdmissibilityChecker` is the workhorse behind every public
 function here: it builds the *topology* of ``H`` exactly once per
 execution graph (nodes, adjacency, edge kinds) and re-derives only
-the edge weights per ``(p, q)`` query, so the oracle calls issued by a
-worst-ratio search -- or by the online monitor of
+the edge weights per ``(p, q)`` query, so every oracle call -- and the
+worst-ratio queries of the online monitor of
 :mod:`repro.analysis.online` -- share all of the construction work.
-Negative cycles are found with an early-terminating queue-based detector
-(SPFA): nodes are relaxed from a work queue seeded with every node (the
-classical virtual source), the queue draining proves the absence of a
-negative cycle, and once a relaxation chain grows to ``n`` edges the
-recorded predecessor edges yield the cycle itself.  The checker is also
-*extendable in place* (``add_event`` / ``add_message``), which is what
-makes incremental monitoring cheap.
+Inclusive queries (``ratio >= p/q``) run an early-terminating
+queue-based detector (SPFA): nodes are relaxed from a work queue seeded
+with every node (the classical virtual source), the queue draining
+proves the absence of a negative cycle, and once a relaxation chain
+grows to ``n`` edges the recorded predecessor edges yield the cycle
+itself.  The checker is also *extendable in place* (``add_event`` /
+``add_message``), which is what makes incremental monitoring cheap.
 
 Two further mutation modes make the checker the substrate of the
 ABC-*enforcing* scheduler and of the <>ABC stabilization search:
@@ -93,15 +93,33 @@ ABC-*enforcing* scheduler and of the <>ABC stabilization search:
   one thing lost; they are bounded by the compaction-time worst ratio,
   which the layers above carry as a running maximum.)
 
-On top of the oracle, :func:`worst_relevant_ratio` finds the exact maximum
-``|Z-|/|Z+|`` over all relevant cycles -- the maximum cycle ratio ``B/F``
-of ``H`` -- by climbing from cycle to cycle (Dinkelbach's parametric
-method).  Every positive oracle run returns the negative cycle it found,
-whose ratio ``B/F`` is realized and at least the probed ratio; the search
-jumps there and probes the Farey successor under the denominator bound
-(the message count).  The first probe that finds no cycle proves the last
-realized ratio exact: no fraction with denominator within the bound lies
-strictly between the two.
+:func:`worst_relevant_ratio` finds the exact maximum ``|Z-|/|Z+|`` over
+all relevant cycles -- the maximum cycle ratio ``B/F`` of ``H`` -- with
+one *persistent potential* per checker, Theorem 7's delay assignment kept
+online.  Once a worst ratio ``a/d`` is known, "some relevant cycle has
+ratio above ``a/d``" is plain negative-cycle detection under the integer
+weights
+
+* message forward:  ``+a``
+* message backward: ``-d``
+* local backward:   ``0``
+* summary edge:     ``a * forward - d * backward``
+
+A cycle at exactly ``a/d`` weighs 0, and both degenerate shapes above
+weigh at least 0, so none of them is reported.  A potential ``pi``
+feasible for these weights is a time per event with every message delay
+``pi(recv) - pi(send)`` in ``[d, a]`` and local order kept.  Weights
+``F * a/d - B`` never fall as ``a/d`` rises, so the checker keeps one
+integer potential, feasible at its running worst, and repairs it per new
+H-edge (Cotton & Maler; Ramalingam et al.): a violated edge starts a
+Dijkstra search on reduced costs from its head, and a search that needs
+the edge's tail to move has closed a cycle of ratio ``B/F`` above
+``a/d``.  The ratio jumps there, the potential is floored onto the new
+denominator's grid (which keeps every integer constraint satisfied), and
+the edge is retried.  The last cycle found realizes the worst ratio.
+Before the first cycle the weights are ``(F - B) * K - L`` for a fixed
+``K`` above every local count: the inclusive ``ratio >= 1`` test, so
+"is there any relevant cycle?" is the same repair.
 """
 
 from __future__ import annotations
@@ -128,7 +146,7 @@ from repro.core.execution_graph import (
     LocalEdge,
     MessageEdge,
 )
-from repro.core.kernel import PyObjectKernel
+from repro.core.kernel import PotentialKernel, PyObjectKernel, start_nodes
 from repro.core import kernel as _kernel_mod
 
 __all__ = [
@@ -140,7 +158,6 @@ __all__ = [
     "check_abc",
     "check_abc_exhaustive",
     "farey_predecessor",
-    "farey_successor",
     "has_relevant_cycle_with_ratio_at_least",
     "find_violating_cycle",
     "worst_relevant_ratio",
@@ -188,51 +205,16 @@ def _as_ratio(xi: Fraction | float | int | str) -> Fraction:
     return ratio
 
 
-def farey_successor(value: Fraction, max_den: int) -> Fraction:
-    """The smallest fraction above ``value`` with denominator ``<= max_den``.
-
-    This is ``value``'s right neighbor in the Farey sequence of order
-    ``max_den``: for ``value = a/b`` it is the ``c/d`` with
-    ``b*c - a*d == 1`` and the largest ``d <= max_den``, found from one
-    extended-gcd solution shifted by multiples of ``(a, b)``.  Any
-    fraction strictly between the two has denominator ``> max_den`` --
-    the step of the worst-ratio climb
-    (:meth:`AdmissibilityChecker.worst_relevant_ratio`): when no cycle
-    reaches the successor of a realized ratio, that ratio is the
-    maximum.
-    """
-    a, b = value.numerator, value.denominator
-    if b > max_den:
-        raise ValueError(
-            f"denominator of {value} already exceeds the bound {max_den}"
-        )
-    if a == 0:
-        return Fraction(1, max_den)
-    # Extended gcd: find (c0, d0) with b*c0 - a*d0 == 1.
-    old_r, r = b, a
-    old_x, x = 1, 0
-    while r:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_x, x = x, old_x - quotient * x
-    assert old_r == 1, f"{value} not in lowest terms"
-    c0 = old_x
-    d0 = (b * c0 - 1) // a
-    assert b * c0 - a * d0 == 1
-    shift = (max_den - d0) // b
-    return Fraction(c0 + shift * a, d0 + shift * b)
-
-
 def farey_predecessor(value: Fraction, max_den: int) -> Fraction:
     """The largest fraction strictly below ``value`` with denominator
     ``<= max_den``.
 
-    The mirror of :func:`farey_successor`, without its requirement that
-    ``value`` itself lie within the denominator bound (``0/1`` always
-    qualifies, so the predecessor exists for every positive ``value``).
-    Found by a galloping Stern-Brocot descent; used by the ABC-enforcing
-    scheduler to derive a summary-compaction floor strictly below its
-    ``Xi`` that still dominates every realizable relevant-cycle ratio.
+    ``value`` itself need not lie within the denominator bound (``0/1``
+    always qualifies, so the predecessor exists for every positive
+    ``value``).  Found by a galloping Stern-Brocot descent; used by the
+    ABC-enforcing scheduler to derive a summary-compaction floor
+    strictly below its ``Xi`` that still dominates every realizable
+    relevant-cycle ratio.
     """
     if max_den < 1:
         raise ValueError(f"max_den must be positive, got {max_den}")
@@ -278,6 +260,9 @@ _BWD_LOCAL = _kernel_mod.BWD_LOCAL
 # table, so resolving any edge's per-query weight stays one table lookup
 # in the detection hot loop.
 _SUMMARY = _kernel_mod.SUMMARY
+# The potential's weight scale before the first cycle: above the local
+# edge count of every cycle, because no execution reaches 2**63 events.
+_PRE_CYCLE = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -359,13 +344,16 @@ class CheckerCheckpoint:
     Produced by :meth:`AdmissibilityChecker.checkpoint`, consumed by
     :meth:`AdmissibilityChecker.rollback`.  A checkpoint is invalidated
     by :meth:`AdmissibilityChecker.remove_prefix` (which renumbers the
-    digraph); ``epoch`` detects that.
+    digraph); ``epoch`` detects that.  ``potential`` holds the stored
+    potential's state: its list (shared, copied on the checker's first
+    write in place), that list's length, and the scalars beside it.
     """
 
     n_nodes: int
     n_edges: int
     n_locals: int
     epoch: int
+    potential: tuple
 
 
 class AdmissibilityChecker:
@@ -394,14 +382,22 @@ class AdmissibilityChecker:
     that depends on acyclicity, and it checks: a causal cycle in the
     region to fold raises ``ValueError``.
 
-    Negative-cycle detection itself is
-    :func:`repro.core.kernel.negative_cycle`, reached through a
-    :class:`~repro.core.kernel.PyObjectKernel` made for each run, so
-    the checker (and every snapshot of it) holds no detection state.
+    Worst-ratio queries repair the checker's one stored potential (see
+    the module docstring and :meth:`updated_worst_ratio`), through
+    :func:`repro.core.kernel.repair_potential`; inclusive queries run
+    :func:`repro.core.kernel.negative_cycle`.  Each run goes through a
+    :class:`~repro.core.kernel.Kernel` made for it, so no snapshot
+    holds a kernel.  The potential pickles with the checker as one int
+    list.
 
     Attributes:
-        oracle_calls: number of negative-cycle runs issued so far (for
-            benchmarks and incrementality tests).
+        oracle_calls: number of detection passes issued so far: repair
+            passes and inclusive runs (for benchmarks and
+            incrementality tests).
+        repairs: Dijkstra repairs the potential needed so far.
+        repaired_nodes: nodes those repairs labeled.
+        ratio_jumps: cycles the repairs closed, each one a rise of the
+            worst ratio.
     """
 
     def __init__(self, graph: ExecutionGraph | None = None) -> None:
@@ -432,15 +428,30 @@ class AdmissibilityChecker:
         self._epoch = 0
         # Summary-compaction state: the deduplicated (forward, backward,
         # local) profile table indexed by ``kind - _SUMMARY``, plus the
-        # running totals that keep the weighting scale and the climb's
-        # ratio bound valid with summaries in the digraph.
+        # running totals that keep the inclusive weighting scale and
+        # the ratio bound valid with summaries in the digraph.
         self._summary_profiles: list[tuple[int, int, int]] = []
         self._profile_ids: dict[tuple[int, int, int], int] = {}
         self._n_summaries = 0
         self._summary_locals = 0  # sum of `local` over live summary edges
         self._summary_hops = 0  # sum of max(fwd, bwd) over live summaries
         self._speculating = 0
+        self._n_compacted_messages = 0
+        # The persistent potential: one int per node below len(_pot),
+        # feasible for every H-edge with an id below _pot_edges at
+        # _pot_ratio (``None``: the pre-cycle weights).  _pot_cycle is
+        # the live cycle realizing _pot_ratio, or ``None`` when no live
+        # cycle is known to.  A checkpoint shares _pot; _pot_shared
+        # makes the first write in place copy it.
+        self._pot: list[int] = []
+        self._pot_edges = 0
+        self._pot_ratio: Fraction | None = None
+        self._pot_cycle: list[int] | None = None
+        self._pot_shared = False
         self.oracle_calls = 0
+        self.repairs = 0
+        self.repaired_nodes = 0
+        self.ratio_jumps = 0
         if graph is not None:
             for process in graph.processes:
                 for event in graph.events_of(process):
@@ -473,6 +484,12 @@ class AdmissibilityChecker:
         return self._n_tombstoned
 
     @property
+    def n_compacted_messages(self) -> int:
+        """Number of message edges removed by :meth:`compact_prefix`
+        (either mode) so far."""
+        return self._n_compacted_messages
+
+    @property
     def n_summary_edges(self) -> int:
         """Number of live summary edges (see :class:`SummaryEdge`)."""
         return self._n_summaries
@@ -485,9 +502,9 @@ class AdmissibilityChecker:
         A simple cycle traverses each live message edge at most once and
         each summary edge at most once, so its forward and backward hop
         counts are bounded by the live message count plus the hops
-        folded into summaries.  This is the denominator bound of the
-        worst-ratio climb's Farey-successor steps; without summaries it
-        reduces to the classical message-count bound.
+        folded into summaries; without summaries this is the classical
+        message-count bound.  The enforcing scheduler derives its
+        compaction floor from it.
         """
         return max(1, self._n_messages + self._summary_hops)
 
@@ -618,9 +635,9 @@ class AdmissibilityChecker:
 
         Semantics are bit-identical to the per-record loop, including
         H-edge insertion order (event ``k``'s local edge, then event
-        ``k``'s message edges) -- the cycle every oracle run returns,
-        and so the climb's probes and the witness, depends on edge
-        order, so the interleaving is part of the contract.
+        ``k``'s message edges) -- the cycle every detection run
+        returns, and so the ratio jumps and the witness, depends on
+        edge order, so the interleaving is part of the contract.
         Local-order violations are detected in a validation pre-pass
         over the whole batch *before any mutation*, so a bad event
         column leaves the checker untouched; message errors (unknown
@@ -763,23 +780,86 @@ class AdmissibilityChecker:
         self, previous: Fraction | None
     ) -> Fraction | None:
         """The exact worst relevant ratio, given the exact worst
-        ``previous`` of a subgraph of the current graph.
+        ``previous`` of a subgraph of the current graph (``None``: no
+        relevant cycle, or nothing known).
 
-        Fast path of the incremental monitor: under extension the worst
-        ratio either stayed at ``previous`` or reached at least its
-        Farey successor under the current denominator bound, so the
-        climb's first probe -- one oracle call -- usually settles it;
-        only an actual increase climbs further.
+        One repair pass over the H-edges added since the last query
+        (:func:`repro.core.kernel.repair_potential`): it checks each new
+        edge against the stored potential, repairs the potential where
+        one is violated, and jumps the ratio to ``B/F`` of every cycle a
+        repair closes.  When every edge is covered, no cycle has a ratio
+        above the potential's, so the ratio is exact.  The potential is
+        first raised to ``previous`` (which may be a running maximum
+        from before a compaction); a potential at a ratio above
+        ``previous`` that no live cycle is known to realize -- one a
+        compaction left behind -- is rebuilt from scratch instead.
+        Raises ``ValueError`` when the execution holds a causal cycle.
         """
-        if previous is not None and previous.denominator > self.ratio_bound:
-            # Only after tombstoning: the live suffix has fewer messages
-            # than the prefix that realized ``previous``.  No Farey step
-            # from it exists within the new bound; the suffix search is
-            # cheap (few messages) and the running maximum keeps
-            # ``previous``.
-            current = self._climb(None)
-            return current if current is not None and current > previous else previous
-        return self._climb(previous)
+        ratio = self._pot_ratio
+        if (
+            ratio is not None
+            and self._pot_cycle is None
+            and (previous is None or ratio > previous)
+        ):
+            self._drop_potential()
+            ratio = None
+        if previous is not None and (ratio is None or previous > ratio):
+            self._jump(previous, None)
+        self.oracle_calls += 1
+        PotentialKernel(self).has_negative_cycle()
+        return self._pot_ratio
+
+    def _potential_weights(self) -> list[int]:
+        """Per-kind H-edge weights of the potential at its ratio ``a/d``:
+        ``a`` per forward hop, ``-d`` per backward hop.  Before the first
+        cycle they are ``(F - B) * K - L``, the inclusive ``ratio >= 1``
+        test with the local-edge tie-break of the module docstring."""
+        ratio = self._pot_ratio
+        if ratio is None:
+            return self._weights(1, 1, _PRE_CYCLE, 1)
+        return self._weights(ratio.numerator, ratio.denominator, 1, 0)
+
+    def _jump(self, ratio: Fraction, cycle: list[int] | None) -> None:
+        """Move the potential up to ``ratio``, realized by ``cycle``.
+
+        Real weights ``F * r - B`` never fall as ``r`` rises, so the
+        potential divided by its scale (the denominator, or ``K`` before
+        the first cycle, where it is feasible at ratio 1) stays feasible
+        for real weights; scaling it to the new denominator and flooring
+        keeps every integer constraint satisfied (``floor`` is monotone
+        and commutes with integer shifts).  A jump that keeps the
+        denominator changes no value.
+        """
+        old = self._pot_ratio
+        d = ratio.denominator
+        od = _PRE_CYCLE if old is None else old.denominator
+        if d != od:
+            self._pot = [x * d // od for x in self._pot]
+            self._pot_shared = False
+        self._pot_ratio = ratio
+        self._pot_cycle = cycle
+
+    def _drop_potential(self) -> None:
+        """Forget the potential; the next query rebuilds it."""
+        self._pot = []
+        self._pot_shared = False
+        self._pot_edges = 0
+        self._pot_ratio = None
+        self._pot_cycle = None
+
+    def _private_potential(self) -> list[int]:
+        """The potential list, copied first if a checkpoint shares it."""
+        if self._pot_shared:
+            self._pot = self._pot.copy()
+            self._pot_shared = False
+        return self._pot
+
+    def __getstate__(self) -> dict:
+        # Whether a checkpoint shares the potential is process-local;
+        # snapshots of equal checkers stay bit-identical.
+        state = self.__dict__.copy()
+        state["_pot_shared"] = False
+        return state
 
     def _add_h_edge(self, tail: int, head: int, kind: int) -> None:
         self._adj[tail].append((head, kind, len(self._tails)))
@@ -796,20 +876,37 @@ class AdmissibilityChecker:
 
         Checkpoints nest (roll back in reverse order of creation) and are
         O(1): all edge storage is append-only, so the extent is four
-        integers.  A checkpoint does not survive :meth:`remove_prefix`,
-        which renumbers the digraph.
+        integers, and the potential's list is shared rather than copied
+        -- the checker copies it on its first write in place, and only
+        appends to it otherwise.  A checkpoint does not survive
+        :meth:`remove_prefix`, which renumbers the digraph.
         """
+        self._pot_shared = True
         return CheckerCheckpoint(
-            len(self._procs), len(self._tails), self._n_locals, self._epoch
+            len(self._procs),
+            len(self._tails),
+            self._n_locals,
+            self._epoch,
+            (
+                self._pot,
+                len(self._pot),
+                self._pot_edges,
+                self._pot_ratio,
+                self._pot_cycle,
+                self.repairs,
+                self.repaired_nodes,
+                self.ratio_jumps,
+            ),
         )
 
     def rollback(self, token: CheckerCheckpoint) -> None:
         """Pop every event and edge added since ``token`` off the digraph.
 
         Restores the checker to the checkpointed state exactly (same
-        nodes, adjacency, message set, local-edge count -- and therefore
-        the same answer to every query); only ``oracle_calls`` keeps
-        counting across rollbacks.  O(number of popped events + edges).
+        nodes, adjacency, message set, local-edge count, potential and
+        its counters -- and therefore the same answer to every query);
+        only ``oracle_calls`` keeps counting across rollbacks.
+        O(number of popped events + edges + potential entries).
         """
         if token.epoch != self._epoch:
             raise ValueError(
@@ -851,6 +948,19 @@ class AdmissibilityChecker:
             ids.pop()
             if not ids and process not in self._first_live:
                 del self._ids[process]  # as if never observed
+        (
+            pot,
+            length,
+            self._pot_edges,
+            self._pot_ratio,
+            self._pot_cycle,
+            self.repairs,
+            self.repaired_nodes,
+            self.ratio_jumps,
+        ) = token.potential
+        del pot[length:]  # only appended to since the checkpoint
+        self._pot = pot
+        self._pot_shared = True
 
     @contextmanager
     def speculate(self) -> Iterator["AdmissibilityChecker"]:
@@ -941,6 +1051,14 @@ class AdmissibilityChecker:
         (epoch-guarded) and the call is rejected inside
         :meth:`speculate`.  Summary mode raises ``ValueError``, leaving
         the checker unchanged, when the region holds a causal cycle.
+
+        The stored potential survives both modes: exact removal only
+        drops nodes, and a summary edge weighs what its realizing walk
+        weighs, which telescopes over the walk's feasible edges.  Nodes
+        and edges added since the last worst-ratio query are covered
+        first when that needs no repair (events alone never do);
+        otherwise the potential is dropped and the next query rebuilds
+        it.
         """
         if mode not in ("exact", "summary"):
             raise ValueError(f"unknown compaction mode {mode!r}")
@@ -985,12 +1103,28 @@ class AdmissibilityChecker:
         summaries = (
             self._summarize_region(dead, floor) if mode == "summary" else ()
         )
+        self._cover_potential()
         self._first_live.update(stops)
         self._compact(dead)
         for edge in summaries:
             self._attach_summary(edge)
         self._n_tombstoned += len(dead)
         return len(dead)
+
+    def _cover_potential(self) -> None:
+        """Extend the potential over the uncovered nodes and edges when
+        none of the edges is violated; drop it otherwise."""
+        pot = self._pot
+        if not pot:
+            return
+        wtab = self._potential_weights()
+        start_nodes(pot, self._adj, wtab)
+        tails, heads, kinds = self._tails, self._heads, self._kinds
+        for e in range(self._pot_edges, len(tails)):
+            if pot[tails[e]] + wtab[kinds[e]] < pot[heads[e]]:
+                self._drop_potential()
+                return
+        self._pot_edges = len(tails)
 
     def _edge_hops(self, kind: int) -> tuple[int, int, int]:
         """The (forward, backward, local) hop profile of one H-edge."""
@@ -1255,7 +1389,9 @@ class AdmissibilityChecker:
         dropped edges would otherwise accumulate forever, and every
         oracle call pays one weight-table entry per profile -- the
         table must stay bounded by the *live* digraph, like everything
-        else here.
+        else here.  The potential (covering every node, or empty) keeps
+        the survivors' values, and its realizing cycle keeps its edges
+        when all of them survive.
         """
         remap = [-1] * len(self._procs)
         procs: list[ProcessId] = []
@@ -1273,12 +1409,14 @@ class AdmissibilityChecker:
         n_locals = 0
         profiles: list[tuple[int, int, int]] = []
         profile_ids: dict[tuple[int, int, int], int] = {}
+        cycle = dict.fromkeys(self._pot_cycle or ())  # old -> new edge id
         for eidx in range(len(self._tails)):
             tail, head = remap[self._tails[eidx]], remap[self._heads[eidx]]
             kind = self._kinds[eidx]
             if tail < 0 or head < 0:
                 if kind == _FWD_MESSAGE:
                     self._n_messages -= 1
+                    self._n_compacted_messages += 1
                 elif kind >= _SUMMARY:
                     summary = self._summary_at[eidx]
                     self._n_summaries -= 1
@@ -1299,9 +1437,19 @@ class AdmissibilityChecker:
                     profile_ids[key] = pid
                 kind = _SUMMARY + pid
                 summary_at[len(tails)] = summary
+            if eidx in cycle:
+                cycle[eidx] = len(tails)
             tails.append(tail)
             heads.append(head)
             kinds.append(kind)
+        if self._pot:
+            pot = self._pot
+            self._pot = [pot[old] for old, new in enumerate(remap) if new >= 0]
+            self._pot_shared = False
+            self._pot_edges = len(tails)
+        if cycle:
+            new_ids = list(cycle.values())
+            self._pot_cycle = None if None in new_ids else new_ids
         self._procs, self._idxs = procs, idxs
         self._ids = {
             process: [remap[node] for node in ids if remap[node] >= 0]
@@ -1380,10 +1528,17 @@ class AdmissibilityChecker:
     # the negative-cycle oracle
     # ------------------------------------------------------------------
 
+    def _weights(self, p: int, q: int, scale: int, tie: int) -> list[int]:
+        """Per-kind H-edge weights ``scale * (p * F - q * B) - tie * L``:
+        the three regular kinds (``_FWD_MESSAGE`` / ``_BWD_MESSAGE`` /
+        ``_BWD_LOCAL``) followed by one entry per summary profile."""
+        table = [p * scale, -q * scale, -tie]
+        for f, b, loc in self._summary_profiles:
+            table.append(scale * (p * f - q * b) - tie * loc)
+        return table
+
     def _weight_table(self, p: int, q: int) -> list[int]:
-        """Per-kind H-edge weights for a ratio ``p/q`` query: the three
-        regular kinds (``_FWD_MESSAGE`` / ``_BWD_MESSAGE`` /
-        ``_BWD_LOCAL``) followed by one entry per summary profile.
+        """Per-kind H-edge weights for an inclusive ratio ``p/q`` query.
 
         The scale counts the local edges folded into summaries alongside
         the live ones, preserving the degeneracy argument of the module
@@ -1391,10 +1546,7 @@ class AdmissibilityChecker:
         local-edge tie-break of at least 1 and at most ``scale - 1``.
         """
         scale = self._n_locals + self._summary_locals + 1
-        table = [p * scale, -q * scale, -1]
-        for f, b, loc in self._summary_profiles:
-            table.append(scale * (p * f - q * b) - loc)
-        return table
+        return self._weights(p, q, scale, 1)
 
     def _has_negative_cycle(
         self, p: int, q: int, sources: list[int] | None = None
@@ -1438,14 +1590,16 @@ class AdmissibilityChecker:
         return PyObjectKernel(self).has_negative_cycle(p, q, sources)
 
     def _cycle_ratio(self, cycle: list[int]) -> Fraction:
-        """``B/F`` of a negative cycle the oracle returned.
+        """``B/F`` of a negative cycle a detection run returned.
 
-        Its weight ``s*(p*F - q*B) - L`` is negative with ``0 <= L <
-        s``, so ``B/F >= p/q``; and a simple cycle takes each message
-        and summary edge at most once, so ``F`` is within
-        :attr:`ratio_bound`.  A backward-only cycle (``F == 0``) follows
-        a causal cycle, which the public :meth:`add_message` can build:
-        it has no ratio, so it raises ``ValueError``.
+        A repair's cycle weighs ``a*F - d*B < 0`` at the potential's
+        ratio ``a/d``, so ``B/F > a/d``; before the first cycle it
+        weighs ``(F - B)*K - L < 0`` with ``0 <= L < K``, so ``B >= F``.
+        An inclusive run's cycle weighs ``s*(p*F - q*B) - L < 0`` with
+        ``0 <= L < s``, so ``B/F >= p/q``.  A backward-only cycle (``F
+        == 0``) follows a causal cycle, which the public
+        :meth:`add_message` can build: it has no ratio, so it raises
+        ``ValueError``.
         """
         forward = backward = 0
         for eidx in cycle:
@@ -1517,9 +1671,32 @@ class AdmissibilityChecker:
         )
         if cycle is None:
             return None
-        # Summary edges expand into their realizing walks, so the
-        # witness is always made of genuine execution-graph steps (the
-        # expansion may revisit events; classification handles walks).
+        return self._witness(cycle, xi_frac)
+
+    def worst_cycle(self) -> CycleClassification | None:
+        """The cycle that realizes the worst ratio the last
+        worst-ratio query returned, as a witness with exactly that
+        ratio; ``None`` when no live cycle is known to realize it (no
+        cycle yet, or it was compacted away since).
+
+        This is the last cycle a repair closed, so it costs no
+        detection run.
+        """
+        if self._pot_cycle is None:
+            return None
+        assert self._pot_ratio is not None
+        return self._witness(self._pot_cycle, self._pot_ratio)
+
+    def _witness(
+        self, cycle: list[int], at_least: Fraction
+    ) -> CycleClassification:
+        """``cycle``, classified as a relevant cycle of ratio at least
+        ``at_least``.
+
+        Summary edges expand into their realizing walks, so the witness
+        is always made of genuine execution-graph steps (the expansion
+        may revisit events; classification handles walks).
+        """
         steps: list[Step] = []
         for eidx in cycle:
             part = self._edge_part(eidx)
@@ -1528,10 +1705,10 @@ class AdmissibilityChecker:
             else:
                 steps.append(part)
         info = classify(Cycle(tuple(steps)))
-        if not info.relevant or info.ratio is None or info.ratio < xi_frac:
+        if not info.relevant or info.ratio is None or info.ratio < at_least:
             raise AssertionError(
-                f"internal error: extracted cycle {info} is not a violation "
-                f"witness for Xi={xi_frac}"
+                f"internal error: extracted cycle {info} is not a witness "
+                f"of ratio at least {at_least}"
             )
         return info
 
@@ -1551,50 +1728,22 @@ class AdmissibilityChecker:
         ABC-admissible for ``Xi`` iff ``Xi > worst_relevant_ratio()``.
         Raises ``ValueError`` when the execution holds a causal cycle.
 
-        Implemented as a climb over the cycles the oracle returns (see
-        :meth:`_climb`): each probe's cycle sets the ratio reached so
-        far, and its Farey successor under :attr:`ratio_bound` is the
-        next probe, until a probe finds no cycle.
+        Repairs the stored potential (see :meth:`updated_worst_ratio`),
+        so repeated queries on a growing checker pay only for what was
+        added in between.
 
         Args:
             at_least: a ratio already known to be reached by some relevant
-                cycle (e.g. the worst ratio of a subgraph).  The climb
-                starts from it instead of from ``1``, which is what
-                warm-starts the incremental monitor.
+                cycle (e.g. the worst ratio of a subgraph).  The potential
+                starts from it instead of from the pre-cycle weights.
+                Values no relevant cycle can realize (below ``1``, or with
+                a denominator above :attr:`ratio_bound`) are ignored.
         """
-        if (
-            at_least is None
-            or at_least < 1
-            or at_least.denominator > self.ratio_bound
+        if at_least is not None and (
+            at_least < 1 or at_least.denominator > self.ratio_bound
         ):
-            return self._climb(None)
-        return self._climb(at_least)
-
-    def _climb(self, best: Fraction | None) -> Fraction | None:
-        """The worst ratio, climbing from ``best``, a ratio known to be
-        reached (``None``: nothing known yet, so probe ``1`` first).
-
-        Dinkelbach's parametric method on the oracle.  A probe at
-        ``p/q`` that finds a cycle returns it, and its ratio ``B/F`` is
-        at least ``p/q`` (see :meth:`_cycle_ratio`).  That cycle is
-        negative at every ratio below ``B/F``, so, under the
-        summary-mode contract, the full graph has relevant cycles at all
-        of them: its worst ratio is at least ``B/F``, and ``best`` jumps
-        there.  A probe at the
-        Farey successor of ``best`` that finds nothing puts the maximum
-        below the successor; no fraction with denominator within
-        :attr:`ratio_bound` lies between the two, so the maximum is
-        ``best``.  Probes strictly increase, so none repeats.
-        """
-        bound = self.ratio_bound
-        probe = Fraction(1) if best is None else farey_successor(best, bound)
-        while True:
-            self.oracle_calls += 1
-            cycle = self._has_negative_cycle(probe.numerator, probe.denominator)
-            if cycle is None:
-                return best
-            best = self._cycle_ratio(cycle)
-            probe = farey_successor(best, bound)
+            at_least = None
+        return self.updated_worst_ratio(at_least)
 
 
 # ----------------------------------------------------------------------

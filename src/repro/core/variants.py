@@ -157,9 +157,9 @@ def running_worst_ratio(
     :class:`~repro.core.synchrony.AdmissibilityChecker`: each prefix
     that extends its predecessor is absorbed as a graph diff and settled
     by :meth:`~repro.core.synchrony.AdmissibilityChecker.updated_worst_ratio`
-    (typically one oracle call), instead of paying a full worst-ratio
-    search per prefix; non-extending entries fall back to a batch
-    search.  To monitor a recorded trace record-by-record -- with
+    (one repair pass of the stored potential), instead of paying a full
+    worst-ratio search per prefix; non-extending entries fall back to a
+    batch search.  To monitor a recorded trace record-by-record -- with
     violation callbacks -- use
     :class:`repro.analysis.online.OnlineAbcMonitor` or
     :func:`repro.analysis.online.running_worst_ratio_of_trace`.

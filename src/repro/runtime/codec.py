@@ -501,7 +501,9 @@ GROUP_SNAPSHOT_MAGIC = "abc-group-snapshot"
 # pickles do not restore.
 # 3: checkers, monitors, specs and fleet configs carry no kernel field;
 # version-2 images do not restore.
-SNAPSHOT_VERSION = 3
+# 4: checkers carry their persistent potential; version-3 images do not
+# restore.
+SNAPSHOT_VERSION = 4
 
 
 def encode_monitor(monitor: OnlineAbcMonitor) -> bytes:

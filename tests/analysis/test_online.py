@@ -8,6 +8,7 @@ path (ratio increases) and its callbacks.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,11 +25,11 @@ from repro.core.execution_graph import GraphBuilder
 from repro.core.synchrony import (
     check_abc,
     check_abc_exhaustive,
-    farey_successor,
     worst_relevant_ratio,
 )
 from repro.core.variants import running_worst_ratio
 from repro.scenarios.generators import (
+    profiled_trace_records,
     random_execution_graph,
     streaming_trace,
     theta_band_trace,
@@ -41,40 +42,6 @@ def prefix_graphs(trace: Trace) -> list:
         build_execution_graph(Trace(trace.n, trace.faulty, trace.records[:k]))
         for k in range(1, len(trace.records) + 1)
     ]
-
-
-class TestFareySuccessor:
-    @pytest.mark.parametrize(
-        "value,max_den,expected",
-        [
-            (Fraction(1), 7, Fraction(8, 7)),
-            (Fraction(3, 2), 10, Fraction(14, 9)),
-            (Fraction(2), 5, Fraction(11, 5)),
-            (Fraction(5, 3), 3, Fraction(2, 1)),
-            (Fraction(1), 1, Fraction(2, 1)),
-        ],
-    )
-    def test_known_values(self, value, max_den, expected):
-        assert farey_successor(value, max_den) == expected
-
-    @given(
-        num=st.integers(1, 40), den=st.integers(1, 40), max_den=st.integers(1, 60)
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_is_the_smallest_fraction_above(self, num, den, max_den):
-        value = Fraction(num, den)
-        if value.denominator > max_den:
-            with pytest.raises(ValueError):
-                farey_successor(value, max_den)
-            return
-        successor = farey_successor(value, max_den)
-        assert successor > value
-        assert successor.denominator <= max_den
-        # Exhaustively: nothing with a small denominator lies between.
-        for d in range(1, max_den + 1):
-            # smallest numerator with n/d > value
-            n = value.numerator * d // value.denominator + 1
-            assert Fraction(n, d) >= successor
 
 
 class TestCrossValidation:
@@ -392,6 +359,26 @@ class TestExtendTo:
         assert monitor.violation is not None
         assert len(witnesses) == 2
 
+    def test_reset_clears_degradation_state(self):
+        """Regression: a non-extension reset must also drop the
+        abandoned execution's forgotten-edge count, compaction count and
+        in-flight sends, or the monitor keeps flagging its ratio as a
+        lower bound for an execution it saw whole."""
+        records = profiled_trace_records(random.Random(0), "storm", 60)
+        monitor = OnlineAbcMonitor(compact_threshold=2)
+        for k, record in enumerate(records[:50]):
+            # Without sends metadata the monitor cannot pin in-flight
+            # sends, so it forgets a prefix unsafely.
+            monitor.observe(record if k >= 40 else replace(record, sends=()))
+        assert monitor.forgotten_message_edges > 0
+        assert monitor.auto_compactions > 0
+        assert monitor._in_flight
+        other = random_execution_graph(random.Random(99), 3, 9)
+        assert monitor.extend_to(other) == worst_relevant_ratio(other)
+        assert monitor.forgotten_message_edges == 0
+        assert monitor.auto_compactions == 0
+        assert monitor._in_flight == {}
+
     def test_mixed_extension_and_reset(self):
         rng = random.Random(13)
         trace = streaming_trace(rng, n_processes=3, n_records=20)
@@ -401,6 +388,22 @@ class TestExtendTo:
         assert running_worst_ratio(sequence) == [
             worst_relevant_ratio(g) for g in sequence
         ]
+
+
+class TestRatioChangeLog:
+    @pytest.mark.parametrize("profile", ["relay", "storm", "burst"])
+    def test_compaction_leaves_the_change_log_alone(self, profile):
+        """Regression: ``RatioChange`` counts every event and message
+        observed, compacted ones included, so a compacting monitor logs
+        exactly what an uncompacted one does."""
+        records = profiled_trace_records(random.Random(5), profile, 400)
+        plain = OnlineAbcMonitor()
+        compacting = OnlineAbcMonitor(compact_threshold=2)
+        for record in records:
+            plain.observe(record)
+            compacting.observe(record)
+        assert compacting.auto_compactions > 0
+        assert compacting.changes == plain.changes
 
 
 class TestObserveBatch:

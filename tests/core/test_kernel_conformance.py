@@ -37,7 +37,6 @@ from repro.core.execution_graph import LocalEdge, MessageEdge
 from repro.core.kernel import SUMMARY, negative_cycle
 from repro.core.synchrony import (
     AdmissibilityChecker,
-    farey_successor,
     worst_relevant_ratio_exhaustive,
 )
 from repro.scenarios.generators import (
@@ -45,6 +44,7 @@ from repro.scenarios.generators import (
     streaming_trace,
 )
 from repro.sim.trace import Trace, build_execution_graph
+from test_ratio_climb import farey_successor
 
 RATIO_GRID = tuple(
     Fraction(num, den) for num in range(1, 9) for den in range(1, 5)

@@ -1,52 +1,112 @@
-"""The worst-ratio climb against the Stern-Brocot search it replaced.
+"""The potential's worst-ratio search against the two searches before it.
 
-:meth:`~repro.core.synchrony.AdmissibilityChecker.worst_relevant_ratio`
-climbs from cycle to cycle: every positive oracle run returns the
-negative cycle it found, the search jumps to that cycle's ratio
-``B/F``, and it probes the Farey successor until a probe finds nothing.
-This suite pins it three ways:
+:meth:`~repro.core.synchrony.AdmissibilityChecker.updated_worst_ratio`
+repairs one stored potential per checker: each new H-edge is checked
+against it, a violated one starts a repair, and a repair that closes a
+cycle jumps the ratio to that cycle's ``B/F``.  This suite pins it four
+ways:
 
-* a seeded differential against :func:`reference_worst_ratio`, the
-  bracketing Stern-Brocot search over :meth:`has_ratio_at_least` that
-  the climb replaced, at every batch boundary of every generator
-  profile -- plain and compacting monitors, graph-built checkers, and
-  speculative extensions;
-* the properties the climb's exactness rests on, checked on every
-  cycle the oracle returns: simple in ``H``, negative at the probe, and
-  ``B/F >= p/q`` (``tests/core/test_synchrony.py`` pins the probe
-  sequence itself);
-* the corner cases: a dead-ended predecessor walk, a causal cycle
-  (which must raise, not hang), and the stabilization cuts that depend
-  on which witness the oracle returns.
+* a seeded differential against two references at every batch boundary
+  of every generator profile -- :func:`reference_climb`, the
+  Farey-successor climb over the inclusive oracle that the potential
+  replaced, and :func:`reference_worst_ratio`, the Stern-Brocot search
+  the climb replaced -- for plain and compacting monitors, exact
+  removal through ``settled_prefix``, speculation, snapshots restored
+  mid-stream, graph-built checkers and a hypothesis stream mixing them;
+* the invariant exactness rests on, checked after every refresh
+  (:func:`assert_potential_feasible`): the potential covers every node
+  and every live H-edge has a nonnegative reduced cost at the running
+  worst;
+* the properties of every cycle a repair closes: simple in ``H``,
+  negative at the pre-jump ratio, and its ``B/F`` the new worst;
+* the corner cases: the ratio-1 tie-break, degenerate shapes, a causal
+  cycle (which must raise, not hang), compaction with unrefreshed
+  messages, speculation that leaves no trace, and the stabilization
+  cuts that depend on which witness the oracle returns.
 """
 
+import pickle
 import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.online import OnlineAbcMonitor
 from repro.core import kernel as kernel_mod
 from repro.core.events import Event
+from repro.core.execution_graph import GraphBuilder
 from repro.core.synchrony import AdmissibilityChecker
 from repro.core.variants import (
     check_eventual_abc,
     earliest_stabilization_cut,
     running_worst_ratio,
+    suffix_graph,
 )
+from repro.core.cuts import Cut
 from repro.scenarios.generators import (
     profiled_trace_records,
     random_execution_graph,
 )
-from repro.sim.trace import Trace, build_execution_graph
+from repro.sim.trace import Trace, build_execution_graph, message_kept
 
 PROFILES = ("storm", "burst", "idler", "relay", "firehose")
 
 
+def farey_successor(value: Fraction, max_den: int) -> Fraction:
+    """The smallest fraction above ``value`` with denominator ``<= max_den``.
+
+    This is ``value``'s right neighbor in the Farey sequence of order
+    ``max_den``: for ``value = a/b`` it is the ``c/d`` with
+    ``b*c - a*d == 1`` and the largest ``d <= max_den``, found from one
+    extended-gcd solution shifted by multiples of ``(a, b)``.  Any
+    fraction strictly between the two has denominator ``> max_den`` --
+    the step of :func:`reference_climb`: when no cycle reaches the
+    successor of a realized ratio, that ratio is the maximum.
+    """
+    a, b = value.numerator, value.denominator
+    if b > max_den:
+        raise ValueError(
+            f"denominator of {value} already exceeds the bound {max_den}"
+        )
+    if a == 0:
+        return Fraction(1, max_den)
+    # Extended gcd: find (c0, d0) with b*c0 - a*d0 == 1.
+    old_r, r = b, a
+    old_x, x = 1, 0
+    while r:
+        quotient = old_r // r
+        old_r, r = r, old_r - quotient * r
+        old_x, x = x, old_x - quotient * x
+    assert old_r == 1, f"{value} not in lowest terms"
+    c0 = old_x
+    d0 = (b * c0 - 1) // a
+    assert b * c0 - a * d0 == 1
+    shift = (max_den - d0) // b
+    return Fraction(c0 + shift * a, d0 + shift * b)
+
+
+def reference_climb(checker):
+    """The climb the potential replaced, kept as a reference: probe
+    ``1``, then the Farey successor under :attr:`ratio_bound` of the
+    ratio ``B/F`` of each cycle an inclusive oracle run returns, until
+    a probe finds nothing."""
+    bound = checker.ratio_bound
+    best = None
+    probe = Fraction(1)
+    while True:
+        cycle = checker._has_negative_cycle(probe.numerator, probe.denominator)
+        if cycle is None:
+            return best
+        best = checker._cycle_ratio(cycle)
+        probe = farey_successor(best, bound)
+
+
 def reference_worst_ratio(checker):
-    """The Stern-Brocot search the climb replaced, kept as the
+    """The Stern-Brocot search the climb replaced, kept as a
     reference: a bracket ``(lo, hi)`` around the maximum, galloped by
     :func:`max_k` and clamped to the denominator bound, driven only by
     the boolean oracle :meth:`has_ratio_at_least`."""
@@ -138,24 +198,99 @@ def assert_valid_cycle(checker, cycle, p, q):
         assert checker._cycle_ratio(cycle) >= Fraction(p, q)
 
 
+_REFERENCES = {}
+
+
+def reference_at(profile, records, k):
+    """Both references on a fresh checker over the first ``k`` records
+    (memoized: every monitor variant below asks the same prefixes)."""
+    key = (profile, len(records), k)
+    if key not in _REFERENCES:
+        climbed = reference_climb(prefix_checker(records, k))
+        bracketed = reference_worst_ratio(prefix_checker(records, k))
+        assert climbed == bracketed, (profile, k)
+        _REFERENCES[key] = climbed
+    return _REFERENCES[key]
+
+
+def assert_potential_feasible(checker, covered=True):
+    """The potential covers every node, and every live H-edge has a
+    nonnegative reduced cost at the running worst.  ``covered=False``
+    admits edges past the potential's edge mark (summary edges a
+    compaction just attached) but still checks them."""
+    pot = checker._pot
+    assert len(pot) == checker.n_events
+    if covered:
+        assert checker._pot_edges == len(checker._tails)
+    wtab = checker._potential_weights()
+    for tail, head, kind in zip(
+        checker._tails, checker._heads, checker._kinds
+    ):
+        assert pot[tail] + wtab[kind] >= pot[head]
+
+
 @pytest.fixture
-def checked_cycles(monkeypatch):
-    """Check every cycle the dispatch point returns; the log lists,
-    per probe, the realized ratio or ``None``."""
+def feasible(monkeypatch):
+    """Check :func:`assert_potential_feasible` after every worst-ratio
+    query, and after every compaction that removed events and kept the
+    potential (summary edges arrive feasible: their walk weights
+    telescope); the log counts the queries."""
     log = []
-    original = AdmissibilityChecker._has_negative_cycle
+    original = AdmissibilityChecker.updated_worst_ratio
+    compact = AdmissibilityChecker.compact_prefix
 
-    def checked(self, p, q, sources=None):
-        cycle = original(self, p, q, sources)
-        if cycle is None:
-            log.append(None)
-        else:
-            assert_valid_cycle(self, cycle, p, q)
-            log.append(self._cycle_ratio(cycle) if p >= q else None)
-        return cycle
+    def checked(self, previous):
+        worst = original(self, previous)
+        assert_potential_feasible(self)
+        assert worst == self._pot_ratio
+        log.append(worst)
+        return worst
 
-    monkeypatch.setattr(AdmissibilityChecker, "_has_negative_cycle", checked)
+    def checked_compact(self, *args, **kwargs):
+        removed = compact(self, *args, **kwargs)
+        if removed and self._pot:
+            assert_potential_feasible(self, covered=False)
+        return removed
+
+    monkeypatch.setattr(AdmissibilityChecker, "updated_worst_ratio", checked)
+    monkeypatch.setattr(AdmissibilityChecker, "compact_prefix", checked_compact)
     return log
+
+
+def in_flight_sends(records, seen):
+    """Send events among the first ``seen`` records whose messages
+    arrive later: what a monitor must pin to forget a prefix exactly."""
+    observed = {r.event for r in records[:seen]}
+    return [
+        r.send_event
+        for r in records[seen:]
+        if r.send_event is not None and r.send_event in observed
+    ]
+
+
+def extension_of(chunk):
+    """A chunk of records as the events and messages of a speculative
+    extension."""
+    events = [r.event for r in chunk]
+    messages = [
+        (r.send_event, r.event)
+        for r in chunk
+        if message_kept(r, frozenset(), True, None)
+    ]
+    return events, messages
+
+
+def potential_state(checker):
+    """Everything of the potential a rollback must restore."""
+    return (
+        list(checker._pot),
+        checker._pot_edges,
+        checker._pot_ratio,
+        checker._pot_cycle,
+        checker.repairs,
+        checker.repaired_nodes,
+        checker.ratio_jumps,
+    )
 
 
 @contextmanager
@@ -174,11 +309,45 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+class TestFareySuccessor:
+    @pytest.mark.parametrize(
+        "value,max_den,expected",
+        [
+            (Fraction(1), 7, Fraction(8, 7)),
+            (Fraction(3, 2), 10, Fraction(14, 9)),
+            (Fraction(2), 5, Fraction(11, 5)),
+            (Fraction(5, 3), 3, Fraction(2, 1)),
+            (Fraction(1), 1, Fraction(2, 1)),
+        ],
+    )
+    def test_known_values(self, value, max_den, expected):
+        assert farey_successor(value, max_den) == expected
+
+    @given(
+        num=st.integers(1, 40), den=st.integers(1, 40), max_den=st.integers(1, 60)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_smallest_fraction_above(self, num, den, max_den):
+        value = Fraction(num, den)
+        if value.denominator > max_den:
+            with pytest.raises(ValueError):
+                farey_successor(value, max_den)
+            return
+        successor = farey_successor(value, max_den)
+        assert successor > value
+        assert successor.denominator <= max_den
+        # Exhaustively: nothing with a small denominator lies between.
+        for d in range(1, max_den + 1):
+            # smallest numerator with n/d > value
+            n = value.numerator * d // value.denominator + 1
+            assert Fraction(n, d) >= successor
+
+
 class TestReferenceDifferential:
     @pytest.mark.parametrize("profile", PROFILES)
-    @pytest.mark.parametrize("compact_threshold", [None, 2.0])
-    def test_monitor_matches_reference_at_every_batch(
-        self, profile, compact_threshold
+    @pytest.mark.parametrize("compact_threshold", [None, 2.0, 4.0])
+    def test_monitor_matches_references_at_every_batch(
+        self, profile, compact_threshold, feasible
     ):
         records = profiled_trace_records(random.Random(11), profile, 110)
         monitor = OnlineAbcMonitor(compact_threshold=compact_threshold)
@@ -186,17 +355,71 @@ class TestReferenceDifferential:
         for chunk in batches_of(records, 9):
             worst = monitor.observe_batch(chunk)
             seen += len(chunk)
-            expected = reference_worst_ratio(prefix_checker(records, seen))
-            assert worst == expected, (profile, seen)
-        if compact_threshold is not None and profile in ("storm", "relay"):
+            assert worst == reference_at(profile, records, seen), seen
+        assert feasible, "no refresh ran"
+        if compact_threshold == 2.0 and profile in ("storm", "relay"):
             assert monitor.summary_edges > 0, "no summary edge in H"
 
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_exact_removal_matches_references(self, profile, feasible):
+        records = profiled_trace_records(random.Random(11), profile, 110)
+        monitor = OnlineAbcMonitor()
+        seen = forgotten = 0
+        for chunk in batches_of(records, 9):
+            worst = monitor.observe_batch(chunk)
+            seen += len(chunk)
+            assert worst == reference_at(profile, records, seen), seen
+            frontier = [
+                Event(p, monitor.n_events_of(p) - 1)
+                for p in monitor._checker.processes
+            ]
+            pinned = frontier + in_flight_sends(records, seen)
+            forgotten += monitor.forget_prefix(monitor.settled_prefix(pinned))
+        assert monitor.forgotten_message_edges == 0
+        if profile in ("burst", "idler"):
+            assert forgotten > 0, "nothing was ever settled"
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("compact_threshold", [None, 2.0])
+    def test_speculation_matches_references(
+        self, profile, compact_threshold, feasible
+    ):
+        records = profiled_trace_records(random.Random(11), profile, 110)
+        monitor = OnlineAbcMonitor(compact_threshold=compact_threshold)
+        chunks = list(batches_of(records, 9))
+        seen = 0
+        for chunk, upcoming in zip(chunks, chunks[1:]):
+            monitor.observe_batch(chunk)
+            seen += len(chunk)
+            before = potential_state(monitor._checker)
+            spec = monitor.speculative_worst_ratio(*extension_of(upcoming))
+            expected = reference_at(profile, records, seen + len(upcoming))
+            assert spec == expected, seen
+            assert potential_state(monitor._checker) == before
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_snapshots_restore_mid_stream(self, profile, feasible):
+        records = profiled_trace_records(random.Random(11), profile, 110)
+        monitor = OnlineAbcMonitor(compact_threshold=2.0)
+        seen = 0
+        for k, chunk in enumerate(batches_of(records, 9)):
+            worst = monitor.observe_batch(chunk)
+            seen += len(chunk)
+            assert worst == reference_at(profile, records, seen), seen
+            if k % 2:
+                clone = pickle.loads(pickle.dumps(monitor))
+                assert potential_state(clone._checker) == potential_state(
+                    monitor._checker
+                )
+                monitor = clone
+
     @pytest.mark.parametrize("seed", range(12))
-    def test_graph_built_checkers_match_reference(self, seed):
+    def test_graph_built_checkers_match_references(self, seed, feasible):
         rng = random.Random(seed + 300)
         graph = random_execution_graph(rng, rng.randint(2, 4), 18)
-        climbed = AdmissibilityChecker(graph).worst_relevant_ratio()
-        assert climbed == reference_worst_ratio(AdmissibilityChecker(graph))
+        repaired = AdmissibilityChecker(graph).worst_relevant_ratio()
+        assert repaired == reference_worst_ratio(AdmissibilityChecker(graph))
+        assert repaired == reference_climb(AdmissibilityChecker(graph))
         depth = max(len(graph.events_of(p)) for p in graph.processes)
         prefixes = [
             graph.prefix(
@@ -207,18 +430,17 @@ class TestReferenceDifferential:
             for k in range(depth)
         ]
         for prefix, worst in zip(prefixes, running_worst_ratio(prefixes)):
-            assert worst == reference_worst_ratio(
-                AdmissibilityChecker(prefix)
-            )
+            assert worst == reference_climb(AdmissibilityChecker(prefix))
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_speculation_and_rollback_match_reference(self, seed):
+    def test_speculation_and_rollback_match_references(self, seed):
         rng = random.Random(seed + 700)
         records = profiled_trace_records(rng, "storm", 90)
         checker = prefix_checker(records, 60)
         base = checker.worst_relevant_ratio()
         assert base == reference_worst_ratio(checker)
         for _ in range(4):
+            before = potential_state(checker)
             with checker.speculate():
                 for _ in range(rng.randint(1, 3)):
                     process = rng.randrange(3)
@@ -229,20 +451,102 @@ class TestReferenceDifferential:
                         checker.add_message(src, event)
                 spec = checker.updated_worst_ratio(base)
                 assert spec == reference_worst_ratio(checker)
+                assert spec == reference_climb(checker)
+            assert potential_state(checker) == before
             assert checker.worst_relevant_ratio() == base
             assert reference_worst_ratio(checker) == base
 
+    @given(
+        profile=st.sampled_from(PROFILES),
+        seed=st.integers(0, 10**6),
+        steps=st.lists(
+            st.tuples(
+                st.integers(1, 12),
+                st.sampled_from(("none", "summary", "exact", "speculate")),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_stream_matches_reference(self, profile, seed, steps):
+        records = profiled_trace_records(random.Random(seed), profile, 70)
+        monitor = OnlineAbcMonitor()
+        seen = 0
+        for size, action in steps:
+            chunk = records[seen : seen + size]
+            if not chunk:
+                break
+            worst = monitor.observe_batch(chunk)
+            seen += len(chunk)
+            assert worst == reference_climb(prefix_checker(records, seen))
+            if extension_of(chunk)[1]:  # the batch refreshed
+                assert_potential_feasible(monitor._checker)
+            pinned = in_flight_sends(records, seen)
+            if action == "summary":
+                monitor.forget_prefix(
+                    monitor.compactable_prefix(pinned), summarize=True
+                )
+            elif action == "exact":
+                frontier = [
+                    Event(p, monitor.n_events_of(p) - 1)
+                    for p in monitor._checker.processes
+                ]
+                monitor.forget_prefix(
+                    monitor.settled_prefix(frontier + pinned)
+                )
+            elif action == "speculate" and seen < len(records):
+                upcoming = records[seen : seen + size]
+                before = potential_state(monitor._checker)
+                spec = monitor.speculative_worst_ratio(*extension_of(upcoming))
+                assert spec == reference_climb(
+                    prefix_checker(records, seen + len(upcoming))
+                )
+                assert potential_state(monitor._checker) == before
+        assert monitor.forgotten_message_edges == 0
 
-class TestClimbProperties:
+
+class TestRepairProperties:
     @pytest.mark.parametrize("profile", PROFILES)
-    def test_every_returned_cycle_is_valid(self, profile, checked_cycles):
+    def test_every_closed_cycle_is_valid(self, profile, monkeypatch):
+        """Every cycle a repair closes is simple in ``H``, negative at
+        the pre-jump ratio, and its ``B/F`` is the new worst."""
+        jumps = []
+        original = AdmissibilityChecker._jump
+
+        def checked(self, ratio, cycle):
+            if cycle is not None:
+                tails = [self._tails[e] for e in cycle]
+                heads = [self._heads[e] for e in cycle]
+                assert len(set(tails)) == len(tails), "cycle revisits a node"
+                assert heads == tails[1:] + tails[:1], "not a closed walk"
+                wtab = self._potential_weights()
+                assert sum(wtab[self._kinds[e]] for e in cycle) < 0
+                assert ratio == self._cycle_ratio(cycle)
+                old = self._pot_ratio
+                assert ratio > old if old is not None else ratio >= 1
+                jumps.append(ratio)
+            original(self, ratio, cycle)
+
+        monkeypatch.setattr(AdmissibilityChecker, "_jump", checked)
         records = profiled_trace_records(random.Random(5), profile, 100)
-        monitor = OnlineAbcMonitor(xi=Fraction(3, 2), compact_threshold=2.0)
+
+        def realized(change):
+            # Called inside the refresh, before any compaction.
+            assert change.worst == jumps[-1]
+            assert monitor._checker.worst_cycle().ratio == change.worst
+
+        monitor = OnlineAbcMonitor(
+            xi=Fraction(3, 2),
+            compact_threshold=2.0,
+            on_ratio_increase=realized,
+        )
         for chunk in batches_of(records, 10):
             monitor.observe_batch(chunk)
-        assert any(r is not None for r in checked_cycles) or (
-            monitor.worst_ratio is None
-        )
+        assert jumps or monitor.worst_ratio is None
+        if monitor.violation is not None:
+            assert monitor.violation.relevant
+            assert monitor.violation.ratio >= Fraction(3, 2)
 
     def test_probes_below_one_return_valid_cycles(self):
         # Ratios below 1 never come from the climb, which starts at 1;
@@ -290,6 +594,143 @@ class TestClimbProperties:
                 assert witness.relevant and witness.ratio >= Fraction(3, 2)
         assert hits >= 3
 
+
+class TestCornerCases:
+    def test_ratio_one_cycle_needs_the_pre_cycle_tie_break(
+        self, broadcast_graph
+    ):
+        """Two messages from one step to one process close a cycle of
+        ratio exactly 1.  At ratio-1 weights it weighs 0; only the
+        pre-cycle weights ``(F - B) * K - L`` make it negative."""
+        checker = AdmissibilityChecker(broadcast_graph)
+        assert checker.worst_relevant_ratio() == 1
+        witness = checker.worst_cycle()
+        assert witness.relevant and witness.ratio == 1
+        cycle = checker._pot_cycle
+        at_one = sum(
+            checker._edge_hops(checker._kinds[e])[0]
+            - checker._edge_hops(checker._kinds[e])[1]
+            for e in cycle
+        )
+        assert at_one == 0
+        fresh = AdmissibilityChecker(broadcast_graph)
+        pre_cycle = fresh._potential_weights()
+        assert sum(pre_cycle[fresh._kinds[e]] for e in cycle) < 0
+        # Started at ratio 1, the strict search finds nothing above it.
+        assert fresh.updated_worst_ratio(Fraction(1)) == 1
+        assert fresh.ratio_jumps == 0 and fresh.worst_cycle() is None
+
+    def test_degenerate_shapes_are_never_reported(self, chain_only_graph):
+        """A message's two traversals and cycles with more forward than
+        backward messages weigh at least 0 at every ratio ``>= 1``."""
+        one_message = GraphBuilder()
+        one_message.message((0, 0), (1, 0))
+        for graph in (one_message.build(), chain_only_graph):
+            checker = AdmissibilityChecker(graph)
+            assert checker.worst_relevant_ratio() is None
+            assert checker.ratio_jumps == 0
+            for start in (Fraction(1), Fraction(3, 2), Fraction(7)):
+                checker = AdmissibilityChecker(graph)
+                assert checker.updated_worst_ratio(start) == start
+                assert checker.ratio_jumps == 0
+
+    def test_causal_cycle_raises_at_refresh_and_compaction(self):
+        monitor = OnlineAbcMonitor()
+        for process in (0, 1):
+            for index in range(4):
+                monitor.observe_event(Event(process, index))
+        monitor.observe_message(Event(0, 2), Event(1, 1))
+        monitor.observe_message(Event(1, 0), Event(0, 1))
+        monitor.observe_message(Event(0, 0), Event(1, 0))
+        # p0:0 -> p1:0 -> p1:1 -> p1:2 -> p0:0 is a causal cycle.
+        with pytest.raises(ValueError, match="causal cycle"):
+            monitor.observe_message(Event(1, 2), Event(0, 0))
+        checker = monitor._checker
+        with pytest.raises(ValueError, match="causal cycle"):
+            checker.updated_worst_ratio(monitor.worst_ratio)
+        region = [Event(p, i) for p in (0, 1) for i in range(3)]
+        with pytest.raises(ValueError, match="causal cycle"):
+            checker.compact_prefix(region)
+        assert checker.n_tombstoned == 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("mode", ["summary", "exact"])
+    def test_compaction_with_unrefreshed_messages(self, seed, mode):
+        """A graph-built checker queried once, grown by messages with no
+        query after them, then compacted: its answers equal those of a
+        checker that never held a potential."""
+        rng = random.Random(seed + 900)
+        records = profiled_trace_records(rng, "storm", 60)
+        n = max(r.event.process for r in records) + 1
+        half = build_execution_graph(Trace(n, frozenset(), records[:30]))
+        full = build_execution_graph(Trace(n, frozenset(), records))
+        warm = AdmissibilityChecker(half)
+        floor = warm.worst_relevant_ratio()
+        warm.absorb(full)
+        cold = AdmissibilityChecker(full)
+        if mode == "summary":
+            cut = warm.summarizable_prefix()[: rng.randint(1, 20)]
+            warm.compact_prefix(cut, floor=floor)
+            cold.compact_prefix(cut, floor=floor)
+            assert warm.updated_worst_ratio(floor) == cold.updated_worst_ratio(
+                floor
+            )
+        else:
+            cut = Cut(frozenset(warm.summarizable_prefix()[:8])).left_closure(
+                full
+            )
+            warm.compact_prefix(cut.events, mode="exact")
+            suffix = AdmissibilityChecker(suffix_graph(full, cut))
+            expected = reference_climb(suffix)
+            assert warm.worst_relevant_ratio() == expected
+        assert_potential_feasible(warm)
+
+    def test_static_query_after_removal_answers_for_the_suffix(self):
+        """Exact removal can drop the cycle that realized the potential's
+        ratio.  A static query then answers for the suffix, which may
+        sit lower, so the potential is rebuilt; a query given the old
+        worst as ``previous`` keeps it as the running maximum."""
+        lowered = 0
+        for seed in range(40):
+            rng = random.Random(seed + 1300)
+            graph = random_execution_graph(rng, 3, 16)
+            checker = AdmissibilityChecker(graph)
+            worst = checker.worst_relevant_ratio()
+            if worst is None:
+                continue
+            cut = Cut(frozenset(checker.summarizable_prefix()[:6]))
+            cut = cut.left_closure(graph)
+            checker.compact_prefix(cut.events, mode="exact")
+            suffix = reference_climb(
+                AdmissibilityChecker(suffix_graph(graph, cut))
+            )
+            assert checker.updated_worst_ratio(worst) == worst
+            assert checker.worst_relevant_ratio() == suffix
+            lowered += suffix is None or suffix < worst
+        assert lowered >= 5, "no removal lowered the worst ratio"
+
+    def test_speculate_leaves_potential_and_counters_as_they_were(self):
+        rng = random.Random(3)
+        records = profiled_trace_records(rng, "storm", 80)
+        checker = prefix_checker(records, 40)
+        base = checker.worst_relevant_ratio()
+        jumped = 0
+        for k in range(40, 80, 5):
+            before = potential_state(checker)
+            token = checker.checkpoint()
+            with checker.speculate():
+                graph = build_execution_graph(
+                    Trace(3, frozenset(), records[: k + 5])
+                )
+                checker.absorb(graph)
+                jumps = checker.ratio_jumps
+                checker.updated_worst_ratio(base)
+                jumped += checker.ratio_jumps > jumps
+            assert potential_state(checker) == before
+            checker.rollback(token)  # nested rollback restores it too
+            assert potential_state(checker) == before
+        assert jumped, "no speculation moved the ratio"
+        assert checker.updated_worst_ratio(base) == base
 
 class TestCausalCycle:
     @staticmethod

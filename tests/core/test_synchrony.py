@@ -15,13 +15,16 @@ from hypothesis import strategies as st
 
 from repro.core.events import Event
 from repro.core.execution_graph import GraphBuilder
-from repro.core.kernel import PyObjectKernel, resolve_kernel_name
+from repro.core.kernel import (
+    PotentialKernel,
+    PyObjectKernel,
+    resolve_kernel_name,
+)
 from repro.core.synchrony import (
     AdmissibilityChecker,
     as_xi,
     check_abc,
     check_abc_exhaustive,
-    farey_successor,
     find_violating_cycle,
     has_relevant_cycle_with_ratio_at_least,
     worst_relevant_ratio,
@@ -184,8 +187,8 @@ class TestAdmissibilityChecker:
 
     def test_exact_tie_at_worst_ratio(self):
         # has_ratio_at_least(worst) is True and has_ratio_at_least of
-        # its Farey successor is False: a zero-weight cycle tie that
-        # only exact arithmetic resolves.
+        # a ratio no closer to it than its Farey successor is False: a
+        # zero-weight cycle tie that only exact arithmetic resolves.
         hits = 0
         for seed in range(12):
             graph = random_execution_graph(random.Random(seed), 3, 14)
@@ -194,7 +197,9 @@ class TestAdmissibilityChecker:
             if worst is None:
                 continue
             hits += 1
-            above = farey_successor(worst, checker.ratio_bound)
+            above = worst + Fraction(
+                1, worst.denominator * checker.ratio_bound
+            )
             assert checker.has_ratio_at_least(worst)
             assert not checker.has_ratio_at_least(above)
         assert hits >= 3, "workload produced too few relevant cycles"
@@ -210,17 +215,20 @@ class TestOneKernel:
         with pytest.raises(ValueError):
             resolve_kernel_name("flat_int")
         calls = []
-        original = PyObjectKernel.has_negative_cycle
+        for kernel in (PyObjectKernel, PotentialKernel):
+            original = kernel.has_negative_cycle
 
-        def counted(self, p, q, sources=None):
-            calls.append((p, q))
-            return original(self, p, q, sources)
+            def counted(self, *args, _original=original):
+                calls.append(type(self).__name__)
+                return _original(self, *args)
 
-        monkeypatch.setattr(PyObjectKernel, "has_negative_cycle", counted)
+            monkeypatch.setattr(kernel, "has_negative_cycle", counted)
         graph = random_execution_graph(random.Random(7), 3, 10)
         checker = AdmissibilityChecker(graph)
         checker.worst_relevant_ratio()
-        assert checker.oracle_calls > 0
+        checker.has_ratio_at_least(2)
+        # Every detection pass runs through a kernel a profiler can wrap.
+        assert calls == ["PotentialKernel", "PyObjectKernel"]
         assert len(calls) == checker.oracle_calls
 
     def test_pickle_holds_no_detection_state(self):
@@ -232,59 +240,47 @@ class TestOneKernel:
         assert pickle.loads(blob).worst_relevant_ratio() == worst
 
 
-class TestClimbProbes:
-    """The worst-ratio climb probes ``1`` first, then only the Farey
-    successor, under ``ratio_bound``, of a ratio already reached: the
-    warm start, or the ratio of a cycle an earlier probe returned."""
+class TestRatioJumps:
+    """A worst-ratio query is one repair pass.  Each cycle a repair
+    closes strictly raises the ratio to its own ``B/F``, and the query
+    returns the last of them (or the ratio it started from)."""
 
     @staticmethod
     def record(monkeypatch):
-        log: list[tuple[Fraction, Fraction | None]] = []
-        original = AdmissibilityChecker._has_negative_cycle
+        log: list[tuple[Fraction | None, Fraction]] = []
+        original = AdmissibilityChecker._jump
 
-        def recording(self, p, q, sources=None):
-            cycle = original(self, p, q, sources)
-            found = None if cycle is None else self._cycle_ratio(cycle)
-            log.append((Fraction(p, q), found))
-            return cycle
+        def recording(self, ratio, cycle):
+            if cycle is not None:
+                log.append((self._pot_ratio, ratio))
+                assert ratio == self._cycle_ratio(cycle)
+            original(self, ratio, cycle)
 
-        monkeypatch.setattr(
-            AdmissibilityChecker, "_has_negative_cycle", recording
-        )
+        monkeypatch.setattr(AdmissibilityChecker, "_jump", recording)
         return log
 
     @staticmethod
-    def assert_climb(log, checker, start, result):
-        bound = checker.ratio_bound
-        reached = [] if start is None else [start]
-        for probe, found in log:
-            allowed = {farey_successor(r, bound) for r in reached}
-            if start is None and not reached:
-                allowed.add(Fraction(1))
-            assert probe in allowed, (probe, reached)
-            assert probe.denominator <= bound
-            if found is not None:
-                assert found >= probe
-                reached.append(found)
-        assert log[-1][1] is None, "the climb must end on an empty probe"
-        assert result == (reached[-1] if reached else None)
-        assert reached == sorted(set(reached)), "ratios must strictly increase"
-        probes = [probe for probe, _ in log]
-        assert probes == sorted(set(probes)), "probes must strictly increase"
+    def assert_jumps(log, start, result):
+        reached = start
+        for before, after in log:
+            assert before == reached or (start is None and before is None)
+            assert after > before if before is not None else after >= 1
+            reached = after
+        assert result == reached
 
-    def test_cold_search_probes_successors_of_reached_ratios(
+    def test_cold_search_jumps_to_closed_cycles(
         self, fig3_like_graph, monkeypatch
     ):
         checker = AdmissibilityChecker(fig3_like_graph)
         log = self.record(monkeypatch)
         worst = checker.worst_relevant_ratio()
         assert worst == 2
-        self.assert_climb(log, checker, None, worst)
+        assert log, "no repair closed a cycle"
+        self.assert_jumps(log, None, worst)
+        assert checker.oracle_calls == 1
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_warm_refresh_probes_successors_of_reached_ratios(
-        self, seed, monkeypatch
-    ):
+    def test_warm_refresh_jumps_to_closed_cycles(self, seed, monkeypatch):
         rng = random.Random(seed)
         graph = random_execution_graph(rng, 3, 16)
         checker = AdmissibilityChecker()
@@ -296,8 +292,10 @@ class TestClimbProbes:
         for message in graph.messages:
             checker.add_message(message.src, message.dst)
             log.clear()
+            calls = checker.oracle_calls
             previous, worst = worst, checker.updated_worst_ratio(worst)
-            self.assert_climb(log, checker, previous, worst)
+            self.assert_jumps(log, previous, worst)
+            assert checker.oracle_calls == calls + 1
         assert worst == worst_relevant_ratio(graph)
 
 

@@ -121,6 +121,22 @@ class TestMonitor:
         )
         assert sweep.count > 0
 
+    def test_enabled_monitor_counts_detector_work(self, enabled):
+        monitor = OnlineAbcMonitor(xi=XI)
+        for record in trace_records():
+            monitor.observe(record)
+        registry = obs.global_registry()
+        checker = monitor._checker
+        for name, value in (
+            ("repro_monitor_repairs_total", checker.repairs),
+            ("repro_monitor_repaired_nodes_total", checker.repaired_nodes),
+            ("repro_monitor_ratio_jumps_total", checker.ratio_jumps),
+        ):
+            counter = registry.counter(name)
+            assert counter.deterministic
+            assert counter.value == value > 0, name
+        assert checker.ratio_jumps >= len(monitor.changes)
+
     def test_pickle_strips_instruments_and_restores_working(self, enabled):
         records = trace_records()
         monitor = OnlineAbcMonitor(xi=XI)

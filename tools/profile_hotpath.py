@@ -9,10 +9,10 @@ than a bare ratio.  Three targets:
 
 * ``monitor`` (default) -- the ``bench_table_incremental`` gate
   workload replayed record by record through
-  ``OnlineAbcMonitor.observe``.  Expect the ratio-search oracle
-  (``_has_negative_cycle`` and ``negative_cycle`` under it) to
-  dominate; that split is exactly why the e2e benchmark times the
-  ingest span separately.
+  ``OnlineAbcMonitor.observe``.  Expect the repair pass
+  (``updated_worst_ratio``, with ``repair_potential`` and its Dijkstra
+  ``_repair`` under it) and the per-record ingest to share the time;
+  the e2e benchmark times the ingest span separately.
 * ``ingest-object`` -- the per-record object path of ``bench_e2e``
   (decode records, absorb through ``add_event``/``add_message``).
 * ``ingest-columnar`` -- the columnar path (``decode_records_columnar``
