@@ -260,6 +260,8 @@ _BWD_LOCAL = _kernel_mod.BWD_LOCAL
 # table, so resolving any edge's per-query weight stays one table lookup
 # in the detection hot loop.
 _SUMMARY = _kernel_mod.SUMMARY
+# The (forward, backward, local) hop profile of each regular kind, by kind.
+_REGULAR_HOPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # The potential's weight scale before the first cycle: above the local
 # edge count of every cycle, because no execution reaches 2**63 events.
 _PRE_CYCLE = 1 << 63
@@ -1128,12 +1130,8 @@ class AdmissibilityChecker:
 
     def _edge_hops(self, kind: int) -> tuple[int, int, int]:
         """The (forward, backward, local) hop profile of one H-edge."""
-        if kind == _FWD_MESSAGE:
-            return (1, 0, 0)
-        if kind == _BWD_MESSAGE:
-            return (0, 1, 0)
-        if kind == _BWD_LOCAL:
-            return (0, 0, 1)
+        if kind < _SUMMARY:
+            return _REGULAR_HOPS[kind]
         return self._summary_profiles[kind - _SUMMARY]
 
     def _edge_part(self, eidx: int) -> "Step | SummaryEdge":
@@ -1200,7 +1198,11 @@ class AdmissibilityChecker:
         every label that could dominate its candidates is known, and
         each surviving label is extended exactly once.  A causal cycle
         in the region (the public :meth:`add_message` can build one)
-        raises ``ValueError`` instead.
+        raises ``ValueError`` instead.  Most region nodes never hold more
+        than one label, so a node keeps its label as a bare tuple, and a
+        candidate is compared with it inline; a Pareto list appears only
+        where a second label survives beside the first.  Both dominance
+        orders run through this one search.
 
         Caps bound the search without touching exactness, since only
         *simple* walks need covering (genuine relevant cycles are
@@ -1221,28 +1223,30 @@ class AdmissibilityChecker:
         their stored profiles and are folded into the new walks, so
         repeated compaction never loses structure.
         """
-        # Region edges as (head, forward, backward, local, eidx).
+        # Hop profile per edge kind; a region node's out-edges are its
+        # adjacency row, in edge-id order.
+        hops_of = [*_REGULAR_HOPS, *self._summary_profiles]
+        adj = self._adj
         entries: dict[int, list[tuple]] = {}  # live tail -> edges in
-        leaving: dict[int, list[tuple]] = {}  # region tail -> out-edges
         forward_caps: list[int] = []
         indegree = dict.fromkeys(sorted(dead), 0)  # zero-forward in-edges
-        for eidx, (tail, head) in enumerate(zip(self._tails, self._heads)):
+        for eidx, (tail, head, kind) in enumerate(
+            zip(self._tails, self._heads, self._kinds)
+        ):
             if tail not in dead and head not in dead:
                 continue
-            edge = (head, *self._edge_hops(self._kinds[eidx]), eidx)
-            forward_caps.append(edge[1])
+            forward = hops_of[kind][0]
+            forward_caps.append(forward)
             if tail not in dead:
-                entries.setdefault(tail, []).append(edge)
-            else:
-                leaving.setdefault(tail, []).append(edge)
-                if head in dead and not edge[1]:
-                    indegree[head] += 1
+                entries.setdefault(tail, []).append((head, kind, eidx))
+            elif head in dead and not forward:
+                indegree[head] += 1
         # Kahn's algorithm over the zero-forward region edges; node ids
         # are no guide (a graph-built checker adds events per process).
         order = [node for node, degree in indegree.items() if not degree]
         for node in order:
-            for head, forward, *_ in leaving.get(node, ()):
-                if not forward and head in dead:
+            for head, kind, _ in adj[node]:
+                if head in dead and not hops_of[kind][0]:
                     indegree[head] -= 1
                     if not indegree[head]:
                         order.append(head)
@@ -1251,7 +1255,21 @@ class AdmissibilityChecker:
                 "the region to compact contains a causal cycle; summary "
                 "compaction needs an acyclic execution"
             )
-        rank = {node: r for r, node in enumerate(order)}
+        # Slots: the region's nodes by topological rank, then the live
+        # exits, so a search keeps its labels in one flat list.  Edges
+        # become (head slot, forward, backward, local, eidx).
+        slot = {node: r for r, node in enumerate(order)}
+
+        def slotted(row: list[tuple[int, int, int]]) -> list[tuple]:
+            return [
+                (slot.setdefault(head, len(slot)), *hops_of[kind], eidx)
+                for head, kind, eidx in row
+            ]
+
+        succ = [slotted(adj[node]) for node in order]
+        seeds = [(x, slotted(edges)) for x, edges in entries.items()]
+        nodes = list(slot)  # slot -> node
+        n_region = len(order)
         # A simple walk through the region uses each edge at most once
         # and at most |region| + 1 edges in total.
         forward_caps.sort(reverse=True)
@@ -1268,72 +1286,119 @@ class AdmissibilityChecker:
         out: list[SummaryEdge] = []
         # Built once per call, so Pareto-sibling walks share their parts.
         part = cache(self._edge_part)
-        for x, seed_edges in entries.items():
+
+        def dominates(x_lab: tuple, y_lab: tuple, hops: bool) -> bool:
+            if hops and x_lab[3] > y_lab[3]:
+                return False  # more hops: the coverage induction
+            df = x_lab[0] - y_lab[0]  # needs extensions of y too
+            db = x_lab[1] - y_lab[1]
+            if df > 0 or fa * df > fc * db:
+                return False
+            if strict:
+                tie = df == 0 and db == 0
+            else:
+                tie = fa * df == fc * db
+            return not tie or x_lab[2] >= y_lab[2]
+
+        def offer(labels: list[tuple], cand: tuple, hops: bool) -> bool:
+            for o in labels:
+                if dominates(o, cand, hops):
+                    return False  # dominated (or duplicate)
+            labels[:] = [o for o in labels if not dominates(cand, o, hops)]
+            labels.append(cand)
+            return True
+
+        for x, seed_edges in seeds:
             # Labels are (f, b, l, h, parent label | None, eidx); the
-            # parent chain reconstructs the realizing walk.
-            frontier: dict[int, list[tuple]] = {}
-            results: dict[int, list[tuple]] = {}
-            buckets: dict[int, list[int]] = {}  # f -> heap of node ranks
+            # parent chain reconstructs the realizing walk.  A slot holds
+            # one label as the bare tuple -- most never hold more -- and
+            # a Pareto list only once a second one survives.
+            held_at: list[tuple | list[tuple] | None] = [None] * len(nodes)
+            reached: list[int] = []  # exit slots, first arrival first
+            buckets: dict[int, list[int]] = {}  # f -> heap of ranks
 
-            def dominates(x_lab: tuple, y_lab: tuple, hops: bool) -> bool:
-                if hops and x_lab[3] > y_lab[3]:
-                    return False  # more hops: the coverage induction
-                df = x_lab[0] - y_lab[0]  # needs extensions of y too
-                db = x_lab[1] - y_lab[1]
-                if df > 0 or fa * df > fc * db:
-                    return False
-                if strict:
-                    tie = df == 0 and db == 0
-                else:
-                    tie = fa * df == fc * db
-                return not tie or x_lab[2] >= y_lab[2]
+            def turns() -> Iterator[tuple[Sequence[tuple], list[tuple]]]:
+                """The labels to extend and their edges: the entry's seed,
+                then each node's labels of forward hops ``f`` at its turn
+                in bucket ``f``."""
+                yield ((0, 0, 0, 0, None, -1),), seed_edges
+                while buckets:
+                    f = min(buckets)
+                    heap = buckets[f]  # zero-forward hops push more here
+                    turn = -1
+                    while heap:
+                        r = heappop(heap)
+                        if r == turn:
+                            continue  # one turn per node and bucket
+                        turn = r
+                        held = held_at[r]
+                        if type(held) is list:
+                            yield [o for o in held if o[0] == f], succ[r]
+                        elif held[0] == f:
+                            yield (held,), succ[r]
+                    del buckets[f]
 
-            def offer(
-                labels: list[tuple], cand: tuple, hops: bool = use_hops
-            ) -> bool:
-                for o in labels:
-                    if dominates(o, cand, hops):
-                        return False  # dominated (or duplicate)
-                labels[:] = [o for o in labels if not dominates(cand, o, hops)]
-                labels.append(cand)
-                return True
-
-            def extend(label: tuple, edges: list[tuple]) -> None:
-                nh = label[3] + 1
-                if use_hops and nh > h_cap:
-                    return
-                for head, df, db, dl, eidx in edges:
-                    nf = label[0] + df
-                    if nf > f_cap:
+            for labels, edges in turns():
+                for label in labels:
+                    lf, lb, ll, lh, _, _ = label
+                    nh = lh + 1
+                    if use_hops and nh > h_cap:
                         continue
-                    nxt = (nf, label[1] + db, label[2] + dl, nh, label, eidx)
-                    if head not in dead:
-                        offer(results.setdefault(head, []), nxt)
-                    elif offer(frontier.setdefault(head, []), nxt):
-                        heappush(buckets.setdefault(nf, []), rank[head])
-
-            extend((0, 0, 0, 0, None, -1), seed_edges)
-            while buckets:
-                f = min(buckets)
-                heap = buckets[f]  # zero-forward hops push more here
-                turn = -1
-                while heap:
-                    r = heappop(heap)
-                    if r == turn:
-                        continue  # one turn per node and bucket
-                    turn = r
-                    node = order[r]
-                    for label in [o for o in frontier[node] if o[0] == f]:
-                        extend(label, leaving.get(node, ()))
-                del buckets[f]
+                    for s, hop_f, hop_b, hop_l, eidx in edges:
+                        nf = lf + hop_f
+                        if nf > f_cap:
+                            continue
+                        nb = lb + hop_b
+                        nl = ll + hop_l
+                        held = held_at[s]
+                        if held is None:
+                            held_at[s] = (nf, nb, nl, nh, label, eidx)
+                            if s >= n_region:
+                                reached.append(s)
+                                continue
+                        elif type(held) is tuple:
+                            # ``dominates`` both ways, inline: the tie
+                            # and the differences are shared.
+                            df = held[0] - nf
+                            wa = fa * df
+                            wc = fc * (held[1] - nb)
+                            tie = wa == wc and not (strict and df)
+                            if (
+                                df <= 0
+                                and wa <= wc
+                                and (not tie or held[2] >= nl)
+                                and not (use_hops and held[3] > nh)
+                            ):
+                                continue  # dominated (or duplicate)
+                            cand = (nf, nb, nl, nh, label, eidx)
+                            if (
+                                df >= 0
+                                and wa >= wc
+                                and (not tie or nl >= held[2])
+                                and not (use_hops and nh > held[3])
+                            ):
+                                held_at[s] = cand
+                            else:
+                                held_at[s] = [held, cand]
+                            if not df or s >= n_region:
+                                continue  # an exit, or queued with held
+                        elif (
+                            not offer(
+                                held, (nf, nb, nl, nh, label, eidx), use_hops
+                            )
+                            or s >= n_region
+                        ):
+                            continue
+                        heappush(buckets.setdefault(nf, []), s)
             tail = self._event(x)
-            for y, labels in results.items():
+            for s in reached:
+                held = held_at[s]
                 # Re-prune by weight alone, or hop-distinct but dominated
                 # siblings would survive as parallel summary edges.
                 pruned: list[tuple] = []
-                for label in labels:
-                    offer(pruned, label, hops=False)
-                head = self._event(y)
+                for label in held if type(held) is list else (held,):
+                    offer(pruned, label, False)
+                head = self._event(nodes[s])
                 for label in pruned:
                     chain: list[int] = []
                     cursor: tuple | None = label
@@ -1489,35 +1554,52 @@ class AdmissibilityChecker:
 
         Returns the removable live events, oldest first per process;
         feed them to :meth:`remove_prefix` (possibly after checking the
-        prefix is worth the compaction cost).
+        prefix is worth the compaction cost).  The cost is one pass over
+        the events the pins keep and their edges, plus one over the
+        summary edges; the events it returns are listed, never scanned.
         """
+        first_live = self._first_live
         # keep[p] = first index that must stay live; start fully removable.
-        keep = {process: self.n_events_of(process) for process in self._ids}
+        keep = {
+            process: first_live.get(process, 0) + len(ids)
+            for process, ids in self._ids.items()
+        }
+        scanned = keep.copy()  # scanned[p]: lowest index scanned so far
         for event in pinned:
             if event.process in keep and event.index < keep[event.process]:
                 keep[event.process] = event.index
         # No message -- and no summary edge, which stands for a bundle of
         # crossing walks -- may span the boundary, in either direction:
-        # shrink until closed (each pass only lowers keep[], so this
-        # terminates).
-        procs, idxs = self._procs, self._idxs
-        spans = [
-            (procs[tail], idxs[tail], procs[head], idxs[head])
-            for tail, head, kind in zip(self._tails, self._heads, self._kinds)
-            if kind == _FWD_MESSAGE or kind >= _SUMMARY
-        ]
-        changed = True
-        while changed:
-            changed = False
-            for sp, si, dp, di in spans:
-                src_live = si >= keep[sp]
-                dst_live = di >= keep[dp]
-                if src_live and not dst_live:
-                    keep[dp] = di
-                    changed = True
-                elif dst_live and not src_live:
-                    keep[sp] = si
-                    changed = True
+        # every partner of a kept event is kept, and so is everything
+        # above it.  One closure from the pins: each newly kept event is
+        # scanned once, through its adjacency row (a message sits in both
+        # endpoints' rows, a summary edge in its tail's) and the summary
+        # edges ending at it.
+        procs, idxs, adj, tails = self._procs, self._idxs, self._adj, self._tails
+        summaries_into: dict[int, list[tuple[int, int, int]]] = {}
+        for eidx in self._summary_at:
+            summaries_into.setdefault(self._heads[eidx], []).append(
+                (tails[eidx], self._kinds[eidx], eidx)
+            )
+        work = list(keep)
+        while work:
+            process = work.pop()
+            first = first_live.get(process, 0)
+            # A pin may lie below the live range: clamp to its start.
+            low = max(keep[process], first)
+            if low >= scanned[process]:
+                continue
+            ids = self._ids[process][low - first : scanned[process] - first]
+            scanned[process] = low
+            for node in ids:
+                for row in (adj[node], summaries_into.get(node, ())):
+                    for other, kind, _ in row:
+                        if kind == _BWD_LOCAL:
+                            continue
+                        q = procs[other]
+                        if idxs[other] < keep[q]:
+                            keep[q] = idxs[other]
+                            work.append(q)
         return tuple(
             Event(process, index)
             for process, stop in sorted(keep.items())

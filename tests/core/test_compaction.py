@@ -22,7 +22,10 @@ per ``(p, q)`` query.  The contract under test:
   digraph expand into genuine steps of the original execution graph;
 * **search order** -- the checker's label-setting summary search keeps,
   per ``(tail, head)`` pair, exactly the profile set of a plain
-  label-correcting reference search over the same dominance orders.
+  label-correcting reference search over the same dominance orders;
+* **long-bounded shapes** -- a budgeted fleet over relay, storm and
+  burst traces compacts regions of hundreds of nodes, and every
+  summary search and no-crossing cut it runs matches its reference.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.analysis.fleet import MonitorFleet
 from repro.analysis.online import OnlineAbcMonitor
 from repro.core import synchrony
 from repro.core.events import Event
@@ -45,6 +49,7 @@ from repro.core.synchrony import (
     worst_relevant_ratio,
 )
 from repro.scenarios.generators import (
+    concurrent_workload,
     random_execution_graph,
     relay_chain_workload,
     streaming_records,
@@ -224,6 +229,35 @@ def assert_genuine_walk(summary: SummaryEdge) -> None:
             local += 1
     assert cursor == summary.head
     assert (forward, backward, local) == summary.profile
+
+
+def reference_removable(
+    checker: AdmissibilityChecker, pinned: list[Event]
+) -> tuple[Event, ...]:
+    """``removable_prefix`` as a fixpoint: sweep the live messages and
+    the summary edges, lowering a process's keep index to any span
+    endpoint left outside while the other one is kept, until nothing
+    moves."""
+    keep = {p: checker.n_events_of(p) for p in checker.processes}
+    for event in pinned:
+        if event.process in keep:
+            keep[event.process] = min(keep[event.process], event.index)
+    spans = [(m.src, m.dst) for m in checker.messages]
+    spans += [(s.tail, s.head) for s in checker._summary_at.values()]
+    changed = True
+    while changed:
+        changed = False
+        for src, dst in spans:
+            src_kept = src.index >= keep[src.process]
+            if src_kept != (dst.index >= keep[dst.process]):
+                lower = dst if src_kept else src
+                keep[lower.process] = lower.index
+                changed = True
+    return tuple(
+        Event(p, i)
+        for p, stop in sorted(keep.items())
+        for i in range(checker.first_live_index(p), stop)
+    )
 
 
 def streaming_compactions(rng: random.Random):
@@ -531,6 +565,7 @@ def differential(monkeypatch):
         for summary in got:
             assert_genuine_walk(summary)
         stats["compactions"] += 1
+        stats["largest_region"] = max(stats["largest_region"], len(dead))
         for eidx, (tail, head) in enumerate(zip(self._tails, self._heads)):
             if tail not in dead or head not in dead:
                 continue
@@ -627,6 +662,52 @@ class TestSearchOrder:
         assert checker.n_summary_edges == 0
         assert checker.n_tombstoned == 0
         assert checker.first_live_index(0) == checker.first_live_index(1) == 0
+
+
+class TestLongBoundedShapes:
+    """The benchmark's ``long-bounded`` mix at small scale: relay, storm
+    and burst traces of 500 records under an event budget that compacts
+    whole finished traces.  Its regions (up to ~500 nodes, floors mostly
+    in the twenties, older summaries folded in) are far beyond the
+    random graphs above, and the shard calls ``removable_prefix`` before
+    every summary compaction."""
+
+    MIX = {"relay": 0.4, "storm": 0.4, "burst": 0.2}
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_budgeted_fleet_matches_both_references(
+        self, seed, differential, monkeypatch
+    ):
+        removable = AdmissibilityChecker.removable_prefix
+        cuts: Counter = Counter()
+
+        def checked(self, pinned=()):
+            pinned = list(pinned)
+            got = removable(self, pinned)
+            assert got == reference_removable(self, pinned)
+            cuts["calls"] += 1
+            return got
+
+        monkeypatch.setattr(AdmissibilityChecker, "removable_prefix", checked)
+        stream = list(
+            concurrent_workload(random.Random(seed), 6, (500, 500), self.MIX)
+        )
+        budgeted = MonitorFleet(event_budget=900)
+        budgeted.ingest_many(stream)
+        budgeted.flush()
+        plain = MonitorFleet()
+        plain.ingest_many(stream)
+        plain.flush()
+        for trace_id in {trace_id for trace_id, _ in stream}:
+            assert budgeted.worst_ratio(trace_id) == plain.worst_ratio(
+                trace_id
+            )
+            assert budgeted.is_degraded(trace_id) == plain.is_degraded(
+                trace_id
+            )
+        assert differential["compactions"] >= 5
+        assert differential["largest_region"] >= 450
+        assert cuts["calls"] >= differential["compactions"]
 
 
 class TestSummaryInternals:

@@ -153,6 +153,16 @@ def reference_summarizable(checker, pinned) -> tuple[Event, ...]:
     )
 
 
+def stale_pins(checker, rng) -> list[Event]:
+    """Pins below ``first_live_index``: the shard pins every in-flight
+    send, and on a degraded trace that send may already be compacted."""
+    return [
+        Event(p, rng.randrange(checker.first_live_index(p)))
+        for p in checker.processes
+        if checker.first_live_index(p) and rng.random() < 0.7
+    ]
+
+
 def check_views(checker, graph, rng) -> None:
     want = live_messages(checker, graph)
     assert checker.messages == want
@@ -169,7 +179,7 @@ def check_views(checker, graph, rng) -> None:
         for p, (first, stop) in live.items()
         if stop > first and rng.random() < 0.5
     ]
-    for pins in ((), pinned):
+    for pins in ((), pinned, pinned + stale_pins(checker, rng)):
         assert checker.removable_prefix(pins) == reference_removable(
             checker, graph, pins
         )
@@ -210,3 +220,41 @@ class TestMaterializedViews:
         with checker.speculate():
             grow(checker, rng)
         check_views(checker, graph, rng)
+
+    def test_pins_below_the_live_range(self):
+        """Stale pins keep nothing, after either compaction mode: the
+        cut must come out as if they were absent, whatever mix of live
+        and stale pins one process carries."""
+        rng = random.Random(71)
+        stale_seen = 0
+
+        def check(checker, graph, live_pins) -> None:
+            nonlocal stale_seen
+            stale = stale_pins(checker, rng)
+            stale_seen += len(stale)
+            for pins in (stale, stale + live_pins):
+                assert checker.removable_prefix(pins) == reference_removable(
+                    checker, graph, pins
+                )
+                assert checker.summarizable_prefix(
+                    pins
+                ) == reference_summarizable(checker, pins)
+
+        for _ in range(300):
+            graph = random_execution_graph(rng, 3, rng.randint(4, 24))
+            checker = AdmissibilityChecker(graph)
+            live_pins = [
+                Event(p, rng.randrange(len(graph.events_of(p))))
+                for p in graph.processes
+                if rng.random() < 0.5
+            ]
+            checker.compact_prefix(
+                checker.removable_prefix(live_pins), mode="exact"
+            )
+            check(checker, graph, live_pins)
+            cut = checker.summarizable_prefix()
+            checker.compact_prefix(
+                cut[: rng.randint(0, len(cut))], mode="summary"
+            )
+            check(checker, graph, live_pins)
+        assert stale_seen > 300

@@ -40,6 +40,18 @@ def test_ingest_targets_run(target, capsys):
     assert "function calls" in printed  # pstats actually rendered
 
 
+def test_enforce_target_names_both_searches(capsys):
+    rc = profile_hotpath.main(
+        ["--target", "enforce", "--events", "60", "--top", "5"]
+    )
+    assert rc == 0
+    printed = capsys.readouterr().out
+    assert "budget enforcement" in printed
+    # Printed by name even when neither makes the top five.
+    assert "(removable_prefix)" in printed
+    assert "(_summarize_region)" in printed
+
+
 def test_rejects_unknown_target():
     with pytest.raises(SystemExit):
         profile_hotpath.main(["--target", "nonsense"])

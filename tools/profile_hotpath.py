@@ -5,7 +5,7 @@ the same workloads the acceptance benchmarks gate -- the 200-event
 ``bench_table_incremental`` monitor replay, and the ``bench_e2e``
 wire-to-digraph ingest span -- under ``cProfile`` and prints the top
 functions, so a perf regression shows up as a *named function* rather
-than a bare ratio.  Three targets:
+than a bare ratio.  Four targets:
 
 * ``monitor`` (default) -- the ``bench_table_incremental`` gate
   workload replayed record by record through
@@ -19,12 +19,20 @@ than a bare ratio.  Three targets:
   + ``absorb_batch``); compare against ``ingest-object`` to see the
   object-construction and dict-bookkeeping time the columnar path
   removed.
+* ``enforce`` -- budget enforcement: a serial ``MonitorFleet`` with an
+  event budget over the mix of perfbench's ``long-bounded`` workload
+  (112 relay, storm and burst traces, ``--events`` records each, budget
+  18 events per record of trace length: 9000 at 500).  The two searches
+  enforcement rests on, the no-crossing cut (``removable_prefix``) and
+  the summary search (``_summarize_region``), are printed by name after
+  the top functions, wherever they rank.
 
 Usage::
 
     python tools/profile_hotpath.py                      # monitor, top 25
     python tools/profile_hotpath.py --target ingest-object --top 15
     python tools/profile_hotpath.py --target ingest-columnar --sort tottime
+    python tools/profile_hotpath.py --target enforce --events 500
     python tools/profile_hotpath.py --events 100
 """
 
@@ -42,7 +50,11 @@ for entry in (str(REPO / "src"), str(REPO / "benchmarks")):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
-TARGETS = ("monitor", "ingest-object", "ingest-columnar")
+TARGETS = ("monitor", "ingest-object", "ingest-columnar", "enforce")
+# perfbench's long-bounded mix, and its budget per record of trace length.
+ENFORCE_TRACES = 112
+ENFORCE_MIX = {"relay": 0.4, "storm": 0.4, "burst": 0.2}
+ENFORCE_BUDGET_PER_EVENT = 18
 
 
 def monitor_workload(events: int):
@@ -77,6 +89,27 @@ def ingest_workload(events: int, columnar: bool):
     return body, f"{path} ingest, {n} wire records"
 
 
+def enforce_workload(events: int):
+    from repro.analysis.fleet import MonitorFleet
+    from repro.scenarios.generators import concurrent_workload
+
+    stream = list(
+        concurrent_workload(
+            random.Random(1), ENFORCE_TRACES, (events, events), ENFORCE_MIX
+        )
+    )
+    budget = ENFORCE_BUDGET_PER_EVENT * events
+
+    def body():
+        fleet = MonitorFleet(event_budget=budget)
+        fleet.ingest_many(stream)
+        fleet.flush()
+        return fleet
+
+    label = f"budget enforcement, {len(stream)} records, event_budget {budget}"
+    return body, label
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="cProfile the monitor/ingest hot paths on the "
@@ -90,7 +123,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--events", type=int, default=200,
         help="workload size: records for monitor, events per gate "
-        "trace for ingest targets",
+        "trace for ingest targets, records per trace for enforce",
     )
     parser.add_argument(
         "--top", type=int, default=25,
@@ -111,6 +144,8 @@ def main(argv=None) -> int:
     random.seed(0)  # workload builders draw from seeded rngs anyway
     if args.target == "monitor":
         body, label = monitor_workload(args.events)
+    elif args.target == "enforce":
+        body, label = enforce_workload(args.events)
     else:
         body, label = ingest_workload(
             args.events, args.target == "ingest-columnar"
@@ -125,6 +160,8 @@ def main(argv=None) -> int:
     print(f"[profile_hotpath] {label}, sorted by {args.sort}")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.top)
+    if args.target == "enforce":
+        stats.print_stats(r"removable_prefix|_summarize_region")
     if args.out:
         stats.dump_stats(args.out)
         print(f"wrote {args.out}")
