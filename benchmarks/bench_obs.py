@@ -101,13 +101,13 @@ def hook_cost_ns(iters: int = HOOK_ITERS, reps: int = 5) -> float:
 def ingest_span_ns(
     gate_traces: int, gate_events: int, reps: int, batch: int
 ) -> tuple[float, int]:
-    """Per-record time of bench_e2e's columnar wire-to-digraph ingest
+    """Per-record time of bench_e2e's row wire-to-digraph ingest
     span (min over reps), the denominator of the overhead ratio."""
     wires = bench_e2e.gate_workload(gate_traces, gate_events)
     n_records = sum(len(w) for w in wires)
     best = float("inf")
     for _rep in range(reps):
-        elapsed, _stats = bench_e2e.ingest_columnar(
+        elapsed, _stats = bench_e2e.ingest_rows(
             wires, batch, frozenset()
         )
         best = min(best, elapsed)

@@ -93,7 +93,7 @@ from repro.runtime.shard import (
     shard_index_of as _shard_index,
     top_k_riskiest,
 )
-from repro.sim.trace import ReceiveRecord
+from repro.sim.trace import ReceiveRecord, encode_record
 
 __all__ = [
     "FleetReport",
@@ -108,7 +108,7 @@ __all__ = [
 # (journals + periodic checkpoints), this is a one-shot image: the
 # whole fleet -- configuration *and* state -- as one picklable frame.
 _SNAPSHOT_MAGIC = "abc-fleet-snapshot"
-_SNAPSHOT_VERSION = 4  # see codec.SNAPSHOT_VERSION
+_SNAPSHOT_VERSION = 5  # see codec.SNAPSHOT_VERSION
 
 
 class MonitorFleet:
@@ -380,13 +380,14 @@ class MonitorFleet:
         group = self._group
         n_shards = self.n_shards
         route = _shard_index
-        pending: dict[int, list[tuple[int, TraceId, ReceiveRecord]]] = {}
+        encode = encode_record
+        pending: dict[int, list[tuple[int, TraceId, tuple]]] = {}
         count = 0
         tick = group.tick
         for trace_id, record in stream:
             tick += 1
             pending.setdefault(route(trace_id, n_shards), []).append(
-                (tick, trace_id, record)
+                (tick, trace_id, encode(record))
             )
             count += 1
             if count >= chunk_size:

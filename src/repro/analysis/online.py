@@ -8,10 +8,12 @@ checker means re-running a full worst-ratio search per prefix -- the
 quadratic-and-worse behavior this module eliminates.
 
 :class:`OnlineAbcMonitor` consumes an execution incrementally, either as
-recorded :class:`~repro.sim.trace.ReceiveRecord` objects (:meth:`observe`)
-or as raw graph events (:meth:`observe_event` / :meth:`observe_message`),
-and maintains the exact running worst relevant ratio.  Three observations
-make this cheap:
+batches of record rows (:meth:`observe_batch`, the one batch body; see
+:data:`~repro.sim.trace.RECORD_ROW`), as recorded
+:class:`~repro.sim.trace.ReceiveRecord` objects (:meth:`observe`, a
+one-row batch) or as raw graph events (:meth:`observe_event` /
+:meth:`observe_message`), and maintains the exact running worst
+relevant ratio.  Three observations make this cheap:
 
 * the traversal digraph ``H`` is extended in place inside one shared
   :class:`~repro.core.synchrony.AdmissibilityChecker` -- never rebuilt;
@@ -51,22 +53,25 @@ because the monitor only ever asks for cycles strictly above that
 maximum (the potential sits at it), every ratio it reports after
 summary compaction is still bit-identical to an uncompacted monitor's.
 
-Compaction *cadence* can be left to the monitor itself: constructed
-with ``compact_threshold=t``, the monitor tracks its own in-flight
-sends from record metadata and summary-compacts whenever the live
-digraph outgrows ``t`` times its boundary (the frontier plus pinned
-send events) -- an adaptive trigger that compacts exactly when there is
+The monitor keeps one in-flight ledger from record metadata (each
+record's ``sends``, less the messages seen arriving), keyed by plain
+ints.  :meth:`OnlineAbcMonitor.pinned_events` turns it, with each
+process's frontier, into the events any compaction must keep -- the
+pins of fleet eviction.  Compaction *cadence* can be left to the
+monitor itself: constructed with ``compact_threshold=t``, the monitor
+summary-compacts whenever the live digraph outgrows ``t`` times that
+boundary -- an adaptive trigger that compacts exactly when there is
 something worth reclaiming, instead of every k records regardless of
 how little a fixed cadence would remove (see
 :meth:`OnlineAbcMonitor.maybe_compact`).
 
 A third facility serves the *multi-trace* deployment of
 :mod:`repro.analysis.fleet`: :meth:`OnlineAbcMonitor.observe_batch`
-absorbs a burst of records with the refresh deferred to the end of the
-batch, so a storm of messages on one trace costs one repair pass per
-flush instead of one per record, while the worst ratio
-at every batch boundary stays bit-identical to record-at-a-time
-observation (the ratio is a function of the observed graph alone).
+absorbs a burst of record rows with the refresh deferred to the end of
+the batch, so a storm of messages on one trace costs one repair pass
+per flush instead of one per record, while the worst ratio at every
+batch boundary stays bit-identical to record-at-a-time observation (the
+ratio is a function of the observed graph alone).
 """
 
 from __future__ import annotations
@@ -83,6 +88,13 @@ from repro.core.synchrony import AdmissibilityChecker, AdmissibilityResult, as_x
 from repro.obs import metrics as _obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import STAGE_METRIC
+from repro.sim.trace import ReceiveRecord, Trace, encode_record
+
+__all__ = [
+    "OnlineAbcMonitor",
+    "RatioChange",
+    "running_worst_ratio_of_trace",
+]
 
 
 class MonitorObs:
@@ -135,18 +147,6 @@ class MonitorObs:
             (("stage", "kernel_sweep"),),
             help="per-stage record-lifecycle latency",
         )
-from repro.sim.trace import (
-    ReceiveRecord,
-    RecordColumns,
-    Trace,
-    message_kept,
-)
-
-__all__ = [
-    "OnlineAbcMonitor",
-    "RatioChange",
-    "running_worst_ratio_of_trace",
-]
 
 
 @dataclass(frozen=True)
@@ -181,8 +181,6 @@ class OnlineAbcMonitor:
             (the paper's Section-2 treatment; mirrors
             :func:`~repro.sim.trace.build_execution_graph`).
         drop_faulty: disable the faulty-sender filter when ``False``.
-        keep_message: optional extra filter on triggering messages, as in
-            :func:`~repro.sim.trace.build_execution_graph`.
         on_violation: called once, at the first observation whose worst
             ratio reaches ``xi``, with a violating
             :class:`~repro.core.cycles.CycleClassification` witness.
@@ -190,10 +188,10 @@ class OnlineAbcMonitor:
             the running worst ratio grows (including its first
             appearance).
         compact_threshold: optional adaptive compaction cadence
-            (``> 1``).  The monitor then tracks in-flight sends from
-            record metadata (``record.sends``) and summary-compacts its
-            digraph whenever the live event count exceeds the threshold
-            times the boundary it would keep -- bounding memory by
+            (``> 1``).  The monitor then summary-compacts its digraph
+            whenever the live event count exceeds the threshold times
+            the boundary it would keep (:meth:`pinned_events`) --
+            bounding memory by
             ``threshold * O(frontier + in-flight sends)`` with every
             reported ratio still bit-identical.  Only streams carrying
             complete sends metadata keep the monitor exact under this
@@ -206,7 +204,6 @@ class OnlineAbcMonitor:
         xi: Fraction | float | int | str | None = None,
         faulty: frozenset[ProcessId] | set[ProcessId] = frozenset(),
         drop_faulty: bool = True,
-        keep_message: Callable[[ReceiveRecord], bool] | None = None,
         on_violation: Callable[[CycleClassification], None] | None = None,
         on_ratio_increase: Callable[[RatioChange], None] | None = None,
         compact_threshold: float | None = None,
@@ -219,7 +216,6 @@ class OnlineAbcMonitor:
         self.xi: Fraction | None = None if xi is None else as_xi(xi)
         self.faulty = frozenset(faulty)
         self.drop_faulty = drop_faulty
-        self.keep_message = keep_message
         self.on_violation = on_violation
         self.on_ratio_increase = on_ratio_increase
         self.compact_threshold = compact_threshold
@@ -227,10 +223,10 @@ class OnlineAbcMonitor:
         self.violation: CycleClassification | None = None
         self.forgotten_message_edges = 0
         self.auto_compactions = 0
-        # (send event, destination) -> announced-but-unarrived messages;
-        # maintained only under compact_threshold (the fleet tracks its
-        # own copy per trace for eviction pinning).
-        self._in_flight: dict[tuple[Event, ProcessId], int] = {}
+        # (send process, send index, destination) -> messages announced
+        # by a record's sends but not yet seen arriving.  Every entry
+        # pins its send event (see pinned_events).
+        self._in_flight: dict[tuple[ProcessId, int, ProcessId], int] = {}
         self._checker = AdmissibilityChecker()
         self._worst: Fraction | None = None
         # Telemetry handle: ``None`` when disabled (one attribute read
@@ -313,33 +309,14 @@ class OnlineAbcMonitor:
     def observe(self, record: ReceiveRecord) -> Fraction | None:
         """Consume one receive record; returns the updated worst ratio.
 
-        The record's event is appended to its process timeline and the
-        triggering message edge added unless the sender is faulty (or the
-        record is an external wake-up, or ``keep_message`` rejects it) --
-        exactly the graph :func:`~repro.sim.trace.build_execution_graph`
-        would produce from the records observed so far.
-
-        A record whose triggering send event lies in a prefix dropped by
-        :meth:`forget_prefix` does not raise: like :meth:`observe_batch`,
-        the edge is skipped and counted in
-        :attr:`forgotten_message_edges` (the monitor's ratio is then a
-        lower bound; pin in-flight sends when forgetting to keep the
-        count at zero).
+        A one-row :meth:`observe_batch`: the record's event is appended
+        to its process timeline and the triggering message edge added
+        unless the sender is faulty (or the record is an external
+        wake-up) -- exactly the graph
+        :func:`~repro.sim.trace.build_execution_graph` would produce
+        from the records observed so far.
         """
-        self.observe_event(record.event)
-        if message_kept(
-            record, self.faulty, self.drop_faulty, self.keep_message
-        ):
-            src = record.send_event
-            assert src is not None
-            if src.index < self._checker.first_live_index(src.process):
-                self.forgotten_message_edges += 1
-            else:
-                self.observe_message(src, record.event)
-        if self.compact_threshold is not None:
-            self._track_record(record)
-            self.maybe_compact()
-        return self._worst
+        return self.observe_batch((encode_record(record),))
 
     def observe_trace(self, trace: Iterable[ReceiveRecord]) -> Fraction | None:
         """Consume many records (a whole trace or a new suffix of one)."""
@@ -347,109 +324,87 @@ class OnlineAbcMonitor:
             self.observe(record)
         return self._worst
 
-    def observe_batch(self, records: Iterable[ReceiveRecord]) -> Fraction | None:
-        """Absorb a burst of records with one deferred refresh.
+    def observe_batch(self, rows: Iterable[tuple]) -> Fraction | None:
+        """Absorb a burst of record rows with one deferred refresh.
 
-        Semantically equivalent to calling :meth:`observe` on each record
-        in order, except that the worst-ratio refresh runs once at the end
-        of the batch instead of once per message edge -- the oracle-saving
-        hook behind :class:`repro.analysis.fleet.MonitorFleet`.  Because
-        the worst ratio is a function of the observed graph alone, the
-        ratio returned at the batch boundary is bit-identical to
-        record-at-a-time observation; only the *intermediate* ratios (and
-        with them per-record granularity of :attr:`changes` /
+        ``rows`` are records in the :data:`~repro.sim.trace.RECORD_ROW`
+        layout (what :func:`~repro.sim.trace.encode_record` returns and
+        the wire carries).  Semantically equivalent to calling
+        :meth:`observe` on each record in order, except that the
+        worst-ratio refresh runs once at the end of the batch instead
+        of once per message edge -- the oracle-saving hook behind
+        :class:`repro.analysis.fleet.MonitorFleet`.  Because the worst
+        ratio is a function of the observed graph alone, the ratio
+        returned at the batch boundary is bit-identical to
+        record-at-a-time observation; only the *intermediate* ratios
+        (and with them per-record granularity of :attr:`changes` /
         ``on_ratio_increase``) are coalesced into at most one
-        :class:`RatioChange` per batch, and a violation is reported at the
-        batch boundary rather than mid-burst.
+        :class:`RatioChange` per batch, and a violation is reported at
+        the batch boundary rather than mid-burst.
 
-        Like :meth:`observe`, a record whose triggering send event lies
-        in a prefix already dropped by :meth:`forget_prefix` does not
-        raise: the edge is skipped and counted in
-        :attr:`forgotten_message_edges`.  A nonzero count means prefixes
-        were forgotten unsafely (a message crossed the boundary after
-        all) and the ratio is now only a lower bound; choosing prefixes
-        with :meth:`settled_prefix` and pinning the send events of
-        in-flight messages keeps the count at zero and the monitor exact.
-        """
-        added = False
-        track = self.compact_threshold is not None
-        for record in records:
-            self.observe_event(record.event)
-            if track:
-                self._track_record(record)
-            if message_kept(
-                record, self.faulty, self.drop_faulty, self.keep_message
-            ):
-                src = record.send_event
-                assert src is not None
-                if src.index < self._checker.first_live_index(src.process):
-                    self.forgotten_message_edges += 1
-                    continue
-                if self._checker.add_message(src, record.event):
-                    added = True
-        if added:
-            self._refresh()
-        if track:
-            # After the refresh: the compaction floor is the *current*
-            # running worst, which keeps the compacted digraph exact for
-            # every ratio a later refresh can reach.
-            self.maybe_compact()
-        return self._worst
-
-    def observe_batch_columnar(
-        self, cols: RecordColumns
-    ) -> Fraction | None:
-        """Columnar twin of :meth:`observe_batch`: absorb a batch of
-        parallel columns without materializing a single record object.
-
-        One pass over the columns replicates the
-        :func:`~repro.sim.trace.message_kept` / forgotten-prefix
-        filtering into an aligned origin column, which
+        One pass over the rows filters the messages (wake-ups and
+        faulty senders carry none) into the origin column
         :meth:`~repro.core.synchrony.AdmissibilityChecker.absorb_batch`
-        bulk-appends (H-edge order per record preserved); one more pass
-        (:meth:`_track_columns`) replicates the in-flight bookkeeping
-        behind adaptive compaction.  Everything observable -- ratios,
-        :attr:`changes`, :attr:`violation`, oracle-call counts,
-        :attr:`forgotten_message_edges`, compaction cadence -- is
-        bit-identical to :meth:`observe_batch` on the same records.
+        appends from, which checks the local order of every event
+        before it changes anything: a batch with an out-of-order event
+        anywhere raises ``ValueError`` and leaves the monitor -- digraph
+        and in-flight ledger -- as it was.
 
-        A ``keep_message`` filter is a predicate over *record objects*,
-        so monitors carrying one fall back to the object path.
+        A row whose triggering send event lies in a prefix already
+        dropped by :meth:`forget_prefix` does not raise: the edge is
+        skipped and counted in :attr:`forgotten_message_edges`.  A
+        nonzero count means prefixes were forgotten unsafely (a message
+        crossed the boundary after all) and the ratio is now only a
+        lower bound; pinning :meth:`pinned_events` when forgetting keeps
+        the count at zero and the monitor exact.
         """
-        if self.keep_message is not None:
-            return self.observe_batch(cols.to_records())
         checker = self._checker
-        senders = cols.senders
-        send_processes = cols.send_processes
-        send_indexes = cols.send_indexes
         faulty = self.faulty
         drop = self.drop_faulty
         first_live = checker.first_live_index
-        n = len(cols)
-        messages: list[tuple[ProcessId, int] | None] = [None] * n
+        processes: list[ProcessId] = []
+        indexes: list[int] = []
+        messages: list[tuple[ProcessId, int] | None] = []
+        arrived: list[tuple[ProcessId, int, ProcessId]] = []
+        sent: list[tuple[ProcessId, int, ProcessId]] = []
         forgotten = 0
-        for k in range(n):
-            sender = senders[k]
-            sp = send_processes[k]
+        for process, index, _t, sender, sp, si, _st, _p, _ok, sends in rows:
+            processes.append(process)
+            indexes.append(index)
             if sender is None or sp is None:
-                continue
-            if drop and sender in faulty:
-                continue
-            si = send_indexes[k]
-            if si < first_live(sp):
-                forgotten += 1
-                continue
-            messages[k] = (sp, si)
-        added = checker.absorb_batch(
-            (cols.processes, cols.indexes), messages
-        )
+                messages.append(None)
+            else:
+                arrived.append((sp, si, process))
+                if drop and sender in faulty:
+                    messages.append(None)
+                elif si < first_live(sp):
+                    forgotten += 1
+                    messages.append(None)
+                else:
+                    messages.append((sp, si))
+            for send in sends:
+                sent.append((process, index, send[0]))
+        added = checker.absorb_batch((processes, indexes), messages)
         self.forgotten_message_edges += forgotten
-        track = self.compact_threshold is not None
-        if track:
-            self._track_columns(cols)
+        # The ledger moves only once the batch is in.  Sends first: a
+        # message sent and received within one batch then nets out, and
+        # an arrival never precedes its own send's row.
+        in_flight = self._in_flight
+        for key in sent:
+            in_flight[key] = in_flight.get(key, 0) + 1
+        for key in arrived:
+            n = in_flight.get(key)
+            if n is not None:
+                if n > 1:
+                    in_flight[key] = n - 1
+                else:
+                    del in_flight[key]
         if added:
             self._refresh()
-        if track:
+        if self.compact_threshold is not None:
+            # After the refresh: the compaction floor is the *current*
+            # running worst, which keeps the compacted digraph exact for
+            # every ratio a later refresh can reach.
             self.maybe_compact()
         return self._worst
 
@@ -610,58 +565,19 @@ class OnlineAbcMonitor:
     # adaptive compaction cadence
     # ------------------------------------------------------------------
 
-    def _track_record(self, record: ReceiveRecord) -> None:
-        """Maintain the in-flight send counter behind adaptive
-        compaction (mirrors the fleet's per-trace pinning bookkeeping)."""
-        in_flight = self._in_flight
-        if record.sender is not None and record.send_event is not None:
-            key = (record.send_event, record.event.process)
-            if in_flight.get(key, 0) > 0:
-                in_flight[key] -= 1
-                if not in_flight[key]:
-                    del in_flight[key]
-        for send in record.sends:
-            dst_key = (record.event, send.dest)
-            in_flight[dst_key] = in_flight.get(dst_key, 0) + 1
-
-    def _track_columns(self, cols: RecordColumns) -> None:
-        """Columnar twin of a :meth:`_track_record` loop.
-
-        Keys still use :class:`Event` (they must compare equal to the
-        object path's keys across compaction decisions), but the events
-        are fast-constructed from the columns -- two dict stores instead
-        of a validated dataclass ``__init__``.
-        """
-        in_flight = self._in_flight
-        processes = cols.processes
-        indexes = cols.indexes
-        senders = cols.senders
-        send_processes = cols.send_processes
-        send_indexes = cols.send_indexes
-        sends = cols.sends
-        new_event = Event.__new__
-        for k in range(len(processes)):
-            sp = send_processes[k]
-            if senders[k] is not None and sp is not None:
-                src = new_event(Event)
-                src.__dict__["process"] = sp
-                src.__dict__["index"] = send_indexes[k]
-                key = (src, processes[k])
-                if in_flight.get(key, 0) > 0:
-                    in_flight[key] -= 1
-                    if not in_flight[key]:
-                        del in_flight[key]
-            rows = sends[k]
-            if rows:
-                event = new_event(Event)
-                event.__dict__["process"] = processes[k]
-                event.__dict__["index"] = indexes[k]
-                for row in rows:
-                    dst_key = (event, row[0])
-                    in_flight[dst_key] = in_flight.get(dst_key, 0) + 1
-
-    def _pinned_in_flight(self) -> list[Event]:
-        return [key[0] for key, n in self._in_flight.items() if n > 0]
+    def pinned_events(self) -> list[Event]:
+        """Events any compaction must keep live: each process's
+        frontier (its next local edge attaches there) and every send
+        event with a message still in flight (its message edge is still
+        to come).  The pins of fleet eviction; the events are built
+        from the int ledger on each call."""
+        checker = self._checker
+        pinned = [
+            Event(process, checker.n_events_of(process) - 1)
+            for process in checker.processes
+        ]
+        pinned.extend(Event(sp, si) for sp, si, _dest in self._in_flight)
+        return pinned
 
     def _compactable_size(self) -> int:
         """How many live events summary compaction could reclaim right
@@ -680,11 +596,10 @@ class OnlineAbcMonitor:
             process: checker.n_events_of(process) - 1
             for process in checker.processes
         }
-        for (event, _dest), n in self._in_flight.items():
-            if n > 0:
-                stop = stops.get(event.process)
-                if stop is not None and event.index < stop:
-                    stops[event.process] = event.index
+        for sp, si, _dest in self._in_flight:
+            stop = stops.get(sp)
+            if stop is not None and si < stop:
+                stops[sp] = si
         return sum(
             max(0, stop - checker.first_live_index(process))
             for process, stop in stops.items()
@@ -712,7 +627,7 @@ class OnlineAbcMonitor:
         boundary = live - removable
         if removable <= 0 or live <= threshold * max(boundary, 1):
             return 0
-        cut = self._checker.summarizable_prefix(self._pinned_in_flight())
+        cut = self._checker.summarizable_prefix(self.pinned_events())
         if not cut:
             return 0
         removed = self.forget_prefix(cut, summarize=True)

@@ -623,8 +623,9 @@ class AdmissibilityChecker:
     ) -> int:
         """Bulk-append a batch of events (and their triggering messages).
 
-        The columnar twin of a per-record :meth:`add_event` /
-        :meth:`add_message` loop, for the zero-object ingest path:
+        The bulk form of a per-record :meth:`add_event` /
+        :meth:`add_message` loop, behind
+        :meth:`~repro.analysis.online.OnlineAbcMonitor.observe_batch`:
 
         * ``events`` is a pair of parallel columns ``(processes,
           indexes)`` -- row ``k`` is the next receive event of

@@ -64,7 +64,9 @@ from repro.runtime.shard import (
     TraceState,
     TraceSummary,
 )
-from repro.sim.trace import ReceiveRecord, RecordColumns, SendRecord
+# Records cross the wire as rows; the row layout and its two functions
+# live next to ReceiveRecord and are re-exported here.
+from repro.sim.trace import decode_record, encode_record
 
 if TYPE_CHECKING:
     from repro.analysis.online import OnlineAbcMonitor
@@ -79,8 +81,6 @@ __all__ = [
     "decode_notice",
     "decode_ratio_rows",
     "decode_record",
-    "decode_records",
-    "decode_records_columnar",
     "decode_shard_image",
     "decode_spec",
     "decode_specs",
@@ -94,7 +94,6 @@ __all__ = [
     "encode_notice",
     "encode_ratio_rows",
     "encode_record",
-    "encode_records",
     "encode_shard_image",
     "encode_spec",
     "encode_specs",
@@ -121,154 +120,6 @@ def decode_fraction(wire: tuple[int, int] | None) -> Fraction | None:
     if wire is None:
         return None
     return Fraction(wire[0], wire[1])
-
-
-# ----------------------------------------------------------------------
-# receive records
-# ----------------------------------------------------------------------
-
-
-def encode_record(record: ReceiveRecord) -> tuple:
-    """One receive record as a flat tuple.
-
-    Field order: ``(process, index, time, sender, send_process,
-    send_index, send_time, payload, processed, sends)`` with ``sends``
-    a tuple of ``(dest, payload, delay, deliver_time)`` rows.  Wake-ups
-    carry ``None`` in the sender/send fields, exactly as the record
-    does.
-    """
-    event = record.event
-    send_event = record.send_event
-    sends = record.sends
-    return (
-        event.process,
-        event.index,
-        record.time,
-        record.sender,
-        None if send_event is None else send_event.process,
-        None if send_event is None else send_event.index,
-        record.send_time,
-        record.payload,
-        record.processed,
-        tuple(
-            (send.dest, send.payload, send.delay, send.deliver_time)
-            for send in sends
-        )
-        if sends
-        else (),
-    )
-
-
-def decode_record(wire: tuple) -> ReceiveRecord:
-    (
-        process,
-        index,
-        time,
-        sender,
-        send_process,
-        send_index,
-        send_time,
-        payload,
-        processed,
-        sends,
-    ) = wire
-    # Trusted-path construction throughout: the wire only ever carries
-    # values our own encoder read out of live records, and this runs
-    # once per record on every worker -- the frozen dataclasses'
-    # checked ``__init__``s (each field crossing object.__setattr__,
-    # plus Event.__post_init__ validation) are the dominant cost of a
-    # naive decode, so instances are built via ``__new__`` + direct
-    # ``__dict__`` stores.  Equality/hash semantics are unchanged
-    # (both derive from the fields).
-    event = Event.__new__(Event)
-    event_fields = event.__dict__
-    event_fields["process"] = process
-    event_fields["index"] = index
-    if send_process is None:
-        send_event = None
-    else:
-        send_event = Event.__new__(Event)
-        send_fields = send_event.__dict__
-        send_fields["process"] = send_process
-        send_fields["index"] = send_index
-    if sends:
-        decoded_sends = []
-        for d, p, dl, dt in sends:
-            send = SendRecord.__new__(SendRecord)
-            row = send.__dict__
-            row["dest"] = d
-            row["payload"] = p
-            row["delay"] = dl
-            row["deliver_time"] = dt
-            decoded_sends.append(send)
-        sends = tuple(decoded_sends)
-    else:
-        sends = ()
-    record = ReceiveRecord.__new__(ReceiveRecord)
-    fields = record.__dict__
-    fields["event"] = event
-    fields["time"] = time
-    fields["sender"] = sender
-    fields["send_event"] = send_event
-    fields["send_time"] = send_time
-    fields["payload"] = payload
-    fields["processed"] = processed
-    fields["sends"] = sends
-    return record
-
-
-def encode_records(
-    batch: list[tuple[int, TraceId, ReceiveRecord]],
-) -> list[tuple]:
-    """A shard batch: ``(tick, trace_id, record)`` rows, records encoded."""
-    return [
-        (tick, trace_id, encode_record(record))
-        for tick, trace_id, record in batch
-    ]
-
-
-def decode_records(
-    wire: list[tuple],
-) -> list[tuple[int, TraceId, ReceiveRecord]]:
-    return [
-        (tick, trace_id, decode_record(record))
-        for tick, trace_id, record in wire
-    ]
-
-
-def decode_records_columnar(
-    wire: list[tuple],
-) -> tuple[tuple, tuple, RecordColumns]:
-    """A shard batch decoded into parallel columns -- zero record objects.
-
-    The columnar twin of :func:`decode_records` and the entry of the
-    zero-object ingest path: the same ``(tick, trace_id, record)`` wire
-    rows are transposed (two C-speed ``zip`` passes, no per-record
-    Python loop body) into ``(ticks, trace_ids, columns)`` where
-    ``columns`` is a :class:`~repro.sim.trace.RecordColumns` holding the
-    ten record fields as parallel tuples -- exact ``(process, index)``
-    pairs for sender events, untouched payloads (big-int Fractions
-    survive exactly), and sends metadata as plain wire rows.
-
-    The object-building :func:`decode_records` remains the reference
-    decode (and the path degraded/reopened traces fall back to).
-    Malformed frames -- ragged batch rows or record tuples whose arity
-    is not the ten wire fields -- raise ``ValueError`` here, in the
-    caller, rather than desynchronizing columns downstream.
-    """
-    if not wire:
-        return ((), (), RecordColumns())
-    try:
-        ticks, trace_ids, records = zip(*wire, strict=True)
-        field_cols = tuple(zip(*records, strict=True))
-    except ValueError as exc:
-        raise ValueError(f"ragged columnar batch: {exc}") from None
-    if len(field_cols) != 10:
-        raise ValueError(
-            "ragged columnar batch: records carry "
-            f"{len(field_cols)} fields, expected 10"
-        )
-    return (ticks, trace_ids, RecordColumns(*field_cols))
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +354,10 @@ GROUP_SNAPSHOT_MAGIC = "abc-group-snapshot"
 # version-2 images do not restore.
 # 4: checkers carry their persistent potential; version-3 images do not
 # restore.
-SNAPSHOT_VERSION = 4
+# 5: trace frames carry no in-flight or frontier rows (the monitor keeps
+# the one in-flight ledger, keyed by ints); version-4 images do not
+# restore.
+SNAPSHOT_VERSION = 5
 
 
 def encode_monitor(monitor: OnlineAbcMonitor) -> bytes:
@@ -535,21 +389,17 @@ def decode_monitor(blob: bytes) -> OnlineAbcMonitor:
 def encode_trace_state(trace_id: TraceId, state: TraceState) -> tuple:
     """One open trace as a movable unit: monitor blob + bookkeeping.
 
-    ``pending`` is carried verbatim (snapshots never force a flush:
-    flush boundaries are scheduling-shaped state the importing side
-    should reproduce, not observe).  ``evict_marker`` is deliberately
+    The pending record rows are carried verbatim (snapshots never
+    force a flush: flush boundaries are scheduling-shaped state the
+    importing side should reproduce, not observe).  The in-flight
+    ledger travels inside the monitor.  ``evict_marker`` is deliberately
     dropped -- a futility memo is only valid against the group that
     computed it.
     """
     return (
         trace_id,
         encode_monitor(state.monitor),
-        tuple(encode_record(record) for record in state.pending),
-        tuple(
-            (event.process, event.index, dest, count)
-            for (event, dest), count in state.in_flight.items()
-        ),
-        tuple(state.frontier.items()),
+        tuple(state.pending),
         state.n_records,
         state.last_touch,
         state.live_cached,
@@ -560,28 +410,17 @@ def encode_trace_state(trace_id: TraceId, state: TraceState) -> tuple:
 def decode_trace_state(wire: tuple) -> tuple[TraceId, TraceState]:
     """Rebuild a trace state; the caller (an importing group) must
     re-wire the monitor's violation bookkeeping."""
-    from collections import Counter
-
     (
         trace_id,
         blob,
         pending,
-        in_flight,
-        frontier,
         n_records,
         last_touch,
         live_cached,
         reopened,
     ) = wire
     state = TraceState(decode_monitor(blob), reopened=reopened)
-    state.pending = [decode_record(row) for row in pending]
-    state.in_flight = Counter(
-        {
-            (Event(process, index), dest): count
-            for process, index, dest, count in in_flight
-        }
-    )
-    state.frontier = dict(frontier)
+    state.pending = list(pending)
     state.n_records = n_records
     state.last_touch = last_touch
     state.live_cached = live_cached

@@ -42,13 +42,14 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 from repro.core.cycles import CycleClassification
 from repro.core.events import Event, ProcessId
 from repro.obs import metrics as _obs_metrics
 from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry
-from repro.sim.trace import ReceiveRecord, RecordColumns
+from repro.sim.trace import RECORD_ROW, ReceiveRecord, encode_record
 
 if TYPE_CHECKING:  # runtime import is lazy: repro.analysis imports the
     # fleet facade, which imports this module -- a module-level import
@@ -271,8 +272,6 @@ class TraceState:
     __slots__ = (
         "monitor",
         "pending",
-        "in_flight",
-        "frontier",
         "n_records",
         "last_touch",
         "live_cached",
@@ -282,12 +281,8 @@ class TraceState:
 
     def __init__(self, monitor: OnlineAbcMonitor, reopened: bool) -> None:
         self.monitor = monitor
-        self.pending: list[ReceiveRecord] = []
-        # (send event, destination process) -> messages announced by a
-        # record's ``sends`` but not yet observed arriving.  Positive
-        # entries pin their send event against eviction.
-        self.in_flight: Counter[tuple[Event, ProcessId]] = Counter()
-        self.frontier: dict[ProcessId, int] = {}
+        # Record rows (the RECORD_ROW layout) not yet absorbed.
+        self.pending: list[tuple] = []
         self.n_records = 0
         self.last_touch = 0
         self.live_cached = 0
@@ -302,16 +297,6 @@ class TraceState:
     @property
     def degraded(self) -> bool:
         return self.reopened or self.monitor.forgotten_message_edges > 0
-
-    def pinned_events(self) -> list[Event]:
-        """Events eviction must keep live: each process's frontier (its
-        next local edge attaches there) and every send event with a
-        message still in flight (its message edge is still to come)."""
-        pinned = [
-            Event(process, index) for process, index in self.frontier.items()
-        ]
-        pinned.extend(key[0] for key, n in self.in_flight.items() if n > 0)
-        return pinned
 
 
 class FleetShard:
@@ -389,6 +374,35 @@ class FleetShard:
             auto_retired=self.auto_retired,
             auto_compactions=self.auto_compactions(),
         )
+
+
+_RECORD_CELL = itemgetter(2)
+
+
+def _check_rows(batch: Sequence[tuple]) -> None:
+    """Reject a malformed wire batch before any of it is buffered:
+    every row must be a ``(tick, trace_id, record)`` triple whose
+    record has the :data:`~repro.sim.trace.RECORD_ROW` width.  Two
+    C-level passes over the lengths; the row scan only runs to name
+    the bad row."""
+    width = len(RECORD_ROW)
+    try:
+        if set(map(len, batch)) <= {3} and set(
+            map(len, map(_RECORD_CELL, batch))
+        ) <= {width}:
+            return
+    except TypeError:
+        pass
+    for k, row in enumerate(batch):
+        try:
+            well_formed = len(row) == 3 and len(row[2]) == width
+        except TypeError:
+            well_formed = False
+        if not well_formed:
+            raise ValueError(
+                f"malformed record batch: row {k} is not a (tick, "
+                f"trace_id, record) triple with a {width}-field record"
+            )
 
 
 class ShardRuntime(Protocol):
@@ -730,15 +744,13 @@ class ShardGroup:
         self,
         shard_index: int,
         trace_id: TraceId,
-        record: ReceiveRecord,
+        row: tuple,
         tick: int | None = None,
     ) -> TraceState:
-        """Route one record to its trace's pending buffer (no flush).
+        """Route one record row to its trace's pending buffer (no flush).
 
-        The O(1) half of :meth:`ingest`; bulk front ends
-        (``ingest_many``, the wire dispatcher) buffer a whole shard
-        batch through here and flush watermark-crossers once per batch
-        instead of once per record.
+        The O(1) half of :meth:`ingest` and :meth:`ingest_batch`, which
+        flush watermark-crossers once per call.
         """
         shard = self.shards[shard_index]
         state = self.state_of(shard, trace_id)
@@ -754,15 +766,7 @@ class ShardGroup:
         # Keep shard.traces in ingest order (LRU): the auto-retire sweep
         # only ever probes each shard's first entry.
         shard.traces[trace_id] = shard.traces.pop(trace_id)
-        pending = state.pending
-        if type(pending) is list:
-            pending.append(record)
-        else:
-            # The trace's buffer is mid-batch columnar (the two ingest
-            # surfaces may interleave on one trace, e.g. a metadata-free
-            # fallback batch between columnar ones); fold the record in
-            # rather than forcing a flush.
-            pending.append_record(record)
+        state.pending.append(row)
         shard.records += 1
         return state
 
@@ -773,14 +777,15 @@ class ShardGroup:
         record: ReceiveRecord,
         tick: int | None = None,
     ) -> None:
-        """Buffer one record; flush its trace at the batch watermark.
+        """Buffer one record (as its row); flush its trace at the batch
+        watermark.
 
         ``tick`` is the front end's global ingest counter (used by
         idle-age auto-retirement); ``None`` lets the group count its own
         ingests, which is the serial single-group behavior.
         """
         shard = self.shards[shard_index]
-        state = self.buffer(shard_index, trace_id, record, tick)
+        state = self.buffer(shard_index, trace_id, encode_record(record), tick)
         self.auto_retire()
         if len(state.pending) >= self.batch_size:
             self.flush_state(shard, state)
@@ -789,91 +794,36 @@ class ShardGroup:
     def ingest_batch(
         self,
         shard_index: int,
-        batch: Iterable[tuple[int, TraceId, ReceiveRecord]],
+        batch: Sequence[tuple[int | None, TraceId, tuple]],
     ) -> None:
-        """Absorb a pre-grouped shard batch: buffer every record, then
-        flush each watermark-crossing trace exactly once.
+        """Absorb a shard batch of ``(tick, trace_id, row)`` wire rows:
+        buffer every row, then flush each watermark-crossing trace
+        exactly once.
 
-        This is the bulk-ingest path (``ingest_many``, the wire
-        dispatcher): per-trace flush boundaries coarsen to the batch --
-        which never changes a reported ratio, the worst ratio being a
-        function of the observed graph -- while the per-record overhead
-        (auto-retire sweep, budget probe) is paid once per batch.
+        This is the bulk-ingest path (``ingest_many``, and the wire
+        dispatcher, whose batches arrive here unchanged): per-trace
+        flush boundaries coarsen to the batch -- which never changes a
+        reported ratio, the worst ratio being a function of the
+        observed graph -- while the per-record overhead (auto-retire
+        sweep, budget probe) is paid once per batch.
+
+        Rows come from outside the process, so the whole batch is
+        checked first: a row that is not a 3-tuple, or whose record is
+        not :data:`~repro.sim.trace.RECORD_ROW`-shaped, raises
+        ``ValueError`` before anything is buffered.
         """
+        _check_rows(batch)
         shard = self.shards[shard_index]
-        pending_over: dict[TraceId, TraceState] = {}
-        for tick, trace_id, record in batch:
-            state = self.buffer(shard_index, trace_id, record, tick)
-            if len(state.pending) >= self.batch_size:
-                pending_over[trace_id] = state
-        self.auto_retire()
-        for trace_id, state in pending_over.items():
-            if shard.traces.get(trace_id) is state:
-                self.flush_state(shard, state)
-        self.enforce_budget()
-
-    def ingest_batch_columnar(
-        self,
-        shard_index: int,
-        ticks: Sequence[int],
-        trace_ids: Sequence[TraceId],
-        cols: RecordColumns,
-    ) -> None:
-        """Columnar twin of :meth:`ingest_batch`: absorb a shard batch
-        of parallel columns without materializing record objects.
-
-        Row ``k`` of ``ticks`` / ``trace_ids`` / ``cols`` is one
-        receive record; each row is copied (:meth:`~repro.sim.trace.RecordColumns.append_from`,
-        plain column stores) onto its trace's columnar pending builder,
-        and watermark-crossing traces flush once per batch exactly as
-        in :meth:`ingest_batch`.  Flushing a columnar buffer takes the
-        zero-object path (:meth:`_flush_columns`) for healthy traces
-        and falls back to materialized records for reopened or
-        degraded ones, so everything observable -- ratios, flags,
-        violation order, flush cadence, counters -- is bit-identical
-        to object-path ingestion of the same rows.
-
-        A trace whose pending buffer is a non-empty object list (the
-        two ingest surfaces may interleave on one trace) folds this
-        row in as a record instead; the fast path resumes after its
-        next flush.
-        """
-        n = len(cols)
-        if len(ticks) != n or len(trace_ids) != n:
-            raise ValueError(
-                f"ragged columnar batch: {len(ticks)} ticks, "
-                f"{len(trace_ids)} trace ids, {n} record rows"
-            )
-        shard = self.shards[shard_index]
-        traces = shard.traces
+        buffer = self.buffer
         batch_size = self.batch_size
         pending_over: dict[TraceId, TraceState] = {}
-        for k in range(n):
-            trace_id = trace_ids[k]
-            state = self.state_of(shard, trace_id)
-            tick = ticks[k]
-            if tick is None:
-                self.tick = tick = self.tick + 1
-            elif tick > self.tick:
-                self.tick = tick
-            state.last_touch = tick
-            traces[trace_id] = traces.pop(trace_id)
-            pending = state.pending
-            if type(pending) is list:
-                if pending:
-                    pending.append(cols.record_at(k))
-                else:
-                    fresh = RecordColumns()
-                    fresh.append_from(cols, k)
-                    state.pending = fresh
-            else:
-                pending.append_from(cols, k)
-            shard.records += 1
+        for tick, trace_id, row in batch:
+            state = buffer(shard_index, trace_id, row, tick)
             if len(state.pending) >= batch_size:
                 pending_over[trace_id] = state
         self.auto_retire()
         for trace_id, state in pending_over.items():
-            if traces.get(trace_id) is state:
+            if shard.traces.get(trace_id) is state:
                 self.flush_state(shard, state)
         self.enforce_budget()
 
@@ -967,41 +917,21 @@ class ShardGroup:
     # ------------------------------------------------------------------
 
     def flush_state(self, shard: FleetShard, state: TraceState) -> None:
-        if not state.pending:
-            return
         batch = state.pending
+        if not batch:
+            return
         state.pending = []
-        if type(batch) is not list:
-            if state.reopened or state.monitor.forgotten_message_edges:
-                # The gap-fill path needs record objects, and degraded
-                # streams (an unsafe cut already happened) stay on the
-                # reference path wholesale -- rare by construction, and
-                # it keeps the columnar fast path free of the two
-                # hairiest regimes.
-                batch = batch.to_records()
-            else:
-                self._flush_columns(shard, state, batch)
-                return
+        monitor = state.monitor
         if state.reopened:
-            self._fill_gaps(state.monitor, batch)
-        for record in batch:
-            state.frontier[record.event.process] = record.event.index
-            if record.sender is not None and record.send_event is not None:
-                key = (record.send_event, record.event.process)
-                if state.in_flight.get(key, 0) > 0:
-                    state.in_flight[key] -= 1
-                    if state.in_flight[key] == 0:
-                        del state.in_flight[key]
-            for send in record.sends:
-                state.in_flight[(record.event, send.dest)] += 1
-        state.monitor.observe_batch(batch)
+            self._fill_gaps(monitor, batch)
+        monitor.observe_batch(batch)
         state.n_records += len(batch)
         shard.flushes += 1
         if self._obs is not None:
             self._obs.flushes.inc()
             self._obs.batch_records.observe(len(batch))
-        self._live_events += state.monitor.n_events - state.live_cached
-        state.live_cached = state.monitor.n_events
+        self._live_events += monitor.n_events - state.live_cached
+        state.live_cached = monitor.n_events
         # Absorbing records invalidates every "retrying is futile" memo:
         # pins and settledness moved, and comparing raw live-event
         # *counts* alone can collide (absorb N, evict N elsewhere lands
@@ -1012,65 +942,8 @@ class ShardGroup:
         # recorded by the batch may now re-enter the group.
         self._fire_deferred_violations()
 
-    def _flush_columns(
-        self, shard: FleetShard, state: TraceState, cols: RecordColumns
-    ) -> None:
-        """The columnar half of :meth:`flush_state`: one pass over the
-        columns replicates the per-record frontier / in-flight
-        bookkeeping (``Event`` keys fast-constructed from the columns,
-        so they compare equal to the object path's keys), then the
-        monitor absorbs the batch through
-        :meth:`~repro.analysis.online.OnlineAbcMonitor.observe_batch_columnar`.
-        Counters and memo invalidation mirror the object path line for
-        line -- :meth:`flush_state` already routed reopened and
-        degraded traces away from here.
-        """
-        frontier = state.frontier
-        in_flight = state.in_flight
-        processes = cols.processes
-        indexes = cols.indexes
-        senders = cols.senders
-        send_processes = cols.send_processes
-        send_indexes = cols.send_indexes
-        sends = cols.sends
-        new_event = Event.__new__
-        for k in range(len(processes)):
-            p = processes[k]
-            frontier[p] = indexes[k]
-            sp = send_processes[k]
-            if senders[k] is not None and sp is not None:
-                src = new_event(Event)
-                src.__dict__["process"] = sp
-                src.__dict__["index"] = send_indexes[k]
-                key = (src, p)
-                if in_flight.get(key, 0) > 0:
-                    in_flight[key] -= 1
-                    if in_flight[key] == 0:
-                        del in_flight[key]
-            rows = sends[k]
-            if rows:
-                event = new_event(Event)
-                event.__dict__["process"] = p
-                event.__dict__["index"] = indexes[k]
-                for row in rows:
-                    in_flight[(event, row[0])] += 1
-        state.monitor.observe_batch_columnar(cols)
-        state.n_records += len(cols)
-        shard.flushes += 1
-        if self._obs is not None:
-            self._obs.flushes.inc()
-            self._obs.batch_records.observe(len(cols))
-        self._live_events += state.monitor.n_events - state.live_cached
-        state.live_cached = state.monitor.n_events
-        # Same memo invalidation as the object path (see flush_state).
-        state.evict_marker = None
-        self._futile_at = None
-        self._fire_deferred_violations()
-
     @staticmethod
-    def _fill_gaps(
-        monitor: OnlineAbcMonitor, batch: list[ReceiveRecord]
-    ) -> None:
+    def _fill_gaps(monitor: OnlineAbcMonitor, batch: list[tuple]) -> None:
         """Reconstruct the local-timeline skeleton a re-opened trace's
         fresh monitor is missing.
 
@@ -1090,15 +963,14 @@ class ShardGroup:
                 monitor.observe_event(Event(process, gap))
             filled[process] = max(expected, stop)
 
-        for record in batch:
-            if record.send_event is not None:
+        for row in batch:
+            process, index, send_process = row[0], row[1], row[4]
+            if send_process is not None:
                 # The triggering send may reference the retired prefix
                 # of a process with no receive in this batch.
-                fill_below(
-                    record.send_event.process, record.send_event.index + 1
-                )
-            fill_below(record.event.process, record.event.index)
-            filled[record.event.process] = record.event.index + 1
+                fill_below(send_process, row[5] + 1)
+            fill_below(process, index)
+            filled[process] = index + 1
 
     def set_budget(self, event_budget: int | None) -> None:
         """Re-apportion this group's share of the global event budget.
@@ -1178,7 +1050,7 @@ class ShardGroup:
                 # the fleet sits over budget.
                 if state.monitor.n_events == state.evict_marker:
                     continue  # unchanged since a known-futile attempt
-                pinned = state.pinned_events()
+                pinned = state.monitor.pinned_events()
                 settled = state.monitor.settled_prefix(pinned)
                 removed = (
                     state.monitor.forget_prefix(settled) if settled else 0

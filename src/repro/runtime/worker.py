@@ -204,20 +204,14 @@ def worker_main(
             cmd = message[0]
             if cmd == "ingest":
                 _cmd, shard_index, wire_batch = message
-                # Columnar decode: two C-speed transposes instead of a
-                # per-record object build; the shard engine keeps the
-                # batch columnar all the way into the checker (reopened
-                # or degraded traces fall back to materialized records
-                # at flush time).  Malformed (ragged) frames raise here
-                # and surface through crash containment, like any other
+                # The wire rows are the shard engine's batch format:
+                # they go to the trace buffers, and from there to the
+                # checker, without a decode.  A malformed batch raises
+                # in ingest_batch before anything is buffered, and
+                # surfaces through crash containment like any other
                 # poison message.
                 span = None if ctx is None else ctx.span("worker_absorb")
-                ticks, trace_ids, cols = codec.decode_records_columnar(
-                    wire_batch
-                )
-                group.ingest_batch_columnar(
-                    shard_index, ticks, trace_ids, cols
-                )
+                group.ingest_batch(shard_index, wire_batch)
                 if span is not None:
                     span.end()
                 if notices or ratio_updates:

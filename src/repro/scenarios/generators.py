@@ -568,7 +568,7 @@ def _firehose_skeleton(
     arrive in dense batches; every record past the wake-ups carries a
     triggering message and sends metadata.  A sliding window of recent
     events keeps message spans short (ratios stay near 1 and the
-    frontier dense) -- the best case for columnar batch absorption,
+    frontier dense) -- the best case for batch absorption of rows,
     where per-record object overhead, not oracle time, dominates.
     """
     skeleton: list[tuple[Event, float, Event | None]] = []
@@ -619,8 +619,8 @@ def profiled_trace_records(
       slow cross echoes (see :func:`relay_chain_workload` -- no prefix
       is ever exactly removable, the summary-compaction stress shape);
     * ``"firehose"`` -- dense all-to-all exchange with no silences
-      (message-dense batches, short spans -- the columnar ingest
-      path's best case, and ``bench_e2e.py``'s workload).
+      (message-dense batches, short spans -- the row ingest path's
+      best case, and ``bench_e2e.py``'s workload).
 
     Every prefix of the returned list is a valid growing execution, and
     ``sends`` metadata is complete (each message appears in its send

@@ -3,7 +3,9 @@
 A :class:`Trace` is the timed record of one simulated admissible
 execution: one :class:`ReceiveRecord` per receive event, in global
 delivery order, each carrying the triggering message's origin and the
-sends the step performed.
+sends the step performed.  Outside the simulator a record travels as a
+flat tuple of plain values, its *row* (:data:`RECORD_ROW`,
+:func:`encode_record`, :func:`decode_record`).
 
 :func:`build_execution_graph` converts a trace into the paper's
 space-time digraph (Definition 1).  Per Section 2, every message sent by
@@ -20,17 +22,19 @@ step)".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.core.events import Event, ProcessId
 from repro.core.execution_graph import ExecutionGraph, MessageEdge
 
 __all__ = [
-    "RecordColumns",
+    "RECORD_ROW",
     "SendRecord",
     "ReceiveRecord",
     "Trace",
     "build_execution_graph",
+    "decode_record",
+    "encode_record",
     "message_kept",
 ]
 
@@ -74,177 +78,106 @@ class ReceiveRecord:
     sends: tuple[SendRecord, ...]
 
 
-class RecordColumns:
-    """A struct-of-arrays twin of a ``list[ReceiveRecord]``.
+RECORD_ROW: tuple[str, ...] = (
+    "process",
+    "index",
+    "time",
+    "sender",
+    "send_process",
+    "send_index",
+    "send_time",
+    "payload",
+    "processed",
+    "sends",
+)
+"""The field layout of a record row, the one batch format of the runtime.
 
-    The columnar ingest path (wire frame -> shard buffer -> monitor ->
-    checker) carries batches as ten parallel columns instead of record
-    objects, so the hot loop never constructs ``ReceiveRecord`` /
-    ``Event`` / ``SendRecord`` instances.  Column ``k`` of every
-    sequence describes the same receive record:
+A row is a flat tuple of these ten plain values: the event identity
+``(process, index)``, its time, the triggering message's origin
+(``sender`` and the send event's ``(send_process, send_index)``, all
+``None`` for a wake-up, with ``send_time``), the step's ``payload`` and
+``processed`` flag, and ``sends``, a tuple of ``(dest, payload, delay,
+deliver_time)`` rows.  Producers encode records to rows
+(:func:`encode_record`); the wire, the journal, shard buffers and
+:meth:`~repro.analysis.online.OnlineAbcMonitor.observe_batch` carry
+rows unchanged; :func:`decode_record` rebuilds the record.
+"""
 
-    * ``processes[k]`` / ``indexes[k]`` -- the event identity.
-    * ``times[k]`` -- occurrence time.
-    * ``senders[k]`` / ``send_processes[k]`` / ``send_indexes[k]`` /
-      ``send_times[k]`` -- the triggering message's origin (all three
-      event fields ``None`` for wake-ups, matching the wire encoding).
-    * ``payloads[k]`` / ``processed[k]`` -- step content.
-    * ``sends[k]`` -- a tuple of *plain* wire rows
-      ``(dest, payload, delay, deliver_time)``, **not**
-      :class:`SendRecord` objects; the columns hold exactly what the
-      wire carries, and :meth:`record_at` rebuilds objects on demand.
 
-    All ten columns must have equal length -- a ragged columnar frame
-    (truncated or corrupted in transit) raises ``ValueError`` at
-    construction, in the caller, instead of desynchronizing silently.
-
-    Iteration materializes records (so snapshot encoding of a columnar
-    pending buffer reuses the object encoder unchanged); the builder
-    methods (:meth:`append_record`, :meth:`append_from`) require the
-    columns to be lists, which is how fresh instances are created.
-    """
-
-    __slots__ = (
-        "processes",
-        "indexes",
-        "times",
-        "senders",
-        "send_processes",
-        "send_indexes",
-        "send_times",
-        "payloads",
-        "processed",
-        "sends",
+def encode_record(record: ReceiveRecord) -> tuple:
+    """One receive record as a row in the :data:`RECORD_ROW` layout."""
+    event = record.event
+    send_event = record.send_event
+    sends = record.sends
+    return (
+        event.process,
+        event.index,
+        record.time,
+        record.sender,
+        None if send_event is None else send_event.process,
+        None if send_event is None else send_event.index,
+        record.send_time,
+        record.payload,
+        record.processed,
+        tuple(
+            [
+                (send.dest, send.payload, send.delay, send.deliver_time)
+                for send in sends
+            ]
+        )
+        if sends
+        else (),
     )
 
-    def __init__(
-        self,
-        processes=None,
-        indexes=None,
-        times=None,
-        senders=None,
-        send_processes=None,
-        send_indexes=None,
-        send_times=None,
-        payloads=None,
-        processed=None,
-        sends=None,
-    ) -> None:
-        self.processes = [] if processes is None else processes
-        self.indexes = [] if indexes is None else indexes
-        self.times = [] if times is None else times
-        self.senders = [] if senders is None else senders
-        self.send_processes = (
-            [] if send_processes is None else send_processes
-        )
-        self.send_indexes = [] if send_indexes is None else send_indexes
-        self.send_times = [] if send_times is None else send_times
-        self.payloads = [] if payloads is None else payloads
-        self.processed = [] if processed is None else processed
-        self.sends = [] if sends is None else sends
-        n = len(self.processes)
-        for name in self.__slots__:
-            if len(getattr(self, name)) != n:
-                raise ValueError(
-                    f"ragged columnar batch: column {name!r} has "
-                    f"{len(getattr(self, name))} entries, expected {n}"
-                )
 
-    def __len__(self) -> int:
-        return len(self.processes)
-
-    def __bool__(self) -> bool:
-        return bool(self.processes)
-
-    def __iter__(self) -> Iterator[ReceiveRecord]:
-        return (self.record_at(k) for k in range(len(self.processes)))
-
-    @classmethod
-    def from_records(
-        cls, records: Iterable[ReceiveRecord]
-    ) -> "RecordColumns":
-        cols = cls()
-        for record in records:
-            cols.append_record(record)
-        return cols
-
-    def append_record(self, record: ReceiveRecord) -> None:
-        event = record.event
-        send_event = record.send_event
-        self.processes.append(event.process)
-        self.indexes.append(event.index)
-        self.times.append(record.time)
-        self.senders.append(record.sender)
-        if send_event is None:
-            self.send_processes.append(None)
-            self.send_indexes.append(None)
-        else:
-            self.send_processes.append(send_event.process)
-            self.send_indexes.append(send_event.index)
-        self.send_times.append(record.send_time)
-        self.payloads.append(record.payload)
-        self.processed.append(record.processed)
-        self.sends.append(
-            tuple(
-                (s.dest, s.payload, s.delay, s.deliver_time)
-                for s in record.sends
-            )
-        )
-
-    def append_from(self, other: "RecordColumns", k: int) -> None:
-        """Copy row ``k`` of ``other`` onto this builder (no objects)."""
-        self.processes.append(other.processes[k])
-        self.indexes.append(other.indexes[k])
-        self.times.append(other.times[k])
-        self.senders.append(other.senders[k])
-        self.send_processes.append(other.send_processes[k])
-        self.send_indexes.append(other.send_indexes[k])
-        self.send_times.append(other.send_times[k])
-        self.payloads.append(other.payloads[k])
-        self.processed.append(other.processed[k])
-        self.sends.append(other.sends[k])
-
-    def record_at(self, k: int) -> ReceiveRecord:
-        """Materialize row ``k`` as a :class:`ReceiveRecord`.
-
-        Uses the same trusted fast construction as the codec's
-        ``decode_record``: the columns only ever hold values produced
-        by an encoded record (or validated wire frame), so the frozen
-        dataclasses' ``__init__``/``__post_init__`` re-validation is
-        skipped.
-        """
-        event = Event.__new__(Event)
-        event.__dict__["process"] = self.processes[k]
-        event.__dict__["index"] = self.indexes[k]
-        sp = self.send_processes[k]
-        if sp is None:
-            send_event = None
-        else:
-            send_event = Event.__new__(Event)
-            send_event.__dict__["process"] = sp
-            send_event.__dict__["index"] = self.send_indexes[k]
-        sends = []
-        for dest, payload, delay, deliver_time in self.sends[k]:
-            send = SendRecord.__new__(SendRecord)
-            send.__dict__["dest"] = dest
-            send.__dict__["payload"] = payload
-            send.__dict__["delay"] = delay
-            send.__dict__["deliver_time"] = deliver_time
-            sends.append(send)
-        record = ReceiveRecord.__new__(ReceiveRecord)
-        d = record.__dict__
-        d["event"] = event
-        d["time"] = self.times[k]
-        d["sender"] = self.senders[k]
-        d["send_event"] = send_event
-        d["send_time"] = self.send_times[k]
-        d["payload"] = self.payloads[k]
-        d["processed"] = self.processed[k]
-        d["sends"] = tuple(sends)
-        return record
-
-    def to_records(self) -> list[ReceiveRecord]:
-        return [self.record_at(k) for k in range(len(self.processes))]
+def decode_record(row: tuple) -> ReceiveRecord:
+    """The receive record a :data:`RECORD_ROW` row stands for."""
+    (
+        process,
+        index,
+        time,
+        sender,
+        send_process,
+        send_index,
+        send_time,
+        payload,
+        processed,
+        sends,
+    ) = row
+    # Trusted construction: a row only holds values an encoded record
+    # held, so the frozen dataclasses' checked ``__init__``s (and
+    # Event.__post_init__ validation) are skipped via ``__new__`` and
+    # direct ``__dict__`` stores.  Equality and hashing derive from the
+    # fields, so they are unchanged.
+    event = Event.__new__(Event)
+    event.__dict__["process"] = process
+    event.__dict__["index"] = index
+    if send_process is None:
+        send_event = None
+    else:
+        send_event = Event.__new__(Event)
+        send_event.__dict__["process"] = send_process
+        send_event.__dict__["index"] = send_index
+    decoded_sends = []
+    for dest, send_payload, delay, deliver_time in sends:
+        send = SendRecord.__new__(SendRecord)
+        fields = send.__dict__
+        fields["dest"] = dest
+        fields["payload"] = send_payload
+        fields["delay"] = delay
+        fields["deliver_time"] = deliver_time
+        decoded_sends.append(send)
+    record = ReceiveRecord.__new__(ReceiveRecord)
+    fields = record.__dict__
+    fields["event"] = event
+    fields["time"] = time
+    fields["sender"] = sender
+    fields["send_event"] = send_event
+    fields["send_time"] = send_time
+    fields["payload"] = payload
+    fields["processed"] = processed
+    fields["sends"] = tuple(decoded_sends)
+    return record
 
 
 @dataclass
@@ -355,12 +288,13 @@ def message_kept(
 ) -> bool:
     """Whether ``record``'s triggering message edge enters the graph.
 
-    The single predicate behind :func:`build_execution_graph` and the
-    record-consuming :class:`~repro.analysis.online.OnlineAbcMonitor`,
-    so the batch and incremental graph semantics cannot drift apart:
-    wake-ups have no message, faulty senders are dropped (Section 2)
-    unless ``drop_faulty`` is disabled, and ``keep_message`` may exempt
-    further messages.
+    The predicate behind :func:`build_execution_graph`: wake-ups have
+    no message, faulty senders are dropped (Section 2) unless
+    ``drop_faulty`` is disabled, and ``keep_message`` may exempt
+    further messages.  :meth:`~repro.analysis.online.OnlineAbcMonitor.observe_batch`
+    applies the first two rules to record rows itself (a monitor takes
+    no ``keep_message``); the monitor tests check its graphs against
+    this function's.
     """
     if record.sender is None or record.send_event is None:
         return False

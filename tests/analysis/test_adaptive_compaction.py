@@ -31,12 +31,17 @@ from repro.analysis.fleet import MonitorFleet
 from repro.analysis.online import OnlineAbcMonitor
 from repro.core.events import Event
 from repro.scenarios.generators import relay_chain_workload
-from repro.sim.trace import ReceiveRecord, SendRecord
+from repro.sim.trace import ReceiveRecord, SendRecord, encode_record
 
 SEED = 13
 N_RECORDS = 800
 FIXED_EVERY = 8
 THRESHOLD = 3.0
+
+
+def rows(records):
+    """Records as the rows ``observe_batch`` takes."""
+    return [encode_record(record) for record in records]
 
 
 def run_fixed_cadence(records, every=FIXED_EVERY):
@@ -143,8 +148,8 @@ class TestAdaptiveMonitor:
         reference = OnlineAbcMonitor()
         for start in range(0, len(records), 25):
             batch = records[start : start + 25]
-            assert monitor.observe_batch(batch) == reference.observe_batch(
-                batch
+            assert monitor.observe_batch(rows(batch)) == reference.observe_batch(
+                rows(batch)
             )
         assert monitor.auto_compactions > 0
         assert monitor.n_events < reference.n_events

@@ -34,7 +34,17 @@ from repro.scenarios.generators import (
     streaming_trace,
     theta_band_trace,
 )
-from repro.sim.trace import ReceiveRecord, Trace, build_execution_graph
+from repro.sim.trace import (
+    ReceiveRecord,
+    Trace,
+    build_execution_graph,
+    encode_record,
+)
+
+
+def rows(records):
+    """Records as the rows ``observe_batch`` takes."""
+    return [encode_record(record) for record in records]
 
 
 def prefix_graphs(trace: Trace) -> list:
@@ -184,16 +194,6 @@ class TestFaultyAndFilters:
         trace = Trace(trace.n, frozenset({3}), trace.records)
         monitor = OnlineAbcMonitor.from_trace(trace)
         graph = build_execution_graph(trace)
-        assert monitor.n_messages == len(graph.messages)
-        assert monitor.worst_ratio == worst_relevant_ratio(graph)
-
-    def test_keep_message_filter(self):
-        rng = random.Random(7)
-        trace = streaming_trace(rng, n_processes=3, n_records=25)
-        keep = lambda r: r.event.index % 2 == 0
-        monitor = OnlineAbcMonitor(keep_message=keep)
-        monitor.observe_trace(trace.records)
-        graph = build_execution_graph(trace, keep_message=keep)
         assert monitor.n_messages == len(graph.messages)
         assert monitor.worst_ratio == worst_relevant_ratio(graph)
 
@@ -416,12 +416,49 @@ class TestObserveBatch:
         reference = OnlineAbcMonitor()
         for start in range(0, len(trace.records), batch):
             chunk = trace.records[start : start + batch]
-            got = batched.observe_batch(chunk)
+            got = batched.observe_batch(rows(chunk))
             for record in chunk:
                 reference.observe(record)
             assert got == reference.worst_ratio
         assert batched.oracle_calls <= reference.oracle_calls
         assert batched.forgotten_message_edges == 0
+
+    @pytest.mark.parametrize("position", [0, 6, -1])
+    def test_out_of_order_event_rejects_the_whole_batch(self, position):
+        """An out-of-order event anywhere in a batch raises before any
+        row is applied: the digraph, the in-flight ledger and the ratio
+        stay as they were, and the monitor goes on from its last good
+        batch as if the bad one had never come."""
+        trace = streaming_trace(random.Random(3), 3, 40)
+        head, batch = trace.records[:20], trace.records[20:32]
+        assert any(r.send_event is not None for r in batch[:-1])
+        monitor = OnlineAbcMonitor()
+        monitor.observe_batch(rows(head))
+
+        def state():
+            return (
+                monitor.n_events,
+                monitor.n_messages,
+                monitor.worst_ratio,
+                monitor.oracle_calls,
+                len(monitor.changes),
+                sorted((e.process, e.index) for e in monitor.pinned_events()),
+            )
+
+        before = state()
+        bad = rows(batch)
+        row = list(bad[position])
+        row[1] += 1  # the event skips an index of its process
+        bad[position] = tuple(row)
+        with pytest.raises(ValueError, match="local order"):
+            monitor.observe_batch(bad)
+        assert state() == before
+        reference = OnlineAbcMonitor()
+        reference.observe_batch(rows(head))
+        assert monitor.observe_batch(rows(batch)) == reference.observe_batch(
+            rows(batch)
+        )
+        assert monitor.n_messages == reference.n_messages
 
     def test_batched_violation_fires_at_the_boundary(self):
         trace = streaming_trace(random.Random(7), 3, 40)
@@ -431,7 +468,7 @@ class TestObserveBatch:
         xi = reference.worst_ratio  # reached by this trace, so violated
         witnesses = []
         monitor = OnlineAbcMonitor(xi=xi, on_violation=witnesses.append)
-        monitor.observe_batch(trace.records)
+        monitor.observe_batch(rows(trace.records))
         assert len(witnesses) == 1
         assert monitor.violation is not None
         assert monitor.violation.ratio >= xi
@@ -463,13 +500,13 @@ class TestObserveBatch:
         late = record(b1, 3.0, src=a0, src_time=1.0)
 
         monitor = OnlineAbcMonitor()
-        monitor.observe_batch(early)
+        monitor.observe_batch(rows(early))
         monitor.forget_prefix([a0])  # unsafe: a0's send is in flight
-        assert monitor.observe_batch([late]) is None
+        assert monitor.observe_batch(rows([late])) is None
         assert monitor.forgotten_message_edges == 1
 
         one_by_one = OnlineAbcMonitor()
-        one_by_one.observe_batch(early)
+        one_by_one.observe_batch(rows(early))
         one_by_one.forget_prefix([a0])
         assert one_by_one.observe(late) is None
         assert one_by_one.forgotten_message_edges == 1

@@ -51,7 +51,12 @@ from repro.scenarios.generators import (
     profiled_trace_records,
     random_execution_graph,
 )
-from repro.sim.trace import Trace, build_execution_graph, message_kept
+from repro.sim.trace import (
+    Trace,
+    build_execution_graph,
+    encode_record,
+    message_kept,
+)
 
 PROFILES = ("storm", "burst", "idler", "relay", "firehose")
 
@@ -176,6 +181,11 @@ def max_k(probe, cap):
 def batches_of(records, size):
     for i in range(0, len(records), size):
         yield records[i : i + size]
+
+
+def rows(records):
+    """Records as the rows ``observe_batch`` takes."""
+    return [encode_record(record) for record in records]
 
 
 def prefix_checker(records, k):
@@ -353,7 +363,7 @@ class TestReferenceDifferential:
         monitor = OnlineAbcMonitor(compact_threshold=compact_threshold)
         seen = 0
         for chunk in batches_of(records, 9):
-            worst = monitor.observe_batch(chunk)
+            worst = monitor.observe_batch(rows(chunk))
             seen += len(chunk)
             assert worst == reference_at(profile, records, seen), seen
         assert feasible, "no refresh ran"
@@ -366,7 +376,7 @@ class TestReferenceDifferential:
         monitor = OnlineAbcMonitor()
         seen = forgotten = 0
         for chunk in batches_of(records, 9):
-            worst = monitor.observe_batch(chunk)
+            worst = monitor.observe_batch(rows(chunk))
             seen += len(chunk)
             assert worst == reference_at(profile, records, seen), seen
             frontier = [
@@ -389,7 +399,7 @@ class TestReferenceDifferential:
         chunks = list(batches_of(records, 9))
         seen = 0
         for chunk, upcoming in zip(chunks, chunks[1:]):
-            monitor.observe_batch(chunk)
+            monitor.observe_batch(rows(chunk))
             seen += len(chunk)
             before = potential_state(monitor._checker)
             spec = monitor.speculative_worst_ratio(*extension_of(upcoming))
@@ -403,7 +413,7 @@ class TestReferenceDifferential:
         monitor = OnlineAbcMonitor(compact_threshold=2.0)
         seen = 0
         for k, chunk in enumerate(batches_of(records, 9)):
-            worst = monitor.observe_batch(chunk)
+            worst = monitor.observe_batch(rows(chunk))
             seen += len(chunk)
             assert worst == reference_at(profile, records, seen), seen
             if k % 2:
@@ -477,7 +487,7 @@ class TestReferenceDifferential:
             chunk = records[seen : seen + size]
             if not chunk:
                 break
-            worst = monitor.observe_batch(chunk)
+            worst = monitor.observe_batch(rows(chunk))
             seen += len(chunk)
             assert worst == reference_climb(prefix_checker(records, seen))
             if extension_of(chunk)[1]:  # the batch refreshed
@@ -542,7 +552,7 @@ class TestRepairProperties:
             on_ratio_increase=realized,
         )
         for chunk in batches_of(records, 10):
-            monitor.observe_batch(chunk)
+            monitor.observe_batch(rows(chunk))
         assert jumps or monitor.worst_ratio is None
         if monitor.violation is not None:
             assert monitor.violation.relevant

@@ -8,6 +8,7 @@ only plain primitives (transportable by any backend, no library classes
 on the wire).
 """
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -21,8 +22,6 @@ from repro.runtime.codec import (
     decode_monitor,
     decode_notice,
     decode_record,
-    decode_records,
-    decode_records_columnar,
     decode_spec,
     decode_specs,
     decode_stats,
@@ -32,7 +31,6 @@ from repro.runtime.codec import (
     encode_monitor,
     encode_notice,
     encode_record,
-    encode_records,
     encode_spec,
     encode_specs,
     encode_stats,
@@ -44,6 +42,7 @@ from repro.scenarios.generators import (
     profiled_trace_records,
     strip_sends_metadata,
 )
+from repro.sim.trace import RECORD_ROW
 
 PROFILES = ("storm", "burst", "idler", "relay")
 
@@ -55,6 +54,14 @@ def assert_plain(value):
             assert_plain(item)
     else:
         assert value is None or isinstance(value, (int, float, str, bool))
+
+
+def wire_batch(records):
+    """A shard batch of ``(tick, trace_id, row)`` wire rows."""
+    return [
+        (i + 1, f"trace-{i % 3}", encode_record(r))
+        for i, r in enumerate(records)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -88,9 +95,11 @@ def test_metadata_free_records_round_trip(profile):
 def test_batch_round_trip_preserves_ticks_and_ids():
     records = profiled_trace_records(random.Random(3), "burst", 30)
     batch = [(i + 1, f"trace-{i % 3}", r) for i, r in enumerate(records)]
-    wire = encode_records(batch)
-    assert_plain([row[2] for row in wire])
-    assert decode_records(wire) == batch
+    wire = wire_batch(records)
+    assert_plain(wire)
+    assert [
+        (tick, tid, decode_record(row)) for tick, tid, row in wire
+    ] == batch
 
 
 # ----------------------------------------------------------------------
@@ -404,49 +413,53 @@ class TestGroupSnapshot:
 
 
 # ----------------------------------------------------------------------
-# columnar decode: the zero-object twin of decode_records
+# record rows: the one batch format, wire to digraph
 # ----------------------------------------------------------------------
 
 
-def wire_batch(records):
-    return encode_records(
-        [(i + 1, f"trace-{i % 3}", r) for i, r in enumerate(records)]
-    )
-
-
-class TestColumnarDecode:
+class TestRecordRows:
     @pytest.mark.parametrize("profile", PROFILES + ("firehose",))
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_object_decode_record_for_record(self, profile, seed):
-        """The columnar transpose must agree with the object decoder on
-        every field of every row -- ticks, ids, and materialized
-        records -- including sends metadata."""
+    def test_row_layout_round_trips_every_profile(self, profile, seed):
+        """Every field of every record sits at its ``RECORD_ROW``
+        position, sends metadata included, and the row decodes back to
+        an equal record."""
         records = profiled_trace_records(random.Random(seed), profile, 60)
-        wire = wire_batch(records)
-        reference = decode_records(wire)
-        ticks, trace_ids, cols = decode_records_columnar(wire)
-        assert list(ticks) == [tick for tick, _, _ in reference]
-        assert list(trace_ids) == [tid for _, tid, _ in reference]
-        assert len(cols) == len(reference)
-        for k, (_, _, record) in enumerate(reference):
-            materialized = cols.record_at(k)
-            assert materialized == record
-            assert materialized.sends == record.sends
-        # Iteration is the snapshot path: it must materialize the same
-        # record objects in order.
-        assert list(cols) == [record for _, _, record in reference]
+        for record in records:
+            row = encode_record(record)
+            assert_plain(row)
+            fields = dict(zip(RECORD_ROW, row, strict=True))
+            assert (fields["process"], fields["index"]) == (
+                record.event.process,
+                record.event.index,
+            )
+            send = record.send_event
+            assert (fields["send_process"], fields["send_index"]) == (
+                (None, None) if send is None else (send.process, send.index)
+            )
+            assert fields["sender"] == record.sender
+            assert fields["time"] == record.time
+            assert fields["send_time"] == record.send_time
+            assert fields["payload"] == record.payload
+            assert fields["processed"] == record.processed
+            assert fields["sends"] == tuple(
+                (s.dest, s.payload, s.delay, s.deliver_time)
+                for s in record.sends
+            )
+            decoded = decode_record(row)
+            assert decoded == record
+            assert decoded.sends == record.sends
 
     @pytest.mark.parametrize("profile", PROFILES)
-    def test_metadata_free_streams_stay_empty(self, profile):
-        """Degraded streams (sends stripped at the producer) must come
-        out of the columnar path as genuinely empty metadata."""
+    def test_metadata_free_rows_carry_empty_sends(self, profile):
+        """Degraded streams (sends stripped at the producer) travel as
+        genuinely empty metadata."""
         records = strip_sends_metadata(
             profiled_trace_records(random.Random(7), profile, 40)
         )
         wire = wire_batch(records)
-        _ticks, _ids, cols = decode_records_columnar(wire)
-        assert all(row == () for row in cols.sends)
-        assert [r for _, _, r in decode_records(wire)] == list(cols)
+        assert all(row[RECORD_ROW.index("sends")] == () for _, _, row in wire)
+        assert [decode_record(row) for _, _, row in wire] == records
 
     @given(
         payload_num=st.integers(min_value=-(10**40), max_value=10**40),
@@ -456,12 +469,12 @@ class TestColumnarDecode:
         wakeup=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_exact_payloads_survive_both_paths(
+    def test_exact_payloads_survive_the_row(
         self, payload_num, payload_den, n_sends, processed, wakeup
     ):
         """Big-int Fraction payloads (the exact-arithmetic plane's
-        currency) pass through the columnar transpose untouched --
-        the columns hold the very objects the wire row held."""
+        currency) ride in the row untouched, across a pickle boundary
+        too."""
         from repro.core.events import Event
         from repro.sim.trace import ReceiveRecord, SendRecord
 
@@ -481,53 +494,46 @@ class TestColumnarDecode:
                 for d in range(n_sends)
             ),
         )
-        wire = [(1, "t", encode_record(record))]
-        [(_, _, via_object)] = decode_records(wire)
-        _ticks, _ids, cols = decode_records_columnar(wire)
-        via_columns = cols.record_at(0)
-        assert via_columns == via_object == record
-        assert via_columns.payload == payload
-        assert [s.payload for s in via_columns.sends] == [
+        row = pickle.loads(pickle.dumps(encode_record(record)))
+        assert row[RECORD_ROW.index("payload")] == payload
+        decoded = decode_record(row)
+        assert decoded == record
+        assert decoded.payload == payload
+        assert [s.payload for s in decoded.sends] == [
             s.payload for s in record.sends
         ]
 
-    def test_empty_batch(self):
-        ticks, trace_ids, cols = decode_records_columnar([])
-        assert ticks == () and trace_ids == ()
-        assert len(cols) == 0 and not cols
+    def test_empty_batch_is_a_no_op(self):
+        group = ShardGroup(range(2), batch_size=4)
+        group.ingest_batch(0, [])
+        assert group.tick == 0 and group.open_traces == 0
+        assert all(s.records == 0 for s in group.shard_stats())
 
-    def test_ragged_batch_rows_raise(self):
-        """A truncated frame row must fail loudly in the decoder, not
-        desynchronize columns downstream."""
+    def test_truncated_batch_row_raises(self):
+        """A truncated frame row fails loudly in ``ingest_batch``, not
+        somewhere downstream."""
         records = profiled_trace_records(random.Random(0), "burst", 6)
         wire = wire_batch(records)
         wire[3] = wire[3][:2]  # drop the record cell
-        with pytest.raises(ValueError, match="ragged columnar batch"):
-            decode_records_columnar(wire)
+        with pytest.raises(ValueError, match="malformed record batch"):
+            ShardGroup(range(1)).ingest_batch(0, wire)
 
-    def test_ragged_record_arity_raises(self):
-        """A record tuple with the wrong field count (old producer,
-        corrupted frame) must raise, not shift every later column."""
+    def test_wrong_record_arity_raises(self):
+        """A record with the wrong field count (old producer, corrupted
+        frame) raises instead of shifting every later field."""
         records = profiled_trace_records(random.Random(0), "burst", 6)
         wire = wire_batch(records)
         tick, tid, rec = wire[2]
         wire[2] = (tick, tid, rec[:9])  # nine fields, not ten
-        with pytest.raises(ValueError, match="ragged columnar batch"):
-            decode_records_columnar(wire)
+        with pytest.raises(ValueError, match="malformed record batch"):
+            ShardGroup(range(1)).ingest_batch(0, wire)
 
-    def test_ragged_columns_raise_at_construction(self):
-        from repro.sim.trace import RecordColumns
+    def test_row_layout_is_defined_once(self):
+        """The codec's record functions are the trace module's, so the
+        wire, the journal and the shard buffers share one layout."""
+        from repro.runtime import codec
+        from repro.sim import trace
 
-        with pytest.raises(ValueError, match="ragged columnar batch"):
-            RecordColumns(
-                processes=[1, 2],
-                indexes=[0],  # short column
-                times=[0.0, 1.0],
-                senders=[None, None],
-                send_processes=[None, None],
-                send_indexes=[None, None],
-                send_times=[None, None],
-                payloads=[None, None],
-                processed=[True, True],
-                sends=[(), ()],
-            )
+        assert codec.encode_record is trace.encode_record
+        assert codec.decode_record is trace.decode_record
+        assert len(RECORD_ROW) == 10

@@ -725,7 +725,7 @@ class TestCountersPurity:
     """The counters telemetry (``live_events`` / ``open_traces`` /
     ``retired_traces``) is documented as a pure read: polling it
     mid-stream must not ship buffers, force worker flushes, or change
-    the flush cadence.  Regression guard for the columnar wire path,
+    the flush cadence.  Regression guard for the row wire path,
     whose batching would silently collapse if a poll started flushing."""
 
     @staticmethod

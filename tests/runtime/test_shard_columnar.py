@@ -1,12 +1,16 @@
-"""Shard-engine lockstep tests for columnar batch ingestion.
+"""The shard engine's row ingest against per-trace references.
 
-``ShardGroup.ingest_batch_columnar`` promises everything observable --
-per-trace worst ratios, degraded flags, violation merge order, flush
-cadence, oracle-call counts, live-event accounting -- bit-identical to
-``ingest_batch`` over the same wire rows, including the regimes where
-it must *leave* the zero-object fast path: metadata-free degraded
-traces, traces reopened after retirement, and batches interleaving the
-two ingest surfaces on one trace.
+``ShardGroup.ingest_batch`` takes the dispatcher's wire batches --
+``(tick, trace_id, row)`` triples -- unchanged, buffers rows per trace
+and hands them to each monitor's ``observe_batch``.  These tests check
+what a group reports against references that share none of that path:
+a standalone monitor per trace fed ``ReceiveRecord`` objects one at a
+time, and ``worst_relevant_ratio(build_execution_graph(...))`` over the
+whole trace.  Ratios, degraded flags and the violating set must agree
+across wire batch sizes, per-record and batch ingest interleaved on one
+group, metadata-free streams under a budget (degraded traces report
+sound lower bounds), and a trace reopened after retirement.  A
+malformed batch must be rejected before any of it is buffered.
 """
 
 import random
@@ -14,18 +18,20 @@ from fractions import Fraction
 
 import pytest
 
-from repro.runtime import codec
+from repro.analysis.online import OnlineAbcMonitor
+from repro.core.synchrony import worst_relevant_ratio
 from repro.runtime.shard import ShardGroup, shard_index_of
 from repro.scenarios.generators import (
     concurrent_workload,
     strip_sends_metadata,
 )
+from repro.sim.trace import Trace, build_execution_graph, encode_record
 
 XI = Fraction(3)
 N_SHARDS = 4
 
 
-def wire_stream(seed=1, n_traces=24, metadata_free=False, **kw):
+def record_stream(seed=1, n_traces=24, metadata_free=False, **kw):
     kw.setdefault("records_per_trace", (20, 40))
     stream = list(
         concurrent_workload(random.Random(seed), n_traces=n_traces, **kw)
@@ -39,8 +45,12 @@ def wire_stream(seed=1, n_traces=24, metadata_free=False, **kw):
             for tid, records in by_trace.items()
         }
         stream = [(tid, next(stripped[tid])) for tid, _ in stream]
+    return stream
+
+
+def wire_rows(stream):
     return [
-        (tick, tid, codec.encode_record(record))
+        (tick, tid, encode_record(record))
         for tick, (tid, record) in enumerate(stream, 1)
     ]
 
@@ -69,148 +79,166 @@ def make_group(**kw):
     return ShardGroup(range(N_SHARDS), **kw)
 
 
-def feed_object(group, shard, rows):
-    group.ingest_batch(shard, codec.decode_records(rows))
+def references(stream):
+    """Per trace: the standalone monitor's ratio, fed one record at a
+    time, after checking it against the batch oracle."""
+    by_trace = {}
+    for tid, record in stream:
+        by_trace.setdefault(tid, []).append(record)
+    out = {}
+    for tid, records in by_trace.items():
+        monitor = OnlineAbcMonitor()
+        for record in records:
+            monitor.observe(record)
+        n = max(r.event.process for r in records) + 1
+        graph = build_execution_graph(Trace(n, frozenset(), records))
+        assert monitor.worst_ratio == worst_relevant_ratio(graph), tid
+        out[tid] = monitor.worst_ratio
+    return out
 
 
-def feed_columnar(group, shard, rows):
-    ticks, ids, cols = codec.decode_records_columnar(rows)
-    group.ingest_batch_columnar(shard, ticks, ids, cols)
-
-
-def observables(group, rows):
-    ids = sorted({tid for _, tid, _ in rows}, key=str)
-    return {
-        "ratios": {
-            tid: group.worst_ratio(shard_index_of(tid, N_SHARDS), tid)
-            for tid in ids
-        },
-        "degraded": {
-            tid: group.is_degraded(shard_index_of(tid, N_SHARDS), tid)
-            for tid in ids
-        },
-        "violations": list(group.violations),
-        "flushes": [
-            (s.index, s.flushes, s.records) for s in group.shards.values()
-        ],
-        "oracle_calls": sum(
-            state.monitor.oracle_calls
-            for shard in group.shards.values()
-            for state in shard.traces.values()
-        ),
-        "live_events": group.live_events,
-        "stats": group.shard_stats(),
+def reported(group, ids):
+    group.flush_all()
+    ratios = {
+        tid: group.worst_ratio(shard_index_of(tid, N_SHARDS), tid)
+        for tid in ids
     }
+    degraded = {
+        tid: group.is_degraded(shard_index_of(tid, N_SHARDS), tid)
+        for tid in ids
+    }
+    return ratios, degraded
 
 
-def assert_groups_agree(rows, drive_obj, drive_col, **group_kw):
-    obj_group = make_group(**group_kw)
-    col_group = make_group(**group_kw)
-    drive_obj(obj_group)
-    drive_col(col_group)
-    obj_group.flush_all()
-    col_group.flush_all()
-    obj = observables(obj_group, rows)
-    col = observables(col_group, rows)
-    assert col["ratios"] == obj["ratios"]
-    assert col["degraded"] == obj["degraded"]
-    assert col["violations"] == obj["violations"], "violation merge order"
-    assert col["flushes"] == obj["flushes"], "flush cadence"
-    assert col["oracle_calls"] == obj["oracle_calls"]
-    assert col["live_events"] == obj["live_events"]
-    assert col["stats"] == obj["stats"]
-    return obj
+def violating(ratios):
+    return {tid for tid, r in ratios.items() if r is not None and r >= XI}
 
 
-class TestShardLockstep:
+class TestShardRowIngest:
     @pytest.mark.parametrize("wire_batch", (8, 32, 128))
-    def test_columnar_matches_object_ingest(self, wire_batch):
-        rows = wire_stream(seed=5)
-        batches = shard_batches(rows, wire_batch)
+    def test_row_ingest_matches_references(self, wire_batch):
+        stream = record_stream(seed=5)
+        rows = wire_rows(stream)
+        group = make_group()
+        for shard, chunk in shard_batches(rows, wire_batch):
+            group.ingest_batch(shard, chunk)
+        expected = references(stream)
+        ratios, degraded = reported(group, expected)
+        assert ratios == expected
+        assert not any(degraded.values())
+        assert set(group.violating_ids()) == violating(expected)
+        assert group.violating_ids(), "workload must violate Xi=3"
+        assert sum(s.records for s in group.shard_stats()) == len(rows)
 
-        def obj(group):
-            for shard, chunk in batches:
-                feed_object(group, shard, chunk)
-
-        def col(group):
-            for shard, chunk in batches:
-                feed_columnar(group, shard, chunk)
-
-        result = assert_groups_agree(rows, obj, col)
-        assert result["violations"], "workload must violate Xi=3"
-
-    def test_metadata_free_degraded_traces_agree(self):
-        """Stripped sends metadata degrades traces (forgotten edges);
-        the columnar flush must fall back to the object path for them
-        and still agree on every flag and ratio."""
-        rows = wire_stream(seed=9, metadata_free=True)
-        batches = shard_batches(rows)
-
-        def obj(group):
-            for shard, chunk in batches:
-                feed_object(group, shard, chunk)
-
-        def col(group):
-            for shard, chunk in batches:
-                feed_columnar(group, shard, chunk)
-
-        result = assert_groups_agree(
-            rows, obj, col, event_budget=300, compact_threshold=3.0
-        )
-        assert any(result["degraded"].values()), (
-            "workload must exercise the degraded fallback"
+    def test_metadata_free_degraded_traces_are_lower_bounds(self):
+        """Stripped sends metadata under a budget degrades traces
+        (forgotten edges): a degraded ratio is a sound lower bound, and
+        every other trace is exact."""
+        stream = record_stream(seed=9, metadata_free=True)
+        group = make_group(event_budget=300, compact_threshold=3.0)
+        for shard, chunk in shard_batches(wire_rows(stream)):
+            group.ingest_batch(shard, chunk)
+        expected = references(stream)
+        ratios, degraded = reported(group, expected)
+        assert any(degraded.values()), "workload must degrade a trace"
+        for tid, exact in expected.items():
+            if degraded[tid]:
+                assert ratios[tid] is None or ratios[tid] <= exact, tid
+            else:
+                assert ratios[tid] == exact, tid
+        exact_ids = {tid for tid in expected if not degraded[tid]}
+        assert set(group.violating_ids()) & exact_ids == (
+            violating(expected) & exact_ids
         )
 
-    def test_mixed_surfaces_interleave_on_one_group(self):
-        """Alternating object and columnar batches into the *same*
-        group -- the mid-stream fallback shape -- must match a pure
-        object-path group."""
-        rows = wire_stream(seed=3)
-        batches = shard_batches(rows, 16)
+    def test_per_record_and_batch_ingest_interleave(self):
+        """``ingest`` (one record, encoded on the way in) and
+        ``ingest_batch`` (wire rows) alternating on one group."""
+        stream = record_stream(seed=3)
+        rows = wire_rows(stream)
+        group = make_group()
+        for k, (shard, chunk) in enumerate(shard_batches(rows, 16)):
+            if k % 2:
+                group.ingest_batch(shard, chunk)
+            else:
+                for tick, tid, row in chunk:
+                    record = stream[tick - 1][1]
+                    assert encode_record(record) == row
+                    group.ingest(shard, tid, record, tick)
+        expected = references(stream)
+        ratios, degraded = reported(group, expected)
+        assert ratios == expected
+        assert not any(degraded.values())
+        assert set(group.violating_ids()) == violating(expected)
 
-        def obj(group):
-            for shard, chunk in batches:
-                feed_object(group, shard, chunk)
-
-        def mixed(group):
-            for k, (shard, chunk) in enumerate(batches):
-                if k % 2:
-                    feed_object(group, shard, chunk)
-                else:
-                    feed_columnar(group, shard, chunk)
-
-        assert_groups_agree(rows, obj, mixed)
-
-    def test_reopened_trace_takes_fallback_and_agrees(self):
-        """A trace closed mid-stream and reopened by later records is
-        permanently degraded; columnar ingestion of its later batches
-        must agree with object ingestion record for record."""
-        rows = wire_stream(seed=7, n_traces=6)
+    def test_reopened_trace_fills_gaps_from_rows(self):
+        """A trace closed mid-stream and reopened by later rows is
+        permanently degraded: its ratio lies between the closed part's
+        and the whole trace's, and every other trace stays exact."""
+        stream = record_stream(seed=7, n_traces=6)
+        rows = wire_rows(stream)
         cut = len(rows) // 2
         victim = rows[0][1]
         shard = shard_index_of(victim, N_SHARDS)
-
-        def drive(feed):
-            def go(group):
-                for s, chunk in shard_batches(rows[:cut], 16):
-                    feed(group, s, chunk)
-                group.flush_trace(shard, victim)
-                group.close(shard, victim)
-                for s, chunk in shard_batches(rows[cut:], 16):
-                    feed(group, s, chunk)
-
-            return go
-
-        result = assert_groups_agree(
-            rows, drive(feed_object), drive(feed_columnar)
-        )
-        assert result["degraded"][victim], "victim must reopen degraded"
-
-    def test_ragged_columnar_batch_rejected(self):
         group = make_group()
-        rows = wire_stream(seed=1, n_traces=2)[:4]
-        ticks, ids, cols = codec.decode_records_columnar(rows)
-        with pytest.raises(ValueError, match="ragged columnar batch"):
-            group.ingest_batch_columnar(0, ticks[:-1], ids, cols)
-        with pytest.raises(ValueError, match="ragged columnar batch"):
-            group.ingest_batch_columnar(0, ticks, ids[:-1], cols)
+        for s, chunk in shard_batches(rows[:cut], 16):
+            group.ingest_batch(s, chunk)
+        closed = group.close(shard, victim).worst_ratio
+        later = [row for row in rows[cut:] if row[1] == victim]
+        assert later and later[0][2][1] > 0, "victim must reopen mid-trace"
+        for s, chunk in shard_batches(rows[cut:], 16):
+            group.ingest_batch(s, chunk)
+        expected = references(stream)
+        assert closed == references(
+            [(tid, r) for tid, r in stream[:cut] if tid == victim]
+        )[victim]
+        ratios, degraded = reported(group, expected)
+        assert degraded[victim]
+        assert closed is None or ratios[victim] >= closed
+        assert ratios[victim] is None or ratios[victim] <= expected[victim]
+        for tid, exact in expected.items():
+            if tid != victim:
+                assert not degraded[tid]
+                assert ratios[tid] == exact, tid
+
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda row: row[:2],  # the record cell is missing
+            lambda row: (row[0], row[1], row[2][:9]),  # nine fields
+            lambda row: (row[0], row[1], None),  # no record at all
+        ],
+        ids=["short-triple", "nine-field-record", "no-record"],
+    )
+    def test_malformed_last_row_rejects_the_whole_batch(self, malform):
+        """The outside-input check: a batch whose *last* row is
+        malformed raises before any row is buffered -- shard record
+        counts, the group clock, the open traces and every pending
+        buffer stay as they were."""
+        rows = wire_rows(record_stream(seed=1, n_traces=8))
+        group = make_group(batch_size=1000)
+        batches = shard_batches(rows, 32)
+        for shard, chunk in batches[:-1]:
+            group.ingest_batch(shard, chunk)
+        shard, chunk = batches[-1]
+        bad = chunk[:-1] + [malform(chunk[-1])]
+
+        def state():
+            return (
+                {s.index: s.records for s in group.shards.values()},
+                group.tick,
+                {
+                    s.index: [
+                        (tid, list(st.pending)) for tid, st in s.traces.items()
+                    ]
+                    for s in group.shards.values()
+                },
+            )
+
+        before = state()
+        assert any(
+            pending for traces in before[2].values() for _, pending in traces
+        )
+        with pytest.raises(ValueError, match="malformed record batch"):
+            group.ingest_batch(shard, bad)
+        assert state() == before

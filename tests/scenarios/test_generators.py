@@ -193,7 +193,7 @@ def test_relay_chain_validation():
 
 
 def test_firehose_traces_are_dense_message_streams():
-    """The firehose profile (the columnar benchmark's gate shape):
+    """The firehose profile (bench_e2e's gate shape):
     one wake-up per process, then *every* record carries a triggering
     message from a recent event, with no silences between arrivals."""
     records = profiled_trace_records(random.Random(5), "firehose", 80)

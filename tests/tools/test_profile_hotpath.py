@@ -29,15 +29,17 @@ def test_monitor_target_profiles_observe(tmp_path, capsys):
     assert out.exists() and out.stat().st_size > 0
 
 
-@pytest.mark.parametrize("target", ["ingest-object", "ingest-columnar"])
-def test_ingest_targets_run(target, capsys):
+def test_ingest_target_profiles_the_row_path(capsys):
     rc = profile_hotpath.main(
-        ["--target", target, "--events", "20", "--top", "5"]
+        ["--target", "ingest", "--events", "20", "--top", "40"]
     )
     assert rc == 0
     printed = capsys.readouterr().out
-    assert "ingest" in printed
+    assert "row ingest" in printed
     assert "function calls" in printed  # pstats actually rendered
+    # The one path, layer by layer, by name.
+    for name in ("ingest_batch", "observe_batch", "absorb_batch"):
+        assert f"({name})" in printed, name
 
 
 def test_enforce_target_names_both_searches(capsys):

@@ -3,9 +3,9 @@
 Where does an observed record's time actually go?  This harness runs
 the same workloads the acceptance benchmarks gate -- the 200-event
 ``bench_table_incremental`` monitor replay, and the ``bench_e2e``
-wire-to-digraph ingest span -- under ``cProfile`` and prints the top
+firehose gate fleet -- under ``cProfile`` and prints the top
 functions, so a perf regression shows up as a *named function* rather
-than a bare ratio.  Four targets:
+than a bare ratio.  Three targets:
 
 * ``monitor`` (default) -- the ``bench_table_incremental`` gate
   workload replayed record by record through
@@ -13,12 +13,11 @@ than a bare ratio.  Four targets:
   (``updated_worst_ratio``, with ``repair_potential`` and its Dijkstra
   ``_repair`` under it) and the per-record ingest to share the time;
   the e2e benchmark times the ingest span separately.
-* ``ingest-object`` -- the per-record object path of ``bench_e2e``
-  (decode records, absorb through ``add_event``/``add_message``).
-* ``ingest-columnar`` -- the columnar path (``decode_records_columnar``
-  + ``absorb_batch``); compare against ``ingest-object`` to see the
-  object-construction and dict-bookkeeping time the columnar path
-  removed.
+* ``ingest`` -- the one ingest path: the ``bench_e2e`` gate fleet's
+  wire rows cut into shard batches and fed to a ``ShardGroup`` through
+  ``ingest_batch`` -- buffering, ``observe_batch`` (the message filter
+  and the in-flight ledger), ``absorb_batch`` and the refreshes, as a
+  worker runs them.
 * ``enforce`` -- budget enforcement: a serial ``MonitorFleet`` with an
   event budget over the mix of perfbench's ``long-bounded`` workload
   (112 relay, storm and burst traces, ``--events`` records each, budget
@@ -30,8 +29,7 @@ than a bare ratio.  Four targets:
 Usage::
 
     python tools/profile_hotpath.py                      # monitor, top 25
-    python tools/profile_hotpath.py --target ingest-object --top 15
-    python tools/profile_hotpath.py --target ingest-columnar --sort tottime
+    python tools/profile_hotpath.py --target ingest --sort tottime
     python tools/profile_hotpath.py --target enforce --events 500
     python tools/profile_hotpath.py --events 100
 """
@@ -50,7 +48,7 @@ for entry in (str(REPO / "src"), str(REPO / "benchmarks")):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
-TARGETS = ("monitor", "ingest-object", "ingest-columnar", "enforce")
+TARGETS = ("monitor", "ingest", "enforce")
 # perfbench's long-bounded mix, and its budget per record of trace length.
 ENFORCE_TRACES = 112
 ENFORCE_MIX = {"relay": 0.4, "storm": 0.4, "burst": 0.2}
@@ -73,20 +71,29 @@ def monitor_workload(events: int):
     return body, f"monitor replay, {len(trace.records)} records"
 
 
-def ingest_workload(events: int, columnar: bool):
+def ingest_workload(events: int):
     import bench_e2e
 
+    from repro.runtime.shard import ShardGroup
+
     wires = bench_e2e.gate_workload(bench_e2e.DEFAULT_GATE_TRACES, events)
-    run = (
-        bench_e2e.ingest_columnar if columnar else bench_e2e.ingest_object
-    )
+    batch = bench_e2e.DEFAULT_BATCH
+    # One trace per shard, each cut into wire batches of ``batch`` rows.
+    shard_batches = [
+        (shard, [(tick, shard, row) for tick, _tid, row in wire[i : i + batch]])
+        for shard, wire in enumerate(wires)
+        for i in range(0, len(wire), batch)
+    ]
     n = sum(len(w) for w in wires)
 
     def body():
-        return run(wires, bench_e2e.DEFAULT_BATCH, frozenset())
+        group = ShardGroup(range(len(wires)), batch_size=batch)
+        for shard, rows in shard_batches:
+            group.ingest_batch(shard, rows)
+        group.flush_all()
+        return group
 
-    path = "columnar" if columnar else "object"
-    return body, f"{path} ingest, {n} wire records"
+    return body, f"row ingest, {n} wire records"
 
 
 def enforce_workload(events: int):
@@ -147,9 +154,7 @@ def main(argv=None) -> int:
     elif args.target == "enforce":
         body, label = enforce_workload(args.events)
     else:
-        body, label = ingest_workload(
-            args.events, args.target == "ingest-columnar"
-        )
+        body, label = ingest_workload(args.events)
 
     body()  # warm: imports, first-touch allocations
     profiler = cProfile.Profile()
