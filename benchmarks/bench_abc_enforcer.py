@@ -4,14 +4,18 @@ Design choice called out in the speculative-enforcer rework: the
 scheduler keeps ONE :class:`~repro.core.synchrony.AdmissibilityChecker`
 mirroring the realized trace and evaluates every (tentative delivery,
 pending message) pair by speculative extension
-(``checkpoint``/``rollback`` on the live digraph, source-seeded
-negative-cycle detection, settled-prefix tombstoning), instead of
-rebuilding the execution graph and a fresh checker for every oracle call
-the way the seed implementation did.  Measured: wall-clock of the
-incremental enforcer against a frozen copy of the seed enforcer on the
-enforcer-stressing scenario families (ping-pong storm, zero-delay burst,
-long silence), with traces and ``pulled_forward`` counts required to be
-byte-identical on every benchmarked scenario.
+(``checkpoint``/``rollback`` on the live digraph, a probe that is one
+repair pass of the checker's stored potential from the realized worst
+ratio, settled-prefix tombstoning), instead of rebuilding the execution
+graph and a fresh checker for every oracle call the way the seed
+implementation did.  Measured: wall-clock of the incremental enforcer
+against a frozen copy of the seed enforcer on the enforcer-stressing
+scenario families (ping-pong storm, zero-delay burst, long silence),
+with traces and ``pulled_forward`` counts required to be byte-identical
+on every benchmarked scenario.  The frozen seed calls the library's
+one-shot :func:`~repro.core.synchrony.has_relevant_cycle_with_ratio_at_least`,
+so its time moves with the library's one-shot queries: ``seed_s`` and
+``incremental_s`` are worth reading separately, not only their ratio.
 
 Also runnable as a script (CI smoke / the >=5x acceptance gate)::
 
@@ -41,8 +45,9 @@ from repro.sim.engine import SimulationLimits
 from repro.sim.trace import build_execution_graph
 
 DEFAULT_EVENTS = 200
-# Hard floor for automated runs.  Nominal speedups are >=9x, but
-# wall-clock ratios on shared/noisy machines dip well below nominal, so
+# Hard floor for automated runs.  Measured speedups are 58-86x on a
+# 2-vCPU VM, but wall-clock ratios on shared/noisy machines dip well
+# below that, so
 # hard gates (this pytest entry and the CI step) use 2x and leave the
 # measured numbers as the informational record; the acceptance run is
 # the CLI with --min-speedup 5 on a quiet machine.
@@ -125,7 +130,7 @@ def compare_scenario(scenario, n_events, seed=3):
 def test_enforcer_speedup_and_trace_identity():
     """Byte-identical traces and pulled_forward counts on every
     benchmarked scenario, and speedup over the seed enforcer above the
-    noise-tolerant hard floor (nominal is >=9x; see HARD_SPEEDUP_FLOOR)."""
+    noise-tolerant hard floor (see HARD_SPEEDUP_FLOOR)."""
     results = [
         compare_scenario(name, DEFAULT_EVENTS) for name in SCENARIOS
     ]

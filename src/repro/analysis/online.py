@@ -37,8 +37,9 @@ Two scheduler-facing facilities ride on the same shared checker.
 :meth:`OnlineAbcMonitor.speculative_worst_ratio`) answer "what if these
 events and messages arrived next?" by pushing the hypothetical extension
 onto the live digraph inside a
-:meth:`~repro.core.synchrony.AdmissibilityChecker.speculate` block and
-rolling it back -- the primitive the ABC-enforcing scheduler of
+:meth:`~repro.core.synchrony.AdmissibilityChecker.speculate` block,
+running one repair pass from the running worst ratio, and rolling both
+back -- the probe the ABC-enforcing scheduler of
 :mod:`repro.sim.abc_scheduler` runs once per pending message per step.
 *Prefix forgetting* (:meth:`OnlineAbcMonitor.forget_prefix`,
 :meth:`OnlineAbcMonitor.settled_prefix`,
@@ -272,7 +273,7 @@ class OnlineAbcMonitor:
 
     @property
     def oracle_calls(self) -> int:
-        """Total negative-cycle runs issued (incrementality metric)."""
+        """Total repair passes issued (incrementality metric)."""
         return self._checker.oracle_calls
 
     @property
@@ -483,18 +484,15 @@ class OnlineAbcMonitor:
         the usual local-order discipline, message endpoints must exist
         after the events are added.  This is the oracle primitive of the
         ABC-enforcing scheduler, exposed for schedulers built on the
-        monitor directly.
+        monitor directly.  It compares :meth:`speculative_worst_ratio`
+        with ``xi``: one repair pass from the running worst ratio, so a
+        monitor that already violates answers ``True`` even when the
+        realizing cycle lives in a forgotten prefix.
         """
         if self.xi is None:
             raise ValueError("monitor was constructed without a Xi")
-        if self._worst is not None and self._worst >= self.xi:
-            # Already violating: answer from the running maximum -- the
-            # realizing cycle may live in a forgotten prefix, where the
-            # compacted digraph is not obliged to re-derive it.
-            return True
-        with self._checker.speculate() as checker:
-            self._push_extension(events, messages)
-            return checker.has_ratio_at_least(self.xi)
+        worst = self.speculative_worst_ratio(events, messages)
+        return worst is not None and worst >= self.xi
 
     def speculative_worst_ratio(
         self,

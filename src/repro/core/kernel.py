@@ -1,39 +1,34 @@
-"""Negative-cycle detection: the two routines behind every oracle query.
+"""Negative-cycle detection: the repair pass behind every oracle query.
 
 Every oracle query of :class:`~repro.core.synchrony.AdmissibilityChecker`
-bottoms out in negative-cycle detection on the traversal digraph ``H``
-re-weighted for a ratio.  Two routines do it, reading the checker's
-adjacency lists directly:
+bottoms out in negative-cycle detection on the traversal digraph ``H``,
+and one routine does it: :func:`repair_potential`, the *repair pass*
+over the checker's stored potential.  The potential is one integer per
+node, feasible for every covered H-edge at the checker's running worst
+ratio; the pass extends it over the H-edges added since the last pass
+and repairs it where a new edge is violated (Cotton & Maler, SAT 2006;
+Ramalingam et al., Algorithmica 1999).  The worst ratio it leaves
+answers every query: ``ratio >= p/q`` holds iff the worst reaches
+``p/q``, and the cycle that realizes the worst is the witness.
 
-* :func:`negative_cycle` -- the round-batched SPFA from a virtual
-  source, for the one-shot *inclusive* queries (``ratio >= p/q``:
-  :meth:`~repro.core.synchrony.AdmissibilityChecker.has_ratio_at_least`,
-  ``violating_cycle``, ``check``).  It holds no state between runs.
-* :func:`repair_potential` -- the *repair pass* over the checker's
-  stored potential, for every worst-ratio query.  The potential is one
-  integer per node, feasible for every covered H-edge at the checker's
-  running worst ratio; the pass extends it over the H-edges added since
-  the last pass and repairs it where a new edge is violated (Cotton &
-  Maler, SAT 2006; Ramalingam et al., Algorithmica 1999).
+**Detection returns the cycle.**  The pass answers with the H-edge ids
+of the last simple negative cycle it closed, or ``None``.  The checker
+jumps to the ratio ``B/F`` of each cycle a repair closes, and the last
+such cycle is the monitor's Xi witness.  Every comparison is on
+arbitrary-precision Python integers, so large numerators, denominators
+or summary hop counts change no answer.
 
-**Detection returns the cycle.**  Both routines answer with the H-edge
-ids of one simple negative cycle, or ``None``.  The checker's
-worst-ratio search jumps to the ratio ``B/F`` of each cycle a repair
-closes, and the last such cycle is the monitor's Xi witness.  Every
-comparison is on arbitrary-precision Python integers, so large
-numerators, denominators or summary hop counts change no answer.
-
-The checker reaches each routine through a :class:`Kernel` subclass it
-makes for each run (:class:`PyObjectKernel`, :class:`PotentialKernel`),
-so a profiler can time every run by wrapping ``has_negative_cycle``.
-Scratch state lives in the run, never in this module, because thread
-workers share one process.  :func:`resolve_kernel_name` names the
-inclusive routine for reports.
+The checker reaches the pass through a :class:`PotentialKernel` it
+makes for each run, so a profiler can time every run by wrapping
+``has_negative_cycle`` on the :class:`Kernel` subclasses.  Scratch
+state lives in the run, never in this module, because thread workers
+share one process.  :func:`resolve_kernel_name` names the routine for
+reports.
 
 This module deliberately imports nothing from
-:mod:`repro.core.synchrony` (which imports *it*): the routines read the
+:mod:`repro.core.synchrony` (which imports *it*): the pass reads the
 checker's struct-of-arrays digraph (``_tails`` / ``_adj`` / weight
-tables) through the instance they are given.  The edge-kind tags live
+tables) through the instance it is given.  The edge-kind tags live
 here as the canonical definition.
 """
 
@@ -48,8 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 __all__ = [
     "Kernel",
     "PotentialKernel",
-    "PyObjectKernel",
-    "negative_cycle",
     "repair_potential",
     "resolve_kernel_name",
     "start_nodes",
@@ -65,109 +58,21 @@ BWD_LOCAL = 2
 SUMMARY = 3
 
 
-def negative_cycle(
-    checker: "AdmissibilityChecker",
-    p: int,
-    q: int,
-    sources: list[int] | None = None,
-) -> list[int] | None:
-    """One simple negative H-cycle at ``p/q`` as H-edge ids, or ``None``.
-
-    The one detection routine (see
-    :meth:`~repro.core.synchrony.AdmissibilityChecker._has_negative_cycle`
-    for the full semantics): round-batched SPFA from a virtual source,
-    or genuine Bellman-Ford from ``sources`` with non-sources at
-    ``+inf``.  Every improvement records the H-edge it came through.
-    Once a relaxation chain reaches ``n`` edges, the predecessor walk
-    from the improved node is followed to a cycle; every predecessor
-    cycle is negative, because each link was a strict improvement when
-    recorded, so the run returns it.
-
-    A walk can dead-end on a node that was never improved; the run
-    then keeps relaxing.  A cycle still appears: while a negative cycle
-    exists the relaxations never stop, so the integer distances drop
-    below the weight of every walk of fewer than ``n`` edges.  The
-    relaxation that does so has a chain of at least ``n`` edges, and
-    its walk cannot dead-end, since a dead-ended walk traces a simple
-    path whose weight bounds the distance from below.
-    """
-    n = len(checker._adj)
-    if n == 0 or (not checker._n_messages and not checker._n_summaries):
-        return None
-    wtab = checker._weight_table(p, q)
-    adj = checker._adj
-    tails = checker._tails
-    chain = [0] * n  # edges in the walk realizing the current dist
-    pred = [-1] * n  # H-edge id that last improved each node
-    queued = [False] * n
-    if sources is None:
-        dist: list[int | float] = [0] * n
-        active = [u for u in range(n) if adj[u]]
-    else:
-        dist = [float("inf")] * n
-        for u in sources:
-            dist[u] = 0
-        active = sorted({u for u in sources if adj[u]})
-    while active:
-        next_active: list[int] = []
-        push = next_active.append
-        for u in active:
-            du = dist[u]
-            cu = chain[u] + 1
-            for v, kind, eidx in adj[u]:
-                nd = du + wtab[kind]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    chain[v] = cu
-                    pred[v] = eidx
-                    if cu >= n:
-                        cycle = _cycle_from_predecessors(pred, tails, v, n)
-                        if cycle is not None:
-                            return cycle
-                    if not queued[v]:
-                        queued[v] = True
-                        push(v)
-        # Process the next frontier newest-first: every negative H-edge
-        # (message backward, local backward) points towards older
-        # events, and node ids follow arrival order, so a descending
-        # sweep cascades whole backward chains within one round instead
-        # of one hop per round.
-        next_active.sort(reverse=True)
-        active = next_active
-        for v in active:
-            queued[v] = False
-    return None
-
-
 def _cycle_from_predecessors(
-    pred: list[int] | dict[int, int], tails: list[int], start: int, n: int
-) -> list[int] | None:
-    """Walk predecessor links from ``start`` until a node repeats, then
-    collect the enclosed cycle; ``None`` if the walk dead-ends on a
-    never-improved node first (at most ``n + 1`` links are followed --
-    over ``n`` nodes a longer defined walk must repeat)."""
-    seen = {start}
+    pred: dict[int, int], tails: list[int], start: int
+) -> list[int]:
+    """The cycle a repair closed: follow predecessor links from
+    ``start`` until they lead back to it, in walk order."""
+    cycle: list[int] = []
     node = start
-    for _ in range(n + 1):
-        eidx = pred[node]
-        if eidx < 0:
-            return None
-        node = tails[eidx]
-        if node in seen:
-            break
-        seen.add(node)
-    else:  # pragma: no cover - pigeonhole makes this unreachable
-        return None
-    cycle_edges: list[int] = []
-    cycle_start = node
     while True:
         eidx = pred[node]
-        cycle_edges.append(eidx)
+        cycle.append(eidx)
         node = tails[eidx]
-        if node == cycle_start:
+        if node == start:
             break
-    cycle_edges.reverse()
-    return cycle_edges
+    cycle.reverse()
+    return cycle
 
 
 def start_nodes(
@@ -308,7 +213,7 @@ def _repair(
                 if y == u:
                     checker.repairs += 1
                     checker.repaired_nodes += len(shift)
-                    return _cycle_from_predecessors(pred, tails, u, len(adj))
+                    return _cycle_from_predecessors(pred, tails, u)
                 shift[y] = need
                 if need == key:
                     same.append(y)
@@ -322,7 +227,7 @@ def _repair(
 
 
 class Kernel:
-    """A checker's handle on one detection routine.
+    """A checker's handle on the detection routine.
 
     Each subclass's ``has_negative_cycle`` is one detection run over
     the checker the kernel was made for -- the method a profiler wraps
@@ -333,22 +238,10 @@ class Kernel:
         self._checker = checker
 
 
-class PyObjectKernel(Kernel):
-    """:func:`negative_cycle` over the checker's adjacency lists, with
-    no cached state."""
-
-    name = "py_object"
-
-    def has_negative_cycle(
-        self, p: int, q: int, sources: list[int] | None = None
-    ) -> list[int] | None:
-        """The H-edge ids of one simple negative cycle at ``p/q``, or
-        ``None`` when there is none."""
-        return negative_cycle(self._checker, p, q, sources)
-
-
 class PotentialKernel(Kernel):
     """:func:`repair_potential` over the checker's stored potential."""
+
+    name = "potential"
 
     def has_negative_cycle(self) -> list[int] | None:
         """One repair pass: the H-edge ids of the last negative cycle it
@@ -357,14 +250,14 @@ class PotentialKernel(Kernel):
 
 
 def resolve_kernel_name(spec: str | None = None) -> str:
-    """The name of the inclusive detection routine: ``"py_object"``.
+    """The name of the detection routine: ``"potential"``.
 
-    ``None`` and ``"py_object"`` resolve to it; any other name raises
+    ``None`` and ``"potential"`` resolve to it; any other name raises
     ``ValueError``.
     """
-    if spec is not None and spec != PyObjectKernel.name:
+    if spec is not None and spec != PotentialKernel.name:
         raise ValueError(
             f"unknown kernel {spec!r}; the only kernel is "
-            f"{PyObjectKernel.name!r}"
+            f"{PotentialKernel.name!r}"
         )
-    return PyObjectKernel.name
+    return PotentialKernel.name

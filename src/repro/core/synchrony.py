@@ -23,35 +23,30 @@ cycle of ``G`` except for two degenerate shapes:
 * cycles whose forward messages outnumber the backward ones (Definition 3
   then forces the opposite orientation, making the local edges forward).
 
-Both degeneracies are eliminated by weighting.  For a violation test
-against ``Xi = p/q`` (``ratio >= p/q``), give each H-edge the weight
+Both degeneracies are eliminated by weighting.  To ask whether any
+relevant cycle exists at all, give each H-edge the weight
 
-* message forward:  ``+p * M``
-* message backward: ``-q * M``
+* message forward:  ``+K``
+* message backward: ``-K``
 * local backward:   ``-1``
 
-with ``M = (number of local edges) + 1``.  A simple H-cycle has weight
-``(p*|Z+| - q*|Z-|) * M - #locals``; since every genuine cycle contains at
-least one and at most ``M - 1`` local edges, the weight is negative iff
-``q*|Z-| - p*|Z+| >= 0``, i.e. iff the cycle witnesses ``ratio >= p/q``.
-The degenerate 2-cycle weighs ``(p - q) * M >= 0`` and cycles with more
-forward than backward messages weigh at least ``M - #locals > 0``, so
-neither can be reported.  Violation detection is therefore exactly
-negative-cycle detection.
+with ``K`` above the local-edge count of every cycle.  A simple H-cycle
+weighs ``(|Z+| - |Z-|) * K - #locals``; every genuine cycle contains at
+least one local edge (a cycle of messages alone is a causal cycle) and
+fewer than ``K``, so the weight is negative iff ``|Z-| >= |Z+|``, i.e.
+iff the cycle is relevant.  The degenerate 2-cycle weighs ``0`` and
+cycles with more forward than backward messages weigh at least
+``K - #locals > 0``, so neither can be reported.  Finding a relevant
+cycle is therefore exactly negative-cycle detection.
 
 :class:`AdmissibilityChecker` is the workhorse behind every public
 function here: it builds the *topology* of ``H`` exactly once per
 execution graph (nodes, adjacency, edge kinds) and re-derives only
-the edge weights per ``(p, q)`` query, so every oracle call -- and the
-worst-ratio queries of the online monitor of
-:mod:`repro.analysis.online` -- share all of the construction work.
-Inclusive queries (``ratio >= p/q``) run an early-terminating
-queue-based detector (SPFA): nodes are relaxed from a work queue seeded
-with every node (the classical virtual source), the queue draining
-proves the absence of a negative cycle, and once a relaxation chain
-grows to ``n`` edges the recorded predecessor edges yield the cycle
-itself.  The checker is also *extendable in place* (``add_event`` /
-``add_message``), which is what makes incremental monitoring cheap.
+the edge weights from a ratio, so every query -- and the worst-ratio
+queries of the online monitor of :mod:`repro.analysis.online` -- share
+all of the construction work.  The checker is also *extendable in
+place* (``add_event`` / ``add_message``), which is what makes
+incremental monitoring cheap.
 
 Two further mutation modes make the checker the substrate of the
 ABC-*enforcing* scheduler and of the <>ABC stabilization search:
@@ -63,7 +58,8 @@ ABC-*enforcing* scheduler and of the <>ABC stabilization search:
   is O(delta)).  The :meth:`AdmissibilityChecker.speculate` context
   manager wraps the pair, letting a scheduler push a hypothetical
   delivery onto the live digraph, ask the oracle, and retract it
-  without ever rebuilding ``H``.
+  without ever rebuilding ``H``; the rollback also undoes the repairs
+  the query made to the stored potential.
 * **Prefix compaction** -- :meth:`AdmissibilityChecker.compact_prefix`
   is a two-mode compaction engine over left-closed per-process prefixes
   of the observed events.  *Exact* mode (the original
@@ -80,8 +76,8 @@ ABC-*enforcing* scheduler and of the <>ABC stabilization search:
   replacing the region with per-boundary-pair shortest-path
   :class:`SummaryEdge` objects.  Each summary edge stores the
   ``(forward, backward, local)`` hop profile of a realizing traversal
-  walk through the region, so it re-weights exactly per ``(p, q)``
-  query; per boundary pair the whole Pareto frontier of profiles is
+  walk through the region, so it re-weights exactly for every ratio;
+  per boundary pair the whole Pareto frontier of profiles is
   kept (fewer forward hops, more backward hops and more local hops are
   incomparably "better" as the query ratio varies), so the minimum walk
   weight through the region is preserved for *every* future query.
@@ -117,9 +113,12 @@ the edge's tail to move has closed a cycle of ratio ``B/F`` above
 ``a/d``.  The ratio jumps there, the potential is floored onto the new
 denominator's grid (which keeps every integer constraint satisfied), and
 the edge is retried.  The last cycle found realizes the worst ratio.
-Before the first cycle the weights are ``(F - B) * K - L`` for a fixed
-``K`` above every local count: the inclusive ``ratio >= 1`` test, so
-"is there any relevant cycle?" is the same repair.
+Before the first cycle the weights are the ``(F - B) * K - L`` above,
+so "is there any relevant cycle?" is the same repair.
+
+Every other query reads that worst ratio: ``ratio >= r`` holds iff the
+worst reaches ``max(r, 1)``, and a violation of ``Xi`` is witnessed by
+the cycle that realizes the worst, whose ratio is the worst itself.
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ from repro.core.execution_graph import (
     LocalEdge,
     MessageEdge,
 )
-from repro.core.kernel import PotentialKernel, PyObjectKernel, start_nodes
+from repro.core.kernel import PotentialKernel, start_nodes
 from repro.core import kernel as _kernel_mod
 
 __all__ = [
@@ -194,15 +193,6 @@ def as_xi(xi: Fraction | float | int | str) -> Fraction:
     if xi_frac <= 1:
         raise ValueError(f"the ABC model requires Xi > 1, got {xi_frac}")
     return xi_frac
-
-
-def _as_ratio(xi: Fraction | float | int | str) -> Fraction:
-    # The hot callers (the enforcing scheduler's Xi probes) pass a
-    # Fraction already; skip the re-normalizing constructor for those.
-    ratio = xi if type(xi) is Fraction else Fraction(xi)
-    if ratio <= 0:
-        raise ValueError(f"ratio must be positive, got {ratio}")
-    return ratio
 
 
 def farey_predecessor(value: Fraction, max_den: int) -> Fraction:
@@ -277,8 +267,9 @@ class SummaryEdge:
     profile counts the hops of one realizing walk -- ``forward`` message
     edges traversed along their direction, ``backward`` message edges
     traversed against it, ``local`` local edges -- so the edge
-    re-weights exactly for every ``(p, q)`` query as
-    ``scale * (p * forward - q * backward) - local``.  ``parts`` is the
+    re-weights exactly for every ratio ``p/q`` as
+    ``p * forward - q * backward`` (less ``local`` as the pre-cycle
+    tie-break of the module docstring).  ``parts`` is the
     realizing walk with *structural sharing*: a part is either a genuine
     execution-graph :class:`~repro.core.cycles.Step` or an older
     :class:`SummaryEdge` folded in whole by a later compaction.  Sharing
@@ -384,18 +375,17 @@ class AdmissibilityChecker:
     that depends on acyclicity, and it checks: a causal cycle in the
     region to fold raises ``ValueError``.
 
-    Worst-ratio queries repair the checker's one stored potential (see
-    the module docstring and :meth:`updated_worst_ratio`), through
-    :func:`repro.core.kernel.repair_potential`; inclusive queries run
-    :func:`repro.core.kernel.negative_cycle`.  Each run goes through a
-    :class:`~repro.core.kernel.Kernel` made for it, so no snapshot
-    holds a kernel.  The potential pickles with the checker as one int
-    list.
+    Every query repairs the checker's one stored potential (see the
+    module docstring and :meth:`updated_worst_ratio`), through
+    :func:`repro.core.kernel.repair_potential`, and answers from the
+    worst ratio it leaves.  Each pass goes through a
+    :class:`~repro.core.kernel.PotentialKernel` made for it, so no
+    snapshot holds a kernel.  The potential pickles with the checker as
+    one int list.
 
     Attributes:
-        oracle_calls: number of detection passes issued so far: repair
-            passes and inclusive runs (for benchmarks and
-            incrementality tests).
+        oracle_calls: number of repair passes issued so far (for
+            benchmarks and incrementality tests).
         repairs: Dijkstra repairs the potential needed so far.
         repaired_nodes: nodes those repairs labeled.
         ratio_jumps: cycles the repairs closed, each one a rise of the
@@ -430,12 +420,11 @@ class AdmissibilityChecker:
         self._epoch = 0
         # Summary-compaction state: the deduplicated (forward, backward,
         # local) profile table indexed by ``kind - _SUMMARY``, plus the
-        # running totals that keep the inclusive weighting scale and
-        # the ratio bound valid with summaries in the digraph.
+        # running total that keeps the ratio bound valid with summaries
+        # in the digraph.
         self._summary_profiles: list[tuple[int, int, int]] = []
         self._profile_ids: dict[tuple[int, int, int], int] = {}
         self._n_summaries = 0
-        self._summary_locals = 0  # sum of `local` over live summary edges
         self._summary_hops = 0  # sum of max(fwd, bwd) over live summaries
         self._speculating = 0
         self._n_compacted_messages = 0
@@ -815,8 +804,8 @@ class AdmissibilityChecker:
     def _potential_weights(self) -> list[int]:
         """Per-kind H-edge weights of the potential at its ratio ``a/d``:
         ``a`` per forward hop, ``-d`` per backward hop.  Before the first
-        cycle they are ``(F - B) * K - L``, the inclusive ``ratio >= 1``
-        test with the local-edge tie-break of the module docstring."""
+        cycle they are ``(F - B) * K - L``, the relevance test with the
+        local-edge tie-break of the module docstring."""
         ratio = self._pot_ratio
         if ratio is None:
             return self._weights(1, 1, _PRE_CYCLE, 1)
@@ -1162,7 +1151,6 @@ class AdmissibilityChecker:
             self._node_of(edge.tail), self._node_of(edge.head), _SUMMARY + pid
         )
         self._n_summaries += 1
-        self._summary_locals += edge.local
         self._summary_hops += max(edge.forward, edge.backward)
 
     def _summarize_region(
@@ -1486,7 +1474,6 @@ class AdmissibilityChecker:
                 elif kind >= _SUMMARY:
                     summary = self._summary_at[eidx]
                     self._n_summaries -= 1
-                    self._summary_locals -= summary.local
                     self._summary_hops -= max(
                         summary.forward, summary.backward
                     )
@@ -1620,69 +1607,15 @@ class AdmissibilityChecker:
             table.append(scale * (p * f - q * b) - tie * loc)
         return table
 
-    def _weight_table(self, p: int, q: int) -> list[int]:
-        """Per-kind H-edge weights for an inclusive ratio ``p/q`` query.
-
-        The scale counts the local edges folded into summaries alongside
-        the live ones, preserving the degeneracy argument of the module
-        docstring: every simple cycle of the compacted digraph carries a
-        local-edge tie-break of at least 1 and at most ``scale - 1``.
-        """
-        scale = self._n_locals + self._summary_locals + 1
-        return self._weights(p, q, scale, 1)
-
-    def _has_negative_cycle(
-        self, p: int, q: int, sources: list[int] | None = None
-    ) -> list[int] | None:
-        """Queue-based negative-cycle detection on ``H`` weighted for p/q.
-
-        Returns the H-edge ids of one simple negative cycle, in walk
-        order, or ``None`` when there is none.
-
-        SPFA with round batching: every node starts at distance 0 on the
-        work queue (the classical virtual source connected to all nodes),
-        and each round relaxes the out-edges of exactly the nodes improved
-        in the previous round -- coalescing the relaxation waves that make
-        plain FIFO SPFA revisit nodes redundantly.  The queue draining
-        proves there is no negative cycle.  Each improvement records the
-        H-edge it came through; once a relaxation chain grows to ``n``
-        edges, the walk back along those edges closes a cycle, and every
-        such cycle is negative, because each link was a strict
-        improvement when recorded.  Early termination cuts both ways:
-        admissible graphs converge once the frontier dies out, without
-        ever touching settled regions again, and grossly violating ones
-        trip the chain bound long before the ``n * m`` worst case.
-
-        With ``sources``, detection becomes Bellman-Ford from a source
-        set: the sources start at distance 0 on the queue, every other
-        node at ``+inf``, which detects exactly the negative cycles
-        *reachable* from the sources (still with no false positives --
-        the predecessor argument is seeding independent).  The ``+inf``
-        initialization is essential: zero-initializing non-sources would
-        stall the relaxation wave at the first positive-weight
-        (forward-message) edge whose running prefix sum is nonnegative,
-        missing cycles that genuinely pass through a source.  Callers
-        must guarantee every possible negative cycle is reachable from
-        the sources, e.g. because the graph without the speculative
-        additions is known negative-cycle-free.
-
-        The loop described above is
-        :func:`repro.core.kernel.negative_cycle`, reached through a
-        :class:`~repro.core.kernel.PyObjectKernel` made for this run.
-        """
-        return PyObjectKernel(self).has_negative_cycle(p, q, sources)
-
     def _cycle_ratio(self, cycle: list[int]) -> Fraction:
-        """``B/F`` of a negative cycle a detection run returned.
+        """``B/F`` of a negative cycle a repair closed.
 
-        A repair's cycle weighs ``a*F - d*B < 0`` at the potential's
-        ratio ``a/d``, so ``B/F > a/d``; before the first cycle it
-        weighs ``(F - B)*K - L < 0`` with ``0 <= L < K``, so ``B >= F``.
-        An inclusive run's cycle weighs ``s*(p*F - q*B) - L < 0`` with
-        ``0 <= L < s``, so ``B/F >= p/q``.  A backward-only cycle (``F
-        == 0``) follows a causal cycle, which the public
-        :meth:`add_message` can build: it has no ratio, so it raises
-        ``ValueError``.
+        It weighs ``a*F - d*B < 0`` at the potential's ratio ``a/d``, so
+        ``B/F > a/d``; before the first cycle it weighs
+        ``(F - B)*K - L < 0`` with ``0 <= L < K``, so ``B >= F``.  A
+        backward-only cycle (``F == 0``) follows a causal cycle, which
+        the public :meth:`add_message` can build: it has no ratio, so it
+        raises ``ValueError``.
         """
         forward = backward = 0
         for eidx in cycle:
@@ -1703,58 +1636,37 @@ class AdmissibilityChecker:
     # queries
     # ------------------------------------------------------------------
 
-    def has_ratio_at_least(
-        self,
-        ratio: Fraction | float | int | str,
-        sources: Iterable[Event] | None = None,
-    ) -> bool:
+    def has_ratio_at_least(self, ratio: Fraction | float | int | str) -> bool:
         """Polynomial oracle: does some relevant cycle have
         ``|Z-|/|Z+| >= ratio``?
 
         Only ratios ``>= 1`` are meaningful (every relevant cycle has
         ratio at least 1 by Definition 3); smaller ratios reduce to
-        testing whether any relevant cycle exists at all.
-
-        Args:
-            sources: restrict detection to violating cycles *reachable*
-                from these events in the traversal digraph (Bellman-Ford
-                from a source set).  Only sound when every possible
-                violation passes through their reachable region -- the
-                speculative scheduler qualifies because its realized
-                prefix is violation-free by construction, so any
-                violating cycle must involve a speculatively added
-                H-edge; every such edge is incident to a new receive
-                event, so the cycle passes through -- and is reachable
-                from -- that event, and listing the new receive events
-                alone suffices.
+        testing whether any relevant cycle exists at all.  Answered from
+        the exact worst ratio (:meth:`worst_relevant_ratio`), so it
+        raises ``ValueError`` when the execution holds a causal cycle.
         """
-        r = max(_as_ratio(ratio), Fraction(1))
-        self.oracle_calls += 1
-        source_ids: list[int] | None = None
-        if sources is not None:
-            source_ids = [self._node_of(ev) for ev in sources]
-        return (
-            self._has_negative_cycle(r.numerator, r.denominator, source_ids)
-            is not None
-        )
+        r = Fraction(ratio)
+        if r <= 0:
+            raise ValueError(f"ratio must be positive, got {r}")
+        worst = self.worst_relevant_ratio()
+        return worst is not None and worst >= max(r, 1)
 
     def violating_cycle(
         self, xi: Fraction | float | int | str
     ) -> CycleClassification | None:
         """A relevant cycle violating (2) for ``xi``, or ``None``.
 
-        Violation means ``|Z-|/|Z+| >= xi``; the returned classification
-        is guaranteed relevant with ``ratio >= xi``.  The witness is the
-        cycle the oracle run at ``xi`` returns.
+        Violation means ``|Z-|/|Z+| >= xi``.  The witness is the cycle
+        that realizes the worst ratio (:meth:`worst_cycle`), so its
+        ratio is the worst, at least ``xi``.  Raises ``ValueError`` when
+        the execution holds a causal cycle.
         """
         xi_frac = as_xi(xi)
-        self.oracle_calls += 1
-        cycle = self._has_negative_cycle(
-            xi_frac.numerator, xi_frac.denominator
-        )
-        if cycle is None:
+        worst = self.worst_relevant_ratio()
+        if worst is None or worst < xi_frac:
             return None
-        return self._witness(cycle, xi_frac)
+        return self.worst_cycle()
 
     def worst_cycle(self) -> CycleClassification | None:
         """The cycle that realizes the worst ratio the last
@@ -1796,14 +1708,16 @@ class AdmissibilityChecker:
         return info
 
     def check(self, xi: Fraction | float | int | str) -> AdmissibilityResult:
-        """Decide ABC admissibility (Definition 4) in polynomial time."""
+        """Decide ABC admissibility (Definition 4) in polynomial time.
+
+        The witness of a violation is :meth:`violating_cycle`'s.  Raises
+        ``ValueError`` when the execution holds a causal cycle.
+        """
         xi_frac = as_xi(xi)
         witness = self.violating_cycle(xi_frac)
         return AdmissibilityResult(witness is None, xi_frac, witness)
 
-    def worst_relevant_ratio(
-        self, at_least: Fraction | None = None
-    ) -> Fraction | None:
+    def worst_relevant_ratio(self) -> Fraction | None:
         """The exact maximum ``|Z-|/|Z+|`` over all relevant cycles.
 
         Returns ``None`` when the graph has no relevant cycle.  The result
@@ -1811,22 +1725,11 @@ class AdmissibilityChecker:
         ABC-admissible for ``Xi`` iff ``Xi > worst_relevant_ratio()``.
         Raises ``ValueError`` when the execution holds a causal cycle.
 
-        Repairs the stored potential (see :meth:`updated_worst_ratio`),
-        so repeated queries on a growing checker pay only for what was
-        added in between.
-
-        Args:
-            at_least: a ratio already known to be reached by some relevant
-                cycle (e.g. the worst ratio of a subgraph).  The potential
-                starts from it instead of from the pre-cycle weights.
-                Values no relevant cycle can realize (below ``1``, or with
-                a denominator above :attr:`ratio_bound`) are ignored.
+        This is ``updated_worst_ratio(None)``: it repairs the stored
+        potential, so repeated queries on a growing checker pay only for
+        what was added in between.
         """
-        if at_least is not None and (
-            at_least < 1 or at_least.denominator > self.ratio_bound
-        ):
-            at_least = None
-        return self.updated_worst_ratio(at_least)
+        return self.updated_worst_ratio(None)
 
 
 # ----------------------------------------------------------------------

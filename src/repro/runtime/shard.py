@@ -160,7 +160,7 @@ class TraceSummary:
         worst_ratio: the exact running worst relevant ratio at close
             (``None`` = no relevant cycle ever observed).
         n_records: receive records ingested over the trace's lifetime.
-        oracle_calls: negative-cycle runs the trace's monitor issued.
+        oracle_calls: repair passes the trace's monitor issued.
         violation: the first violating witness cycle, when ``xi`` was
             monitored and reached.
         degraded: ``True`` when exactness was lost -- a forgotten prefix

@@ -28,44 +28,45 @@ deliverable.
 
 The oracle plumbing is fully incremental.  The scheduler owns ONE
 :class:`~repro.core.synchrony.AdmissibilityChecker` mirroring the
-realized trace; each (tentative delivery, pending message) pair is
-evaluated by *speculatively* pushing the hypothetical receive events and
-message edges onto the live traversal digraph
-(:meth:`~repro.core.synchrony.AdmissibilityChecker.speculate`), asking
-the oracle at the known ``Xi``, and popping them off again -- no graph or
-checker is ever rebuilt.  Two further refinements keep each step cheap:
+realized trace, and keeps the realized worst relevant ratio as a running
+maximum, refreshed once per realized message.  Each (tentative delivery,
+pending message) pair is evaluated by *speculatively* pushing the
+hypothetical receive events and message edges onto the live traversal
+digraph (:meth:`~repro.core.synchrony.AdmissibilityChecker.speculate`),
+asking for the worst ratio from the realized one
+(:meth:`~repro.core.synchrony.AdmissibilityChecker.updated_worst_ratio`:
+one repair pass over the speculative edges), comparing it with ``Xi``,
+and popping everything off again -- the rollback undoes the repairs
+too, so no graph or checker is ever rebuilt.
 
-* **Source-seeded detection.**  The realized prefix is violation-free by
-  construction, so any violating cycle must pass through a speculatively
-  added receive event; the negative-cycle search is seeded from exactly
-  those events instead of the whole digraph.
-* **Prefix compaction.**  Every ``tombstone_every`` deliveries the
-  scheduler compacts the settled past, keyed on delivery progress
-  alone: everything below the send events of still-queued messages and
-  each process's frontier
-  (:meth:`~repro.core.synchrony.AdmissibilityChecker.summarizable_prefix`)
-  is replaced by boundary summary edges
-  (:meth:`~repro.core.synchrony.AdmissibilityChecker.compact_prefix`).
-  Unlike the old no-crossing criterion -- which removes nothing when a
-  causal chain links history to the frontier, exactly the ping-pong
-  shapes this scheduler exists for -- delivery progress always settles,
-  so the live digraph, and with it the cost of every oracle call, stays
-  bounded by the active window of the execution instead of growing with
-  its whole history.  Soundness: the realized prefix is violation-free,
-  so every compacted cycle has ratio strictly below ``Xi``; passing the
-  Farey predecessor of ``Xi`` as the compaction floor keeps every
-  oracle answer at ``Xi`` bit-identical while pruning the summaries to
-  the region-bounded minimum.
+**Prefix compaction** keeps each step cheap.  Every ``tombstone_every``
+deliveries the scheduler compacts the settled past, keyed on delivery
+progress alone: everything below the send events of still-queued
+messages and each process's frontier
+(:meth:`~repro.core.synchrony.AdmissibilityChecker.summarizable_prefix`)
+is replaced by boundary summary edges
+(:meth:`~repro.core.synchrony.AdmissibilityChecker.compact_prefix`).
+Unlike the old no-crossing criterion -- which removes nothing when a
+causal chain links history to the frontier, exactly the ping-pong
+shapes this scheduler exists for -- delivery progress always settles,
+so the live digraph, and with it the cost of every oracle call, stays
+bounded by the active window of the execution instead of growing with
+its whole history.  Soundness: passing the Farey predecessor of ``Xi``
+as the compaction floor keeps every answer at ``Xi`` bit-identical
+while pruning the summaries to the region-bounded minimum; cycles
+confined to the compacted region are carried by the running worst
+ratio.
 
 Should enforcement ever miss a violation (the one-step lookahead is not
-a proof for deep multi-hop relay patterns), the scheduler detects it on
-the realized record, sets :attr:`AbcEnforcingSimulator.violation_detected`,
-and falls back to unseeded full-digraph oracles with tombstoning
-disabled, preserving the exact decisions a from-scratch implementation
-would make.  Post-hoc validation with :func:`repro.core.check_abc`
+a proof for deep multi-hop relay patterns), the realized worst ratio
+reaches ``Xi`` and the scheduler sets
+:attr:`AbcEnforcingSimulator.violation_detected`.  Every probe starts
+from that running worst, so from then on every pending message counts
+as stranded, and the probes are skipped -- exactly the decisions a
+from-scratch implementation would make.  Post-hoc validation with :func:`repro.core.check_abc`
 remains available for such runs.
 
-The checkpoint/rollback, seeding, and tombstoning contracts this
+The checkpoint/rollback and tombstoning contracts this
 scheduler relies on are documented in ``docs/architecture.md``; the
 *monitoring* (rather than enforcing) deployment of the same machinery
 -- including the multi-trace fleet -- lives in
@@ -115,8 +116,8 @@ class AbcEnforcingSimulator(Simulator):
         tombstoned_events: events dropped from the live digraph so far.
         violation_detected: ``True`` if a realized delivery ever closed
             a violating cycle despite enforcement (deep relay patterns
-            outside the one-step lookahead); the scheduler then keeps
-            running with conservative full-digraph oracles.
+            outside the one-step lookahead); every pending message
+            then counts as stranded, as the realized worst ratio says.
     """
 
     def __init__(
@@ -137,6 +138,7 @@ class AbcEnforcingSimulator(Simulator):
         self.violation_detected = False
         self.tombstone_every = tombstone_every
         self._checker = AdmissibilityChecker()
+        self._worst: Fraction | None = None  # realized worst ratio
         self._mirrored = 0  # trace records already absorbed by the checker
         self._since_tombstone = 0
         self._cancelled: set[int] = set()  # seqs lazily deleted from _queue
@@ -158,10 +160,9 @@ class AbcEnforcingSimulator(Simulator):
 
         Each new record appends its receive event (and implied local
         edge) plus the triggering message edge under the same
-        faulty-sender filter as :func:`~repro.sim.trace.build_execution_graph`.
-        While enforcement has never failed, one source-seeded oracle call
-        per record verifies the realized graph stayed violation-free --
-        the invariant that licenses seeded detection and tombstoning.
+        faulty-sender filter as :func:`~repro.sim.trace.build_execution_graph`,
+        and each message refreshes the realized worst ratio; once it
+        reaches ``Xi``, :attr:`violation_detected` is set.
         """
         checker = self._checker
         records = self.trace.records
@@ -170,11 +171,17 @@ class AbcEnforcingSimulator(Simulator):
             if message_kept(record, self.faulty):
                 assert record.send_event is not None
                 checker.add_message(record.send_event, record.event)
-                if not self.violation_detected and checker.has_ratio_at_least(
-                    self.xi, sources=(record.event,)
-                ):
-                    self.violation_detected = True
+                self._worst = checker.updated_worst_ratio(self._worst)
         self._mirrored = len(records)
+        if self._worst is not None and self._worst >= self.xi:
+            self.violation_detected = True
+
+    def _violates(self) -> bool:
+        """Whether the (speculating) checker's worst ratio reaches
+        ``Xi``: one repair pass from the realized worst, which the
+        enclosing rollback undoes."""
+        worst = self._checker.updated_worst_ratio(self._worst)
+        return worst is not None and worst >= self.xi
 
     def _push_delivery(self, delivery: _Delivery) -> Event:
         """Speculatively realize ``delivery`` on the live digraph."""
@@ -189,18 +196,20 @@ class AbcEnforcingSimulator(Simulator):
             checker.add_message(delivery.send_event, event)
         return event
 
-    def _strands(self, first_event: Event, pending: _Delivery) -> bool:
+    def _strands(self, pending: _Delivery) -> bool:
         """Would the tentative delivery strand ``pending`` (or its
         immediate reply)?  Called inside the speculation that already
         pushed the tentative delivery; pushes ``pending`` (and the
-        round-trip reply), asks the oracle, and rolls its own additions
-        back."""
-        checker = self._checker
-        sources: list[Event] = [first_event]
-        with checker.speculate():
+        round-trip reply), probes, and rolls its own additions back.
+        After a missed violation every probe would reach ``Xi`` (it
+        starts from the realized worst), so none runs: a repair pass
+        from a worst already past ``Xi`` can climb through many cycles
+        for an answer known in advance."""
+        if self.violation_detected:
+            return True
+        with self._checker.speculate():
             pending_event = self._push_delivery(pending)
-            sources.append(pending_event)
-            if checker.has_ratio_at_least(self.xi, sources=self._seeds(sources)):
+            if self._violates():
                 return True
             # Round-trip lookahead: an immediate reply back to the sender.
             if pending.sender is not None and pending.sender != pending.dest:
@@ -213,18 +222,10 @@ class AbcEnforcingSimulator(Simulator):
                     self.now,
                     None,
                 )
-                sources.append(self._push_delivery(reply))
-                if checker.has_ratio_at_least(
-                    self.xi, sources=self._seeds(sources)
-                ):
+                self._push_delivery(reply)
+                if self._violates():
                     return True
         return False
-
-    def _seeds(self, events: list[Event]) -> list[Event] | None:
-        """Oracle seeds: the speculative events -- unless enforcement has
-        failed, in which case old cycles may violate too and only a full
-        sweep is sound."""
-        return None if self.violation_detected else events
 
     def _tombstone_settled(self) -> None:
         """Compact the settled past of the live digraph into summaries.
@@ -235,16 +236,12 @@ class AbcEnforcingSimulator(Simulator):
         where upcoming local edges attach -- is summary-compacted, so
         compaction makes progress even when messages cross every
         possible boundary (ping-pong chains, where the old no-crossing
-        criterion removed nothing).  Sound because the realized prefix
-        is violation-free: every compacted cycle has ratio strictly
-        below ``Xi``, so with the Farey predecessor of ``Xi`` as the
-        floor, every future oracle answer at ``Xi`` is bit-identical to
-        the uncompacted digraph's.  Disabled after a detected violation
-        -- the fallback's full-sweep oracles must keep seeing the whole
-        realized history.
+        criterion removed nothing).  With the Farey predecessor of
+        ``Xi`` as the floor, every future answer at ``Xi`` is
+        bit-identical to the uncompacted digraph's: the probes start
+        from the realized worst ratio, which keeps the cycles the
+        compaction drops.
         """
-        if self.violation_detected:
-            return
         pinned: list[Event] = []
         for delivery in self._queue:
             if delivery.seq in self._cancelled:
@@ -297,13 +294,13 @@ class AbcEnforcingSimulator(Simulator):
             return
         stranded: list[_Delivery] = []
         with self._checker.speculate():
-            first_event = self._push_delivery(delivery)
+            self._push_delivery(delivery)
             for pending in self._queue:
                 if pending.seq in self._cancelled:
                     continue
                 if pending.sender is None or pending.sender in self.faulty:
                     continue
-                if self._strands(first_event, pending):
+                if self._strands(pending):
                     stranded.append(pending)
         if not stranded:
             self._process_delivery(delivery)

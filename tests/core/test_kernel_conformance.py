@@ -1,15 +1,19 @@
-"""Targeted adversarial conformance cases for the detection kernel.
+"""Targeted adversarial conformance cases for the detection routine.
 
-:func:`repro.core.kernel.negative_cycle` is the one detection routine:
-the round-batched SPFA every oracle query bottoms out in.  Where
+Every oracle query of
+:class:`~repro.core.synchrony.AdmissibilityChecker` answers from the
+worst ratio its stored potential leaves
+(:func:`repro.core.kernel.repair_potential`): ``has_ratio_at_least(r)``
+is ``worst >= max(r, 1)`` and ``violating_cycle(xi)`` returns the cycle
+that realizes the worst.  Where
 :mod:`tests.core.test_kernel_differential` sweeps whole workloads
 against from-scratch and exhaustive references, this suite aims at the
-specific shapes that can break the routine while leaving random sweeps
-green.  Each case is answered twice more, independently:
+specific shapes that can break those answers while leaving random
+sweeps green.  Each case is answered twice more, independently:
 
-* by :func:`textbook_negative_cycle`, plain Bellman-Ford over the same
-  weighted traversal digraph (every edge, every pass, no queue, no
-  early cycle extraction);
+* by :func:`textbook_negative_cycle`, plain Bellman-Ford over the
+  traversal digraph weighted for the inclusive ``ratio >= p/q`` test
+  (every edge, every pass, no queue, no potential);
 * where a ratio threshold applies, by
   :func:`~repro.core.synchrony.worst_relevant_ratio_exhaustive`, the
   cycle enumerator of Definition 3.
@@ -19,11 +23,12 @@ The shapes:
 * big-integer probes -- deep mediant ratios whose numerators and
   denominators grow exponentially, and offsets past ``2**63`` on either
   side of the worst ratio (a boundary only exact arithmetic holds);
-* the ``p < q`` domain below every relevant-cycle ratio;
+* the ``p < q`` domain below every relevant-cycle ratio, where a query
+  asks for any relevant cycle at all;
 * summary re-weighting above and below the compaction floor, down to
   the hop profile of every summary edge;
-* source-seeded detection, which must find exactly the negative cycles
-  reachable from the sources;
+* speculative probes -- one repair pass inside a speculation -- which
+  must answer for the grown digraph and leave the potential as it was;
 * answers after checkpoint/rollback.
 """
 
@@ -33,8 +38,9 @@ from fractions import Fraction
 import pytest
 
 from repro.core.cycles import ALONG, AGAINST
+from repro.core.events import Event
 from repro.core.execution_graph import LocalEdge, MessageEdge
-from repro.core.kernel import SUMMARY, negative_cycle
+from repro.core.kernel import SUMMARY
 from repro.core.synchrony import (
     AdmissibilityChecker,
     worst_relevant_ratio_exhaustive,
@@ -44,44 +50,36 @@ from repro.scenarios.generators import (
     streaming_trace,
 )
 from repro.sim.trace import Trace, build_execution_graph
-from test_ratio_climb import farey_successor
+from test_ratio_climb import farey_successor, inclusive_weights, potential_state
 
 RATIO_GRID = tuple(
     Fraction(num, den) for num in range(1, 9) for den in range(1, 5)
 )
 
 
-def textbook_negative_cycle(checker, p, q, sources=None):
-    """Whether ``H`` weighted for ``p/q`` holds a negative cycle
-    (reachable from the node ids ``sources``, if given).
+def textbook_negative_cycle(checker, p, q):
+    """Whether ``H`` weighted for the inclusive ``ratio >= p/q`` test
+    holds a negative cycle.
 
-    Plain Bellman-Ford: nodes start at 0 (a virtual source) or, with
-    ``sources``, at 0 for the sources and unreached elsewhere; each
+    Plain Bellman-Ford: nodes start at 0 (a virtual source) and each
     pass relaxes every edge.  Simple paths have fewer than ``n`` edges,
     so a pass that changes nothing ends the run clean, and a run whose
     ``n`` passes all changed something holds a negative cycle iff one
     more pass still improves a node.
     """
     n = len(checker._adj)
-    wtab = checker._weight_table(p, q)
+    wtab = inclusive_weights(checker, p, q)
     edges = [
         (u, v, wtab[kind])
         for u, row in enumerate(checker._adj)
         for v, kind, _eidx in row
     ]
-    if sources is None:
-        dist = [0] * n
-    else:
-        dist = [None] * n
-        for u in sources:
-            dist[u] = 0
+    dist = [0] * n
 
     def relax_all():
         changed = False
         for u, v, w in edges:
-            if dist[u] is not None and (
-                dist[v] is None or dist[u] + w < dist[v]
-            ):
+            if dist[u] + w < dist[v]:
                 dist[v] = dist[u] + w
                 changed = True
         return changed
@@ -92,13 +90,21 @@ def textbook_negative_cycle(checker, p, q, sources=None):
     return relax_all()
 
 
-def assert_simple_negative(checker, cycle, p, q):
-    tails = [checker._tails[e] for e in cycle]
-    heads = [checker._heads[e] for e in cycle]
-    assert len(set(tails)) == len(tails), "cycle revisits a node"
-    assert heads == tails[1:] + tails[:1], "edges do not close a walk"
-    wtab = checker._weight_table(p, q)
-    assert sum(wtab[checker._kinds[e]] for e in cycle) < 0
+def textbook_answer(checker, ratio):
+    """The textbook's answer to ``has_ratio_at_least(ratio)``: ratios
+    below 1 ask for any relevant cycle, the test at 1."""
+    r = max(ratio, Fraction(1))
+    return textbook_negative_cycle(checker, r.numerator, r.denominator)
+
+
+def assert_witness(checker, ratio, expected):
+    """``violating_cycle(ratio)`` finds a witness iff ``expected``, and
+    the witness is relevant with the checker's worst ratio."""
+    witness = checker.violating_cycle(ratio)
+    assert (witness is not None) == expected, ratio
+    if witness is not None:
+        assert witness.relevant
+        assert witness.ratio == checker.worst_relevant_ratio() >= ratio
 
 
 def reaches(worst, ratio):
@@ -146,11 +152,11 @@ class TestBigIntegerProbes:
         worst = worst_relevant_ratio_exhaustive(graph)
         for ratio in stern_brocot_path(120)[::7]:
             p, q = ratio.numerator, ratio.denominator
-            found = negative_cycle(checker, p, q) is not None
+            found = checker.has_ratio_at_least(ratio)
             at = f"{p}/{q}"
             assert found == textbook_negative_cycle(checker, p, q), at
             assert found == reaches(worst, ratio), at
-            assert checker.has_ratio_at_least(ratio) == found, at
+            assert_witness(checker, ratio, found)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_offsets_past_int64_around_the_worst_ratio(self, seed):
@@ -165,10 +171,10 @@ class TestBigIntegerProbes:
             below = worst - Fraction(1, den)
             above = worst + Fraction(1, den)
             for ratio, expected in ((below, True), (above, False)):
-                p, q = ratio.numerator, ratio.denominator
-                found = negative_cycle(checker, p, q) is not None
-                assert found == expected, (den, ratio)
-                assert textbook_negative_cycle(checker, p, q) == expected
+                assert checker.has_ratio_at_least(ratio) == expected
+                assert textbook_answer(checker, ratio) == expected
+                if ratio > 1:
+                    assert_witness(checker, ratio, expected)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_huge_ratios_just_above_one(self, seed):
@@ -184,35 +190,31 @@ class TestBigIntegerProbes:
         ):
             expected = worst is not None and worst > 1
             assert checker.has_ratio_at_least(ratio) == expected
-            assert (
-                textbook_negative_cycle(
-                    checker, ratio.numerator, ratio.denominator
-                )
-                == expected
-            )
+            assert textbook_answer(checker, ratio) == expected
+            assert_witness(checker, ratio, expected)
 
 
 class TestDomainBoundaries:
     @pytest.mark.parametrize("seed", range(5))
     def test_p_below_q_probes(self, seed):
-        # Below 1 the weighted digraph still has a definite answer; the
-        # routine must give it, and back a hit with a genuine simple
-        # negative cycle.
+        # Below 1 the inclusive weighting also makes degenerate shapes
+        # negative; a query there asks for any relevant cycle, which is
+        # the test at 1, and no Xi at or below 1 can be violated.
         graph = random_execution_graph(random.Random(seed), 3, 12)
         checker = AdmissibilityChecker(graph)
+        any_relevant = textbook_negative_cycle(checker, 1, 1)
         for p, q in ((1, 2), (2, 3), (1, 5), (3, 4), (99, 100)):
-            cycle = negative_cycle(checker, p, q)
-            assert (cycle is not None) == textbook_negative_cycle(
-                checker, p, q
-            ), (seed, p, q)
-            if cycle is not None:
-                assert_simple_negative(checker, cycle, p, q)
+            ratio = Fraction(p, q)
+            assert checker.has_ratio_at_least(ratio) == any_relevant, ratio
+            with pytest.raises(ValueError, match="Xi > 1"):
+                checker.violating_cycle(ratio)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_ratios_at_and_below_one_ask_for_any_relevant_cycle(self, seed):
         graph = random_execution_graph(random.Random(seed), 3, 12)
         checker = AdmissibilityChecker(graph)
         any_relevant = worst_relevant_ratio_exhaustive(graph) is not None
+        assert textbook_negative_cycle(checker, 1, 1) == any_relevant
         for ratio in (1, Fraction(1, 2), Fraction(3, 4), Fraction(1, 10**30)):
             assert checker.has_ratio_at_least(ratio) == any_relevant
 
@@ -239,26 +241,23 @@ class TestSummaryReweighting:
         probe = floor if floor is not None else Fraction(1)
         for _ in range(6):
             probe = farey_successor(probe, full.ratio_bound)
-            assert compacted.has_ratio_at_least(
-                probe
-            ) == full.has_ratio_at_least(probe), probe
+            answer = compacted.has_ratio_at_least(probe)
+            assert answer == full.has_ratio_at_least(probe), probe
+            assert answer == textbook_answer(compacted, probe), probe
 
     @pytest.mark.parametrize("seed", (14, 16, 18))
     def test_every_probe_matches_textbook_on_the_compacted_digraph(
         self, seed
     ):
         # Below the floor the compacted digraph legitimately differs
-        # from the full graph, but the routine must still answer
-        # exactly for the digraph it holds.
+        # from the full graph, but every answer must still be exact for
+        # the digraph it holds, witnesses included.
         _graph, checker, floor = self.compacted(seed)
         for ratio in RATIO_GRID:
-            p, q = ratio.numerator, ratio.denominator
-            cycle = negative_cycle(checker, p, q)
-            assert (cycle is not None) == textbook_negative_cycle(
-                checker, p, q
-            ), ratio
-            if cycle is not None:
-                assert_simple_negative(checker, cycle, p, q)
+            found = checker.has_ratio_at_least(ratio)
+            assert found == textbook_answer(checker, ratio), ratio
+            if ratio > 1:
+                assert_witness(checker, ratio, found)
         assert checker.worst_relevant_ratio() == floor
 
     @pytest.mark.parametrize("seed", (13, 14, 15))
@@ -267,9 +266,8 @@ class TestSummaryReweighting:
         # profile; the profile must count the hops of the walk it
         # stands for, and the walk must join the edge's endpoints.
         _graph, checker, _floor = self.compacted(seed)
-        p, q = 7, 3
-        wtab = checker._weight_table(p, q)
-        scale = wtab[0] // p
+        p, q, scale = 7, 3, 5
+        wtab = checker._weights(p, q, scale, 1)
         assert checker._summary_at
         for eidx, summary in checker._summary_at.items():
             kind = checker._kinds[eidx]
@@ -294,31 +292,35 @@ class TestSummaryReweighting:
             assert wtab[kind] == scale * (p * forward - q * backward) - local
 
 
-class TestSeededDetection:
+class TestSpeculativeProbes:
     @pytest.mark.parametrize("seed", range(8))
-    def test_seeded_detection_matches_textbook(self, seed):
-        # Seeded runs must find exactly the negative cycles reachable
-        # from the sources -- no more (non-sources start unreached),
-        # no fewer (no stall at a nonnegative prefix).
+    def test_probes_match_textbook_and_roll_back(self, seed):
+        # A probe is one repair pass from the base worst ratio inside a
+        # speculation: it must answer exactly for the grown digraph, and
+        # the rollback must restore the potential it repaired.
         rng = random.Random(seed + 40)
         graph = random_execution_graph(rng, 3, rng.randint(6, 14))
         checker = AdmissibilityChecker(graph)
-        n = len(checker._adj)
+        base = checker.worst_relevant_ratio()
         hits = misses = 0
         for _ in range(6):
-            sources = sorted(rng.sample(range(n), rng.randint(1, 3)))
-            for ratio in RATIO_GRID[::3]:
-                p, q = ratio.numerator, ratio.denominator
-                cycle = negative_cycle(checker, p, q, sources)
-                expected = textbook_negative_cycle(checker, p, q, sources)
-                assert (cycle is not None) == expected, (sources, ratio)
-                if cycle is not None:
-                    assert_simple_negative(checker, cycle, p, q)
-                hits += expected
-                misses += not expected
-        if worst_relevant_ratio_exhaustive(graph) is not None:
-            assert hits, "no seeded probe found a cycle"
-        assert misses, "every seeded probe found a cycle"
+            before = potential_state(checker)
+            with checker.speculate():
+                for _ in range(rng.randint(1, 3)):
+                    process = rng.randrange(3)
+                    event = Event(process, checker.n_events_of(process))
+                    src = checker._event(rng.randrange(checker.n_events))
+                    checker.add_event(event)
+                    checker.add_message(src, event)
+                worst = checker.updated_worst_ratio(base)
+                for ratio in RATIO_GRID[::3]:
+                    expected = textbook_answer(checker, ratio)
+                    assert reaches(worst, ratio) == expected, ratio
+                    hits += expected and not reaches(base, ratio)
+                    misses += not expected
+            assert potential_state(checker) == before
+        assert hits, "no probe found a cycle above the base worst"
+        assert misses, "every probe found a cycle"
 
 
 class TestRollbackAgreement:
@@ -352,4 +354,6 @@ class TestRollbackAgreement:
             answer = checker.has_ratio_at_least(probe)
             assert answer == fresh.has_ratio_at_least(probe), (seed, probe)
             assert answer == textbook_negative_cycle(checker, p, q)
+            if probe > 1:
+                assert_witness(checker, probe, answer)
             probe = farey_successor(probe, fresh.ratio_bound)

@@ -2,8 +2,8 @@
 from-scratch and exhaustive references, at every prefix.
 
 Every monitor answer bottoms out in one detection routine,
-:func:`repro.core.kernel.negative_cycle`, but reaches it through
-incremental state: warm-started climbs, checkpoints, speculation and
+:func:`repro.core.kernel.repair_potential`, but reaches it through
+incremental state: a stored potential, checkpoints, speculation and
 summary compaction.  The contract is that none of that state shows:
 after each observed record, the running worst ratio equals
 

@@ -10,7 +10,9 @@ ways:
   of every generator profile -- :func:`reference_climb`, the
   Farey-successor climb over the inclusive oracle that the potential
   replaced, and :func:`reference_worst_ratio`, the Stern-Brocot search
-  the climb replaced -- for plain and compacting monitors, exact
+  the climb replaced, both run on :func:`reference_negative_cycle`, the
+  round-batched SPFA that once answered every inclusive query -- for
+  plain and compacting monitors, exact
   removal through ``settled_prefix``, speculation, snapshots restored
   mid-stream, graph-built checkers and a hypothesis stream mixing them;
 * the invariant exactness rests on, checked after every refresh
@@ -20,7 +22,7 @@ ways:
 * the properties of every cycle a repair closes: simple in ``H``,
   negative at the pre-jump ratio, and its ``B/F`` the new worst;
 * the corner cases: the ratio-1 tie-break, degenerate shapes, a causal
-  cycle (which must raise, not hang), compaction with unrefreshed
+  cycle (which every query must raise, not hang on), compaction with unrefreshed
   messages, speculation that leaves no trace, and the stabilization
   cuts that depend on which witness the oracle returns.
 """
@@ -36,7 +38,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.online import OnlineAbcMonitor
-from repro.core import kernel as kernel_mod
 from repro.core.events import Event
 from repro.core.execution_graph import GraphBuilder
 from repro.core.synchrony import AdmissibilityChecker
@@ -94,16 +95,114 @@ def farey_successor(value: Fraction, max_den: int) -> Fraction:
     return Fraction(c0 + shift * a, d0 + shift * b)
 
 
+def inclusive_weights(checker, p, q):
+    """Per-kind H-edge weights of the inclusive ``ratio >= p/q`` test:
+    ``s * (p * F - q * B) - L``.  The scale ``s`` counts the live local
+    edges and those folded into summaries, plus one, so every simple
+    cycle's local count stays below it: a cycle is negative iff
+    ``B/F > p/q``, or ``B/F == p/q`` with a local edge."""
+    scale = checker.n_local_edges + 1
+    scale += sum(edge.local for edge in checker._summary_at.values())
+    return checker._weights(p, q, scale, 1)
+
+
+def reference_negative_cycle(checker, p, q):
+    """One simple negative H-cycle at ``p/q`` as H-edge ids, or ``None``:
+    the round-batched SPFA that answered the inclusive queries before
+    the potential did, kept as a reference.
+
+    Every node starts at distance 0 (a virtual source); each round
+    relaxes the out-edges of the nodes the previous round improved.
+    Every improvement records the H-edge it came through.  Once a
+    relaxation chain reaches ``n`` edges, the predecessor walk from the
+    improved node is followed to a cycle; every predecessor cycle is
+    negative, because each link was a strict improvement when recorded.
+
+    A walk can dead-end on a node that was never improved; the run
+    then keeps relaxing.  A cycle still appears: while a negative cycle
+    exists the relaxations never stop, so the integer distances drop
+    below the weight of every walk of fewer than ``n`` edges.  The
+    relaxation that does so has a chain of at least ``n`` edges, and
+    its walk cannot dead-end, since a dead-ended walk traces a simple
+    path whose weight bounds the distance from below.
+    """
+    adj = checker._adj
+    n = len(adj)
+    if not checker.n_messages and not checker.n_summary_edges:
+        return None
+    wtab = inclusive_weights(checker, p, q)
+    tails = checker._tails
+    dist = [0] * n
+    chain = [0] * n  # edges in the walk realizing the current dist
+    pred = [-1] * n  # H-edge id that last improved each node
+    queued = [False] * n
+    active = [u for u in range(n) if adj[u]]
+    while active:
+        next_active = []
+        for u in active:
+            du = dist[u]
+            cu = chain[u] + 1
+            for v, kind, eidx in adj[u]:
+                nd = du + wtab[kind]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    chain[v] = cu
+                    pred[v] = eidx
+                    if cu >= n:
+                        cycle = cycle_from_predecessors(pred, tails, v, n)
+                        if cycle is not None:
+                            return cycle
+                    if not queued[v]:
+                        queued[v] = True
+                        next_active.append(v)
+        # Newest first: negative H-edges point towards older events, so
+        # a descending sweep cascades whole backward chains in a round.
+        next_active.sort(reverse=True)
+        active = next_active
+        for v in active:
+            queued[v] = False
+    return None
+
+
+def cycle_from_predecessors(pred, tails, start, n):
+    """Walk predecessor links from ``start`` until a node repeats, then
+    collect the enclosed cycle; ``None`` if the walk dead-ends on a
+    never-improved node first (over ``n`` nodes, a defined walk of
+    ``n + 1`` links must repeat)."""
+    seen = {start}
+    node = start
+    for _ in range(n + 1):
+        eidx = pred[node]
+        if eidx < 0:
+            return None
+        node = tails[eidx]
+        if node in seen:
+            break
+        seen.add(node)
+    cycle = []
+    cycle_start = node
+    while True:
+        eidx = pred[node]
+        cycle.append(eidx)
+        node = tails[eidx]
+        if node == cycle_start:
+            break
+    cycle.reverse()
+    return cycle
+
+
 def reference_climb(checker):
     """The climb the potential replaced, kept as a reference: probe
     ``1``, then the Farey successor under :attr:`ratio_bound` of the
-    ratio ``B/F`` of each cycle an inclusive oracle run returns, until
-    a probe finds nothing."""
+    ratio ``B/F`` of each cycle :func:`reference_negative_cycle`
+    returns, until a probe finds nothing."""
     bound = checker.ratio_bound
     best = None
     probe = Fraction(1)
     while True:
-        cycle = checker._has_negative_cycle(probe.numerator, probe.denominator)
+        cycle = reference_negative_cycle(
+            checker, probe.numerator, probe.denominator
+        )
         if cycle is None:
             return best
         best = checker._cycle_ratio(cycle)
@@ -114,7 +213,8 @@ def reference_worst_ratio(checker):
     """The Stern-Brocot search the climb replaced, kept as a
     reference: a bracket ``(lo, hi)`` around the maximum, galloped by
     :func:`max_k` and clamped to the denominator bound, driven only by
-    the boolean oracle :meth:`has_ratio_at_least`."""
+    the boolean answers of :func:`reference_negative_cycle` (never by
+    the potential it checks)."""
     max_den = checker.ratio_bound
     max_num = checker.ratio_bound
     memo = {}
@@ -123,7 +223,7 @@ def reference_worst_ratio(checker):
         value = Fraction(num, den)
         cached = memo.get(value)
         if cached is None:
-            cached = checker.has_ratio_at_least(value)
+            cached = reference_negative_cycle(checker, num, den) is not None
             memo[value] = cached
         return cached
 
@@ -196,13 +296,14 @@ def prefix_checker(records, k):
 
 
 def assert_valid_cycle(checker, cycle, p, q):
-    """The contract of a returned cycle: simple in ``H``, negative at
-    ``p/q``, and -- for probes at or above 1 -- ``B/F >= p/q``."""
+    """The contract of a cycle :func:`reference_negative_cycle`
+    returns: simple in ``H``, negative at ``p/q``, and -- for probes at
+    or above 1 -- ``B/F >= p/q``."""
     tails = [checker._tails[e] for e in cycle]
     heads = [checker._heads[e] for e in cycle]
     assert len(set(tails)) == len(tails), "cycle revisits a node"
     assert heads == tails[1:] + tails[:1], "edges do not close a walk"
-    wtab = checker._weight_table(p, q)
+    wtab = inclusive_weights(checker, p, q)
     assert sum(wtab[checker._kinds[e]] for e in cycle) < 0
     if p >= q:
         assert checker._cycle_ratio(cycle) >= Fraction(p, q)
@@ -560,23 +661,23 @@ class TestRepairProperties:
 
     def test_probes_below_one_return_valid_cycles(self):
         # Ratios below 1 never come from the climb, which starts at 1;
-        # static queries may still ask, and the routine must answer
-        # them with genuine negative cycles.
+        # the reference must still answer them with genuine negative
+        # cycles.
         found = 0
         for seed in range(5):
             graph = random_execution_graph(random.Random(seed), 3, 12)
             checker = AdmissibilityChecker(graph)
             for p, q in ((1, 2), (2, 3), (1, 5), (3, 4)):
-                cycle = checker._has_negative_cycle(p, q)
+                cycle = reference_negative_cycle(checker, p, q)
                 if cycle is not None:
                     found += 1
                     assert_valid_cycle(checker, cycle, p, q)
         assert found, "no probe below 1 found a cycle"
 
     def test_dead_ended_walk_keeps_relaxing(self, monkeypatch):
-        # The first predecessor walk is made to dead-end; the run must
-        # keep relaxing and still return a valid cycle.
-        walk = kernel_mod._cycle_from_predecessors
+        # The reference's first predecessor walk is made to dead-end;
+        # the run must keep relaxing and still return a valid cycle.
+        walk = cycle_from_predecessors
         calls = []
 
         def dead_end_once(pred, tails, start, n):
@@ -585,15 +686,15 @@ class TestRepairProperties:
                 return None
             return walk(pred, tails, start, n)
 
-        monkeypatch.setattr(
-            kernel_mod, "_cycle_from_predecessors", dead_end_once
+        monkeypatch.setitem(
+            globals(), "cycle_from_predecessors", dead_end_once
         )
         hits = 0
         for seed in range(6):
             calls.clear()
             graph = random_execution_graph(random.Random(seed + 90), 3, 16)
             checker = AdmissibilityChecker(graph)
-            cycle = checker._has_negative_cycle(1, 1)
+            cycle = reference_negative_cycle(checker, 1, 1)
             if cycle is None:
                 continue
             hits += 1
@@ -645,6 +746,23 @@ class TestCornerCases:
                 assert checker.ratio_jumps == 0
 
     def test_causal_cycle_raises_at_refresh_and_compaction(self):
+        # p0:0 -> p0:1 -> p1:0 -> p1:1 -> p0:0: no relevant cycle to
+        # report, so every query must name the causal cycle instead.
+        small = AdmissibilityChecker()
+        for process in (0, 1):
+            for index in (0, 1):
+                small.add_event(Event(process, index))
+        small.add_message(Event(0, 1), Event(1, 0))
+        small.add_message(Event(1, 1), Event(0, 0))
+        queries = (
+            lambda checker: checker.worst_relevant_ratio(),
+            lambda checker: checker.has_ratio_at_least(2),
+            lambda checker: checker.violating_cycle(2),
+            lambda checker: checker.check(2),
+        )
+        for query in queries:
+            with pytest.raises(ValueError, match="causal cycle through p"):
+                query(small)
         monitor = OnlineAbcMonitor()
         for process in (0, 1):
             for index in range(4):
@@ -658,6 +776,9 @@ class TestCornerCases:
         checker = monitor._checker
         with pytest.raises(ValueError, match="causal cycle"):
             checker.updated_worst_ratio(monitor.worst_ratio)
+        for query in queries:
+            with pytest.raises(ValueError, match="causal cycle"):
+                query(checker)
         region = [Event(p, i) for p in (0, 1) for i in range(3)]
         with pytest.raises(ValueError, match="causal cycle"):
             checker.compact_prefix(region)

@@ -15,11 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.events import Event
 from repro.core.execution_graph import GraphBuilder
-from repro.core.kernel import (
-    PotentialKernel,
-    PyObjectKernel,
-    resolve_kernel_name,
-)
+from repro.core.kernel import PotentialKernel, resolve_kernel_name
 from repro.core.synchrony import (
     AdmissibilityChecker,
     as_xi,
@@ -173,12 +169,6 @@ class TestAdmissibilityChecker:
             broadcast_graph
         )
 
-    def test_warm_start_hint_gives_same_answer(self, fig3_like_graph):
-        checker = AdmissibilityChecker(fig3_like_graph)
-        cold = checker.worst_relevant_ratio()
-        assert checker.worst_relevant_ratio(at_least=Fraction(3, 2)) == cold
-        assert checker.worst_relevant_ratio(at_least=cold) == cold
-
     def test_oracle_call_counter(self, fig3_like_graph):
         checker = AdmissibilityChecker(fig3_like_graph)
         assert checker.oracle_calls == 0
@@ -210,25 +200,25 @@ class TestOneKernel:
     another."""
 
     def test_environment_selects_nothing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "flat_int")
-        assert resolve_kernel_name(None) == "py_object"
+        monkeypatch.setenv("REPRO_KERNEL", "py_object")
+        assert resolve_kernel_name(None) == "potential"
         with pytest.raises(ValueError):
-            resolve_kernel_name("flat_int")
+            resolve_kernel_name("py_object")
         calls = []
-        for kernel in (PyObjectKernel, PotentialKernel):
-            original = kernel.has_negative_cycle
+        original = PotentialKernel.has_negative_cycle
 
-            def counted(self, *args, _original=original):
-                calls.append(type(self).__name__)
-                return _original(self, *args)
+        def counted(self):
+            calls.append(type(self).__name__)
+            return original(self)
 
-            monkeypatch.setattr(kernel, "has_negative_cycle", counted)
+        monkeypatch.setattr(PotentialKernel, "has_negative_cycle", counted)
         graph = random_execution_graph(random.Random(7), 3, 10)
         checker = AdmissibilityChecker(graph)
         checker.worst_relevant_ratio()
         checker.has_ratio_at_least(2)
-        # Every detection pass runs through a kernel a profiler can wrap.
-        assert calls == ["PotentialKernel", "PyObjectKernel"]
+        checker.check(2)
+        # Every query is one repair pass a profiler can wrap.
+        assert calls == ["PotentialKernel"] * 3
         assert len(calls) == checker.oracle_calls
 
     def test_pickle_holds_no_detection_state(self):

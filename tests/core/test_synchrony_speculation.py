@@ -21,12 +21,14 @@ from fractions import Fraction
 
 import pytest
 
+from repro.analysis.online import OnlineAbcMonitor
 from repro.core.cuts import Cut
 from repro.core.events import Event
 from repro.core.execution_graph import ExecutionGraph, MessageEdge
 from repro.core.synchrony import AdmissibilityChecker
 from repro.core.variants import suffix_graph
 from repro.scenarios.generators import random_execution_graph
+from test_ratio_climb import potential_state
 
 RATIO_GRID = [Fraction(1), Fraction(4, 3), Fraction(3, 2), Fraction(2), Fraction(3)]
 
@@ -123,10 +125,9 @@ class TestCheckpointRollback:
                 checker.remove_prefix([Event(0, 0)])
 
 
-class TestSeededDetection:
-    def test_seeded_search_climbs_through_forward_edges(self):
-        """Regression: seeded detection must do genuine Bellman-Ford
-        from the source set (non-sources at +infinity).
+class TestSpeculativeProbes:
+    def test_five_process_counterexample_is_caught(self):
+        """A probe must see a cycle that climbs through forward edges.
 
         Five-process counterexample: the base graph is violation-free at
         Xi = 3/2; adding receive event e1 with message a0 -> e1 closes
@@ -136,10 +137,10 @@ class TestSeededDetection:
                -> c0 (local) -> d1 (against d1->c0) -> d0 (local)
                -> a0 (against a0->d0) -> e1 (along a0->e1)
 
-        with |Z-| = 3, |Z+| = 2, ratio 3/2.  Walked from the seed e1,
-        the prefix weight turns nonnegative at the forward edge
-        b0 -> c1, so a zero-initialized seeded search stalls there and
-        misses the cycle even though it passes through the seed.
+        with |Z-| = 3, |Z+| = 2, ratio 3/2.  Walked from e1, the prefix
+        weight turns nonnegative at the forward edge b0 -> c1: a search
+        that stalls there misses the cycle although it passes through
+        the new event.
         """
         xi = Fraction(3, 2)
         a0, b0 = Event(0, 0), Event(1, 0)
@@ -155,35 +156,49 @@ class TestSeededDetection:
                 MessageEdge(a0, d0),
             ],
         )
-        checker = AdmissibilityChecker(base)
-        assert not checker.has_ratio_at_least(xi)
+        monitor = OnlineAbcMonitor(xi=xi)
+        monitor.extend_to(base)
+        assert monitor.is_admissible()
+        checker = monitor._checker
+        before = potential_state(checker)
+        assert not monitor.would_violate()
+        assert monitor.would_violate(events=[e1], messages=[(a0, e1)])
+        assert monitor.speculative_worst_ratio([e1], [(a0, e1)]) == xi
+        assert potential_state(checker) == before
+        assert monitor.is_admissible()
         checker.add_event(e1)
         checker.add_message(a0, e1)
         assert checker.has_ratio_at_least(xi)
-        assert checker.has_ratio_at_least(xi, sources=(e1,))
 
     @pytest.mark.parametrize("seed", range(15))
-    def test_seeded_matches_full_for_frontier_extensions(self, seed):
-        """A violation-free graph extended by one message: seeding the
-        search from the new receive event decides exactly like the full
-        sweep (the enforcer's situation)."""
+    def test_probe_matches_fresh_checker_for_frontier_extensions(self, seed):
+        """A violation-free graph extended by one message: the probe --
+        one repair pass from the base worst ratio, inside a speculation
+        -- answers like a fresh checker of the extended graph (the
+        enforcer's situation), and the rollback restores the
+        potential."""
         rng = random.Random(seed)
         graph = random_execution_graph(rng, 3, rng.randint(3, 10))
         checker = AdmissibilityChecker(graph)
         worst = checker.worst_relevant_ratio()
-        # Pick ratios the base graph cannot reach: any hit after the
-        # extension must come through the new edge.
-        ratios = [r for r in RATIO_GRID if worst is None or r > worst]
         src = rng.choice(list(graph.events()))
         process = rng.randrange(3)
         dst = Event(process, checker.n_events_of(process))
-        checker.add_event(dst)
-        if src != dst:
+        events = {p: list(graph.events_of(p)) for p in graph.processes}
+        events.setdefault(process, []).append(dst)
+        fresh = AdmissibilityChecker(
+            ExecutionGraph(events, [*graph.messages, MessageEdge(src, dst)])
+        )
+        before = potential_state(checker)
+        with checker.speculate():
+            checker.add_event(dst)
             checker.add_message(src, dst)
-        for ratio in ratios:
-            assert checker.has_ratio_at_least(
-                ratio, sources=(dst,)
-            ) == checker.has_ratio_at_least(ratio), (seed, ratio)
+            probe = checker.updated_worst_ratio(worst)
+        assert potential_state(checker) == before
+        assert probe == fresh.worst_relevant_ratio(), seed
+        for ratio in RATIO_GRID:
+            reached = probe is not None and probe >= ratio
+            assert reached == fresh.has_ratio_at_least(ratio), (seed, ratio)
 
 
 class TestTombstoning:
