@@ -22,6 +22,12 @@ Measured and gated:
 * a single periodically-compacted monitor's live events stay
   O(boundary + compaction interval), independent of trace length.
 
+Reported, not gated: the ``floor=None`` relay chain of
+``docs/architecture.md``'s "Known limits" -- one short chain whose
+checker is summary-compacted without a floor (exact at every ratio
+``>= 1``), with its seconds spent compacting, its live summary edges
+and its worst ratio (checked against an uncompacted monitor).
+
 Also runnable as a script (CI smoke / the acceptance gate)::
 
     python benchmarks/bench_compaction.py --traces 8 --records 120
@@ -51,6 +57,10 @@ DEFAULT_SEED = 13
 # interval of growth -- independent of how long the chain runs.
 MONITOR_COMPACT_EVERY = 32
 MONITOR_PEAK_BOUND = MONITOR_COMPACT_EVERY + 16
+# The floor=None chain: relay seed, records and compaction cadence.
+UNFLOORED_SEED = 0
+UNFLOORED_RECORDS = 60
+UNFLOORED_EVERY = 20
 
 
 def build_workload(seed, n_traces, n_records):
@@ -122,6 +132,35 @@ def run_compacting_monitor(records, compact_every=MONITOR_COMPACT_EVERY):
     return monitor.worst_ratio, peak
 
 
+def run_unfloored_chain():
+    """One monitor over a relay chain whose checker is summary-compacted
+    with ``floor=None`` every ``UNFLOORED_EVERY`` records, the monitor's
+    pins (frontiers and in-flight sends) kept live; returns (seconds
+    spent compacting, live summary edges, worst ratio)."""
+    records = relay_chain_workload(
+        random.Random(UNFLOORED_SEED), UNFLOORED_RECORDS
+    )
+    monitor = OnlineAbcMonitor()
+    checker = monitor._checker
+    compact_s = 0.0
+    for i, record in enumerate(records):
+        monitor.observe(record)
+        if (i + 1) % UNFLOORED_EVERY == 0:
+            start = time.perf_counter()
+            checker.compact_prefix(
+                checker.summarizable_prefix(monitor.pinned_events()),
+                floor=None,
+            )
+            compact_s += time.perf_counter() - start
+    plain = OnlineAbcMonitor()
+    for record in records:
+        plain.observe(record)
+    assert monitor.worst_ratio == plain.worst_ratio, (
+        f"floor=None chain: {monitor.worst_ratio} != {plain.worst_ratio}"
+    )
+    return compact_s, checker.n_summary_edges, monitor.worst_ratio
+
+
 def _timed(fn, *args):
     start = time.perf_counter()
     result = fn(*args)
@@ -183,6 +222,7 @@ def compare(
         f"compacted monitor peak {mono_peak} exceeds the O(boundary) "
         f"bound {MONITOR_PEAK_BOUND}"
     )
+    unfloored_s, unfloored_edges, unfloored_worst = run_unfloored_chain()
     return {
         "traces": n_traces,
         "records": len(stream),
@@ -202,6 +242,10 @@ def compare(
         "evictions": report.evictions,
         "monitor_peak_live_events": mono_peak,
         "monitor_peak_bound": MONITOR_PEAK_BOUND,
+        "unfloored_records": UNFLOORED_RECORDS,
+        "unfloored_compact_s": unfloored_s,
+        "unfloored_summary_edges": unfloored_edges,
+        "unfloored_worst_ratio": str(unfloored_worst),
     }
 
 
@@ -292,6 +336,13 @@ def main(argv=None):
         f"independent of trace length)"
     )
     print("per-trace worst ratios bit-identical to standalone monitors")
+    print(
+        f"floor=None relay chain ({r['unfloored_records']} records, "
+        f"compacted every {UNFLOORED_EVERY}): "
+        f"{r['unfloored_compact_s'] * 1e3:.1f} ms compacting, "
+        f"{r['unfloored_summary_edges']} summary edges, worst ratio "
+        f"{r['unfloored_worst_ratio']}"
+    )
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(r, fh, indent=2)

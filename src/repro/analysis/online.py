@@ -484,13 +484,17 @@ class OnlineAbcMonitor:
         the usual local-order discipline, message endpoints must exist
         after the events are added.  This is the oracle primitive of the
         ABC-enforcing scheduler, exposed for schedulers built on the
-        monitor directly.  It compares :meth:`speculative_worst_ratio`
-        with ``xi``: one repair pass from the running worst ratio, so a
-        monitor that already violates answers ``True`` even when the
-        realizing cycle lives in a forgotten prefix.
+        monitor directly.  A monitor whose running worst ratio already
+        reaches ``xi`` answers ``True`` from it and does not push the
+        extension: the running worst only rises, and it keeps the cycles
+        of forgotten prefixes.  Otherwise it compares
+        :meth:`speculative_worst_ratio` with ``xi``, one repair pass from
+        the running worst ratio.
         """
         if self.xi is None:
             raise ValueError("monitor was constructed without a Xi")
+        if self._worst is not None and self._worst >= self.xi:
+            return True
         worst = self.speculative_worst_ratio(events, messages)
         return worst is not None and worst >= self.xi
 

@@ -1158,14 +1158,15 @@ class AdmissibilityChecker:
     ) -> list[SummaryEdge]:
         """Pareto shortest-path summaries of the region about to die.
 
-        For every live *boundary* node ``x`` with an H-edge into the
-        region, a label-setting search explores traversal walks through
-        region nodes only, recording at every live exit node ``y`` the
-        Pareto frontier of reachable ``(forward, backward, local)``
-        profiles.  The per-query weight is ``scale * (p * f - q * b) - l``
-        with ``(p, q)`` unknown at compaction time; over the query range
-        the caller needs (``p/q >= 1`` for ``floor=None``, ``p/q > floor
-        = a/c`` otherwise) a profile ``x`` dominates ``y`` iff
+        A summary ``x -> y`` stands for the traversal walks that leave a
+        live *entry* ``x`` over an H-edge into the region, run through
+        region nodes only, and arrive at a live *exit* ``y`` over an
+        H-edge out of it; per ``(x, y)`` pair it keeps the Pareto
+        frontier of the walks' ``(forward, backward, local)`` profiles.
+        The per-query weight is ``scale * (p * f - q * b) - l`` with
+        ``(p, q)`` unknown at compaction time; over the query range the
+        caller needs (``p/q >= 1`` for ``floor=None``, ``p/q > floor =
+        a/c`` otherwise) a profile ``x`` dominates ``y`` iff
 
             ``f_x <= f_y``  and  ``a * (f_x - f_y) <= c * (b_x - b_y)``
 
@@ -1178,20 +1179,40 @@ class AdmissibilityChecker:
         floor -- keeping the label space region-bounded even when the
         settled past is full of relevant cycles.
 
+        The sources are the exits: one label-setting search per exit
+        ``y`` runs over the region's H-edges reversed, so a label at
+        node ``u`` is the profile of a walk ``u -> ... -> y``, and
+        crossing a reversed edge ``w -> u`` prepends that edge to the
+        walk.  Profiles add, so a dominated walk stays dominated
+        whichever end it grows from, and each ``(x, y)`` pair gets the
+        frontier a search from ``x`` would find.  Searching from the
+        exits is the cheaper direction.  Every H-edge from the region to
+        a live node, older summaries aside, is one half of a crossing
+        message, whose other half runs from the same live endpoint into
+        the region: such an exit is an entry too.  The entries also
+        hold each process's first live event, whose local edge into the
+        region has no such mirror.  So the exits number at most the
+        entries plus the heads of older summaries that leave the region
+        without entering it, and a search from an exit labels only the
+        nodes that can reach that exit.  A finished label's parent chain
+        runs from its entry to the exit, so the realizing walk reads in
+        order.
+
         Labels are settled in increasing forward hops ``f`` (a bucket
-        queue) and, within one ``f``, in a topological order of the
+        queue) and, within one ``f``, in reversed Kahn order of the
         region's zero-forward edges: backward messages, backward locals
         and older summaries with ``forward == 0``.  These form a DAG,
         because a backward-only walk follows the causal order in
-        reverse.  ``f`` leads both dominance orders, so by a node's turn
-        every label that could dominate its candidates is known, and
-        each surviving label is extended exactly once.  A causal cycle
-        in the region (the public :meth:`add_message` can build one)
-        raises ``ValueError`` instead.  Most region nodes never hold more
-        than one label, so a node keeps its label as a bare tuple, and a
-        candidate is compared with it inline; a Pareto list appears only
-        where a second label survives beside the first.  Both dominance
-        orders run through this one search.
+        reverse, and a node's turn comes after that of every node its
+        zero-forward edges reach.  ``f`` leads both dominance orders, so
+        by a node's turn every label that could dominate its candidates
+        is known, and each surviving label is extended exactly once.  A
+        causal cycle in the region (the public :meth:`add_message` can
+        build one) raises ``ValueError`` instead.  Most region nodes
+        never hold more than one label, so a node keeps its label as a
+        bare tuple, and a candidate is compared with it inline; a Pareto
+        list appears only where a second label survives beside the
+        first.  Both dominance orders run through this one search.
 
         Caps bound the search without touching exactness, since only
         *simple* walks need covering (genuine relevant cycles are
@@ -1212,53 +1233,52 @@ class AdmissibilityChecker:
         their stored profiles and are folded into the new walks, so
         repeated compaction never loses structure.
         """
-        # Hop profile per edge kind; a region node's out-edges are its
-        # adjacency row, in edge-id order.
         hops_of = [*_REGULAR_HOPS, *self._summary_profiles]
         adj = self._adj
-        entries: dict[int, list[tuple]] = {}  # live tail -> edges in
+        n_nodes = len(adj)
+        region = sorted(dead)
+        # One pass over the adjacency rows: into[v] lists the H-edges
+        # into v that a region walk can take, reversed, as (tail,
+        # forward, backward, local, eidx) -- every edge leaving a region
+        # node, plus the entry edges from the live rows.
+        into: list[list[tuple]] = [[] for _ in range(n_nodes)]
         forward_caps: list[int] = []
-        indegree = dict.fromkeys(sorted(dead), 0)  # zero-forward in-edges
-        for eidx, (tail, head, kind) in enumerate(
-            zip(self._tails, self._heads, self._kinds)
-        ):
-            if tail not in dead and head not in dead:
-                continue
-            forward = hops_of[kind][0]
-            forward_caps.append(forward)
-            if tail not in dead:
-                entries.setdefault(tail, []).append((head, kind, eidx))
-            elif head in dead and not forward:
-                indegree[head] += 1
-        # Kahn's algorithm over the zero-forward region edges; node ids
-        # are no guide (a graph-built checker adds events per process).
-        order = [node for node, degree in indegree.items() if not degree]
-        for node in order:
-            for head, kind, _ in adj[node]:
-                if head in dead and not hops_of[kind][0]:
-                    indegree[head] -= 1
-                    if not indegree[head]:
-                        order.append(head)
-        if len(order) < len(dead):
+        zero_out = dict.fromkeys(region, 0)  # zero-forward region out-edges
+        exits: dict[int, None] = {}
+        for tail, row in enumerate(adj):
+            if tail in dead:
+                for head, kind, eidx in row:
+                    f, b, loc = hops_of[kind]
+                    into[head].append((tail, f, b, loc, eidx))
+                    forward_caps.append(f)
+                    if head not in dead:
+                        exits[head] = None
+                    elif not f:
+                        zero_out[tail] += 1
+            else:
+                for head, kind, eidx in row:
+                    if head in dead:
+                        f, b, loc = hops_of[kind]
+                        into[head].append((tail, f, b, loc, eidx))
+                        forward_caps.append(f)
+        # Kahn's algorithm over the reversed zero-forward region edges;
+        # node ids are no guide (a graph-built checker adds events per
+        # process).  rank[u] is u's turn within a bucket, -1 off-region.
+        order = [u for u in region if not zero_out[u]]
+        for u in order:
+            for w, f, _, _, _ in into[u]:
+                if not f and w in dead:
+                    zero_out[w] -= 1
+                    if not zero_out[w]:
+                        order.append(w)
+        if len(order) < len(region):
             raise ValueError(
                 "the region to compact contains a causal cycle; summary "
                 "compaction needs an acyclic execution"
             )
-        # Slots: the region's nodes by topological rank, then the live
-        # exits, so a search keeps its labels in one flat list.  Edges
-        # become (head slot, forward, backward, local, eidx).
-        slot = {node: r for r, node in enumerate(order)}
-
-        def slotted(row: list[tuple[int, int, int]]) -> list[tuple]:
-            return [
-                (slot.setdefault(head, len(slot)), *hops_of[kind], eidx)
-                for head, kind, eidx in row
-            ]
-
-        succ = [slotted(adj[node]) for node in order]
-        seeds = [(x, slotted(edges)) for x, edges in entries.items()]
-        nodes = list(slot)  # slot -> node
-        n_region = len(order)
+        rank = [-1] * n_nodes
+        for r, u in enumerate(order):
+            rank[u] = r
         # A simple walk through the region uses each edge at most once
         # and at most |region| + 1 edges in total.
         forward_caps.sort(reverse=True)
@@ -1297,20 +1317,21 @@ class AdmissibilityChecker:
             labels.append(cand)
             return True
 
-        for x, seed_edges in seeds:
-            # Labels are (f, b, l, h, parent label | None, eidx); the
-            # parent chain reconstructs the realizing walk.  A slot holds
-            # one label as the bare tuple -- most never hold more -- and
-            # a Pareto list only once a second one survives.
-            held_at: list[tuple | list[tuple] | None] = [None] * len(nodes)
-            reached: list[int] = []  # exit slots, first arrival first
+        for y in exits:
+            # Labels are (f, b, l, h, parent label, eidx), the parent
+            # being the label of the edge's head; the exit's seed ends
+            # the chain.  A node holds one label as the bare tuple --
+            # most never hold more -- and a Pareto list only once a
+            # second one survives.
+            held_at: list[tuple | list[tuple] | None] = [None] * n_nodes
+            reached: list[int] = []  # entries, first arrival first
             buckets: dict[int, list[int]] = {}  # f -> heap of ranks
 
             def turns() -> Iterator[tuple[Sequence[tuple], list[tuple]]]:
-                """The labels to extend and their edges: the entry's seed,
-                then each node's labels of forward hops ``f`` at its turn
-                in bucket ``f``."""
-                yield ((0, 0, 0, 0, None, -1),), seed_edges
+                """The labels to extend and their reversed edges: the
+                exit's seed, then each node's labels of forward hops
+                ``f`` at its turn in bucket ``f``."""
+                yield ((0, 0, 0, 0, None, -1),), into[y]
                 while buckets:
                     f = min(buckets)
                     heap = buckets[f]  # zero-forward hops push more here
@@ -1320,11 +1341,12 @@ class AdmissibilityChecker:
                         if r == turn:
                             continue  # one turn per node and bucket
                         turn = r
-                        held = held_at[r]
+                        node = order[r]
+                        held = held_at[node]
                         if type(held) is list:
-                            yield [o for o in held if o[0] == f], succ[r]
+                            yield [o for o in held if o[0] == f], into[node]
                         elif held[0] == f:
-                            yield (held,), succ[r]
+                            yield (held,), into[node]
                     del buckets[f]
 
             for labels, edges in turns():
@@ -1333,17 +1355,18 @@ class AdmissibilityChecker:
                     nh = lh + 1
                     if use_hops and nh > h_cap:
                         continue
-                    for s, hop_f, hop_b, hop_l, eidx in edges:
+                    for w, hop_f, hop_b, hop_l, eidx in edges:
                         nf = lf + hop_f
                         if nf > f_cap:
                             continue
                         nb = lb + hop_b
                         nl = ll + hop_l
-                        held = held_at[s]
+                        held = held_at[w]
+                        r = rank[w]
                         if held is None:
-                            held_at[s] = (nf, nb, nl, nh, label, eidx)
-                            if s >= n_region:
-                                reached.append(s)
+                            held_at[w] = (nf, nb, nl, nh, label, eidx)
+                            if r < 0:
+                                reached.append(w)
                                 continue
                         elif type(held) is tuple:
                             # ``dominates`` both ways, inline: the tie
@@ -1366,35 +1389,34 @@ class AdmissibilityChecker:
                                 and (not tie or nl >= held[2])
                                 and not (use_hops and nh > held[3])
                             ):
-                                held_at[s] = cand
+                                held_at[w] = cand
                             else:
-                                held_at[s] = [held, cand]
-                            if not df or s >= n_region:
-                                continue  # an exit, or queued with held
+                                held_at[w] = [held, cand]
+                            if not df or r < 0:
+                                continue  # an entry, or queued with held
                         elif (
                             not offer(
                                 held, (nf, nb, nl, nh, label, eidx), use_hops
                             )
-                            or s >= n_region
+                            or r < 0
                         ):
                             continue
-                        heappush(buckets.setdefault(nf, []), s)
-            tail = self._event(x)
-            for s in reached:
-                held = held_at[s]
+                        heappush(buckets.setdefault(nf, []), r)
+            head = self._event(y)
+            for x in reached:
+                held = held_at[x]
                 # Re-prune by weight alone, or hop-distinct but dominated
                 # siblings would survive as parallel summary edges.
                 pruned: list[tuple] = []
                 for label in held if type(held) is list else (held,):
                     offer(pruned, label, False)
-                head = self._event(nodes[s])
+                tail = self._event(x)
                 for label in pruned:
                     chain: list[int] = []
-                    cursor: tuple | None = label
-                    while cursor is not None and cursor[5] >= 0:
+                    cursor = label
+                    while cursor[5] >= 0:
                         chain.append(cursor[5])
                         cursor = cursor[4]
-                    chain.reverse()
                     out.append(
                         SummaryEdge(
                             tail=tail,

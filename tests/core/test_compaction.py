@@ -548,7 +548,9 @@ class TestWitnesses:
         assert monitor.violation is not None
         assert monitor.violation.ratio >= 3
         assert not monitor.is_admissible()
+        calls = monitor.oracle_calls
         assert monitor.would_violate()  # answered from the running max
+        assert monitor.oracle_calls == calls  # without a repair pass
 
 
 @pytest.fixture
@@ -614,8 +616,10 @@ class TestSearchOrder:
         assert differential["old_zero_forward"] > 100
 
     def test_each_node_gets_one_turn_per_bucket(self, monkeypatch):
-        """Within one forward-hop bucket, a zero-forward edge only ever
-        reaches a node later in the topological order, so every bucket
+        """The search runs from the exits over reversed edges.  Within
+        one forward-hop bucket, a reversed zero-forward edge only ever
+        reaches a node later in the reversed Kahn order (the tail of a
+        zero-forward edge has its turn after the head), so every bucket
         pops node ranks in non-decreasing order: no node is revisited
         after its turn, which is what settles each label once.  (A
         wrong order would still give the right profiles -- the heap
@@ -643,6 +647,60 @@ class TestSearchOrder:
         for _monitor in streaming_compactions(random.Random(61)):
             pass
         assert pops["pops"] > 1000
+
+    def test_search_cost_follows_the_exits(self, monkeypatch):
+        """Heap pops (a node's turn in a bucket, or a skipped repeat)
+        pin what the summary search costs on two shapes: a search from
+        an exit labels only the nodes that reach that exit.  Both
+        bounds sit far below what one search per entry pops on the
+        same shapes (55,147 on the chain; 3.72 and 3.38 per region node
+        on the mix), so that design fails here within seconds."""
+        pops = Counter()
+
+        def counted_pop(heap: list) -> int:
+            pops["pops"] += 1
+            if pops["pops"] > pops["budget"]:
+                raise AssertionError(f"over {pops['budget']} heap pops")
+            return heapq.heappop(heap)
+
+        search = AdmissibilityChecker._summarize_region
+
+        def counted_search(self, dead, floor):
+            pops["region_nodes"] += len(dead)
+            return search(self, dead, floor)
+
+        monkeypatch.setattr(synchrony, "heappop", counted_pop)
+        monkeypatch.setattr(
+            AdmissibilityChecker, "_summarize_region", counted_search
+        )
+        # The floor=None relay chain of docs/architecture.md's "Known
+        # limits", compacted every 20 records with its pins kept live.
+        pops["budget"] = 5000
+        monitor = OnlineAbcMonitor()
+        checker = monitor._checker
+        for i, record in enumerate(relay_chain_workload(random.Random(0), 60)):
+            monitor.observe(record)
+            if i % 20 == 19:
+                checker.compact_prefix(
+                    checker.summarizable_prefix(monitor.pinned_events()),
+                    floor=None,
+                )
+        assert checker.n_summary_edges == 22
+        assert monitor.worst_ratio == 9
+        for summary in checker._summary_at.values():
+            assert_genuine_walk(summary)
+        # The long-bounded mix of TestLongBoundedShapes.
+        for seed in (1, 2):
+            pops.clear()
+            pops["budget"] = 10**9
+            stream = concurrent_workload(
+                random.Random(seed), 6, (500, 500), TestLongBoundedShapes.MIX
+            )
+            fleet = MonitorFleet(event_budget=900)
+            fleet.ingest_many(stream)
+            fleet.flush()
+            assert pops["region_nodes"] > 2000
+            assert pops["pops"] < 2 * pops["region_nodes"], seed
 
     def test_causal_cycle_raises_and_leaves_checker_whole(self):
         """The public add_message can close a causal cycle; its
