@@ -142,25 +142,20 @@ class MonitorFleet:
             :class:`TraceSummary` path, exactly as an explicit
             :meth:`close` would (``None`` disables auto-retirement).
         compact_threshold: optional adaptive compaction cadence handed
-            to every default-constructed monitor: a trace's digraph is
-            summary-compacted whenever its live events outgrow its
-            boundary (frontier + in-flight pins) by this factor,
-            independent of budget pressure (``None`` disables; see
+            to every new monitor: a trace's digraph is summary-compacted
+            whenever its live events outgrow its boundary (frontier +
+            in-flight pins) by this factor, independent of budget
+            pressure (``None`` disables; see
             :class:`~repro.analysis.online.OnlineAbcMonitor`).
         faulty: processes whose sent messages are dropped, applied to
             every trace (as in :class:`~repro.analysis.online.OnlineAbcMonitor`).
         drop_faulty: disable the faulty-sender filter when ``False``.
-        monitor_factory: optional ``factory(trace_id) -> OnlineAbcMonitor``
-            for per-trace monitor customization; the fleet chains its
-            own violation bookkeeping onto the returned monitor's
-            ``on_violation``.
         monitor_specs: declarative per-trace monitor configuration --
             one :class:`~repro.runtime.shard.MonitorSpec` applied to
             every trace, or a ``{trace_id: MonitorSpec}`` mapping
             (unlisted traces get the fleet defaults).  Plain data, so
             the same registry drives :class:`repro.runtime.ParallelFleet`
-            process workers unchanged; ignored when ``monitor_factory``
-            is given.
+            process workers unchanged.
         on_violation: called as ``on_violation(trace_id, witness)`` the
             first time a trace's worst ratio reaches ``xi``.
 
@@ -182,7 +177,6 @@ class MonitorFleet:
         compact_threshold: float | None = None,
         faulty: frozenset[ProcessId] | set[ProcessId] = frozenset(),
         drop_faulty: bool = True,
-        monitor_factory: Callable[[TraceId], OnlineAbcMonitor] | None = None,
         monitor_specs: MonitorSpec | dict[TraceId, MonitorSpec] | None = None,
         on_violation: Callable[[TraceId, CycleClassification], None] | None = None,
     ) -> None:
@@ -212,7 +206,6 @@ class MonitorFleet:
             compact_threshold=compact_threshold,
             faulty=faulty,
             drop_faulty=drop_faulty,
-            monitor_factory=monitor_factory,
             monitor_specs=monitor_specs,
             emit_violation=self._emit_violation,
         )
@@ -451,9 +444,9 @@ class MonitorFleet:
         batching, budget, retirement, compaction, faulty set, monitor
         specs) and the shard group image -- pending buffers included,
         taken without flushing -- so :meth:`restore` rebuilds the fleet
-        mid-stream, flush boundaries and all.  Callbacks
-        (``on_violation``, ``monitor_factory``) are not picklable state
-        and must be re-supplied to :meth:`restore`.
+        mid-stream, flush boundaries and all.  The ``on_violation``
+        callback is not picklable state and must be re-supplied to
+        :meth:`restore`.
         """
         from repro.runtime import codec
 
@@ -488,15 +481,14 @@ class MonitorFleet:
         cls,
         source: tuple | str | os.PathLike,
         *,
-        monitor_factory: Callable[[TraceId], OnlineAbcMonitor] | None = None,
         on_violation: Callable[[TraceId, CycleClassification], None] | None = None,
     ) -> "MonitorFleet":
         """Rebuild a fleet from a :meth:`snapshot` frame or file.
 
         Per-trace worst ratios, degraded flags, violating sets, pending
         buffers and all counters are bit-identical to the snapshotted
-        fleet's; ``monitor_factory`` / ``on_violation`` are re-attached
-        from the keyword arguments (callbacks do not survive pickling).
+        fleet's; ``on_violation`` is re-attached from the keyword
+        argument (callbacks do not survive pickling).
         """
         if isinstance(source, (str, os.PathLike)):
             from repro.runtime.durable import read_frames
@@ -538,7 +530,6 @@ class MonitorFleet:
             compact_threshold=compact_threshold,
             faulty=frozenset(faulty),
             drop_faulty=drop_faulty,
-            monitor_factory=monitor_factory,
             monitor_specs=codec.decode_specs(specs_wire),
             on_violation=on_violation,
         )

@@ -44,11 +44,13 @@ back -- the probe the ABC-enforcing scheduler of
 *Prefix forgetting* (:meth:`OnlineAbcMonitor.forget_prefix`,
 :meth:`OnlineAbcMonitor.settled_prefix`,
 :meth:`OnlineAbcMonitor.compactable_prefix`) bounds the monitor's
-memory through the checker's two-mode compaction engine.  Exact mode
-tombstones a settled prefix no message crosses; summary mode
-(``forget_prefix(events, summarize=True)``) compacts *any* prefix --
-chain-shaped executions included, where the no-crossing criterion
-removes nothing -- replacing it by boundary-to-boundary summary edges.
+memory through the checker's two-mode compaction engine.  A prefix is a
+stop map ``{process: first index kept live}``, the form both searches
+return and compaction takes.  Exact mode tombstones a settled prefix no
+message crosses; summary mode (``forget_prefix(stops, summarize=True)``)
+compacts *any* prefix -- chain-shaped executions included, where the
+no-crossing criterion removes nothing -- replacing it by
+boundary-to-boundary summary edges.
 Either way the running worst ratio keeps its historical maximum, and
 because the monitor only ever asks for cycles strictly above that
 maximum (the potential sits at it), every ratio it reports after
@@ -80,7 +82,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from repro.core.cycles import CycleClassification
 from repro.core.events import Event, ProcessId
@@ -512,8 +514,11 @@ class OnlineAbcMonitor:
             self._push_extension(events, messages)
             return checker.updated_worst_ratio(self._worst)
 
-    def settled_prefix(self, pinned: Iterable[Event] = ()) -> tuple[Event, ...]:
-        """The largest forgettable prefix no message edge crosses (see
+    def settled_prefix(
+        self, pinned: Iterable[Event] = ()
+    ) -> dict[ProcessId, int]:
+        """The largest forgettable prefix no message edge crosses, as a
+        stop map (see
         :meth:`~repro.core.synchrony.AdmissibilityChecker.removable_prefix`);
         pass it to :meth:`forget_prefix` to bound the monitor's memory
         without touching the digraph's full-graph exactness."""
@@ -521,10 +526,10 @@ class OnlineAbcMonitor:
 
     def compactable_prefix(
         self, pinned: Iterable[Event] = ()
-    ) -> tuple[Event, ...]:
-        """The largest prefix summary compaction may absorb: everything
-        strictly below the pinned events, with each process's frontier
-        implicitly pinned (see
+    ) -> dict[ProcessId, int]:
+        """The largest prefix summary compaction may absorb, as a stop
+        map: everything strictly below the pinned events, with each
+        process's frontier implicitly pinned (see
         :meth:`~repro.core.synchrony.AdmissibilityChecker.summarizable_prefix`).
         Unlike :meth:`settled_prefix` this is nonempty even on
         chain-shaped executions; pass it to
@@ -533,10 +538,14 @@ class OnlineAbcMonitor:
         return self._checker.summarizable_prefix(pinned)
 
     def forget_prefix(
-        self, events: Iterable[Event], summarize: bool = False
+        self, stops: Mapping[ProcessId, int], summarize: bool = False
     ) -> int:
         """Compact a left-closed prefix out of the digraph.
 
+        ``stops`` is the stop map :meth:`settled_prefix` or
+        :meth:`compactable_prefix` returns: per process, the first index
+        that stays live (see
+        :meth:`~repro.core.synchrony.AdmissibilityChecker.compact_prefix`).
         With ``summarize=False`` the prefix is tombstoned exactly and
         must be chosen with :meth:`settled_prefix` (no crossing
         messages) for the monitor to stay exact.  With
@@ -559,9 +568,9 @@ class OnlineAbcMonitor:
         """
         if summarize:
             return self._checker.compact_prefix(
-                events, mode="summary", floor=self._worst
+                stops, mode="summary", floor=self._worst
             )
-        return self._checker.remove_prefix(events)
+        return self._checker.compact_prefix(stops, mode="exact")
 
     # ------------------------------------------------------------------
     # adaptive compaction cadence
@@ -581,32 +590,6 @@ class OnlineAbcMonitor:
         pinned.extend(Event(sp, si) for sp, si, _dest in self._in_flight)
         return pinned
 
-    def _compactable_size(self) -> int:
-        """How many live events summary compaction could reclaim right
-        now, without materializing the cut.
-
-        Mirrors :meth:`~repro.core.synchrony.AdmissibilityChecker.summarizable_prefix`
-        arithmetically: per process, everything strictly below the
-        frontier and below the lowest pinned in-flight send is
-        removable.  O(processes + in-flight sends) -- cheap enough to
-        evaluate per record, which is what makes the adaptive trigger
-        affordable where materializing the prefix each time would not
-        be.
-        """
-        checker = self._checker
-        stops = {
-            process: checker.n_events_of(process) - 1
-            for process in checker.processes
-        }
-        for sp, si, _dest in self._in_flight:
-            stop = stops.get(sp)
-            if stop is not None and si < stop:
-                stops[sp] = si
-        return sum(
-            max(0, stop - checker.first_live_index(process))
-            for process, stop in stops.items()
-        )
-
     def maybe_compact(self) -> int:
         """Summary-compact iff the live digraph outgrew its boundary.
 
@@ -618,21 +601,25 @@ class OnlineAbcMonitor:
         compaction that would reclaim little (deep pins, fresh
         digraph), and never lets the digraph grow past ``threshold``
         times its irreducible boundary; reported ratios stay
-        bit-identical either way (the summary-mode contract).  Returns
-        the number of events compacted away (0 = not triggered).
+        bit-identical either way (the summary-mode contract).  The
+        reclaimable count is the size of the stop map
+        :meth:`compactable_prefix` returns for :meth:`pinned_events`,
+        and that map is the cut compacted.  Returns the number of events
+        compacted away (0 = not triggered).
         """
         threshold = self.compact_threshold
         if threshold is None:
             return 0
-        live = self._checker.n_events
-        removable = self._compactable_size()
-        boundary = live - removable
-        if removable <= 0 or live <= threshold * max(boundary, 1):
+        checker = self._checker
+        stops = self.compactable_prefix(self.pinned_events())
+        removable = sum(
+            stop - checker.first_live_index(process)
+            for process, stop in stops.items()
+        )
+        live = checker.n_events
+        if not stops or live <= threshold * max(live - removable, 1):
             return 0
-        cut = self._checker.summarizable_prefix(self.pinned_events())
-        if not cut:
-            return 0
-        removed = self.forget_prefix(cut, summarize=True)
+        removed = self.forget_prefix(stops, summarize=True)
         if removed:
             self.auto_compactions += 1
             if self._obs is not None:

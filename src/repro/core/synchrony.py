@@ -62,11 +62,15 @@ ABC-*enforcing* scheduler and of the <>ABC stabilization search:
   the query made to the stored potential.
 * **Prefix compaction** -- :meth:`AdmissibilityChecker.compact_prefix`
   is a two-mode compaction engine over left-closed per-process prefixes
-  of the observed events.  *Exact* mode (the original
-  :meth:`AdmissibilityChecker.remove_prefix`) deletes the prefix
-  together with every incident edge; the remaining checker answers
-  queries about the *suffix* graph (the live-induced subgraph, exactly
-  :func:`repro.core.variants.suffix_graph` up to event renaming).
+  of the observed events.  Such a cut is a *stop map*
+  ``{process: stop}``: the first index of each process that stays
+  live (the paper's consistent cuts are left-closed, so one index per
+  process fixes a cut), listing only processes whose stop lies above
+  :meth:`AdmissibilityChecker.first_live_index`.  *Exact* mode deletes
+  the prefix together with every incident edge; the remaining checker
+  answers queries about the *suffix* graph (the live-induced subgraph,
+  exactly :func:`repro.core.variants.suffix_graph` up to event
+  renaming).
   :meth:`AdmissibilityChecker.removable_prefix` computes the largest
   prefix whose exact removal also preserves *full-graph* queries: when
   no message (and no summary edge) crosses the prefix boundary, no
@@ -128,7 +132,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.cycles import (
     AGAINST,
@@ -336,7 +340,7 @@ class CheckerCheckpoint:
 
     Produced by :meth:`AdmissibilityChecker.checkpoint`, consumed by
     :meth:`AdmissibilityChecker.rollback`.  A checkpoint is invalidated
-    by :meth:`AdmissibilityChecker.remove_prefix` (which renumbers the
+    by :meth:`AdmissibilityChecker.compact_prefix` (which renumbers the
     digraph); ``epoch`` detects that.  ``potential`` holds the stored
     potential's state: its list (shared, copied on the checker's first
     write in place), that list's length, and the scalars beside it.
@@ -871,7 +875,7 @@ class AdmissibilityChecker:
         integers, and the potential's list is shared rather than copied
         -- the checker copies it on its first write in place, and only
         appends to it otherwise.  A checkpoint does not survive
-        :meth:`remove_prefix`, which renumbers the digraph.
+        :meth:`compact_prefix`, which renumbers the digraph.
         """
         self._pot_shared = True
         return CheckerCheckpoint(
@@ -902,7 +906,7 @@ class AdmissibilityChecker:
         """
         if token.epoch != self._epoch:
             raise ValueError(
-                "checkpoint predates a remove_prefix; the digraph was "
+                "checkpoint predates a compact_prefix; the digraph was "
                 "renumbered and cannot be rolled back to it"
             )
         if token.n_nodes > self.n_events or token.n_edges > len(self._tails):
@@ -962,8 +966,8 @@ class AdmissibilityChecker:
         ``add_message``) and queried; on exit everything added is popped
         off again.  This is what lets the ABC-enforcing scheduler push a
         hypothetical delivery onto the live digraph, ask the oracle, and
-        retract it without a rebuild.  :meth:`remove_prefix` is rejected
-        inside a speculation.
+        retract it without a rebuild.  :meth:`compact_prefix` is
+        rejected inside a speculation.
         """
         token = self.checkpoint()
         self._speculating += 1
@@ -977,28 +981,23 @@ class AdmissibilityChecker:
     # prefix compaction (the two-mode engine)
     # ------------------------------------------------------------------
 
-    def remove_prefix(self, events: Iterable[Event]) -> int:
-        """Exact-mode prefix removal (the original tombstoning API).
-
-        Equivalent to ``compact_prefix(events, mode="exact")``; see
-        there for the shared prefix discipline and for the summary mode
-        that makes message-crossing cuts removable.
-        """
-        return self.compact_prefix(events, mode="exact")
-
     def compact_prefix(
         self,
-        events: Iterable[Event],
+        stops: Mapping[ProcessId, int],
         mode: str = "summary",
         floor: Fraction | None = None,
     ) -> int:
         """Compact a left-closed per-process prefix out of the digraph.
 
-        ``events`` must, per process, extend the already-compacted
-        prefix contiguously (events already compacted are ignored, so
-        passing a cumulatively grown cut is fine).  Arrays are compacted
-        eagerly, so memory is bounded by the live graph plus the summary
-        edges; returns the number of events removed.  Two modes:
+        ``stops`` is the cut as a stop map: for each listed process, the
+        first index that stays live.  Every live event of the process
+        below its stop is removed; a stop at or below
+        :meth:`first_live_index` removes nothing, so passing a
+        cumulatively grown cut is fine.  A stop past
+        :meth:`n_events_of` raises ``KeyError`` before anything is
+        touched.  Arrays are compacted eagerly, so memory is bounded by
+        the live graph plus the summary edges; returns the number of
+        events removed.  Two modes:
 
         * ``mode="exact"`` removes the events together with *every*
           incident edge -- the remaining digraph is the live-induced
@@ -1022,7 +1021,7 @@ class AdmissibilityChecker:
           maximum, as :class:`repro.analysis.online.OnlineAbcMonitor`
           does).  Each process's frontier (last live) event is
           implicitly pinned so future local edges still attach to live
-          events; use :meth:`summarizable_prefix` to enumerate the
+          events; use :meth:`summarizable_prefix` to compute the
           compactable cut, pinning the send events of in-flight
           messages for extension exactness.
 
@@ -1056,39 +1055,30 @@ class AdmissibilityChecker:
             raise ValueError(f"unknown compaction mode {mode!r}")
         if self._speculating:
             raise RuntimeError("cannot compact a prefix inside speculate()")
-        new_first: dict[ProcessId, list[int]] = {}
-        for event in events:
-            new_first.setdefault(event.process, []).append(event.index)
-        stops: dict[ProcessId, int] = {}
-        for process, indices in new_first.items():
-            total = self.n_events_of(process)
-            first = self._first_live.get(process, 0)
-            fresh = sorted(i for i in set(indices) if i >= first)
-            if not fresh:
+        first_live = self._first_live
+        fresh: dict[ProcessId, int] = {}
+        for process, stop in stops.items():
+            first = first_live.get(process, 0)
+            if stop <= first:
                 continue
-            if fresh[-1] >= total:
+            total = self.n_events_of(process)
+            if stop > total:
                 raise KeyError(
-                    f"event p{process}:{fresh[-1]} was never added to the "
+                    f"event p{process}:{stop - 1} was never added to the "
                     "checker"
                 )
-            if fresh != list(range(first, first + len(fresh))):
-                raise ValueError(
-                    f"tombstoned events of process {process} must extend "
-                    f"the removed prefix contiguously from index {first}"
-                )
-            stop = first + len(fresh)
             if mode == "summary":
                 # Keep the frontier event live: the next add_event at
                 # this process attaches its local edge there, which the
                 # ratio-equivalence contract under extension needs.
                 stop = min(stop, total - 1)
             if stop > first:
-                stops[process] = stop
-        if not stops:
+                fresh[process] = stop
+        if not fresh:
             return 0
         dead: set[int] = set()
-        for process, stop in stops.items():
-            first = self._first_live.get(process, 0)
+        for process, stop in fresh.items():
+            first = first_live.get(process, 0)
             dead.update(self._ids[process][: stop - first])
         # Summarize before mutating anything: the search rejects a
         # causal cycle with ValueError and must leave the checker whole.
@@ -1096,7 +1086,7 @@ class AdmissibilityChecker:
             self._summarize_region(dead, floor) if mode == "summary" else ()
         )
         self._cover_potential()
-        self._first_live.update(stops)
+        first_live.update(fresh)
         self._compact(dead)
         for edge in summaries:
             self._attach_summary(edge)
@@ -1431,7 +1421,7 @@ class AdmissibilityChecker:
 
     def summarizable_prefix(
         self, pinned: Iterable[Event] = ()
-    ) -> tuple[Event, ...]:
+    ) -> dict[ProcessId, int]:
         """The largest cut summary compaction may absorb.
 
         Every live event strictly below the pinned ones, with each
@@ -1442,18 +1432,24 @@ class AdmissibilityChecker:
         events too (their message edges are still to come); unpinned
         crossing sends degrade the contract exactly as exact-mode
         eviction does (the late edge is skipped and counted by the
-        layers above).  Returns the removable live events, oldest first
-        per process; feed them to :meth:`compact_prefix`.
+        layers above).
+
+        Returns the cut as a stop map: per process, the first index
+        that stays live, listing only the processes with an event to
+        remove (a stop above :meth:`first_live_index`), in process
+        order.  It holds ``sum(stop - first_live_index(p))`` events;
+        feed it to :meth:`compact_prefix`.
         """
         keep = {p: self.n_events_of(p) - 1 for p in self._ids}
         for event in pinned:
             if event.process in keep and event.index < keep[event.process]:
                 keep[event.process] = event.index
-        return tuple(
-            Event(process, index)
+        first_live = self._first_live
+        return {
+            process: stop
             for process, stop in sorted(keep.items())
-            for index in range(self._first_live.get(process, 0), stop)
-        )
+            if stop > first_live.get(process, 0)
+        }
 
     def _compact(self, dead: set[int]) -> None:
         """Physically drop ``dead`` nodes and incident edges, renumbering
@@ -1543,7 +1539,7 @@ class AdmissibilityChecker:
 
     def removable_prefix(
         self, pinned: Iterable[Event] = ()
-    ) -> tuple[Event, ...]:
+    ) -> dict[ProcessId, int]:
         """The largest tombstonable prefix no message or summary crosses.
 
         Every relevant cycle that enters the region behind such a prefix
@@ -1562,11 +1558,13 @@ class AdmissibilityChecker:
                 otherwise cross the boundary, and each process's frontier
                 event so upcoming local edges stay intact).
 
-        Returns the removable live events, oldest first per process;
-        feed them to :meth:`remove_prefix` (possibly after checking the
-        prefix is worth the compaction cost).  The cost is one pass over
-        the events the pins keep and their edges, plus one over the
-        summary edges; the events it returns are listed, never scanned.
+        Returns the cut as a stop map, like :meth:`summarizable_prefix`:
+        per process, the first index that stays live, listing only the
+        processes with an event to remove, in process order.  Feed it to
+        ``compact_prefix(stops, mode="exact")`` (possibly after checking
+        the prefix is worth the compaction cost).  The cost is one pass
+        over the events the pins keep and their edges, plus one over the
+        summary edges; the events it removes are never scanned.
         """
         first_live = self._first_live
         # keep[p] = first index that must stay live; start fully removable.
@@ -1610,11 +1608,11 @@ class AdmissibilityChecker:
                         if idxs[other] < keep[q]:
                             keep[q] = idxs[other]
                             work.append(q)
-        return tuple(
-            Event(process, index)
+        return {
+            process: stop
             for process, stop in sorted(keep.items())
-            for index in range(self._first_live.get(process, 0), stop)
-        )
+            if stop > first_live.get(process, 0)
+        }
 
     # ------------------------------------------------------------------
     # the negative-cycle oracle

@@ -131,8 +131,12 @@ def earliest_stabilization_cut(
             return Cut(frozenset(absorbed)).left_closure(graph)
         earliest = min(witness.cycle.events)
         absorbed |= graph.causal_past([earliest])
-        # Already-compacted events in the cumulative cut are ignored.
-        checker.compact_prefix(absorbed, mode="exact")
+        # The cut is left-closed, so its frontier fixes it; stops of
+        # already-compacted processes are ignored.
+        frontier = Cut(frozenset(absorbed)).frontier()
+        checker.compact_prefix(
+            {p: ev.index + 1 for p, ev in frontier.items()}, mode="exact"
+        )
 
 
 def unknown_xi_infimum(graph: ExecutionGraph) -> Fraction | None:

@@ -12,8 +12,7 @@ worker still alive?".  Two implementations:
   ``queue.Queue`` pipes.  No parallel speedup (the GIL serializes the
   oracle), but identical protocol semantics with zero process-spawn
   overhead and in-process tracebacks: the debugging and
-  low-overhead-correctness backend, and the only one that accepts
-  non-picklable configuration (``monitor_factory``).
+  low-overhead-correctness backend.
 
 Both expose the same :class:`WorkerHandle` surface; the dispatcher in
 :mod:`repro.runtime.parallel` never branches on the backend.  Bounded
@@ -251,8 +250,6 @@ class ProcessBackend:
             keeps everything else plain already).
     """
 
-    supports_callables = False
-
     def __init__(self, start_method: str | None = None) -> None:
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
@@ -294,19 +291,12 @@ class ThreadBackend:
 
     Shares the process with the dispatcher: no serialization actually
     copies (queues pass tuples by reference -- the codec still runs, so
-    the wire format is exercised identically), tracebacks surface
-    in-process, and non-picklable configuration such as
-    ``monitor_factory`` works.  The GIL serializes oracle work, so use
-    :class:`ProcessBackend` for throughput.
-
-    Per-trace configuration no longer forces this backend: declarative
-    :class:`~repro.runtime.MonitorSpec` rows (``monitor_specs=``) are
-    picklable, cross process boundaries, and survive
-    ``ParallelFleet.restore`` -- reserve ``monitor_factory`` for
-    construction that is genuinely dynamic.
+    the wire format is exercised identically) and tracebacks surface
+    in-process.  The GIL serializes oracle work, so use
+    :class:`ProcessBackend` for throughput.  Per-trace configuration
+    (:class:`~repro.runtime.MonitorSpec` rows, ``monitor_specs=``) is
+    plain data and works the same on both backends.
     """
-
-    supports_callables = True
 
     def __init__(self) -> None:
         self._threads: list[threading.Thread] = []

@@ -122,7 +122,9 @@ import time
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from repro.analysis.online import OnlineAbcMonitor
+# Imported before any worker forks, so forked workers share the
+# monitor's modules instead of each importing them on its first trace.
+import repro.analysis.online  # noqa: F401
 from repro.core.cycles import CycleClassification
 from repro.core.events import ProcessId
 from repro.obs import metrics as _obs_metrics
@@ -254,15 +256,10 @@ class ParallelFleet:
             (the backpressure lever).
         rebalance: re-apportion the budget by live-event demand at
             barriers (``False`` freezes the initial even split).
-        monitor_factory: per-trace monitor customization as an
-            arbitrary callable; requires a backend whose workers share
-            the dispatcher's address space (the thread backend).  For
-            process backends use ``monitor_specs``.
         monitor_specs: declarative per-trace monitor configuration --
             one :class:`~repro.runtime.shard.MonitorSpec` for every
             trace, or a ``{trace_id: MonitorSpec}`` mapping.  Plain
-            data, so it crosses the process boundary (the
-            ``monitor_factory`` gap, closed).
+            data, so it crosses the process boundary.
         durability: a :class:`~repro.runtime.durable.Durability` (or a
             directory path, for the defaults) enabling the journal +
             snapshot recovery plane -- see the module docstring.
@@ -305,7 +302,6 @@ class ParallelFleet:
         wire_batch: int = 256,
         inbox_capacity: int = 16,
         rebalance: bool = True,
-        monitor_factory: Callable[[TraceId], OnlineAbcMonitor] | None = None,
         monitor_specs: MonitorSpec | dict[TraceId, MonitorSpec] | None = None,
         durability: Durability | str | os.PathLike | None = None,
         on_violation: Callable[[TraceId, CycleClassification], None] | None = None,
@@ -375,14 +371,6 @@ class ParallelFleet:
                 f"unknown backend {backend!r}: choose 'process', 'thread', "
                 "or pass a backend instance"
             )
-        if monitor_factory is not None and not getattr(
-            backend, "supports_callables", False
-        ):
-            raise ValueError(
-                "monitor_factory requires a shared-address-space backend "
-                "(backend='thread'); it cannot cross a process boundary "
-                "-- use monitor_specs for picklable configuration"
-            )
         if monitor_specs is not None and not isinstance(
             monitor_specs, (MonitorSpec, dict)
         ):
@@ -401,7 +389,6 @@ class ParallelFleet:
         self._compact_threshold = compact_threshold
         self._faulty = frozenset(faulty)
         self._drop_faulty = drop_faulty
-        self._monitor_factory = monitor_factory
         self._monitor_specs = monitor_specs
         self._inbox_capacity = inbox_capacity
         self.wire_batch = wire_batch
@@ -551,7 +538,7 @@ class ParallelFleet:
 
     def _worker_config(self, worker_id: int) -> dict[str, Any]:
         """The spawn-time config dict (also used by recovery respawns)."""
-        config = {
+        return {
             "xi": codec.encode_fraction(
                 None if self._xi is None else Fraction(self._xi)
             ),
@@ -567,9 +554,6 @@ class ParallelFleet:
             # and miss a programmatic set_enabled().
             "obs": _obs_metrics.enabled(),
         }
-        if self._monitor_factory is not None:
-            config["monitor_factory"] = self._monitor_factory
-        return config
 
     # ------------------------------------------------------------------
     # spawn-time configuration (read-only: these were shipped to the
@@ -1313,11 +1297,8 @@ class ParallelFleet:
         and violating sets are bit-identical to the state the journals
         cover.  The producer resumes from ``fleet.ingested_records``
         (records past the contiguous journal frontier were never made
-        durable and must be re-fed).
-
-        ``monitor_factory`` fleets cannot restore (a callable is not in
-        the metadata); everything declarative -- including
-        ``monitor_specs`` -- round-trips.
+        durable and must be re-fed).  Every constructor setting --
+        including ``monitor_specs`` -- round-trips through the metadata.
         """
         store = DurableStore(path)
         loaded = store.load()

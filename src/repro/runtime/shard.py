@@ -117,12 +117,10 @@ def shard_index_of(trace_id: TraceId, n_shards: int) -> int:
 class MonitorSpec:
     """Picklable per-trace monitor configuration.
 
-    The declarative counterpart of ``monitor_factory``: where a factory
-    is an arbitrary callable (and therefore thread-backend-only -- a
-    closure cannot cross a process boundary), a spec is plain data that
-    the codec frames onto the wire, closing the documented
-    process-backend gap.  Every field defaults to ``None``, meaning
-    "inherit the group default" -- a spec only names the knobs it pins.
+    The one way to configure a trace's monitor: a spec is plain data
+    that the codec frames onto the wire, so it works on every backend.
+    Every field defaults to ``None``, meaning "inherit the group
+    default" -- a spec only names the knobs it pins.
 
     Attributes:
         xi: synchrony parameter to monitor this trace against.
@@ -520,16 +518,14 @@ class ShardGroup:
         auto_retire_after: optional idle age in ticks after which a
             trace is closed through the reopen-safe summary path.
         compact_threshold: optional adaptive compaction cadence passed
-            to every default-constructed monitor (see
+            to every monitor the group creates (see
             :class:`~repro.analysis.online.OnlineAbcMonitor`).
         faulty / drop_faulty: per-monitor message filtering.
-        monitor_factory: optional ``factory(trace_id) -> OnlineAbcMonitor``
-            (thread-backend escape hatch; prefer ``monitor_specs``).
         monitor_specs: declarative per-trace monitor configuration --
             either one :class:`MonitorSpec` applied to every trace or a
             ``{trace_id: MonitorSpec}`` mapping (unlisted traces get the
             group defaults).  Plain data, so it crosses the process
-            boundary; ignored when ``monitor_factory`` is given.
+            boundary.
         emit_violation: called as ``emit_violation(trace_id, witness)``
             after the triggering flush finishes its bookkeeping (so the
             callback may re-enter the group, e.g. close the trace).
@@ -546,7 +542,6 @@ class ShardGroup:
         compact_threshold: float | None = None,
         faulty: frozenset[ProcessId] | set[ProcessId] = frozenset(),
         drop_faulty: bool = True,
-        monitor_factory: Callable[[TraceId], OnlineAbcMonitor] | None = None,
         monitor_specs: MonitorSpec | dict[TraceId, MonitorSpec] | None = None,
         emit_violation: Callable[[TraceId, CycleClassification], None]
         | None = None,
@@ -567,7 +562,6 @@ class ShardGroup:
         self.compact_threshold = compact_threshold
         self.faulty = frozenset(faulty)
         self.drop_faulty = drop_faulty
-        self.monitor_factory = monitor_factory
         self.monitor_specs = monitor_specs
         self.emit_violation = emit_violation
         # Optional delta hook: ``emit_ratio(trace_id, worst)`` fires on
@@ -651,27 +645,23 @@ class ShardGroup:
     def _make_monitor(self, trace_id: TraceId) -> OnlineAbcMonitor:
         from repro.analysis.online import OnlineAbcMonitor
 
-        if self.monitor_factory is not None:
-            monitor = self.monitor_factory(trace_id)
-        else:
-            spec = self._spec_for(trace_id)
-            if spec is None:
-                spec = _NO_SPEC
-            monitor = OnlineAbcMonitor(
-                xi=self.xi if spec.xi is None else spec.xi,
-                faulty=self.faulty if spec.faulty is None else spec.faulty,
-                drop_faulty=(
-                    self.drop_faulty
-                    if spec.drop_faulty is None
-                    else spec.drop_faulty
-                ),
-                compact_threshold=(
-                    self.compact_threshold
-                    if spec.compact_threshold is None
-                    else spec.compact_threshold
-                ),
-            )
-        return monitor
+        spec = self._spec_for(trace_id)
+        if spec is None:
+            spec = _NO_SPEC
+        return OnlineAbcMonitor(
+            xi=self.xi if spec.xi is None else spec.xi,
+            faulty=self.faulty if spec.faulty is None else spec.faulty,
+            drop_faulty=(
+                self.drop_faulty
+                if spec.drop_faulty is None
+                else spec.drop_faulty
+            ),
+            compact_threshold=(
+                self.compact_threshold
+                if spec.compact_threshold is None
+                else spec.compact_threshold
+            ),
+        )
 
     def _wire_monitor(
         self, shard: FleetShard, trace_id: TraceId, monitor: OnlineAbcMonitor

@@ -112,7 +112,10 @@ class ReferenceMonitor:
             [event for (event, _d), n in self.in_flight.items() if n > 0]
         )
         live = checker.n_events
-        if not cut or live <= self.threshold * max(live - len(cut), 1):
+        size = sum(
+            stop - checker.first_live_index(p) for p, stop in cut.items()
+        )
+        if not cut or live <= self.threshold * max(live - size, 1):
             return
         if checker.compact_prefix(cut, mode="summary", floor=self.worst):
             self.compactions += 1

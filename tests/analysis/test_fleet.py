@@ -512,17 +512,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             fleet.auto_retire_after = 0
 
-    def test_monitor_factory_customization(self):
-        seen = []
-        fleet = MonitorFleet(
-            monitor_factory=lambda tid: (seen.append(tid), OnlineAbcMonitor())[1]
-        )
-        records = profiled_trace_records(random.Random(1), "burst", 10)
-        for record in records:
-            fleet.ingest("custom", record)
-        assert seen == ["custom"]
-        assert fleet.worst_ratio("custom") == standalone_ratio(records)
-
 
 class TestSummaryCompaction:
     """Budget eviction's summary fallback on chain-shaped workloads."""

@@ -67,13 +67,21 @@ RATIOS = [
 ]
 
 
-def random_cut(rng: random.Random, graph: ExecutionGraph) -> list[Event]:
-    """A random left-closed per-process prefix of ``graph``."""
-    cut: list[Event] = []
-    for process in graph.processes:
-        events = graph.events_of(process)
-        cut.extend(events[: rng.randint(0, len(events))])
-    return cut
+def random_cut(rng: random.Random, graph: ExecutionGraph) -> dict[int, int]:
+    """A random left-closed per-process prefix of ``graph``, as a stop
+    map (the first index of each process left live)."""
+    return {
+        process: rng.randint(0, len(graph.events_of(process)))
+        for process in graph.processes
+    }
+
+
+def cut_union(first: dict[int, int], second: dict[int, int]) -> dict[int, int]:
+    """The union of two left-closed cuts: the larger stop per process."""
+    return {
+        p: max(first.get(p, 0), second.get(p, 0))
+        for p in first.keys() | second.keys()
+    }
 
 
 def interior_worst(
@@ -233,7 +241,7 @@ def assert_genuine_walk(summary: SummaryEdge) -> None:
 
 def reference_removable(
     checker: AdmissibilityChecker, pinned: list[Event]
-) -> tuple[Event, ...]:
+) -> dict[int, int]:
     """``removable_prefix`` as a fixpoint: sweep the live messages and
     the summary edges, lowering a process's keep index to any span
     endpoint left outside while the other one is kept, until nothing
@@ -253,11 +261,11 @@ def reference_removable(
                 lower = dst if src_kept else src
                 keep[lower.process] = lower.index
                 changed = True
-    return tuple(
-        Event(p, i)
+    return {
+        p: stop
         for p, stop in sorted(keep.items())
-        for i in range(checker.first_live_index(p), stop)
-    )
+        if stop > checker.first_live_index(p)
+    }
 
 
 def streaming_compactions(rng: random.Random):
@@ -330,7 +338,7 @@ class TestStaticIdentity:
             first = random_cut(rng, graph)
             second = random_cut(rng, graph)
             compacted.compact_prefix(first)
-            compacted.compact_prefix(first + second)
+            compacted.compact_prefix(cut_union(first, second))
             inner = interior_worst(graph, compacted)
             for ratio in RATIOS:
                 expect = full.has_ratio_at_least(ratio)
@@ -343,8 +351,7 @@ class TestStaticIdentity:
         """One compacted digraph must answer differently-weighted
         queries from the same summary profiles (no per-ratio state)."""
         checker = AdmissibilityChecker(fig3_like_graph)
-        cut = [Event(0, 0), Event(1, 0), Event(1, 1)]
-        checker.compact_prefix(cut)
+        checker.compact_prefix({0: 1, 1: 2})
         assert checker.n_summary_edges > 0
         assert checker.has_ratio_at_least(2)  # the ratio-2 cycle survives
         assert not checker.has_ratio_at_least(Fraction(5, 2))
@@ -357,7 +364,9 @@ class TestStaticIdentity:
         b.message((1, 0), (0, 1))
         graph = b.build()
         checker = AdmissibilityChecker(graph)
-        removed = checker.compact_prefix(list(graph.events()))
+        removed = checker.compact_prefix(
+            {p: len(graph.events_of(p)) for p in graph.processes}
+        )
         assert removed == 1  # only p0's first event; frontiers pinned
         assert checker.n_events == 2
 
@@ -438,7 +447,7 @@ class TestExtensionIdentity:
                 # no prefix is exactly removable.  (At fully quiescent
                 # instants with no pins at all, exact removal could
                 # take everything -- not the shape under test.)
-                assert len(compacting.settled_prefix(in_flight)) == 0
+                assert not compacting.settled_prefix(in_flight)
             if i % 40 == 39:
                 cut = compacting.compactable_prefix(in_flight)
                 assert cut  # summary mode reclaims what exact cannot
@@ -484,7 +493,7 @@ class TestInteroperation:
         _rng, _graph, checker = self.build_compacted()
         with checker.speculate():
             with pytest.raises(RuntimeError):
-                checker.compact_prefix([], mode="summary")
+                checker.compact_prefix({}, mode="summary")
 
     def test_stale_checkpoints_are_epoch_rejected(self):
         rng, graph, checker = self.build_compacted(seed=9)
@@ -503,14 +512,14 @@ class TestInteroperation:
         b.event(1, 1)  # a trailing wake-up with no messages at all
         graph = b.build()
         checker = AdmissibilityChecker(graph)
-        checker.compact_prefix([Event(0, 0), Event(1, 0)])
+        checker.compact_prefix({0: 1, 1: 1})
         assert checker.n_summary_edges > 0
         assert checker.n_messages == 0  # both messages folded away
         # A cross-process summary (p1:1 -> p0:1, via the region) is the
         # only edge left between the processes; with p0:1 pinned, the
         # message-free p1 timeline would be removable were the summary
         # not honored as a crossing constraint.
-        assert checker.removable_prefix(pinned=[Event(0, 1)]) == ()
+        assert checker.removable_prefix(pinned=[Event(0, 1)]) == {}
 
     def test_summarizable_prefix_respects_pins(self):
         _rng, _graph, checker = self.build_compacted(seed=13)
@@ -519,13 +528,13 @@ class TestInteroperation:
             for p in checker.processes
             if checker.first_live_index(p) < checker.n_events_of(p)
         ]
-        assert checker.summarizable_prefix(pinned) == ()
+        assert checker.summarizable_prefix(pinned) == {}
 
 
 class TestWitnesses:
     def test_witness_expands_to_genuine_steps(self, fig3_like_graph):
         checker = AdmissibilityChecker(fig3_like_graph)
-        checker.compact_prefix([Event(0, 0), Event(1, 0), Event(1, 1)])
+        checker.compact_prefix({0: 1, 1: 2})
         witness = checker.violating_cycle(2)
         assert witness is not None
         assert witness.relevant
@@ -602,7 +611,9 @@ class TestSearchOrder:
             for compaction_floor in (None, floor):
                 checker = AdmissibilityChecker(graph)
                 checker.compact_prefix(first, floor=compaction_floor)
-                checker.compact_prefix(first + second, floor=compaction_floor)
+                checker.compact_prefix(
+                    cut_union(first, second), floor=compaction_floor
+                )
         assert differential["compactions"] > 400
         assert differential["against_id_order"] > 200
 
@@ -713,9 +724,8 @@ class TestSearchOrder:
         # p0:0 -> p0:1 -> p1:0 -> p1:1 -> p0:0
         checker.add_message(Event(0, 1), Event(1, 0))
         checker.add_message(Event(1, 1), Event(0, 0))
-        region = [Event(0, 0), Event(0, 1), Event(1, 0), Event(1, 1)]
         with pytest.raises(ValueError, match="causal cycle"):
-            checker.compact_prefix(region)
+            checker.compact_prefix({0: 2, 1: 2})
         assert checker.n_events == 6
         assert checker.n_summary_edges == 0
         assert checker.n_tombstoned == 0

@@ -24,6 +24,7 @@ import pytest
 from repro.core.events import Event
 from repro.core.synchrony import AdmissibilityChecker
 from repro.scenarios.generators import random_execution_graph
+from test_ratio_climb import random_stops
 
 N_ROWS = 2000
 SLACK = 64  # the checker's own lists and dicts, ...
@@ -116,7 +117,7 @@ def live_messages(checker: AdmissibilityChecker, graph) -> frozenset:
     )
 
 
-def reference_removable(checker, graph, pinned) -> tuple[Event, ...]:
+def reference_removable(checker, graph, pinned) -> dict[int, int]:
     """``removable_prefix`` recomputed over Event pairs: the graph's
     live messages and the checker's summary edges may not cross."""
     keep = {p: checker.n_events_of(p) for p in checker.processes}
@@ -134,23 +135,25 @@ def reference_removable(checker, graph, pinned) -> tuple[Event, ...]:
                 lower = dst if src_live else src
                 keep[lower.process] = lower.index
                 changed = True
-    return tuple(
-        Event(p, i)
-        for p, stop in sorted(keep.items())
-        for i in range(checker.first_live_index(p), stop)
-    )
+    return live_stops(checker, keep)
 
 
-def reference_summarizable(checker, pinned) -> tuple[Event, ...]:
+def reference_summarizable(checker, pinned) -> dict[int, int]:
     """Every live event below each process's frontier and the pins."""
     keep = {p: checker.n_events_of(p) - 1 for p in checker.processes}
     for event in pinned:
         keep[event.process] = min(keep[event.process], event.index)
-    return tuple(
-        Event(p, i)
+    return live_stops(checker, keep)
+
+
+def live_stops(checker, keep: dict[int, int]) -> dict[int, int]:
+    """``keep`` as a stop map: the processes whose stop lies above their
+    live start, in process order."""
+    return {
+        p: stop
         for p, stop in sorted(keep.items())
-        for i in range(checker.first_live_index(p), stop)
-    )
+        if stop > checker.first_live_index(p)
+    }
 
 
 def stale_pins(checker, rng) -> list[Event]:
@@ -215,7 +218,7 @@ class TestMaterializedViews:
         checker.compact_prefix(checker.removable_prefix(), mode="exact")
         check_views(checker, graph, rng)
         cut = checker.summarizable_prefix()
-        checker.compact_prefix(cut[: rng.randint(0, len(cut))], mode="summary")
+        checker.compact_prefix(random_stops(checker, cut, rng), mode="summary")
         check_views(checker, graph, rng)
         with checker.speculate():
             grow(checker, rng)
@@ -254,7 +257,81 @@ class TestMaterializedViews:
             check(checker, graph, live_pins)
             cut = checker.summarizable_prefix()
             checker.compact_prefix(
-                cut[: rng.randint(0, len(cut))], mode="summary"
+                random_stops(checker, cut, rng), mode="summary"
             )
             check(checker, graph, live_pins)
         assert stale_seen > 300
+
+
+class TestStopMaps:
+    """A cut is one stop index per process, from the search to the
+    compaction: no :class:`~repro.core.events.Event` is built for the
+    events it removes."""
+
+    @staticmethod
+    def random_pins(checker, rng) -> list[Event]:
+        live = [
+            Event(p, rng.randrange(checker.first_live_index(p), n))
+            for p in checker.processes
+            if (n := checker.n_events_of(p)) > checker.first_live_index(p)
+            and rng.random() < 0.5
+        ]
+        return live + stale_pins(checker, rng)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_prefix_searches_build_no_event(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        graph = random_execution_graph(rng, 3, rng.randint(8, 24))
+        checker = AdmissibilityChecker(graph)
+        # A first summary compaction, of each process's older half,
+        # leaves summary edges and live starts above zero for the
+        # searches to read.
+        halves = [
+            Event(p, checker.n_events_of(p) // 2) for p in checker.processes
+        ]
+        checker.compact_prefix(checker.summarizable_prefix(halves))
+        pin_sets = [(), self.random_pins(checker, rng)]
+        built: list[Event] = []
+        post_init = Event.__post_init__
+
+        def counted(event: Event) -> None:
+            built.append(event)
+            post_init(event)
+
+        monkeypatch.setattr(Event, "__post_init__", counted)
+        cuts = [
+            (checker.removable_prefix(pins), checker.summarizable_prefix(pins))
+            for pins in pin_sets
+        ]
+        monkeypatch.undo()
+        removable, summarizable = cuts[0]
+        assert removable and summarizable  # there are events to remove
+        assert built == []
+        for pins, (removable, summarizable) in zip(pin_sets, cuts):
+            assert removable == reference_removable(checker, graph, pins)
+            assert summarizable == reference_summarizable(checker, pins)
+
+    @pytest.mark.parametrize("mode", ["exact", "summary"])
+    def test_compaction_moves_each_live_start_to_its_stop(self, mode):
+        rng = random.Random(83)
+        compacted = 0
+        for _ in range(100):
+            graph = random_execution_graph(rng, 3, rng.randint(4, 24))
+            checker = AdmissibilityChecker(graph)
+            search = (
+                checker.removable_prefix
+                if mode == "exact"
+                else checker.summarizable_prefix
+            )
+            for _round in range(2):
+                cut = search(self.random_pins(checker, rng))
+                old = {
+                    p: checker.first_live_index(p) for p in checker.processes
+                }
+                assert all(stop > old[p] for p, stop in cut.items())
+                removed = checker.compact_prefix(cut, mode=mode)
+                assert removed == sum(stop - old[p] for p, stop in cut.items())
+                for p in checker.processes:
+                    assert checker.first_live_index(p) == cut.get(p, old[p])
+                compacted += removed
+        assert compacted > 200

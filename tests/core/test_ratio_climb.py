@@ -368,6 +368,27 @@ def feasible(monkeypatch):
     return log
 
 
+def random_stops(checker, stops, rng):
+    """A random cut inside the stop map ``stops``: per process, a stop
+    between the live start and the given one."""
+    return {
+        p: rng.randint(checker.first_live_index(p), stop)
+        for p, stop in stops.items()
+    }
+
+
+def closed_cut(graph, stops) -> frozenset[Event]:
+    """The left closure in ``graph`` of the events below ``stops``."""
+    return graph.causal_past(
+        Event(p, i) for p, stop in stops.items() for i in range(stop)
+    )
+
+
+def cut_stops(events: frozenset[Event]) -> dict[int, int]:
+    """A left-closed set of events as a stop map, from its frontier."""
+    return {p: event.index + 1 for p, event in Cut(events).frontier().items()}
+
+
 def in_flight_sends(records, seen):
     """Send events among the first ``seen`` records whose messages
     arrive later: what a monitor must pin to forget a prefix exactly."""
@@ -779,9 +800,8 @@ class TestCornerCases:
         for query in queries:
             with pytest.raises(ValueError, match="causal cycle"):
                 query(checker)
-        region = [Event(p, i) for p in (0, 1) for i in range(3)]
         with pytest.raises(ValueError, match="causal cycle"):
-            checker.compact_prefix(region)
+            checker.compact_prefix({0: 3, 1: 3})
         assert checker.n_tombstoned == 0
 
     @pytest.mark.parametrize("seed", range(10))
@@ -800,18 +820,18 @@ class TestCornerCases:
         warm.absorb(full)
         cold = AdmissibilityChecker(full)
         if mode == "summary":
-            cut = warm.summarizable_prefix()[: rng.randint(1, 20)]
+            cut = random_stops(warm, warm.summarizable_prefix(), rng)
             warm.compact_prefix(cut, floor=floor)
             cold.compact_prefix(cut, floor=floor)
             assert warm.updated_worst_ratio(floor) == cold.updated_worst_ratio(
                 floor
             )
         else:
-            cut = Cut(frozenset(warm.summarizable_prefix()[:8])).left_closure(
-                full
+            cut = closed_cut(
+                full, random_stops(warm, warm.summarizable_prefix(), rng)
             )
-            warm.compact_prefix(cut.events, mode="exact")
-            suffix = AdmissibilityChecker(suffix_graph(full, cut))
+            warm.compact_prefix(cut_stops(cut), mode="exact")
+            suffix = AdmissibilityChecker(suffix_graph(full, Cut(cut)))
             expected = reference_climb(suffix)
             assert warm.worst_relevant_ratio() == expected
         assert_potential_feasible(warm)
@@ -829,11 +849,11 @@ class TestCornerCases:
             worst = checker.worst_relevant_ratio()
             if worst is None:
                 continue
-            cut = Cut(frozenset(checker.summarizable_prefix()[:6]))
-            cut = cut.left_closure(graph)
-            checker.compact_prefix(cut.events, mode="exact")
+            stops = random_stops(checker, checker.summarizable_prefix(), rng)
+            cut = closed_cut(graph, stops)
+            checker.compact_prefix(cut_stops(cut), mode="exact")
             suffix = reference_climb(
-                AdmissibilityChecker(suffix_graph(graph, cut))
+                AdmissibilityChecker(suffix_graph(graph, Cut(cut)))
             )
             assert checker.updated_worst_ratio(worst) == worst
             assert checker.worst_relevant_ratio() == suffix

@@ -502,7 +502,7 @@ class TestAbsorbBatch:
         for ch in (loop, bulk):
             for i in range(3):
                 ch.add_event(Event(2, i))
-            ch.compact_prefix([Event(2, 0)], mode="exact")
+            ch.compact_prefix({2: 1}, mode="exact")
         with pytest.raises(error):
             for p, i, m in zip(*rows, messages):
                 loop.add_event(Event(p, i))
@@ -535,7 +535,7 @@ class TestAbsorbBatch:
         for ch in (loop, bulk):
             for event in prefix:
                 ch.add_event(event)
-            ch.compact_prefix([Event(0, 0), Event(0, 1)], mode="exact")
+            ch.compact_prefix({0: 2}, mode="exact")
         loop.add_event(Event(0, 2))
         bulk.absorb_batch(([0], [2]), None)
         assert bulk.n_events == loop.n_events

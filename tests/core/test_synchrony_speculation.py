@@ -7,11 +7,11 @@ The ABC-enforcing scheduler rests on two guarantees of
   *bit-identical* to one freshly built from the same graph -- same
   digraph arrays, adjacency, message set, frontier counts, and the same
   answer to every oracle query;
-* ``remove_prefix()`` turns the checker into an exact oracle for the
-  suffix graph, and a prefix chosen by ``removable_prefix()`` (no
-  crossing messages) splits the worst relevant ratio of the full graph
-  into ``max(prefix, suffix)`` -- the decomposition that makes
-  tombstoning sound inside the enforcer.
+* ``compact_prefix(stops, mode="exact")`` turns the checker into an
+  exact oracle for the suffix graph, and a prefix chosen by
+  ``removable_prefix()`` (no crossing messages) splits the worst
+  relevant ratio of the full graph into ``max(prefix, suffix)`` -- the
+  decomposition that makes tombstoning sound inside the enforcer.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.core.execution_graph import ExecutionGraph, MessageEdge
 from repro.core.synchrony import AdmissibilityChecker
 from repro.core.variants import suffix_graph
 from repro.scenarios.generators import random_execution_graph
-from test_ratio_climb import potential_state
+from test_ratio_climb import cut_stops, potential_state
 
 RATIO_GRID = [Fraction(1), Fraction(4, 3), Fraction(3, 2), Fraction(2), Fraction(3)]
 
@@ -114,7 +114,7 @@ class TestCheckpointRollback:
     def test_rollback_across_remove_prefix_rejected(self, fig3_like_graph):
         checker = AdmissibilityChecker(fig3_like_graph)
         token = checker.checkpoint()
-        checker.remove_prefix([Event(0, 0)])
+        checker.compact_prefix({0: 1}, mode="exact")
         with pytest.raises(ValueError):
             checker.rollback(token)
 
@@ -122,7 +122,7 @@ class TestCheckpointRollback:
         checker = AdmissibilityChecker(fig3_like_graph)
         with checker.speculate():
             with pytest.raises(RuntimeError):
-                checker.remove_prefix([Event(0, 0)])
+                checker.compact_prefix({0: 1}, mode="exact")
 
 
 class TestSpeculativeProbes:
@@ -209,7 +209,7 @@ class TestTombstoning:
         cut_seed = rng.choice(list(graph.events()))
         cut = graph.causal_past([cut_seed])
         checker = AdmissibilityChecker(graph)
-        removed = checker.remove_prefix(cut)
+        removed = checker.compact_prefix(cut_stops(cut), mode="exact")
         assert removed == len(cut)
         assert checker.n_tombstoned == removed
         suffix = suffix_graph(graph, Cut(frozenset(cut)))
@@ -223,17 +223,19 @@ class TestTombstoning:
             )
         assert checker.worst_relevant_ratio() == reference.worst_relevant_ratio()
 
-    def test_remove_prefix_is_idempotent_and_contiguous(self, fig3_like_graph):
+    def test_remove_prefix_is_idempotent_and_bounded(self, fig3_like_graph):
         checker = AdmissibilityChecker(fig3_like_graph)
         cut = fig3_like_graph.causal_past([Event(0, 1)])
-        assert checker.remove_prefix(cut) == len(cut)
+        stops = cut_stops(cut)
+        assert checker.compact_prefix(stops, mode="exact") == len(cut)
         # Passing the cumulative cut again is a no-op.
-        assert checker.remove_prefix(cut) == 0
-        with pytest.raises(ValueError):
-            # Skipping an index is not a left-closed prefix extension.
-            checker.remove_prefix([Event(0, 3)])
+        assert checker.compact_prefix(stops, mode="exact") == 0
+        first_live = {p: checker.first_live_index(p) for p in range(3)}
         with pytest.raises(KeyError):
-            checker.remove_prefix([Event(0, 2), Event(0, 3), Event(0, 99)])
+            # A stop past the events added, beside a valid one: refused
+            # before anything is removed.
+            checker.compact_prefix({2: 1, 0: 100}, mode="exact")
+        assert {p: checker.first_live_index(p) for p in range(3)} == first_live
 
     @pytest.mark.parametrize("seed", range(20))
     def test_removable_prefix_splits_worst_ratio(self, seed):
@@ -245,9 +247,11 @@ class TestTombstoning:
         full_worst = checker.worst_relevant_ratio()
         pinned = rng.sample(list(graph.events()), rng.randint(0, 3))
         removable = checker.removable_prefix(pinned)
+        dead = {
+            Event(p, i) for p, stop in removable.items() for i in range(stop)
+        }
         for event in pinned:
-            assert event not in removable
-        dead = set(removable)
+            assert event not in dead
         for message in graph.messages:
             assert (message.src in dead) == (message.dst in dead)
         if not removable:
@@ -261,7 +265,7 @@ class TestTombstoning:
             [m for m in graph.messages if m.src in dead and m.dst in dead],
         )
         prefix_worst = AdmissibilityChecker(prefix).worst_relevant_ratio()
-        checker.remove_prefix(removable)
+        checker.compact_prefix(removable, mode="exact")
         suffix_worst = checker.worst_relevant_ratio()
         candidates = [w for w in (prefix_worst, suffix_worst) if w is not None]
         assert full_worst == (max(candidates) if candidates else None)
@@ -271,7 +275,9 @@ class TestTombstoning:
         tombstoned predecessor simply leaves no local edge, as in the
         suffix graph."""
         checker = AdmissibilityChecker(fig3_like_graph)
-        checker.remove_prefix(fig3_like_graph.causal_past([Event(2, 0)]))
+        checker.compact_prefix(
+            cut_stops(fig3_like_graph.causal_past([Event(2, 0)])), mode="exact"
+        )
         next_event = Event(2, checker.n_events_of(2))
         checker.add_event(next_event)
         assert checker.n_events_of(2) == next_event.index + 1

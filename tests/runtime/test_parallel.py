@@ -383,26 +383,6 @@ class TestLifecycle:
             )
             assert not fleet.is_degraded(quiet)
 
-    def test_monitor_factory_requires_thread_backend(self):
-        with pytest.raises(ValueError):
-            ParallelFleet(
-                backend="process", monitor_factory=lambda tid: OnlineAbcMonitor()
-            )
-        seen = []
-
-        def factory(trace_id):
-            seen.append(trace_id)
-            return OnlineAbcMonitor()
-
-        records = profiled_trace_records(random.Random(1), "burst", 10)
-        with ParallelFleet(
-            backend="thread", n_workers=2, monitor_factory=factory
-        ) as fleet:
-            for record in records:
-                fleet.ingest("custom", record)
-            assert fleet.worst_ratio("custom") == standalone_ratio(records)
-        assert seen == ["custom"]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ParallelFleet(n_workers=0)
@@ -546,9 +526,8 @@ class TestCrashContainment:
 class TestMonitorSpecs:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_specs_cross_the_process_boundary(self, backend):
-        """The monitor_factory gap, closed: declarative per-trace
-        configuration must reach process workers (where callables
-        cannot) and produce per-trace xi behavior identical to the
+        """Declarative per-trace configuration must reach process
+        workers and produce per-trace xi behavior identical to the
         serial fleet given the same registry."""
         from repro.runtime import MonitorSpec
 

@@ -173,7 +173,7 @@ def test_relay_chain_is_never_exactly_settleable():
     pinned = {r.send_event for r in records if r.send_event is not None}
     for record in records:
         monitor.observe(record)
-        assert monitor.settled_prefix(pinned) == ()
+        assert monitor.settled_prefix(pinned) == {}
     from repro.core.synchrony import worst_relevant_ratio
 
     worst = worst_relevant_ratio(

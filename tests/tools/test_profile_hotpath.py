@@ -42,16 +42,21 @@ def test_ingest_target_profiles_the_row_path(capsys):
         assert f"({name})" in printed, name
 
 
-def test_enforce_target_names_both_searches(capsys):
+def test_enforce_target_names_the_cut_path(capsys):
     rc = profile_hotpath.main(
         ["--target", "enforce", "--events", "60", "--top", "5"]
     )
     assert rc == 0
     printed = capsys.readouterr().out
     assert "budget enforcement" in printed
-    # Printed by name even when neither makes the top five.
-    assert "(removable_prefix)" in printed
-    assert "(_summarize_region)" in printed
+    # Printed by name even when none makes the top five.
+    for name in (
+        "summarizable_prefix",
+        "removable_prefix",
+        "compact_prefix",
+        "_summarize_region",
+    ):
+        assert f"({name})" in printed, name
 
 
 def test_rejects_unknown_target():

@@ -21,10 +21,11 @@ than a bare ratio.  Three targets:
 * ``enforce`` -- budget enforcement: a serial ``MonitorFleet`` with an
   event budget over the mix of perfbench's ``long-bounded`` workload
   (112 relay, storm and burst traces, ``--events`` records each, budget
-  18 events per record of trace length: 9000 at 500).  The two searches
-  enforcement rests on, the no-crossing cut (``removable_prefix``) and
-  the summary search (``_summarize_region``), are printed by name after
-  the top functions, wherever they rank.
+  18 events per record of trace length: 9000 at 500).  The whole cut
+  path -- the two prefix searches (``removable_prefix``,
+  ``summarizable_prefix``), the compaction they feed (``compact_prefix``)
+  and its summary search (``_summarize_region``) -- is printed by name
+  after the top functions, wherever it ranks.
 
 Usage::
 
@@ -166,7 +167,10 @@ def main(argv=None) -> int:
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.top)
     if args.target == "enforce":
-        stats.print_stats(r"removable_prefix|_summarize_region")
+        stats.print_stats(
+            r"summarizable_prefix|removable_prefix|compact_prefix"
+            r"|_summarize_region"
+        )
     if args.out:
         stats.dump_stats(args.out)
         print(f"wrote {args.out}")
