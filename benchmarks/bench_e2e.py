@@ -31,10 +31,10 @@ shape batches actually have when they reach a worker:
 * **ingest plane (reported, not gated)** -- the >=400-trace
   multi-producer workload of ``bench_ingest`` (storm/burst/idler mix)
   pushed through a full :class:`~repro.runtime.shard.ShardGroup` on the
-  one path, watermark flushes, auto-retire and violation bookkeeping
-  included.  Per-trace worst ratios and the violating set are checked
-  against ``worst_relevant_ratio(build_execution_graph(...))`` per
-  trace; records/s is reported.
+  one path, watermark flushes and violation bookkeeping included.
+  Per-trace worst ratios and the violating set are checked against
+  ``worst_relevant_ratio(build_execution_graph(...))`` per trace;
+  records/s is reported.
 
 A per-profile monitor-e2e sweep (storm / burst / idler / relay /
 firehose) is reported alongside: the blend is workload-shaped --

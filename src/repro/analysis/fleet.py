@@ -40,14 +40,11 @@ both costs across the population:
   applies, with a fallback to *summary compaction* -- the prefix is
   replaced by boundary-to-boundary summary edges -- on chain-shaped
   traces where no prefix is exactly removable, so the budget holds on
-  every workload shape.  Independently of the budget,
-  ``compact_threshold`` hands each monitor the adaptive compaction
-  cadence (compact when live events outgrow the boundary by the given
-  factor -- see :meth:`~repro.analysis.online.OnlineAbcMonitor.maybe_compact`).
-  :meth:`MonitorFleet.close` retires a finished trace to an immutable
-  :class:`TraceSummary`, freeing its digraph entirely, and
-  ``auto_retire_after`` closes idle traces the same way without an
-  explicit call.
+  every workload shape.  :meth:`MonitorFleet.close` retires a finished
+  trace to an immutable :class:`TraceSummary`, freeing its digraph
+  entirely.  The budget and explicit closing are the whole memory
+  policy, so what a trace reports depends on its records and the
+  caller's calls, never on how long it sat idle.
 * **Aggregates.**  :meth:`MonitorFleet.worst_ratio_histogram`,
   :meth:`MonitorFleet.violating_traces`,
   :meth:`MonitorFleet.top_k_riskiest` and the :class:`FleetReport`
@@ -108,7 +105,7 @@ __all__ = [
 # (journals + periodic checkpoints), this is a one-shot image: the
 # whole fleet -- configuration *and* state -- as one picklable frame.
 _SNAPSHOT_MAGIC = "abc-fleet-snapshot"
-_SNAPSHOT_VERSION = 5  # see codec.SNAPSHOT_VERSION
+_SNAPSHOT_VERSION = 6  # see codec.SNAPSHOT_VERSION
 
 
 class MonitorFleet:
@@ -136,17 +133,6 @@ class MonitorFleet:
             (a causal chain links history to the frontier), it falls
             back to summary compaction, so the budget is a real bound
             on chain-shaped traces too.
-        auto_retire_after: optional idle age in fleet-wide ingests;
-            a trace that has not been ingested into for this many
-            ingests is automatically closed through the reopen-safe
-            :class:`TraceSummary` path, exactly as an explicit
-            :meth:`close` would (``None`` disables auto-retirement).
-        compact_threshold: optional adaptive compaction cadence handed
-            to every new monitor: a trace's digraph is summary-compacted
-            whenever its live events outgrow its boundary (frontier +
-            in-flight pins) by this factor, independent of budget
-            pressure (``None`` disables; see
-            :class:`~repro.analysis.online.OnlineAbcMonitor`).
         faulty: processes whose sent messages are dropped, applied to
             every trace (as in :class:`~repro.analysis.online.OnlineAbcMonitor`).
         drop_faulty: disable the faulty-sender filter when ``False``.
@@ -173,8 +159,6 @@ class MonitorFleet:
         n_shards: int = 8,
         batch_size: int = 32,
         event_budget: int | None = None,
-        auto_retire_after: int | None = None,
-        compact_threshold: float | None = None,
         faulty: frozenset[ProcessId] | set[ProcessId] = frozenset(),
         drop_faulty: bool = True,
         monitor_specs: MonitorSpec | dict[TraceId, MonitorSpec] | None = None,
@@ -186,8 +170,6 @@ class MonitorFleet:
             raise ValueError("batch_size must be positive")
         if event_budget is not None and event_budget < 1:
             raise ValueError("event_budget must be positive (or None)")
-        if auto_retire_after is not None and auto_retire_after < 1:
-            raise ValueError("auto_retire_after must be positive (or None)")
         if monitor_specs is not None and not isinstance(
             monitor_specs, (MonitorSpec, dict)
         ):
@@ -202,8 +184,6 @@ class MonitorFleet:
             xi=xi,
             batch_size=batch_size,
             event_budget=event_budget,
-            auto_retire_after=auto_retire_after,
-            compact_threshold=compact_threshold,
             faulty=faulty,
             drop_faulty=drop_faulty,
             monitor_specs=monitor_specs,
@@ -256,16 +236,6 @@ class MonitorFleet:
         # immediately, so a tightened budget takes effect now rather
         # than at the next flush.
         self._group.set_budget(value)
-
-    @property
-    def auto_retire_after(self) -> int | None:
-        return self._group.auto_retire_after
-
-    @auto_retire_after.setter
-    def auto_retire_after(self, value: int | None) -> None:
-        if value is not None and value < 1:
-            raise ValueError("auto_retire_after must be positive (or None)")
-        self._group.auto_retire_after = value
 
     @property
     def faulty(self) -> frozenset[ProcessId]:
@@ -339,11 +309,11 @@ class MonitorFleet:
         shape :func:`repro.scenarios.generators.concurrent_workload`
         yields), grouped per shard.
 
-        Unlike a loop of :meth:`ingest` calls -- which pays routing, the
-        auto-retire sweep, and a budget probe per record, and flushes a
-        trace the instant its buffer crosses the watermark -- bulk
-        ingestion groups each ``chunk_size``-record chunk of the stream
-        by shard, buffers whole shard batches at once, and flushes each
+        Unlike a loop of :meth:`ingest` calls -- which pays routing and
+        a budget probe per record, and flushes a trace the instant its
+        buffer crosses the watermark -- bulk ingestion groups each
+        ``chunk_size``-record chunk of the stream by shard, buffers
+        whole shard batches at once, and flushes each
         watermark-crossing trace exactly once per shard batch, keeping
         the one-oracle-call-per-flush guarantee while the per-record
         overhead collapses into per-batch overhead.  Flush boundaries
@@ -354,17 +324,7 @@ class MonitorFleet:
         flush points moves the budget-eviction points too, so *which*
         traces end up degraded -- with which lower-bound ratios -- can
         differ from the per-record loop, exactly as in the degraded
-        regime the class docstring describes.  Idle-age
-        auto-retirement is likewise probed once per shard batch: ages
-        are measured in the same stream-order ticks as per-record
-        ingestion (each record's touch time is its stream position),
-        but a borderline-idle trace whose next record arrives in the
-        same chunk is *not* retired mid-chunk the way a per-record
-        loop would retire it.  Which borderline traces end up
-        retired-then-reopened (and hence flagged degraded) can
-        therefore differ from the per-record loop; each path is
-        individually deterministic and sound (degraded ratios are
-        flagged lower bounds, everything else exact).
+        regime the module docstring describes.
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
@@ -441,12 +401,11 @@ class MonitorFleet:
         to ``path`` in the durability plane's WAL frame format).
 
         The frame carries both the configuration row (xi, sharding,
-        batching, budget, retirement, compaction, faulty set, monitor
-        specs) and the shard group image -- pending buffers included,
-        taken without flushing -- so :meth:`restore` rebuilds the fleet
-        mid-stream, flush boundaries and all.  The ``on_violation``
-        callback is not picklable state and must be re-supplied to
-        :meth:`restore`.
+        batching, budget, faulty set, monitor specs) and the shard
+        group image -- pending buffers included, taken without
+        flushing -- so :meth:`restore` rebuilds the fleet mid-stream,
+        flush boundaries and all.  The ``on_violation`` callback is not
+        picklable state and must be re-supplied to :meth:`restore`.
         """
         from repro.runtime import codec
 
@@ -458,8 +417,6 @@ class MonitorFleet:
             self.n_shards,
             group.batch_size,
             group.event_budget,
-            group.auto_retire_after,
-            group.compact_threshold,
             tuple(group.faulty),
             group.drop_faulty,
             codec.encode_specs(group.monitor_specs),
@@ -515,8 +472,6 @@ class MonitorFleet:
             n_shards,
             batch_size,
             event_budget,
-            auto_retire_after,
-            compact_threshold,
             faulty,
             drop_faulty,
             specs_wire,
@@ -526,8 +481,6 @@ class MonitorFleet:
             n_shards=n_shards,
             batch_size=batch_size,
             event_budget=event_budget,
-            auto_retire_after=auto_retire_after,
-            compact_threshold=compact_threshold,
             faulty=frozenset(faulty),
             drop_faulty=drop_faulty,
             monitor_specs=codec.decode_specs(specs_wire),
@@ -625,10 +578,8 @@ class MonitorFleet:
             evictions=sum(s.evictions for s in stats),
             summary_compactions=sum(s.summary_compactions for s in stats),
             summary_edges=sum(s.summary_edges for s in stats),
-            auto_retired=sum(s.auto_retired for s in stats),
             budget_overruns=group.budget_overruns,
             degraded_traces=group.degraded_traces(),
             violating_traces=group.violating_ids(),
             shards=tuple(stats),
-            auto_compactions=sum(s.auto_compactions for s in stats),
         )

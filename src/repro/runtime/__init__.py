@@ -5,10 +5,10 @@ system of independent workers -- the deployment shape the ROADMAP's
 "actually running shards on worker threads/processes" item asked for:
 
 * :mod:`repro.runtime.shard` -- the backend-agnostic shard engine
-  (:class:`ShardGroup` / :class:`FleetShard` / the :class:`ShardRuntime`
-  protocol), extracted from the serial fleet so both front ends share
-  one shard implementation; traces are first-class movable units
-  (``export_trace`` / ``import_trace`` / group ``snapshot``);
+  (:class:`ShardGroup` / :class:`FleetShard`), extracted from the
+  serial fleet so both front ends share one shard implementation;
+  traces are first-class movable units (``export_trace`` /
+  ``import_trace`` / group ``snapshot``);
 * :mod:`repro.runtime.codec` -- the compact wire encoding for records,
   ratios, summaries, statistics, violation witnesses, and the
   snapshot/WAL frames of the durability plane;
@@ -48,7 +48,6 @@ from repro.runtime.shard import (
     FleetShard,
     MonitorSpec,
     ShardGroup,
-    ShardRuntime,
     ShardStats,
     TraceId,
     TraceState,
@@ -69,7 +68,6 @@ __all__ = [
     "ParallelFleet",
     "ProcessBackend",
     "ShardGroup",
-    "ShardRuntime",
     "ShardStats",
     "ThreadBackend",
     "TraceId",

@@ -216,8 +216,6 @@ def encode_stats(stats: ShardStats) -> tuple:
         stats.evictions,
         stats.summary_compactions,
         stats.summary_edges,
-        stats.auto_retired,
-        stats.auto_compactions,
     )
 
 
@@ -298,17 +296,15 @@ def encode_spec(spec: MonitorSpec) -> tuple:
     (``None`` fields mean "inherit the fleet default", as in the spec)."""
     return (
         encode_fraction(None if spec.xi is None else Fraction(spec.xi)),
-        spec.compact_threshold,
         None if spec.faulty is None else tuple(spec.faulty),
         spec.drop_faulty,
     )
 
 
 def decode_spec(wire: tuple) -> MonitorSpec:
-    xi, compact_threshold, faulty, drop_faulty = wire
+    xi, faulty, drop_faulty = wire
     return MonitorSpec(
         xi=decode_fraction(xi),
-        compact_threshold=compact_threshold,
         faulty=None if faulty is None else frozenset(faulty),
         drop_faulty=drop_faulty,
     )
@@ -357,7 +353,9 @@ GROUP_SNAPSHOT_MAGIC = "abc-group-snapshot"
 # 5: trace frames carry no in-flight or frontier rows (the monitor keeps
 # the one in-flight ledger, keyed by ints); version-4 images do not
 # restore.
-SNAPSHOT_VERSION = 5
+# 6: shard images, stats rows and spec rows carry no auto-retirement or
+# adaptive-compaction fields; version-5 images do not restore.
+SNAPSHOT_VERSION = 6
 
 
 def encode_monitor(monitor: OnlineAbcMonitor) -> bytes:
@@ -428,8 +426,9 @@ def decode_trace_state(wire: tuple) -> tuple[TraceId, TraceState]:
 
 
 def encode_shard_image(shard: FleetShard) -> tuple:
-    """One whole :class:`FleetShard`: open traces (in LRU ingest order,
-    which the decode preserves), retired summaries, lifetime counters.
+    """One whole :class:`FleetShard`: open traces (in the order they
+    were opened, which the decode preserves), retired summaries,
+    lifetime counters.
     The unit of migration -- and the per-shard row of a snapshot."""
     return (
         shard.index,
@@ -443,7 +442,6 @@ def encode_shard_image(shard: FleetShard) -> tuple:
         shard.tombstoned,
         shard.evictions,
         shard.summary_compactions,
-        shard.auto_retired,
         shard.retired_oracle_calls,
     )
 
@@ -460,7 +458,6 @@ def decode_shard_image(wire: tuple) -> FleetShard:
         tombstoned,
         evictions,
         summary_compactions,
-        auto_retired,
         retired_oracle_calls,
     ) = wire
     shard = FleetShard(index)
@@ -475,7 +472,6 @@ def decode_shard_image(wire: tuple) -> FleetShard:
     shard.tombstoned = tombstoned
     shard.evictions = evictions
     shard.summary_compactions = summary_compactions
-    shard.auto_retired = auto_retired
     shard.retired_oracle_calls = retired_oracle_calls
     return shard
 

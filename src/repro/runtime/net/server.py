@@ -228,8 +228,6 @@ class IngestServer:
         start_method: str | None = None,
         batch_size: int = 32,
         event_budget: int | None = None,
-        auto_retire_after: int | None = None,
-        compact_threshold: float | None = None,
         wire_batch: int = 256,
         inbox_capacity: int = 16,
         credit_window: int = 32,
@@ -268,8 +266,6 @@ class IngestServer:
                 n_shards=n_shards,
                 batch_size=batch_size,
                 event_budget=share,
-                auto_retire_after=auto_retire_after,
-                compact_threshold=compact_threshold,
                 backend=backend,
                 start_method=start_method,
                 wire_batch=wire_batch,
@@ -894,12 +890,10 @@ class IngestServer:
                 r.summary_compactions for r in reports
             ),
             summary_edges=sum(r.summary_edges for r in reports),
-            auto_retired=sum(r.auto_retired for r in reports),
             budget_overruns=sum(r.budget_overruns for r in reports),
             degraded_traces=sum(r.degraded_traces for r in reports),
             violating_traces=violating,
             shards=tuple(shards),
-            auto_compactions=sum(r.auto_compactions for r in reports),
             crashed_shards=tuple(
                 s for r in reports for s in r.crashed_shards
             ),

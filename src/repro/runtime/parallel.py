@@ -15,35 +15,25 @@ record sequence alone; the dispatcher preserves per-trace record order
 (single-threaded routing into FIFO per-worker queues) and workers run
 the serial engine with the serial watermark, so every per-trace worst
 ratio, degradation flag, and the *set* of violating traces are
-bit-identical to a serial ``MonitorFleet`` fed the same stream (two
-narrow carve-outs below) --
+bit-identical to a serial ``MonitorFleet`` fed the same stream (one
+narrow carve-out below) --
 property-tested across backends in ``tests/runtime/test_parallel.py``
 and gated at scale by ``benchmarks/bench_parallel.py``.  What may
 differ is scheduling-shaped metadata: flush counts (wire batching
 coalesces flush boundaries), eviction/compaction counters (each worker
 enforces its budget share against its own LRU order), and the *order*
-of violation reporting (see below).  Two documented carve-outs.  First, *budget eviction on metadata-free
-streams*: without ``record.sends`` announcements, eviction under an
-``event_budget`` can cut a prefix an unseen in-flight message still
-crosses (the documented degraded regime), and serial and parallel make
-those unsafe cuts at different points -- one global LRU versus each
-worker's LRU over its share -- so *which* traces end up flagged
-``degraded`` (with honestly-flagged lower-bound ratios) can differ
-between the front ends.  Streams carrying sends metadata keep eviction
-exact everywhere, so the bit-identity contract is unaffected.  Second,
-``auto_retire_after``.  Idle ages are measured in the same global
-stream ticks as the serial fleet (each record's touch time is its
-stream position), but a worker's clock advances only when it receives
-a batch or a barrier, and retirement probes run at batch granularity
--- so *when* an idle trace retires is backend-dependent.  A trace that
-is retired and then receives more records reopens degraded (by
-design), and because shifting one retirement shifts every later
-retire/reopen decision on that trace, serial and parallel can disagree
-on which borderline-idle traces end up flagged -- in either direction.
-Each front end remains individually sound (degraded ratios are
-honestly-flagged lower bounds, everything else exact) and individually
-deterministic; workloads without auto-retirement carry the full
-bit-identity contract.
+of violation reporting (see below).  The one documented carve-out is
+*budget eviction on metadata-free streams*: without ``record.sends``
+announcements, eviction under an ``event_budget`` can cut a prefix an
+unseen in-flight message still crosses (the documented degraded
+regime), and serial and parallel make those unsafe cuts at different
+points -- one global LRU versus each worker's LRU over its share -- so
+*which* traces end up flagged ``degraded`` (with honestly-flagged
+lower-bound ratios) can differ between the front ends.  Streams
+carrying sends metadata keep eviction exact everywhere, so the
+bit-identity contract is unaffected.  Each front end remains
+individually sound (degraded ratios are honestly-flagged lower bounds,
+everything else exact) and individually deterministic.
 
 **Batching and backpressure.**  Ingestion buffers per shard and ships
 ``wire_batch``-record batches; a worker absorbs a batch through the
@@ -237,13 +227,8 @@ class ParallelFleet:
         batch_size: the serial per-trace flush watermark, applied
             unchanged inside each worker.
         event_budget: *global* live-event budget, apportioned across
-            workers and rebalanced at barriers (``None`` disables).
-        auto_retire_after: idle age in global ingest ticks (the
-            dispatcher's record counter, so idleness means the same
-            thing as in the serial fleet).  Retirement *timing* is
-            batch-granular and therefore backend-dependent -- see the
-            module docstring's carve-out.
-        compact_threshold: adaptive compaction cadence, per monitor.
+            workers and re-apportioned by live-event demand at barriers
+            (``None`` disables).
         faulty / drop_faulty: per-monitor message filtering.
         backend: ``"process"`` (default), ``"thread"``, or a backend
             instance (anything with ``spawn(...) -> WorkerHandle``).
@@ -254,8 +239,6 @@ class ParallelFleet:
             overhead), invisible to reported ratios.
         inbox_capacity: bounded-inbox depth per worker, in batches
             (the backpressure lever).
-        rebalance: re-apportion the budget by live-event demand at
-            barriers (``False`` freezes the initial even split).
         monitor_specs: declarative per-trace monitor configuration --
             one :class:`~repro.runtime.shard.MonitorSpec` for every
             trace, or a ``{trace_id: MonitorSpec}`` mapping.  Plain
@@ -279,8 +262,7 @@ class ParallelFleet:
             ``tick_start + k*tick_step``).  Fronts interleave --
             front ``f`` of ``N`` uses ``tick_start=f+1, tick_step=N``
             -- so their tick ranges are disjoint and the merged
-            violation order across fronts is deterministic, while
-            idle ages keep global-stream meaning.  Durability
+            violation order across fronts is deterministic.  Durability
             requires the default ``(1, 1)`` progression (journal
             recovery claims assume +1 ticks).
     """
@@ -293,15 +275,12 @@ class ParallelFleet:
         n_shards: int | None = None,
         batch_size: int = 32,
         event_budget: int | None = None,
-        auto_retire_after: int | None = None,
-        compact_threshold: float | None = None,
         faulty: frozenset[ProcessId] | set[ProcessId] = frozenset(),
         drop_faulty: bool = True,
         backend: str | Any = "process",
         start_method: str | None = None,
         wire_batch: int = 256,
         inbox_capacity: int = 16,
-        rebalance: bool = True,
         monitor_specs: MonitorSpec | dict[TraceId, MonitorSpec] | None = None,
         durability: Durability | str | os.PathLike | None = None,
         on_violation: Callable[[TraceId, CycleClassification], None] | None = None,
@@ -350,18 +329,11 @@ class ParallelFleet:
             # what a caller asking for the tightest bound intends, and
             # it silently voids the backpressure guarantee.
             raise ValueError("inbox_capacity must be positive")
-        if compact_threshold is not None and compact_threshold <= 1:
-            raise ValueError(
-                "compact_threshold must exceed 1, got "
-                f"{compact_threshold}"
-            )
         if event_budget is not None and event_budget < n_workers:
             raise ValueError(
                 "event_budget must be at least n_workers (every worker "
                 f"needs a positive share), got {event_budget}"
             )
-        if auto_retire_after is not None and auto_retire_after < 1:
-            raise ValueError("auto_retire_after must be positive (or None)")
         if backend == "process":
             backend = ProcessBackend(start_method)
         elif backend == "thread":
@@ -385,14 +357,11 @@ class ParallelFleet:
         self._n_workers = n_workers
         self._batch_size = batch_size
         self._event_budget = event_budget
-        self._auto_retire_after = auto_retire_after
-        self._compact_threshold = compact_threshold
         self._faulty = frozenset(faulty)
         self._drop_faulty = drop_faulty
         self._monitor_specs = monitor_specs
         self._inbox_capacity = inbox_capacity
         self.wire_batch = wire_batch
-        self.rebalance = rebalance
         self.on_violation = on_violation
         self._backend = backend
         if isinstance(backend, ProcessBackend):
@@ -479,10 +448,10 @@ class ParallelFleet:
         self._buffers: dict[int, list[tuple]] = {}
         # trace id -> shard memo: routing hashes each id once, not once
         # per record (the ingest hot path).  Bounded: on unbounded
-        # trace populations (the workloads auto-retirement and the
-        # event budget exist to survive) the memo is cleared and
-        # rebuilt rather than growing one entry per id forever --
-        # routing is a cheap pure function, the memo is only a cache.
+        # trace populations (the workloads the event budget exists to
+        # survive) the memo is cleared and rebuilt rather than growing
+        # one entry per id forever -- routing is a cheap pure
+        # function, the memo is only a cache.
         self._route: dict[TraceId, int] = {}
         self._route_memo_max = 1 << 18
         # Worker bookkeeping.
@@ -544,8 +513,6 @@ class ParallelFleet:
             ),
             "batch_size": self._batch_size,
             "event_budget": self._shares.get(worker_id),
-            "auto_retire_after": self._auto_retire_after,
-            "compact_threshold": self._compact_threshold,
             "faulty": tuple(self._faulty),
             "drop_faulty": self._drop_faulty,
             "monitor_specs": codec.encode_specs(self._monitor_specs),
@@ -747,7 +714,7 @@ class ParallelFleet:
                 handle.put(("ingest", shard, by_shard[shard]))
             for shard in shards:
                 self._buffers.pop(shard, None)
-            self._request(worker_id, ("fence", self._tick))
+            self._request(worker_id, ("fence",))
         except WorkerCrashed:
             logger.warning(
                 "recovery of worker %d crashed during replay", worker_id
@@ -768,7 +735,7 @@ class ParallelFleet:
         # Refresh the last-synced report so future crash accounting
         # starts from the recovered state, not the pre-crash one.
         try:
-            reply = self._request(worker_id, ("report", self._tick))
+            reply = self._request(worker_id, ("report",))
         except WorkerCrashed:
             return False
         self._last_report[worker_id] = reply
@@ -884,36 +851,25 @@ class ParallelFleet:
         dropped_records`` reconciles against the ingest count instead
         of silently under-reporting in-flight loss.
         """
-        self.ingest_wire(trace_id, codec.encode_record(record))
+        self.ingest_wire_many(((trace_id, codec.encode_record(record)),))
 
     def ingest_wire(self, trace_id: TraceId, wire_record: tuple) -> None:
         """:meth:`ingest` for an already-encoded record: the zero-copy
         entry of the network ingestion plane, where producers ship
         codec wire tuples and the server hands them through without a
         decode/re-encode round trip."""
-        if self._stopped:
-            raise RuntimeError("the fleet has been shut down")
-        shard = self._route.get(trace_id)
-        if shard is None:
-            # Routing first: a subset-rejected record must not burn a
-            # tick (fronts share the global tick space).
-            shard = self._route_miss(trace_id)
-        self._tick += self._tick_step
-        self._ingested += 1
-        buffer = self._buffers.setdefault(shard, [])
-        buffer.append((self._tick, trace_id, wire_record))
-        if self._durable is not None:
-            self._durable.append(
-                self._placement[shard],
-                self._tick,
-                shard,
-                trace_id,
-                wire_record,
-            )
-            self._records_since_ckpt += 1
-        if len(buffer) >= self.wire_batch:
-            self._ship(shard)
-            self._maybe_checkpoint()
+        self.ingest_wire_many(((trace_id, wire_record),))
+
+    def ingest_many(
+        self, stream: Iterable[tuple[TraceId, ReceiveRecord]]
+    ) -> None:
+        """Consume an interleaved ``(trace_id, record)`` stream; the
+        per-shard wire batching makes this the grouped bulk path by
+        construction."""
+        encode = codec.encode_record
+        self.ingest_wire_many(
+            (trace_id, encode(record)) for trace_id, record in stream
+        )
 
     def _route_miss(self, trace_id: TraceId) -> int:
         """Fill the routing memo for one trace, validating subset
@@ -931,63 +887,15 @@ class ParallelFleet:
         self._route[trace_id] = shard
         return shard
 
-    def ingest_many(
-        self, stream: Iterable[tuple[TraceId, ReceiveRecord]]
-    ) -> None:
-        """Consume an interleaved ``(trace_id, record)`` stream; the
-        per-shard wire batching makes this the grouped bulk path by
-        construction."""
-        # The ingest hot loop, manually inlined: the per-record call
-        # overhead of ingest() is measurable against a 2-worker speedup
-        # floor on >10^4-record streams.
-        if self._stopped:
-            raise RuntimeError("the fleet has been shut down")
-        route = self._route
-        buffers = self._buffers
-        encode = codec.encode_record
-        wire_batch = self.wire_batch
-        durable = self._durable
-        placement = self._placement
-        step = self._tick_step
-        tick = self._tick
-        accepted = 0
-        try:
-            for trace_id, record in stream:
-                shard = route.get(trace_id)
-                if shard is None:
-                    shard = self._route_miss(trace_id)
-                tick += step
-                accepted += 1
-                buffer = buffers.get(shard)
-                if buffer is None:
-                    buffer = buffers[shard] = []
-                wire = encode(record)
-                buffer.append((tick, trace_id, wire))
-                if durable is not None:
-                    durable.append(
-                        placement[shard], tick, shard, trace_id, wire
-                    )
-                    self._records_since_ckpt += 1
-                if len(buffer) >= wire_batch:
-                    self._tick = tick
-                    self._ship(shard)
-                    if durable is not None:
-                        self._maybe_checkpoint()
-        finally:
-            # Even when the *stream* raises mid-iteration, the ticks
-            # already stamped onto buffered records must never be
-            # reissued -- duplicate ticks would corrupt idle ages and
-            # the deterministic violation-merge keys.
-            self._tick = tick
-            self._ingested += accepted
-
     def ingest_wire_many(
         self, rows: Iterable[tuple[TraceId, tuple]]
     ) -> None:
         """Bulk :meth:`ingest_wire`: consume ``(trace_id, wire_record)``
-        rows.  The ingestion front's hot loop -- produce frames arrive
-        as wire rows, and re-encoding (or even decoding) each record
-        on the dispatch path would pay the codec twice per record.
+        rows.  The dispatcher's one ingest loop -- every other ingest
+        entry point feeds it -- and the ingestion front's hot loop:
+        produce frames arrive as wire rows, and re-encoding (or even
+        decoding) each record on the dispatch path would pay the codec
+        twice per record.
         """
         if self._stopped:
             raise RuntimeError("the fleet has been shut down")
@@ -1003,6 +911,8 @@ class ParallelFleet:
             for trace_id, wire in rows:
                 shard = route.get(trace_id)
                 if shard is None:
+                    # Routing first: a subset-rejected record must not
+                    # burn a tick (fronts share the global tick space).
                     shard = self._route_miss(trace_id)
                 tick += step
                 accepted += 1
@@ -1021,6 +931,10 @@ class ParallelFleet:
                     if durable is not None:
                         self._maybe_checkpoint()
         finally:
+            # Even when the *stream* raises mid-iteration, the ticks
+            # already stamped onto buffered records must never be
+            # reissued -- duplicate ticks would corrupt the LRU
+            # eviction order and the deterministic violation-merge keys.
             self._tick = tick
             self._ingested += accepted
 
@@ -1077,7 +991,7 @@ class ParallelFleet:
     def _barrier(self, command: str) -> dict[int, Any]:
         """Ship everything buffered, run one command on every live
         worker (pipelined: all posted, then all collected), note the
-        epoch watermark, fire pending violations, maybe rebalance."""
+        epoch watermark, fire pending violations, rebalance."""
         if self._durable is not None:
             for worker_id in list(self._dead):
                 self._try_recover(worker_id)
@@ -1085,9 +999,7 @@ class ParallelFleet:
         posted: dict[int, int] = {}
         for worker_id in self._alive_workers():
             try:
-                posted[worker_id] = self._post(
-                    worker_id, (command, self._tick)
-                )
+                posted[worker_id] = self._post(worker_id, (command,))
             except WorkerCrashed:
                 continue
         replies: dict[int, Any] = {}
@@ -1098,8 +1010,7 @@ class ParallelFleet:
                 continue
         self._note_peak()
         self._fire_pending()
-        if self.rebalance:
-            self._rebalance()
+        self._rebalance()
         return replies
 
     def _note_peak(self) -> None:
@@ -1264,14 +1175,11 @@ class ParallelFleet:
             "n_shards": self._n_shards,
             "batch_size": self._batch_size,
             "event_budget": self._event_budget,
-            "auto_retire_after": self._auto_retire_after,
-            "compact_threshold": self._compact_threshold,
             "faulty": tuple(self._faulty),
             "drop_faulty": self._drop_faulty,
             "backend": self._backend_kind,
             "wire_batch": self.wire_batch,
             "inbox_capacity": self._inbox_capacity,
-            "rebalance": self.rebalance,
             "monitor_specs": codec.encode_specs(self._monitor_specs),
             "checkpoint_every": self._durability.checkpoint_every,
             "fsync": self._durability.fsync,
@@ -1327,15 +1235,12 @@ class ParallelFleet:
             n_shards=cfg["n_shards"],
             batch_size=cfg["batch_size"],
             event_budget=cfg["event_budget"],
-            auto_retire_after=cfg["auto_retire_after"],
-            compact_threshold=cfg["compact_threshold"],
             faulty=frozenset(cfg["faulty"]),
             drop_faulty=cfg["drop_faulty"],
             backend=backend,
             start_method=start_method,
             wire_batch=cfg["wire_batch"],
             inbox_capacity=cfg["inbox_capacity"],
-            rebalance=cfg["rebalance"],
             monitor_specs=codec.decode_specs(cfg["monitor_specs"]),
             durability=durability,
             on_violation=on_violation,
@@ -1664,12 +1569,10 @@ class ParallelFleet:
             evictions=sum(s.evictions for s in stats),
             summary_compactions=sum(s.summary_compactions for s in stats),
             summary_edges=sum(s.summary_edges for s in stats),
-            auto_retired=sum(s.auto_retired for s in stats),
             budget_overruns=overruns,
             degraded_traces=degraded,
             violating_traces=self._violating_ids(),
             shards=tuple(stats),
-            auto_compactions=sum(s.auto_compactions for s in stats),
             crashed_shards=self.crashed_shards(),
         )
 

@@ -8,8 +8,8 @@ that logic *extracted*: everything one shard (and one group of shards)
 does -- buffering, batched absorption through
 :meth:`~repro.analysis.online.OnlineAbcMonitor.observe_batch`,
 gap-filled reopening, budget-driven eviction with the summary-compaction
-fallback, idle-age auto-retirement, violation bookkeeping, statistics --
-with no reference to trace routing, worker placement, or transport.
+fallback, violation bookkeeping, statistics -- with no reference to
+trace routing, worker placement, or transport.
 
 Two front ends drive it:
 
@@ -21,11 +21,11 @@ Two front ends drive it:
   subset of the shard space, driving it through the message protocol of
   :mod:`repro.runtime.worker`.
 
-The :class:`ShardRuntime` protocol names the surface both rely on; it
-is deliberately *positional* about shard indices (a group holds shards
-``{index: shard}`` for an arbitrary subset of the global shard space)
-so that shard placement is a front-end concern and per-shard counters
-merge across workers without renumbering.
+A group is deliberately *positional* about shard indices (it holds
+shards ``{index: shard}`` for an arbitrary subset of the global shard
+space, and every query names the shard it targets) so that shard
+placement is a front-end concern and per-shard counters merge across
+workers without renumbering.
 
 Determinism contract.  A group's behavior is a function of the sequence
 of protocol calls it receives: monitors hold no clocks and no RNG, ticks
@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.cycles import CycleClassification
 from repro.core.events import Event, ProcessId
@@ -62,7 +62,6 @@ __all__ = [
     "FleetShard",
     "MonitorSpec",
     "ShardGroup",
-    "ShardRuntime",
     "ShardStats",
     "TraceId",
     "TraceState",
@@ -124,23 +123,15 @@ class MonitorSpec:
 
     Attributes:
         xi: synchrony parameter to monitor this trace against.
-        compact_threshold: adaptive summary-compaction cadence (must
-            exceed 1 when given, as for the group-level knob).
         faulty: processes whose messages the monitor treats as faulty.
         drop_faulty: whether faulty messages are dropped or kept.
     """
 
     xi: Fraction | float | int | str | None = None
-    compact_threshold: float | None = None
     faulty: frozenset[ProcessId] | None = None
     drop_faulty: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.compact_threshold is not None and self.compact_threshold <= 1:
-            raise ValueError(
-                "compact_threshold must exceed 1 (the live/boundary "
-                f"ratio is at least 1), got {self.compact_threshold}"
-            )
         if self.faulty is not None and not isinstance(self.faulty, frozenset):
             object.__setattr__(self, "faulty", frozenset(self.faulty))
 
@@ -190,8 +181,6 @@ class ShardStats:
     evictions: int
     summary_compactions: int
     summary_edges: int
-    auto_retired: int
-    auto_compactions: int = 0
 
 
 @dataclass(frozen=True)
@@ -220,11 +209,6 @@ class FleetReport:
             back to summary compaction because exact no-crossing
             removal was blocked (chain-shaped traces), and the live
             summary edges currently standing in for compacted history.
-        auto_retired: traces closed by idle-age auto-retirement
-            (``auto_retire_after``), over the fleet's lifetime.
-        auto_compactions: adaptive-cadence summary compactions run by
-            the monitors themselves (``compact_threshold``), outside
-            budget enforcement.
         budget_overruns: enforcement passes that could not get back
             under budget even with summary compaction (every remaining
             trace was already compacted to its pinned core).
@@ -255,12 +239,10 @@ class FleetReport:
     evictions: int
     summary_compactions: int
     summary_edges: int
-    auto_retired: int
     budget_overruns: int
     degraded_traces: int
     violating_traces: tuple[TraceId, ...]
     shards: tuple[ShardStats, ...]
-    auto_compactions: int = 0
     crashed_shards: tuple[int, ...] = ()
 
 
@@ -314,15 +296,12 @@ class FleetShard:
         "tombstoned",
         "evictions",
         "summary_compactions",
-        "auto_retired",
         "retired_oracle_calls",
     )
 
     def __init__(self, index: int) -> None:
         self.index = index
-        # Insertion order doubles as LRU ingest order: ``ingest`` moves
-        # the touched trace to the end, so the first entry is always the
-        # least-recently-ingested open trace (the auto-retire probe).
+        # Open traces, in the order they were opened.
         self.traces: dict[TraceId, TraceState] = {}
         self.retired: dict[TraceId, TraceSummary] = {}
         self.records = 0
@@ -330,7 +309,6 @@ class FleetShard:
         self.tombstoned = 0
         self.evictions = 0
         self.summary_compactions = 0
-        self.auto_retired = 0
         self.retired_oracle_calls = 0
 
     def oracle_calls(self) -> int:
@@ -351,11 +329,6 @@ class FleetShard:
             state.monitor.summary_edges for state in self.traces.values()
         )
 
-    def auto_compactions(self) -> int:
-        return sum(
-            state.monitor.auto_compactions for state in self.traces.values()
-        )
-
     def stats(self) -> ShardStats:
         return ShardStats(
             shard=self.index,
@@ -369,8 +342,6 @@ class FleetShard:
             evictions=self.evictions,
             summary_compactions=self.summary_compactions,
             summary_edges=self.summary_edges(),
-            auto_retired=self.auto_retired,
-            auto_compactions=self.auto_compactions(),
         )
 
 
@@ -401,45 +372,6 @@ def _check_rows(batch: Sequence[tuple]) -> None:
                 f"malformed record batch: row {k} is not a (tick, "
                 f"trace_id, record) triple with a {width}-field record"
             )
-
-
-class ShardRuntime(Protocol):
-    """The backend-agnostic surface a fleet front end drives.
-
-    Implemented in process by :class:`ShardGroup`; spoken over the wire
-    by the dispatcher/worker pair of :mod:`repro.runtime.parallel` and
-    :mod:`repro.runtime.worker` (one protocol message per method, plus
-    unsolicited violation notices).  Shard indices are *global*: a
-    runtime holds an arbitrary subset of the shard space and every
-    query names the shard it targets, so placement lives entirely in
-    the front end.
-    """
-
-    def ingest(
-        self,
-        shard_index: int,
-        trace_id: TraceId,
-        record: ReceiveRecord,
-        tick: int | None = None,
-    ) -> None: ...
-
-    def flush_all(self) -> None: ...
-
-    def flush_trace(self, shard_index: int, trace_id: TraceId) -> None: ...
-
-    def close(self, shard_index: int, trace_id: TraceId) -> TraceSummary: ...
-
-    def worst_ratio(
-        self, shard_index: int, trace_id: TraceId
-    ) -> Fraction | None: ...
-
-    def is_degraded(self, shard_index: int, trace_id: TraceId) -> bool: ...
-
-    def all_ratios(self) -> list[tuple[TraceId, Fraction | None]]: ...
-
-    def set_budget(self, event_budget: int | None) -> None: ...
-
-    def shard_stats(self) -> list[ShardStats]: ...
 
 
 class _GroupObs:
@@ -515,11 +447,6 @@ class ShardGroup:
             *this group's* shards (the front end apportions a global
             budget across groups), enforced by LRU eviction with the
             summary-compaction fallback.
-        auto_retire_after: optional idle age in ticks after which a
-            trace is closed through the reopen-safe summary path.
-        compact_threshold: optional adaptive compaction cadence passed
-            to every monitor the group creates (see
-            :class:`~repro.analysis.online.OnlineAbcMonitor`).
         faulty / drop_faulty: per-monitor message filtering.
         monitor_specs: declarative per-trace monitor configuration --
             either one :class:`MonitorSpec` applied to every trace or a
@@ -538,28 +465,15 @@ class ShardGroup:
         xi: Fraction | float | int | str | None = None,
         batch_size: int = 32,
         event_budget: int | None = None,
-        auto_retire_after: int | None = None,
-        compact_threshold: float | None = None,
         faulty: frozenset[ProcessId] | set[ProcessId] = frozenset(),
         drop_faulty: bool = True,
         monitor_specs: MonitorSpec | dict[TraceId, MonitorSpec] | None = None,
         emit_violation: Callable[[TraceId, CycleClassification], None]
         | None = None,
     ) -> None:
-        if compact_threshold is not None and compact_threshold <= 1:
-            # Validated here, not only in the monitor constructor, so
-            # both fleet front ends fail at construction -- a parallel
-            # worker hitting this at first ingest would die with its
-            # shards marked crashed instead of raising in the caller.
-            raise ValueError(
-                "compact_threshold must exceed 1 (the live/boundary "
-                f"ratio is at least 1), got {compact_threshold}"
-            )
         self.xi = xi
         self.batch_size = batch_size
         self.event_budget = event_budget
-        self.auto_retire_after = auto_retire_after
-        self.compact_threshold = compact_threshold
         self.faulty = frozenset(faulty)
         self.drop_faulty = drop_faulty
         self.monitor_specs = monitor_specs
@@ -656,11 +570,6 @@ class ShardGroup:
                 if spec.drop_faulty is None
                 else spec.drop_faulty
             ),
-            compact_threshold=(
-                self.compact_threshold
-                if spec.compact_threshold is None
-                else spec.compact_threshold
-            ),
         )
 
     def _wire_monitor(
@@ -751,11 +660,9 @@ class ShardGroup:
         # The touch time is the record's own stream tick, not the group
         # clock: bulk front ends process shard batches sequentially, so
         # the clock has already advanced past later shards' early
-        # records -- stamping the clock would inflate their idle ages.
+        # records -- stamping the clock would misorder them for LRU
+        # eviction.
         state.last_touch = tick
-        # Keep shard.traces in ingest order (LRU): the auto-retire sweep
-        # only ever probes each shard's first entry.
-        shard.traces[trace_id] = shard.traces.pop(trace_id)
         state.pending.append(row)
         shard.records += 1
         return state
@@ -770,13 +677,12 @@ class ShardGroup:
         """Buffer one record (as its row); flush its trace at the batch
         watermark.
 
-        ``tick`` is the front end's global ingest counter (used by
-        idle-age auto-retirement); ``None`` lets the group count its own
-        ingests, which is the serial single-group behavior.
+        ``tick`` is the front end's global ingest counter (the LRU
+        eviction order); ``None`` lets the group count its own ingests,
+        which is the serial single-group behavior.
         """
         shard = self.shards[shard_index]
         state = self.buffer(shard_index, trace_id, encode_record(record), tick)
-        self.auto_retire()
         if len(state.pending) >= self.batch_size:
             self.flush_state(shard, state)
             self.enforce_budget()
@@ -794,8 +700,8 @@ class ShardGroup:
         dispatcher, whose batches arrive here unchanged): per-trace
         flush boundaries coarsen to the batch -- which never changes a
         reported ratio, the worst ratio being a function of the
-        observed graph -- while the per-record overhead (auto-retire
-        sweep, budget probe) is paid once per batch.
+        observed graph -- while the per-record overhead (the budget
+        probe) is paid once per batch.
 
         Rows come from outside the process, so the whole batch is
         checked first: a row that is not a 3-tuple, or whose record is
@@ -811,7 +717,6 @@ class ShardGroup:
             state = buffer(shard_index, trace_id, row, tick)
             if len(state.pending) >= batch_size:
                 pending_over[trace_id] = state
-        self.auto_retire()
         for trace_id, state in pending_over.items():
             if shard.traces.get(trace_id) is state:
                 self.flush_state(shard, state)
@@ -881,26 +786,6 @@ class ShardGroup:
         # before may now succeed at the same live count.
         self._futile_at = None
         return summary
-
-    def auto_retire(self) -> None:
-        """Close traces idle for ``auto_retire_after`` ticks.
-
-        Each shard's trace table is kept in ingest order, so only its
-        first entry can be stale; the sweep pops stale heads until each
-        shard's oldest trace is young enough -- O(shards) per ingest
-        when nothing retires.  Retirement goes through :meth:`close`,
-        i.e. the reopen-safe :class:`TraceSummary` path.
-        """
-        age = self.auto_retire_after
-        if age is None:
-            return
-        for shard in self.shards.values():
-            while shard.traces:
-                trace_id, state = next(iter(shard.traces.items()))
-                if self.tick - state.last_touch < age:
-                    break
-                self.close(shard.index, trace_id)
-                shard.auto_retired += 1
 
     # ------------------------------------------------------------------
     # flushing and the memory budget

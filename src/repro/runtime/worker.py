@@ -16,27 +16,25 @@ Protocol (all messages are plain tuples; payloads go through
 inbound                meaning
 =====================  ==============================================
 ``("ingest", s, b)``    absorb shard batch ``b`` into shard ``s``
-                        (buffer, auto-retire probe, watermark flushes)
-``("flush", r, t)``     advance the clock to tick ``t`` (with an
-                        auto-retire probe -- a quiet worker must still
-                        retire its idle traces), flush all
+                        (buffer, watermark flushes, budget)
+``("flush", r)``        flush all
 ``("flush_trace", r, s, tid)``  flush one trace
 ``("close", r, s, tid)``        retire a trace -> encoded summary
 ``("ratio", r, s, tid)``        worst ratio -> encoded fraction
 ``("degraded", r, s, tid)``     degradation flag -> bool
-``("ratios", r, t)``            all (trace id, encoded ratio) pairs
+``("ratios", r)``               all (trace id, encoded ratio) pairs
 ``("counters", r)``             (live, open, retired) -- pure read, no
                                 flush (cheap telemetry polling)
-``("report", r, t)``            encoded shard stats + group counters
+``("report", r)``               encoded shard stats + group counters
 ``("budget", r, n)``            re-apportioned event budget; replies
                                 with the closed epoch's peak watermark
-``("fence", r, t)``             sync point: advance the clock, ack.
+``("fence", r)``                sync point: ack.
                                 FIFO order makes the ack proof that
                                 every earlier message was absorbed --
                                 the ordering primitive of migration
                                 and recovery (no flush: batching
                                 boundaries stay undisturbed)
-``("snapshot", r, t)``          codec-framed image of the whole group
+``("snapshot", r)``             codec-framed image of the whole group
                                 (taken *without* flushing)
 ``("restore", r, f)``           replace the group's state with a
                                 snapshot frame (worker recovery /
@@ -96,8 +94,6 @@ def _build_group(
         xi=codec.decode_fraction(config["xi"]),
         batch_size=config["batch_size"],
         event_budget=config["event_budget"],
-        auto_retire_after=config["auto_retire_after"],
-        compact_threshold=config["compact_threshold"],
         faulty=frozenset(config["faulty"]),
         drop_faulty=config["drop_faulty"],
         monitor_specs=codec.decode_specs(config.get("monitor_specs")),
@@ -109,7 +105,10 @@ def _build_group(
         # boundaries -- and with them this tick -- depend on the wire
         # batching, so the key is deterministic for a fixed fleet
         # configuration and call sequence (what the merge contract
-        # promises), not invariant across configurations.
+        # promises), not invariant across configurations.  The trace
+        # is still open here (violations fire at the end of the flush
+        # that found them); the group clock -- the last record tick
+        # this worker absorbed -- only backs that lookup up.
         tick = group.tick
         for shard in group.shards.values():
             state = shard.traces.get(trace_id)
@@ -185,18 +184,6 @@ def worker_main(
             )
         )
 
-    def advance(tick: int) -> None:
-        # A barrier advances this worker's clock to the dispatcher's
-        # global ingest count -- and must also probe retirement: the
-        # serial fleet sweeps on every ingest anywhere, so by barrier
-        # time it has already retired anything this age covers, while
-        # a worker whose shards stopped receiving traffic would
-        # otherwise hold its idle traces (and their budget share) open
-        # forever.  Retirement *timing* still differs from serial by
-        # design -- the documented carve-out -- but never by "never".
-        group.tick = max(group.tick, tick)
-        group.auto_retire()
-
     try:
         while True:
             message = inbox.get()
@@ -224,8 +211,7 @@ def worker_main(
                         )
                     )
             elif cmd == "flush":
-                _cmd, req_id, tick = message
-                advance(tick)
+                _cmd, req_id = message
                 group.flush_all()
                 reply(req_id, ("ok", None))
             elif cmd == "flush_trace":
@@ -257,8 +243,7 @@ def worker_main(
                 else:
                     reply(req_id, ("ok", flag))
             elif cmd == "ratios":
-                _cmd, req_id, tick = message
-                advance(tick)
+                _cmd, req_id = message
                 pairs = [
                     (trace_id, codec.encode_fraction(ratio))
                     for trace_id, ratio in group.all_ratios()
@@ -284,8 +269,7 @@ def worker_main(
                     ("ok", codec.encode_metrics_rows(group.metrics_rows())),
                 )
             elif cmd == "report":
-                _cmd, req_id, tick = message
-                advance(tick)
+                _cmd, req_id = message
                 group.flush_all()
                 payload = (
                     [codec.encode_stats(s) for s in group.shard_stats()],
@@ -301,12 +285,10 @@ def worker_main(
                 group.set_budget(event_budget)
                 reply(req_id, ("ok", epoch_peak))
             elif cmd == "fence":
-                _cmd, req_id, tick = message
-                advance(tick)
+                _cmd, req_id = message
                 reply(req_id, ("ok", None))
             elif cmd == "snapshot":
-                _cmd, req_id, tick = message
-                advance(tick)
+                _cmd, req_id = message
                 reply(req_id, ("ok", group.snapshot()))
             elif cmd == "restore":
                 _cmd, req_id, frame = message

@@ -17,9 +17,7 @@ relay-chain shape:
   the trace length;
 * a fully pinned trace (every send still in flight) is never
   compacted at all -- the degenerate case where a fixed cadence pays
-  passes that can reclaim nothing;
-* the fleet wiring (``MonitorFleet(compact_threshold=...)``) surfaces
-  the behavior per shard and in the report.
+  passes that can reclaim nothing.
 """
 
 import random
@@ -27,7 +25,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.analysis.fleet import MonitorFleet
 from repro.analysis.online import OnlineAbcMonitor
 from repro.core.events import Event
 from repro.scenarios.generators import relay_chain_workload
@@ -159,59 +156,3 @@ class TestAdaptiveMonitor:
             OnlineAbcMonitor(compact_threshold=1.0)
         with pytest.raises(ValueError):
             OnlineAbcMonitor(compact_threshold=0.5)
-
-
-class TestFleetWiring:
-    def test_fleet_monitors_self_compact_without_budget(self):
-        """compact_threshold bounds per-trace memory with no global
-        budget configured at all, surfaced in the report counters."""
-        records = relay_chain_workload(random.Random(3), 400)
-        fleet = MonitorFleet(batch_size=16, compact_threshold=2.0)
-        reference = OnlineAbcMonitor()
-        for record in records:
-            fleet.ingest("chain", record)
-            reference.observe(record)
-        fleet.flush()
-        report = fleet.report()
-        assert report.auto_compactions > 0
-        assert report.auto_compactions == sum(
-            s.auto_compactions for s in report.shards
-        )
-        assert fleet.worst_ratio("chain") == reference.worst_ratio
-        assert not fleet.is_degraded("chain")
-        assert fleet.live_events < reference.n_events // 4
-
-    def test_adaptive_cadence_reduces_eviction_pressure(self):
-        """With self-compacting monitors, budget enforcement has far
-        less to do: the budget holds with at most a handful of
-        eviction passes (vs. the eviction-driven fleet doing all the
-        compaction work itself)."""
-        rng = random.Random(7)
-        traces = {f"relay-{k}": relay_chain_workload(rng, 200) for k in range(4)}
-        budget = 300
-        plain = MonitorFleet(batch_size=16, event_budget=budget)
-        adaptive = MonitorFleet(
-            batch_size=16, event_budget=budget, compact_threshold=2.0
-        )
-        for fleet in (plain, adaptive):
-            iters = {tid: iter(recs) for tid, recs in traces.items()}
-            alive = dict(iters)
-            while alive:
-                for tid in list(alive):
-                    record = next(alive[tid], None)
-                    if record is None:
-                        del alive[tid]
-                    else:
-                        fleet.ingest(tid, record)
-            fleet.flush()
-        plain_report = plain.report()
-        adaptive_report = adaptive.report()
-        assert adaptive_report.peak_live_events <= budget
-        assert adaptive_report.budget_overruns == 0
-        assert adaptive_report.evictions < max(plain_report.evictions, 1)
-        for tid, records in traces.items():
-            standalone = OnlineAbcMonitor()
-            for record in records:
-                standalone.observe(record)
-            assert adaptive.worst_ratio(tid) == standalone.worst_ratio
-            assert not adaptive.is_degraded(tid)

@@ -162,8 +162,8 @@ class TestBulkIngest:
     def test_bulk_ingest_touch_times_are_stream_ticks(self):
         """Regression (review finding): shard batches are processed
         sequentially, so stamping the *group clock* as the touch time
-        inflated later shards' records and skewed idle ages.  A
-        record's touch time must be its stream position."""
+        inflated later shards' records and skewed the LRU eviction
+        order.  A record's touch time must be its stream position."""
         stream = list(
             concurrent_workload(
                 random.Random(7), n_traces=8, records_per_trace=(5, 15)
@@ -177,30 +177,6 @@ class TestBulkIngest:
         for shard in fleet._shards:
             for trace_id, state in shard.traces.items():
                 assert state.last_touch == last_position[trace_id]
-
-    def test_bulk_ingest_auto_retire_is_deterministic(self):
-        """Auto-retirement under bulk ingest is batch-granular (it may
-        legitimately differ from the per-record loop on borderline
-        traces) but must be a pure function of the stream."""
-        stream = list(
-            concurrent_workload(
-                random.Random(7), n_traces=12, records_per_trace=(10, 30)
-            )
-        )
-
-        def run():
-            fleet = MonitorFleet(
-                n_shards=4, batch_size=8, auto_retire_after=5
-            )
-            fleet.ingest_many(stream, chunk_size=64)
-            report = fleet.report()
-            flags = {
-                trace_id: fleet.is_degraded(trace_id)
-                for trace_id in by_trace(stream)
-            }
-            return report.auto_retired, report.degraded_traces, flags
-
-        assert run() == run()
 
 
 class TestMemoryBudget:
@@ -486,9 +462,9 @@ class TestConstruction:
             MonitorFleet(event_budget=0)
 
     def test_runtime_reconfiguration(self):
-        """batch_size/event_budget/auto_retire_after/xi stay writable
-        at runtime (they were plain attributes before the engine
-        extraction); a tightened budget takes effect immediately."""
+        """batch_size/event_budget/xi stay writable at runtime (they
+        were plain attributes before the engine extraction); a
+        tightened budget takes effect immediately."""
         records = profiled_trace_records(random.Random(6), "burst", 120)
         fleet = MonitorFleet(batch_size=16)
         for record in records:
@@ -501,16 +477,12 @@ class TestConstruction:
         assert fleet.worst_ratio("t") == standalone_ratio(records)
         fleet.batch_size = 4
         assert fleet.batch_size == 4
-        fleet.auto_retire_after = 1000
-        assert fleet.auto_retire_after == 1000
         fleet.xi = Fraction(2)
         assert fleet.xi == Fraction(2)
         with pytest.raises(ValueError):
             fleet.event_budget = 0
         with pytest.raises(ValueError):
             fleet.batch_size = 0
-        with pytest.raises(ValueError):
-            fleet.auto_retire_after = 0
 
 
 class TestSummaryCompaction:
@@ -572,57 +544,6 @@ class TestSummaryCompaction:
         assert report.evictions > 0
         assert report.summary_compactions == 0
         assert fleet.worst_ratio("t") == standalone_ratio(records)
-
-
-class TestAutoRetirement:
-    def test_idle_traces_auto_retire(self):
-        fleet = MonitorFleet(batch_size=4, auto_retire_after=20)
-        idle = list(streaming_records(random.Random(0), 2, 12))
-        busy = list(streaming_records(random.Random(1), 2, 60))
-        for record in idle:
-            fleet.ingest("idle", record)
-        for record in busy:
-            fleet.ingest("busy", record)
-        assert fleet.retired_traces == 1
-        assert fleet.open_traces == 1
-        report = fleet.report()
-        assert report.auto_retired == 1
-        # The summary is the reopen-safe close() path: exact ratio kept.
-        assert fleet.worst_ratio("idle") == standalone_ratio(idle)
-        assert not fleet.is_degraded("idle")
-
-    def test_fresh_traces_survive(self):
-        stream = list(
-            concurrent_workload(
-                random.Random(7), n_traces=5, records_per_trace=(10, 20)
-            )
-        )
-        # An age above the whole stream length: nothing can go stale.
-        fleet = MonitorFleet(batch_size=4, auto_retire_after=len(stream) + 1)
-        fleet.ingest_many(stream)
-        assert fleet.report().auto_retired == 0
-        assert fleet.open_traces == len(by_trace(stream))
-
-    def test_auto_retired_trace_reopens_degraded(self):
-        fleet = MonitorFleet(batch_size=4, auto_retire_after=10)
-        records = list(streaming_records(random.Random(2), 2, 30))
-        other = list(streaming_records(random.Random(3), 2, 12))
-        for record in records[:10]:
-            fleet.ingest("t", record)
-        for record in other:  # age "t" out with unrelated traffic
-            fleet.ingest("other", record)
-        assert fleet.report().auto_retired >= 1
-        for record in records[10:]:
-            fleet.ingest("t", record)
-        fleet.flush()
-        assert fleet.is_degraded("t")
-        ratio = fleet.worst_ratio("t")
-        standalone = standalone_ratio(records)
-        assert ratio is None or standalone is None or ratio <= standalone
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MonitorFleet(auto_retire_after=0)
 
 
 class TestEvictMarkerReset:

@@ -192,9 +192,8 @@ class TestBudget:
     def test_rebalancing_tracks_skewed_demand(self):
         """All traffic lands on one worker's shards: the even initial
         split is too small for it, so only demand-proportional
-        rebalancing keeps the overloaded worker's share viable.  The
-        frozen split must end with a visibly skewed share; the
-        rebalanced run must shift budget towards the loaded worker."""
+        rebalancing keeps the overloaded worker's share viable: the
+        barriers must shift budget towards the loaded worker."""
         n_shards, n_workers = 4, 2
         # Craft ids that all route to worker 0 (shards 0 and 2).
         import zlib
@@ -212,34 +211,29 @@ class TestBudget:
         }
         budget = 200
 
-        def run(rebalance):
-            with ParallelFleet(
-                n_shards=n_shards,
-                n_workers=n_workers,
-                batch_size=16,
-                event_budget=budget,
-                backend="thread",
-                wire_batch=32,
-                rebalance=rebalance,
-            ) as fleet:
-                iters = {tid: iter(records) for tid, records in streams.items()}
-                alive = dict(iters)
-                step = 0
-                while alive:
-                    for tid in list(alive):
-                        record = next(alive[tid], None)
-                        if record is None:
-                            del alive[tid]
-                        else:
-                            fleet.ingest(tid, record)
-                    step += 1
-                    if step % 20 == 0:
-                        fleet.flush()  # barrier: rebalance opportunity
-                report = fleet.report()
-                shares = dict(fleet._shares)
-                return report, shares
-
-        report, shares = run(rebalance=True)
+        with ParallelFleet(
+            n_shards=n_shards,
+            n_workers=n_workers,
+            batch_size=16,
+            event_budget=budget,
+            backend="thread",
+            wire_batch=32,
+        ) as fleet:
+            iters = {tid: iter(records) for tid, records in streams.items()}
+            alive = dict(iters)
+            step = 0
+            while alive:
+                for tid in list(alive):
+                    record = next(alive[tid], None)
+                    if record is None:
+                        del alive[tid]
+                    else:
+                        fleet.ingest(tid, record)
+                step += 1
+                if step % 20 == 0:
+                    fleet.flush()  # barrier: rebalance opportunity
+            report = fleet.report()
+            shares = dict(fleet._shares)
         # The loaded worker's share must have grown past the even split.
         assert shares[0] > budget // n_workers
         assert shares[0] + shares[1] <= budget
@@ -247,12 +241,6 @@ class TestBudget:
         for tid, records in streams.items():
             ratio = standalone_ratio(records)
             assert ratio is not None
-        frozen_report, frozen_shares = run(rebalance=False)
-        assert frozen_shares[0] == budget // n_workers
-        # Ratios stay exact either way (budget pressure never trades
-        # exactness); rebalancing is about honoring the budget, not
-        # about correctness.
-        assert frozen_report.degraded_traces == 0
 
 
 class TestLifecycle:
@@ -344,45 +332,6 @@ class TestLifecycle:
             with pytest.raises(RuntimeError, match="shut down"):
                 call()
 
-    def test_quiet_worker_still_auto_retires_at_barriers(self):
-        """A worker whose shards stop receiving traffic must still
-        retire its idle traces when a barrier advances its clock
-        (review finding: otherwise its traces -- and their budget
-        share -- are held open forever)."""
-        import zlib
-
-        n_shards, n_workers = 4, 2
-
-        def worker_of(tid):
-            return zlib.crc32(tid.encode()) % n_shards % n_workers
-
-        quiet = next(f"q{i}" for i in range(100) if worker_of(f"q{i}") == 0)
-        busy = next(f"b{i}" for i in range(100) if worker_of(f"b{i}") == 1)
-        quiet_records = profiled_trace_records(random.Random(1), "idler", 5)
-        busy_records = profiled_trace_records(random.Random(2), "burst", 60)
-        with ParallelFleet(
-            n_shards=n_shards,
-            n_workers=n_workers,
-            batch_size=4,
-            wire_batch=4,
-            backend="thread",
-            auto_retire_after=20,
-        ) as fleet:
-            for record in quiet_records:
-                fleet.ingest(quiet, record)
-            # Only worker 1 sees traffic from here on; the dispatcher
-            # tick keeps advancing past the quiet trace's idle age.
-            for record in busy_records:
-                fleet.ingest(busy, record)
-            fleet.flush()  # barrier advances worker 0's clock
-            report = fleet.report()
-            assert report.auto_retired >= 1
-            assert report.retired_traces >= 1
-            assert fleet.worst_ratio(quiet) == standalone_ratio(
-                quiet_records
-            )
-            assert not fleet.is_degraded(quiet)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ParallelFleet(n_workers=0)
@@ -398,8 +347,6 @@ class TestLifecycle:
             ParallelFleet(backend="processes")
         with pytest.raises(ValueError):
             ParallelFleet(n_workers=2, inbox_capacity=0)
-        with pytest.raises(ValueError):
-            ParallelFleet(n_workers=2, compact_threshold=1.0)
 
     def test_spawn_time_config_is_read_only(self):
         """The workers received their configuration at spawn; a write

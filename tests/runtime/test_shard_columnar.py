@@ -135,7 +135,7 @@ class TestShardRowIngest:
         (forgotten edges): a degraded ratio is a sound lower bound, and
         every other trace is exact."""
         stream = record_stream(seed=9, metadata_free=True)
-        group = make_group(event_budget=300, compact_threshold=3.0)
+        group = make_group(event_budget=300)
         for shard, chunk in shard_batches(wire_rows(stream)):
             group.ingest_batch(shard, chunk)
         expected = references(stream)
