@@ -4,8 +4,9 @@ The central property: every per-trace worst ratio the fleet reports --
 through batched flushes, budget-driven eviction, and retirement -- is
 bit-identical to a standalone :class:`OnlineAbcMonitor` fed the same
 records one at a time.  Around it: the memory budget's watermark
-guarantee, graceful degradation on metadata-free streams, the trace
-lifecycle, and the fleet-level aggregates.
+guarantee, that idle time and stream interleaving change no answer,
+graceful degradation on metadata-free streams, the trace lifecycle,
+and the fleet-level aggregates.
 """
 
 import random
@@ -14,8 +15,14 @@ from fractions import Fraction
 
 import pytest
 
-from repro.analysis.fleet import MonitorFleet, TraceSummary
+from repro.analysis.fleet import (
+    FleetReport,
+    MonitorFleet,
+    ShardStats,
+    TraceSummary,
+)
 from repro.analysis.online import OnlineAbcMonitor
+from repro.runtime.shard import MonitorSpec, ShardGroup
 from repro.scenarios.generators import (
     concurrent_workload,
     profiled_trace_records,
@@ -544,6 +551,152 @@ class TestSummaryCompaction:
         assert report.evictions > 0
         assert report.summary_compactions == 0
         assert fleet.worst_ratio("t") == standalone_ratio(records)
+
+
+class TestMemoryPolicy:
+    """``event_budget`` eviction and explicit ``close()`` are the whole
+    memory policy: what a trace reports depends on its records and the
+    caller's calls, never on how long it sat idle or how the stream
+    interleaved it with other traces."""
+
+    def test_idle_trace_stays_open_and_exact(self):
+        """A trace left idle behind a long stretch of unrelated traffic
+        is neither retired nor degraded: resuming it extends the same
+        monitor, and its ratio is a standalone monitor's."""
+        fleet = MonitorFleet(batch_size=4)
+        records = list(streaming_records(random.Random(2), 2, 30))
+        other = list(streaming_records(random.Random(3), 2, 200))
+        for record in records[:10]:
+            fleet.ingest("t", record)
+        monitor = fleet.monitor_of("t")
+        for record in other:
+            fleet.ingest("other", record)
+        assert fleet.open_traces == 2
+        assert fleet.retired_traces == 0
+        for record in records[10:]:
+            fleet.ingest("t", record)
+        fleet.flush()
+        assert fleet.monitor_of("t") is monitor
+        assert not fleet.is_degraded("t")
+        assert fleet.worst_ratio("t") == standalone_ratio(records)
+        assert fleet.report().degraded_traces == 0
+
+    def test_answers_do_not_depend_on_interleaving(self):
+        """Unbudgeted, three interleavings of the same per-trace streams
+        -- as generated, trace after trace, and a random merge -- give
+        the same ratios, degraded flags and violating set."""
+        stream = list(
+            concurrent_workload(
+                random.Random(12), n_traces=10, records_per_trace=(20, 50)
+            )
+        )
+        per = by_trace(stream)
+        sequential = [
+            (trace_id, record)
+            for trace_id, records in per.items()
+            for record in records
+        ]
+        rng = random.Random(5)
+        left = {trace_id: list(records) for trace_id, records in per.items()}
+        merged = []
+        while left:
+            trace_id = rng.choice(sorted(left))
+            merged.append((trace_id, left[trace_id].pop(0)))
+            if not left[trace_id]:
+                del left[trace_id]
+
+        def answers(order):
+            fleet = MonitorFleet(xi=Fraction(3), n_shards=4, batch_size=8)
+            for trace_id, record in order:
+                fleet.ingest(trace_id, record)
+            fleet.flush()
+            return (
+                {trace_id: fleet.worst_ratio(trace_id) for trace_id in per},
+                {trace_id: fleet.is_degraded(trace_id) for trace_id in per},
+                set(fleet.violating_traces()),
+                fleet.retired_traces,
+            )
+
+        reference = answers(stream)
+        assert answers(sequential) == reference
+        assert answers(merged) == reference
+        ratios, degraded, violating, retired = reference
+        assert ratios == {
+            trace_id: standalone_ratio(records)
+            for trace_id, records in per.items()
+        }
+        assert not any(degraded.values())
+        assert retired == 0
+        assert violating and violating != set(per)
+
+    def test_final_flush_fires_violations_in_opened_order(self):
+        """A shard walks its open traces in the order they were opened:
+        violations a flush finds fire in that order, however recently
+        each trace was touched."""
+        first = profiled_trace_records(random.Random(8), "storm", 60)
+        second = profiled_trace_records(random.Random(9), "storm", 60)
+        hits = []
+        # A watermark above both traces: nothing is absorbed before the
+        # explicit flush.
+        fleet = MonitorFleet(
+            xi=Fraction(2),
+            n_shards=1,
+            batch_size=1000,
+            on_violation=lambda trace_id, _witness: hits.append(trace_id),
+        )
+        for record in first[:5]:
+            fleet.ingest("first", record)
+        for record in second:
+            fleet.ingest("second", record)
+        for record in first[5:]:
+            fleet.ingest("first", record)
+        assert hits == []
+        fleet.flush()
+        assert hits == ["first", "second"]
+        assert fleet.violating_traces() == ("first", "second")
+        assert fleet.worst_ratio("first") == standalone_ratio(first)
+        assert fleet.worst_ratio("second") == standalone_ratio(second)
+
+    def test_eviction_takes_the_least_recently_touched_trace_first(self):
+        """Opened order is not eviction order: the trace opened first
+        but touched last keeps its digraph, and the budget is met by
+        evicting the trace that has sat idle longest."""
+        recent = profiled_trace_records(random.Random(1), "burst", 40)
+        idle = profiled_trace_records(random.Random(2), "burst", 40)
+        fleet = MonitorFleet(n_shards=1, batch_size=1)
+        for record in recent[:20]:
+            fleet.ingest("recent", record)
+        for record in idle:
+            fleet.ingest("idle", record)
+        for record in recent[20:]:
+            fleet.ingest("recent", record)
+        before = {
+            trace_id: fleet.monitor_of(trace_id).n_events
+            for trace_id in ("recent", "idle")
+        }
+        fleet.event_budget = fleet.live_events - 1
+        assert fleet.live_events <= fleet.event_budget
+        assert fleet.monitor_of("recent").n_events == before["recent"]
+        assert fleet.monitor_of("idle").n_events < before["idle"]
+        assert fleet.worst_ratio("recent") == standalone_ratio(recent)
+        assert fleet.worst_ratio("idle") == standalone_ratio(idle)
+
+    def test_no_idle_age_or_fleet_compaction_options(self):
+        """Neither idle-age retirement nor a fleet-level compaction
+        trigger is accepted by the serial layers, and the report
+        carries no counters for them."""
+        for option in ({"auto_retire_after": 10}, {"compact_threshold": 2.0}):
+            with pytest.raises(TypeError):
+                MonitorFleet(**option)
+            with pytest.raises(TypeError):
+                ShardGroup(range(2), **option)
+        with pytest.raises(TypeError):
+            MonitorSpec(compact_threshold=2.0)
+        assert not hasattr(MonitorFleet(), "auto_retire_after")
+        fields = set(FleetReport.__dataclass_fields__) | set(
+            ShardStats.__dataclass_fields__
+        )
+        assert not fields & {"auto_retired", "auto_compactions"}
 
 
 class TestEvictMarkerReset:

@@ -4,7 +4,8 @@ The acceptance property of the parallel runtime: for every workload in
 the sweep, every per-trace worst ratio and degradation flag -- and the
 *set* of violating traces -- is bit-identical between the serial fleet
 and the parallel fleet on both backends.  Around it: deterministic
-violation ordering, budget apportionment/rebalancing, crash
+violation ordering, budget apportionment/rebalancing, the one
+dispatcher ingest loop behind every ingest entry point, crash
 containment, and the lifecycle/validation surface.
 """
 
@@ -16,7 +17,16 @@ import pytest
 
 from repro.analysis.fleet import MonitorFleet
 from repro.analysis.online import OnlineAbcMonitor
-from repro.runtime import MonitorSpec, ParallelFleet, TraceSummary, WorkerCrashed
+from repro.runtime import (
+    Durability,
+    DurableStore,
+    IngestServer,
+    MonitorSpec,
+    ParallelFleet,
+    TraceSummary,
+    WorkerCrashed,
+    codec,
+)
 from repro.scenarios.generators import (
     concurrent_workload,
     profiled_trace_records,
@@ -348,6 +358,21 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             ParallelFleet(n_workers=2, inbox_capacity=0)
 
+    def test_no_rebalance_idle_age_or_compaction_options(self):
+        """Budget re-apportioning at barriers is the only budget split,
+        and neither idle-age retirement nor a fleet-level compaction
+        trigger is accepted by the parallel front ends."""
+        for option in (
+            {"rebalance": False},
+            {"auto_retire_after": 10},
+            {"compact_threshold": 2.0},
+        ):
+            with pytest.raises(TypeError):
+                ParallelFleet(n_workers=1, backend="thread", **option)
+        for option in ({"auto_retire_after": 10}, {"compact_threshold": 2.0}):
+            with pytest.raises(TypeError):
+                IngestServer(**option)
+
     def test_spawn_time_config_is_read_only(self):
         """The workers received their configuration at spawn; a write
         to the facade would change only what report() echoes, so it
@@ -363,6 +388,106 @@ class TestLifecycle:
             ):
                 with pytest.raises(AttributeError):
                     setattr(fleet, attribute, value)
+
+
+class TestIngestLoop:
+    """``ingest``, ``ingest_wire`` and ``ingest_many`` all feed
+    ``ingest_wire_many``: one loop routes each record, stamps its tick,
+    journals it and ships its shard batch, whichever entry point the
+    caller uses."""
+
+    N_WORKERS = 2
+
+    def make_stream(self):
+        return list(
+            concurrent_workload(
+                random.Random(21), n_traces=12, records_per_trace=(15, 40)
+            )
+        )
+
+    def run(self, root, feed):
+        """Feed a durable thread fleet, then read back its journals
+        (before shutdown's checkpoint resets them), ratios, violation
+        feed, report and ingest count."""
+        with ParallelFleet(
+            Fraction(3),
+            n_shards=4,
+            n_workers=self.N_WORKERS,
+            batch_size=8,
+            wire_batch=16,
+            backend="thread",
+            durability=Durability(root=root, checkpoint_every=None),
+        ) as fleet:
+            feed(fleet)
+            fleet.flush()
+            store = DurableStore(root)
+            journals = [
+                store.wal_frames(worker_id, after_tick=0)
+                for worker_id in range(self.N_WORKERS)
+            ]
+            return (
+                journals,
+                fleet.all_ratios(),
+                fleet.violation_feed(),
+                fleet.report(),
+                fleet.ingested_records,
+            )
+
+    def test_entry_points_journal_and_answer_alike(self, tmp_path):
+        stream = self.make_stream()
+
+        def per_record(fleet):
+            for trace_id, record in stream:
+                fleet.ingest(trace_id, record)
+
+        def per_wire_record(fleet):
+            for trace_id, record in stream:
+                fleet.ingest_wire(trace_id, codec.encode_record(record))
+
+        def bulk(fleet):
+            fleet.ingest_many(iter(stream))
+
+        reference = self.run(tmp_path / "bulk", bulk)
+        assert self.run(tmp_path / "record", per_record) == reference
+        assert self.run(tmp_path / "wire", per_wire_record) == reference
+        journals, ratios, feed, report, ingested = reference
+        frames = sorted(frame for journal in journals for frame in journal)
+        assert [frame[0] for frame in frames] == list(
+            range(1, len(stream) + 1)
+        )
+        assert [(frame[2], frame[3]) for frame in frames] == [
+            (trace_id, codec.encode_record(record))
+            for trace_id, record in stream
+        ]
+        assert ingested == report.records == len(stream)
+        assert dict(ratios) == {
+            trace_id: standalone_ratio(records)
+            for trace_id, records in by_trace(stream).items()
+        }
+        assert feed, "Xi=3 must catch some traces"
+
+    def test_failing_stream_keeps_its_accepted_records(self, tmp_path):
+        """A stream that raises mid-iteration leaves the records it
+        already yielded buffered under ticks that are never reissued:
+        resuming with the rest ends exactly where one uninterrupted
+        call does, journal included."""
+        stream = self.make_stream()
+        cut = len(stream) // 3
+
+        def failing():
+            yield from stream[:cut]
+            raise RuntimeError("producer failed")
+
+        def interrupted(fleet):
+            with pytest.raises(RuntimeError, match="producer failed"):
+                fleet.ingest_many(failing())
+            assert fleet.ingested_records == cut
+            fleet.ingest_many(stream[cut:])
+
+        reference = self.run(
+            tmp_path / "whole", lambda fleet: fleet.ingest_many(stream)
+        )
+        assert self.run(tmp_path / "resumed", interrupted) == reference
 
 
 class TestDegradation:

@@ -10,7 +10,9 @@ whole trace.  Ratios, degraded flags and the violating set must agree
 across wire batch sizes, per-record and batch ingest interleaved on one
 group, metadata-free streams under a budget (degraded traces report
 sound lower bounds), and a trace reopened after retirement.  A
-malformed batch must be rejected before any of it is buffered.
+malformed batch must be rejected before any of it is buffered, and a
+shard keeps its open traces in the order they were opened, through a
+snapshot and restore too.
 """
 
 import random
@@ -242,3 +244,34 @@ class TestShardRowIngest:
         with pytest.raises(ValueError, match="malformed record batch"):
             group.ingest_batch(shard, bad)
         assert state() == before
+
+
+class TestTraceOrder:
+    def test_open_traces_keep_opened_order_through_snapshots(self):
+        """Each shard lists its open traces in the order they were
+        opened -- not the order they were last touched -- and a shard
+        image restores that order, so a restored group's flushes walk
+        its traces as the original's do."""
+        stream = record_stream(seed=4, n_traces=12)
+        group = make_group()
+        for shard, chunk in shard_batches(wire_rows(stream)):
+            group.ingest_batch(shard, chunk)
+
+        def per_shard(ids):
+            return [
+                tid
+                for shard in range(N_SHARDS)
+                for tid in ids
+                if shard_index_of(tid, N_SHARDS) == shard
+            ]
+
+        opened = per_shard(list(dict.fromkeys(tid for tid, _ in stream)))
+        last_touched = per_shard(
+            list(dict.fromkeys(tid for tid, _ in reversed(stream)))[::-1]
+        )
+        assert opened != last_touched, "the stream must tell them apart"
+        restored = make_group()
+        restored.load_snapshot(group.snapshot())
+        assert [tid for tid, _ in group.all_ratios()] == opened
+        assert [tid for tid, _ in restored.all_ratios()] == opened
+        assert restored.all_ratios() == group.all_ratios()
