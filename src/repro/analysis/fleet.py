@@ -80,7 +80,6 @@ from repro.core.cycles import CycleClassification
 from repro.core.events import ProcessId
 from repro.runtime.shard import (
     FleetReport,
-    FleetShard,
     MonitorSpec,
     ShardGroup,
     ShardStats,
@@ -199,30 +198,19 @@ class MonitorFleet:
             self.on_violation(trace_id, witness)
 
     # ------------------------------------------------------------------
-    # configuration (readable and writable at runtime, as before the
-    # engine extraction: these were plain attributes, and deployments
-    # legitimately retune them mid-stream -- e.g. tightening the budget
-    # under memory pressure)
+    # configuration: fixed at construction, as in ParallelFleet (a new
+    # xi or faulty set would reach only traces opened after the change,
+    # leaving one fleet monitoring against two values).  The budget
+    # alone stays settable: a new budget is enforced at once.
     # ------------------------------------------------------------------
 
     @property
     def xi(self) -> Fraction | float | int | str | None:
         return self._group.xi
 
-    @xi.setter
-    def xi(self, value: Fraction | float | int | str | None) -> None:
-        # Applies to monitors created from here on, as pre-extraction.
-        self._group.xi = value
-
     @property
     def batch_size(self) -> int:
         return self._group.batch_size
-
-    @batch_size.setter
-    def batch_size(self, value: int) -> None:
-        if value < 1:
-            raise ValueError("batch_size must be positive")
-        self._group.batch_size = value
 
     @property
     def event_budget(self) -> int | None:
@@ -241,19 +229,9 @@ class MonitorFleet:
     def faulty(self) -> frozenset[ProcessId]:
         return self._group.faulty
 
-    @faulty.setter
-    def faulty(self, value: frozenset[ProcessId] | set[ProcessId]) -> None:
-        # Applies to monitors created from here on (as before the
-        # extraction: the value was read at trace creation).
-        self._group.faulty = frozenset(value)
-
     @property
     def drop_faulty(self) -> bool:
         return self._group.drop_faulty
-
-    @drop_faulty.setter
-    def drop_faulty(self, value: bool) -> None:
-        self._group.drop_faulty = value
 
     @property
     def peak_live_events(self) -> int:
@@ -262,20 +240,6 @@ class MonitorFleet:
     @property
     def budget_overruns(self) -> int:
         return self._group.budget_overruns
-
-    @property
-    def _shards(self) -> list[FleetShard]:
-        """The serial group's shards, indexed by shard number (the whole
-        shard space lives in one group here)."""
-        return [self._group.shards[i] for i in range(len(self._group.shards))]
-
-    @property
-    def _futile_at(self) -> int | None:
-        return self._group._futile_at
-
-    @_futile_at.setter
-    def _futile_at(self, value: int | None) -> None:
-        self._group._futile_at = value
 
     # ------------------------------------------------------------------
     # routing and trace lifecycle

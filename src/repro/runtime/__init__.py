@@ -7,8 +7,8 @@ system of independent workers -- the deployment shape the ROADMAP's
 * :mod:`repro.runtime.shard` -- the backend-agnostic shard engine
   (:class:`ShardGroup` / :class:`FleetShard`), extracted from the
   serial fleet so both front ends share one shard implementation;
-  traces are first-class movable units (``export_trace`` /
-  ``import_trace`` / group ``snapshot``);
+  a group's state travels only as its ``snapshot`` (checkpoints and
+  recovery);
 * :mod:`repro.runtime.codec` -- the compact wire encoding for records,
   ratios, summaries, statistics, violation witnesses, and the
   snapshot/WAL frames of the durability plane;
@@ -21,8 +21,8 @@ system of independent workers -- the deployment shape the ROADMAP's
   persistence layer behind worker recovery and whole-fleet restore;
 * :mod:`repro.runtime.parallel` -- the :class:`ParallelFleet` facade:
   the serial fleet's ``ingest / ingest_many / flush / close /
-  worst_ratio / report`` surface, with shards spread across workers
-  through an explicit (migratable) placement table, a global event
+  worst_ratio / report`` surface, with shards split round-robin
+  across workers for the fleet's lifetime, a global event
   budget apportioned and rebalanced per worker, crash *recovery* under
   ``durability=``, and per-trace results bit-identical to
   :class:`repro.analysis.fleet.MonitorFleet`;

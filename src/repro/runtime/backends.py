@@ -24,6 +24,7 @@ block into :class:`WorkerCrashed` instead of a hang.
 
 from __future__ import annotations
 
+import gc
 import logging
 import multiprocessing
 import queue
@@ -239,6 +240,21 @@ class WorkerHandle:
         self._join(timeout)
 
 
+def _process_worker_main(*args: Any) -> None:
+    """A process worker's entry: freeze the heap it inherited, then run
+    :func:`worker_main` (looked up at call time, so a wrapper installed
+    on this module still runs).
+
+    A forked worker starts with the dispatcher's whole heap tracked by
+    the collector; frozen, those objects are never scanned again, so a
+    worker decoding its snapshot after recovery pays no full collection
+    over the dispatcher's records.  Threads share the dispatcher's heap,
+    so :class:`ThreadBackend` never freezes.
+    """
+    gc.freeze()
+    worker_main(*args)
+
+
 class ProcessBackend:
     """Workers as OS processes (the parallel-throughput backend).
 
@@ -267,7 +283,7 @@ class ProcessBackend:
         inbox = self._ctx.Queue(maxsize=inbox_capacity)
         outbox = self._ctx.Queue()
         process = self._ctx.Process(
-            target=worker_main,
+            target=_process_worker_main,
             args=(worker_id, tuple(shard_indices), config, inbox, outbox),
             daemon=True,
             name=f"fleet-worker-{worker_id}",

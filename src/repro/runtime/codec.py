@@ -32,8 +32,8 @@ reconstructs an equal value, property-tested over randomized workload
 streams (metadata-free ones included) in ``tests/runtime/test_codec.py``.
 
 **Snapshot and WAL frames.**  The durability plane
-(:mod:`repro.runtime.durable`) persists the same frames the migration
-protocol ships between workers: a *trace-state frame* captures one open
+(:mod:`repro.runtime.durable`) persists group snapshots built from
+nested frames: a *trace-state frame* captures one open
 trace (its live monitor as a pickle blob -- the one deliberately opaque
 payload, justified by the PR 5 bit-identical-monitor-pickling property
 -- plus the shard-side bookkeeping as plain tuples), a *shard image*
@@ -42,7 +42,7 @@ retired summaries, lifetime counters), and a *group snapshot* captures
 a whole :class:`~repro.runtime.shard.ShardGroup` (shard images plus the
 group clock, violation log, and watermark).  Monitor callbacks never
 enter a frame: they are stripped before pickling and re-wired by the
-importing group, so frames stay transportable across processes and
+restoring group, so frames stay transportable across processes and
 restarts.  Frames carry a magic tag and a version so a store written by
 one build fails loudly, not subtly, under another.
 """
@@ -101,6 +101,7 @@ __all__ = [
     "encode_summary",
     "encode_trace_state",
     "encode_witness",
+    "group_snapshot_shards",
 ]
 
 
@@ -385,11 +386,11 @@ def decode_monitor(blob: bytes) -> OnlineAbcMonitor:
 
 
 def encode_trace_state(trace_id: TraceId, state: TraceState) -> tuple:
-    """One open trace as a movable unit: monitor blob + bookkeeping.
+    """One open trace as a snapshot row: monitor blob + bookkeeping.
 
     The pending record rows are carried verbatim (snapshots never
     force a flush: flush boundaries are scheduling-shaped state the
-    importing side should reproduce, not observe).  The in-flight
+    restoring side should reproduce, not observe).  The in-flight
     ledger travels inside the monitor.  ``evict_marker`` is deliberately
     dropped -- a futility memo is only valid against the group that
     computed it.
@@ -406,7 +407,7 @@ def encode_trace_state(trace_id: TraceId, state: TraceState) -> tuple:
 
 
 def decode_trace_state(wire: tuple) -> tuple[TraceId, TraceState]:
-    """Rebuild a trace state; the caller (an importing group) must
+    """Rebuild a trace state; the caller (a restoring group) must
     re-wire the monitor's violation bookkeeping."""
     (
         trace_id,
@@ -428,8 +429,7 @@ def decode_trace_state(wire: tuple) -> tuple[TraceId, TraceState]:
 def encode_shard_image(shard: FleetShard) -> tuple:
     """One whole :class:`FleetShard`: open traces (in the order they
     were opened, which the decode preserves), retired summaries,
-    lifetime counters.
-    The unit of migration -- and the per-shard row of a snapshot."""
+    lifetime counters: the per-shard row of a group snapshot."""
     return (
         shard.index,
         tuple(
@@ -448,7 +448,7 @@ def encode_shard_image(shard: FleetShard) -> tuple:
 
 def decode_shard_image(wire: tuple) -> FleetShard:
     """Rebuild a :class:`FleetShard`; monitors arrive unwired (the
-    importing group re-attaches its violation bookkeeping)."""
+    restoring group re-attaches its violation bookkeeping)."""
     (
         index,
         trace_frames,
@@ -493,6 +493,14 @@ def encode_group_snapshot(group: ShardGroup) -> tuple:
             encode_shard_image(shard) for shard in group.shards.values()
         ),
     )
+
+
+def group_snapshot_shards(wire: tuple) -> tuple[int, ...]:
+    """The shard indices a group snapshot holds, ascending, read
+    without unpickling a monitor."""
+    if not isinstance(wire, tuple) or wire[:1] != (GROUP_SNAPSHOT_MAGIC,):
+        raise ValueError("not a shard-group snapshot frame")
+    return tuple(sorted(image[0] for image in wire[-1]))
 
 
 def decode_group_snapshot(

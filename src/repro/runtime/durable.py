@@ -9,7 +9,9 @@ kept stdlib-only:
 
 * **Record journal (WAL).**  Every ingested record is appended, as a
   ``(tick, shard, trace_id, wire_record)`` frame, to the journal of
-  the worker its shard is *currently placed on*.  Frames buffer in
+  the worker its shard is placed on -- placement is fixed for the
+  fleet's lifetime, so each journal belongs to one worker for good
+  and the journals hold disjoint frames.  Frames buffer in
   memory at ingest time (tick order by construction) and hit disk when
   the dispatcher ships the corresponding wire batch -- so anything a
   worker may have absorbed is on disk no later than it left the
@@ -21,8 +23,8 @@ kept stdlib-only:
   :meth:`~repro.runtime.shard.ShardGroup.snapshot` frame (taken
   *without* flushing: pending buffers travel verbatim).  The store
   writes one snapshot file per worker plus a metadata frame carrying
-  the fleet configuration, the placement table, and the dispatcher's
-  own durable state; the metadata ``os.replace`` is the commit point.
+  the fleet configuration and the dispatcher's own durable state; the
+  metadata ``os.replace`` is the commit point.
   Journals are then reset -- a WAL frame is live only until the first
   checkpoint whose snapshots subsume it (and a replay additionally
   skips frames at or below the committed tick, so a crash between the
@@ -114,8 +116,9 @@ class Durability:
         root: directory holding the journals, snapshots and metadata
             (created on demand; one fleet per directory).
         checkpoint_every: records between automatic checkpoints
-            (``None`` = only explicit :meth:`ParallelFleet.checkpoint`
-            calls and the forced checkpoints around migration).
+            (``None`` = only the baseline checkpoint at start,
+            explicit :meth:`ParallelFleet.checkpoint` calls and the
+            final one at shutdown).
         fsync: ``os.fsync`` every journal flush and snapshot write.
             Off by default: the journals then survive *process* crashes
             (the failure mode recovery targets) but a same-instant OS
@@ -309,12 +312,10 @@ def contiguous_prefix(
     is a stream prefix the restored fleet can honestly claim; returns
     ``(frames_in_tick_order, last_covered_tick)``.
 
-    Exact-duplicate ticks are skipped, keeping the first copy: the
-    same frame can legitimately appear in two journals (a record
-    journaled under one worker, then re-journaled under another after
-    a ``migrate_shard`` or a recovery re-flush), and a duplicate is
-    *coverage*, not a gap -- only a genuinely missing tick ends the
-    claim.
+    Exact-duplicate ticks are skipped, keeping the first copy.  With
+    placement fixed the journals hold disjoint frames, but a duplicate
+    is *coverage*, not a gap, so the claim stays right if one ever
+    appears -- only a genuinely missing tick ends it.
     """
     ordered = sorted(
         (f for f in frames if f[0] > after_tick), key=lambda f: f[0]

@@ -35,11 +35,13 @@ Exactly-once ingestion
     in contiguous order* (``acked``; advertised in ``welcome`` and in
     ``ack`` frames).  A frame is acked only after every front holding
     one of its rows has returned from ``ingest_wire_many`` -- at which
-    point the rows are inside fleet buffers (and, with durability on,
-    the journal).  A reconnecting producer resumes from the server's
-    ``acked`` and replays its unacked tail; ``seen`` deduplicates, so
-    a frame is ingested exactly once no matter how often the
-    connection dies around it.
+    point the rows are inside fleet buffers, in memory only: the
+    server takes no durability.  A reconnecting producer resumes from
+    the server's ``acked`` and replays its unacked tail; ``seen``
+    deduplicates, so a frame is ingested exactly once no matter how
+    often the connection dies around it.  That bookkeeping lives in
+    the server process, so exactly-once does not survive a server
+    restart.
 
 Backpressure
     Producers hold at most ``credit_window`` unacked frames; the

@@ -91,17 +91,13 @@ feeding from ``fleet.ingested_records``.  Recovery is bounded by
 ``max_recoveries`` per worker -- a deterministic poison record
 eventually degrades the shards exactly as without durability.
 
-**Placement and migration.**  Shard-to-worker placement is an explicit
-table (initially the round-robin split), not a hash: the dispatcher
-can :meth:`migrate_shard` a live shard -- open traces, retired
-summaries, counters -- between workers (ship, fence, export, import,
-repoint), and :meth:`rebalance_placement` moves the heaviest shards
-off any worker whose live-event share exceeds a threshold multiple of
-the mean, unpinning hash-skewed trace populations that the
-budget-share rebalancing alone cannot fix.  Trace-to-shard routing is
-untouched (the serial CRC32 function), so migration is invisible to
-reported ratios; under durability every migration commits a
-checkpoint, keeping journals and snapshots placement-consistent.
+**Fixed placement.**  Shards are split round-robin across the workers
+at construction and stay there for the fleet's lifetime: a trace's
+answer depends only on its records, so which worker runs its shard is
+pure mechanism.  The only way a shard's state leaves its worker is the
+group snapshot that checkpoints and recovery take, so each journal
+belongs to one worker for good, and :meth:`restore` derives the split
+from the configuration instead of reading it from the store.
 """
 
 from __future__ import annotations
@@ -394,16 +390,29 @@ class ParallelFleet:
         # Handle stall counters already folded into the registry (the
         # handles keep cumulative counts; folding takes deltas).
         self._stall_folded: dict[int, tuple[int, int]] = {}
-        # Explicit shard -> worker placement (initially the round-robin
-        # split over the owned shard space; migration repoints live).
+        # Shard -> worker placement: the round-robin split over the
+        # owned shard space, fixed for the fleet's lifetime.
         owned = (
             tuple(range(n_shards)) if shard_subset is None else shard_subset
         )
-        self._placement: dict[int, int] = (
-            {int(s): int(w) for s, w in _restore[0]["placement"].items()}
-            if _restore is not None
-            else {s: i % n_workers for i, s in enumerate(owned)}
-        )
+        self._shard_subset = shard_subset
+        self._placement: dict[int, int] = {
+            s: i % n_workers for i, s in enumerate(owned)
+        }
+        if _restore is not None:
+            # Checked before any worker exists: a worker restored from a
+            # snapshot of other shards would be routed records for shards
+            # it does not hold.
+            for worker_id, frame in sorted(_restore[1].items()):
+                held = codec.group_snapshot_shards(frame)
+                expected = self.shards_of_worker(worker_id)
+                if held != expected:
+                    raise ValueError(
+                        f"the snapshot of worker {worker_id} holds shards "
+                        f"{held}, but the fixed placement gives it "
+                        f"{expected}: this store was written under "
+                        "another placement"
+                    )
         # The durability plane (None = PR 5 crash containment only).
         self._durability = durability
         self._durable = (
@@ -560,8 +569,7 @@ class ParallelFleet:
         return _shard_index(trace_id, self.n_shards)
 
     def worker_of(self, shard_index: int) -> int:
-        """The worker currently owning a shard (placement-table read;
-        initially the round-robin split, repointed by migration)."""
+        """The worker owning a shard (the fixed round-robin split)."""
         return self._placement[shard_index]
 
     def shards_of_worker(self, worker_id: int) -> tuple[int, ...]:
@@ -572,11 +580,6 @@ class ParallelFleet:
                 if owner == worker_id
             )
         )
-
-    @property
-    def placement(self) -> dict[int, int]:
-        """A copy of the shard -> worker placement table."""
-        return dict(self._placement)
 
     def crashed_shards(self) -> tuple[int, ...]:
         """Shards owned by dead workers, ascending (empty = all healthy)."""
@@ -1150,7 +1153,6 @@ class ParallelFleet:
             meta = {
                 "epoch": self._ckpt_epoch + 1,
                 "tick": self._tick,
-                "placement": dict(self._placement),
                 "shares": dict(self._shares),
                 "fired_notices": list(self._fired_notices),
                 "dropped_records": self.dropped_records,
@@ -1173,6 +1175,7 @@ class ParallelFleet:
             ),
             "n_workers": self._n_workers,
             "n_shards": self._n_shards,
+            "shard_subset": self._shard_subset,
             "batch_size": self._batch_size,
             "event_budget": self._event_budget,
             "faulty": tuple(self._faulty),
@@ -1199,14 +1202,17 @@ class ParallelFleet:
         """Rebuild a fleet from its durability directory after a full
         process restart.
 
-        Workers are respawned with the committed placement, handed
-        their checkpoint snapshots, and replayed the journals'
-        contiguous tick prefix; per-trace worst ratios, degraded flags
-        and violating sets are bit-identical to the state the journals
-        cover.  The producer resumes from ``fleet.ingested_records``
-        (records past the contiguous journal frontier were never made
-        durable and must be re-fed).  Every constructor setting --
-        including ``monitor_specs`` -- round-trips through the metadata.
+        Workers are respawned with the round-robin placement the
+        configuration fixes, handed their checkpoint snapshots, and
+        replayed the journals' contiguous tick prefix; per-trace worst
+        ratios, degraded flags and violating sets are bit-identical to
+        the state the journals cover.  The producer resumes from
+        ``fleet.ingested_records`` (records past the contiguous journal
+        frontier were never made durable and must be re-fed).  Every
+        constructor setting -- including ``monitor_specs`` --
+        round-trips through the metadata.  A store whose worker
+        snapshots hold other shards than that placement gives them
+        raises ``ValueError`` before any worker is started.
         """
         store = DurableStore(path)
         loaded = store.load()
@@ -1233,6 +1239,7 @@ class ParallelFleet:
             codec.decode_fraction(cfg["xi"]),
             n_workers=cfg["n_workers"],
             n_shards=cfg["n_shards"],
+            shard_subset=cfg.get("shard_subset"),
             batch_size=cfg["batch_size"],
             event_budget=cfg["event_budget"],
             faulty=frozenset(cfg["faulty"]),
@@ -1303,102 +1310,6 @@ class ParallelFleet:
             self._shipped[worker_id] = sum(
                 codec.decode_stats(row).records for row in reply[0]
             )
-
-    # ------------------------------------------------------------------
-    # placement: live migration and skew rebalancing
-    # ------------------------------------------------------------------
-
-    def migrate_shard(self, shard_index: int, dest: int) -> None:
-        """Move one live shard -- open traces, retired summaries,
-        counters -- to worker ``dest``.
-
-        Protocol: ship the shard's buffered records, export on the
-        source (the request doubles as a fence behind the shipped
-        batch), import on the destination, repoint the placement
-        table.  Routing of *traces to shards* is untouched, so reported
-        ratios cannot change; under durability the move commits a
-        checkpoint, keeping journals and snapshots
-        placement-consistent.
-        """
-        self._require_running()
-        if shard_index not in self._placement:
-            raise ValueError(f"unknown shard {shard_index}")
-        if not 0 <= dest < self.n_workers:
-            raise ValueError(f"unknown worker {dest}")
-        src = self._placement[shard_index]
-        if src == dest:
-            return
-        if len(self.shards_of_worker(src)) <= 1:
-            raise ValueError(
-                f"migrating shard {shard_index} would leave worker "
-                f"{src} shardless"
-            )
-        for worker_id in (src, dest):
-            if worker_id in self._dead and not self._try_recover(worker_id):
-                raise self._crash_error(worker_id)
-        self._ship(shard_index)
-        frame = self._request(src, ("export_shard", shard_index))
-        self._request(dest, ("import_shard", frame))
-        self._placement[shard_index] = dest
-        if self._durable is not None:
-            self._checkpoint()
-
-    def rebalance_placement(
-        self, threshold: float = 2.0
-    ) -> list[tuple[int, int, int]]:
-        """Unpin hash-skewed placements: migrate the heaviest shards
-        off every worker whose live-event share exceeds ``threshold``
-        times the mean, onto the lightest workers.
-
-        A skewed trace-id population can land most live events on one
-        worker forever -- budget-share rebalancing only moves *budget*
-        toward the hot worker, never load off it.  Returns the moves
-        performed as ``(shard, source_worker, dest_worker)`` tuples
-        (empty when nothing exceeded the threshold).
-        """
-        self._require_running()
-        if threshold <= 1:
-            raise ValueError("threshold must exceed 1")
-        replies = self._barrier("report")
-        self._last_report.update(replies)
-        shard_live: dict[int, int] = {}
-        for reply in replies.values():
-            for row in reply[0]:
-                stats = codec.decode_stats(row)
-                shard_live[stats.shard] = stats.live_events
-        alive = self._alive_workers()
-        if len(alive) < 2:
-            return []
-        loads = {
-            w: sum(
-                shard_live.get(s, 0) for s in self.shards_of_worker(w)
-            )
-            for w in alive
-        }
-        mean = sum(loads.values()) / len(alive)
-        if mean <= 0:
-            return []
-        moves: list[tuple[int, int, int]] = []
-        for src in sorted(loads, key=lambda w: loads[w], reverse=True):
-            while (
-                loads[src] > threshold * mean
-                and len(self.shards_of_worker(src)) > 1
-            ):
-                shard = max(
-                    self.shards_of_worker(src),
-                    key=lambda s: shard_live.get(s, 0),
-                )
-                dest = min(
-                    (w for w in alive if w != src), key=lambda w: loads[w]
-                )
-                weight = shard_live.get(shard, 0)
-                if loads[dest] + weight >= loads[src]:
-                    break  # the move would only relocate the skew
-                self.migrate_shard(shard, dest)
-                loads[src] -= weight
-                loads[dest] += weight
-                moves.append((shard, src, dest))
-        return moves
 
     # ------------------------------------------------------------------
     # the serial surface

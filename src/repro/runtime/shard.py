@@ -577,13 +577,13 @@ class ShardGroup:
     ) -> None:
         """Attach this group's bookkeeping to a monitor: violation
         recording plus -- for delta consumers -- push-based worst-ratio
-        updates.  Called for newly created monitors and for
-        imported/restored ones, which arrive with callbacks stripped
-        (they close over the *source* group and its shard objects) and
-        must be re-wired to their new owner."""
+        updates.  Called for newly created monitors and for restored
+        ones, which arrive with callbacks stripped (they close over the
+        snapshotted group and its shard objects) and must be re-wired
+        to their new owner."""
         if self.metrics is not None:
             # Re-bind the monitor's instruments (global registry by
-            # default, stripped entirely on import/restore) to this
+            # default, stripped entirely on restore) to this
             # group's registry; one shared bundle serves every monitor
             # the group owns.
             if self._monitor_obs is None:
@@ -982,117 +982,8 @@ class ShardGroup:
         return self.metrics.to_rows() if self.metrics is not None else ()
 
     # ------------------------------------------------------------------
-    # export / import / snapshot: traces as movable, durable units
+    # snapshot: the group as one durable unit
     # ------------------------------------------------------------------
-
-    def export_trace(self, trace_id: TraceId) -> tuple:
-        """Detach one open trace and return it as a codec frame.
-
-        The frame carries the monitor (callbacks stripped), the unflushed
-        pending buffer, the in-flight/frontier bookkeeping, and -- when
-        the id was retired before re-opening -- its prior summary, so the
-        max-merge semantics of :meth:`close` survive the move.  The trace
-        leaves this group entirely: another group may :meth:`import_trace`
-        it, and the pair is a migration.  Raises ``KeyError`` for ids this
-        group doesn't hold open.
-        """
-        from repro.runtime import codec
-
-        for shard in self.shards.values():
-            state = shard.traces.get(trace_id)
-            if state is not None:
-                frame = (
-                    shard.index,
-                    codec.encode_trace_state(trace_id, state),
-                    (
-                        codec.encode_summary(shard.retired[trace_id])
-                        if trace_id in shard.retired
-                        else None
-                    ),
-                )
-                self._live_events -= state.live_cached
-                del shard.traces[trace_id]
-                shard.retired.pop(trace_id, None)
-                self._futile_at = None
-                return frame
-        raise KeyError(f"unknown or retired trace {trace_id!r}")
-
-    def import_trace(self, frame: tuple) -> TraceId:
-        """Install a trace exported by :meth:`export_trace`.
-
-        The monitor is re-wired to *this* group's violation bookkeeping;
-        a violation already detected at the source stays detected (the
-        monitor's once-only guard) and is not re-announced here.  The
-        target shard is created on demand -- after a placement change the
-        importing group legitimately owns a shard index it wasn't born
-        with.  Returns the trace id.
-        """
-        from repro.runtime import codec
-
-        shard_index, trace_frame, summary_row = frame
-        shard = self.shards.get(shard_index)
-        if shard is None:
-            shard = self.shards[shard_index] = FleetShard(shard_index)
-        trace_id, state = codec.decode_trace_state(trace_frame)
-        if trace_id in shard.traces:
-            raise ValueError(f"trace {trace_id!r} already open here")
-        self._wire_monitor(shard, trace_id, state.monitor)
-        shard.traces[trace_id] = state
-        if summary_row is not None:
-            shard.retired[trace_id] = codec.decode_summary(summary_row)
-        if self.emit_ratio is not None:
-            # Re-announce the migrated trace's current merged value so
-            # a delta consumer downstream of *this* group is complete
-            # without a full scan (last-wins, so the re-announcement
-            # is idempotent for consumers that already knew it).
-            self.emit_ratio(
-                trace_id,
-                self.merged_ratio(state, shard.retired.get(trace_id)),
-            )
-        self._live_events += state.live_cached
-        if state.last_touch > self.tick:
-            self.tick = state.last_touch
-        self._futile_at = None
-        self._note_peak()
-        return trace_id
-
-    def export_shard(self, shard_index: int) -> tuple:
-        """Detach one whole shard -- open traces, retired summaries,
-        lifetime counters -- as a codec frame (the unit the parallel
-        dispatcher migrates).  The shard leaves this group."""
-        from repro.runtime import codec
-
-        shard = self.shards[shard_index]
-        frame = codec.encode_shard_image(shard)
-        self._live_events -= sum(
-            state.live_cached for state in shard.traces.values()
-        )
-        del self.shards[shard_index]
-        self._futile_at = None
-        return frame
-
-    def import_shard(self, frame: tuple) -> int:
-        """Install a shard exported by :meth:`export_shard`, re-wiring
-        every monitor to this group.  Returns the shard index."""
-        from repro.runtime import codec
-
-        shard = codec.decode_shard_image(frame)
-        if shard.index in self.shards:
-            raise ValueError(f"shard {shard.index} already owned here")
-        for trace_id, state in shard.traces.items():
-            self._wire_monitor(shard, trace_id, state.monitor)
-            if self.emit_ratio is not None:
-                self.emit_ratio(
-                    trace_id,
-                    self.merged_ratio(state, shard.retired.get(trace_id)),
-                )
-            self._live_events += state.live_cached
-            if state.last_touch > self.tick:
-                self.tick = state.last_touch
-        self.shards[shard.index] = shard
-        self._futile_at = None
-        self._note_peak()
-        return shard.index
 
     def snapshot(self) -> tuple:
         """The whole group as one codec frame: every shard image plus

@@ -31,8 +31,8 @@ inbound                meaning
 ``("fence", r)``                sync point: ack.
                                 FIFO order makes the ack proof that
                                 every earlier message was absorbed --
-                                the ordering primitive of migration
-                                and recovery (no flush: batching
+                                recovery's proof that its journal
+                                replay landed (no flush: batching
                                 boundaries stay undisturbed)
 ``("snapshot", r)``             codec-framed image of the whole group
                                 (taken *without* flushing)
@@ -43,10 +43,6 @@ inbound                meaning
                                 (``()`` when telemetry is disabled) --
                                 pure read, no flush; the dispatcher
                                 sum-merges rows across workers
-``("export_trace", r, tid)``    detach one trace -> codec frame
-``("import_trace", r, f)``      install an exported trace
-``("export_shard", r, s)``      detach one whole shard -> codec frame
-``("import_shard", r, f)``      install an exported shard
 ``("stop", r)``                 graceful drain: flush, ack, exit
 =====================  ==============================================
 
@@ -294,28 +290,6 @@ def worker_main(
                 _cmd, req_id, frame = message
                 group.load_snapshot(frame)
                 reply(req_id, ("ok", None))
-            elif cmd == "export_trace":
-                _cmd, req_id, trace_id = message
-                try:
-                    frame = group.export_trace(trace_id)
-                except KeyError as exc:
-                    reply(req_id, ("err", "KeyError", str(exc)))
-                else:
-                    reply(req_id, ("ok", frame))
-            elif cmd == "import_trace":
-                _cmd, req_id, frame = message
-                reply(req_id, ("ok", group.import_trace(frame)))
-            elif cmd == "export_shard":
-                _cmd, req_id, shard_index = message
-                try:
-                    frame = group.export_shard(shard_index)
-                except KeyError as exc:
-                    reply(req_id, ("err", "KeyError", str(exc)))
-                else:
-                    reply(req_id, ("ok", frame))
-            elif cmd == "import_shard":
-                _cmd, req_id, frame = message
-                reply(req_id, ("ok", group.import_shard(frame)))
             elif cmd == "stop":
                 _cmd, req_id = message
                 # Graceful drain: absorb everything buffered so the

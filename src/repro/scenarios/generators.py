@@ -34,12 +34,6 @@ A fifth family feeds the *multi-trace* fleet monitor
 global ``(trace_id, record)`` stream in arrival order, with every
 record carrying full ``sends`` metadata so in-flight messages are
 knowable and budget-driven eviction stays exact.
-:func:`skewed_workload` is the same interleaving with *mined* trace ids:
-ids are searched until their stable CRC32 route lands on a chosen set of
-hot shards, concentrating most of the stream on few shards -- the
-hot-placement population that exercises
-:meth:`~repro.runtime.ParallelFleet.migrate_shard` and
-:meth:`~repro.runtime.ParallelFleet.rebalance_placement`.
 """
 
 from __future__ import annotations
@@ -72,7 +66,6 @@ __all__ = [
     "concurrent_workload",
     "profiled_trace_records",
     "relay_chain_workload",
-    "skewed_workload",
     "strip_sends_metadata",
 ]
 
@@ -700,25 +693,6 @@ def concurrent_workload(
     order is preserved, so every trace's subsequence is a valid growing
     execution; trace ids are ``"<profile>-<k>"``.
     """
-    yield from _interleaved_workload(
-        rng,
-        n_traces,
-        records_per_trace,
-        profile_weights,
-        lambda profile, k: f"{profile}-{k}",
-    )
-
-
-def _interleaved_workload(
-    rng: random.Random,
-    n_traces: int,
-    records_per_trace: tuple[int, int],
-    profile_weights: dict[str, float] | None,
-    mint_id,
-) -> Iterator[tuple[str, ReceiveRecord]]:
-    """The shared draw-profiles-and-merge-by-arrival machinery of
-    :func:`concurrent_workload` and :func:`skewed_workload`;
-    ``mint_id(profile, k)`` names each trace."""
     if n_traces < 1:
         raise ValueError("need at least one trace")
     weights = profile_weights or {"storm": 0.3, "burst": 0.45, "idler": 0.25}
@@ -729,62 +703,9 @@ def _interleaved_workload(
         n_records = rng.randint(*records_per_trace)
         records = profiled_trace_records(rng, profile, n_records)
         start = rng.uniform(0.0, 200.0)
-        trace_id = mint_id(profile, k)
+        trace_id = f"{profile}-{k}"
         for record in records:
             streams.append((start + record.time, k, trace_id, record))
     streams.sort(key=lambda item: (item[0], item[1]))
     for _arrival, _k, trace_id, record in streams:
         yield trace_id, record
-
-
-def skewed_workload(
-    rng: random.Random,
-    n_traces: int = 20,
-    records_per_trace: tuple[int, int] = (30, 80),
-    *,
-    n_shards: int = 8,
-    hot_shards: Sequence[int] = (0,),
-    hot_fraction: float = 0.8,
-    profile_weights: dict[str, float] | None = None,
-) -> Iterator[tuple[str, ReceiveRecord]]:
-    """A :func:`concurrent_workload` whose trace ids pile onto few shards.
-
-    Trace routing is a stable CRC32 of the id
-    (:func:`repro.runtime.shard.shard_index_of`), so a *population* can
-    be skewed only through its ids: for each trace this generator
-    decides hot (probability ``hot_fraction``) or cold, then mines a
-    ``"<profile>-<k>~<nonce>"`` id whose route lands on (respectively
-    off) the ``hot_shards`` under ``n_shards``-way sharding.  Pass the
-    monitoring fleet the *same* ``n_shards`` and most of the stream
-    concentrates on the hot shards' worker -- the pinned-placement
-    regime :meth:`~repro.runtime.ParallelFleet.rebalance_placement` and
-    live migration exist to unpin (and the skew-profile scenario the
-    benchmarks use).  Per-trace streams and the arrival-order merge are
-    exactly :func:`concurrent_workload`'s.
-    """
-    from repro.runtime.shard import shard_index_of
-
-    if n_shards < 1:
-        raise ValueError("need at least one shard")
-    hot = {s for s in hot_shards}
-    if not hot or not all(0 <= s < n_shards for s in hot):
-        raise ValueError(
-            f"hot_shards must be a nonempty subset of range({n_shards})"
-        )
-    if len(hot) == n_shards and hot_fraction < 1.0:
-        raise ValueError("with every shard hot there is no cold id to mine")
-    if not 0.0 <= hot_fraction <= 1.0:
-        raise ValueError("hot_fraction must be within [0, 1]")
-
-    def mint_id(profile: str, k: int) -> str:
-        want_hot = rng.random() < hot_fraction
-        nonce = 0
-        while True:
-            trace_id = f"{profile}-{k}~{nonce}"
-            if (shard_index_of(trace_id, n_shards) in hot) == want_hot:
-                return trace_id
-            nonce += 1
-
-    yield from _interleaved_workload(
-        rng, n_traces, records_per_trace, profile_weights, mint_id
-    )

@@ -181,7 +181,7 @@ class TestBulkIngest:
         last_position = {}
         for position, (trace_id, _record) in enumerate(stream, start=1):
             last_position[trace_id] = position
-        for shard in fleet._shards:
+        for shard in fleet._group.shards.values():
             for trace_id, state in shard.traces.items():
                 assert state.last_touch == last_position[trace_id]
 
@@ -468,10 +468,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MonitorFleet(event_budget=0)
 
-    def test_runtime_reconfiguration(self):
-        """batch_size/event_budget/xi stay writable at runtime (they
-        were plain attributes before the engine extraction); a
-        tightened budget takes effect immediately."""
+    def test_budget_is_the_one_runtime_setting(self):
+        """The event budget stays writable and a tightened budget takes
+        effect immediately; xi, batch_size, faulty and drop_faulty are
+        fixed at construction, so one fleet never monitors its traces
+        against two configurations."""
         records = profiled_trace_records(random.Random(6), "burst", 120)
         fleet = MonitorFleet(batch_size=16)
         for record in records:
@@ -482,14 +483,20 @@ class TestConstruction:
         assert fleet.event_budget == 40
         assert fleet.live_events <= 40
         assert fleet.worst_ratio("t") == standalone_ratio(records)
-        fleet.batch_size = 4
-        assert fleet.batch_size == 4
-        fleet.xi = Fraction(2)
-        assert fleet.xi == Fraction(2)
         with pytest.raises(ValueError):
             fleet.event_budget = 0
-        with pytest.raises(ValueError):
-            fleet.batch_size = 0
+        for attribute, value in (
+            ("xi", Fraction(2)),
+            ("batch_size", 4),
+            ("faulty", frozenset({0})),
+            ("drop_faulty", False),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(fleet, attribute, value)
+        assert (fleet.xi, fleet.batch_size) == (None, 16)
+        assert (fleet.faulty, fleet.drop_faulty) == (frozenset(), True)
+        for name in ("_shards", "_futile_at"):
+            assert not hasattr(fleet, name)
 
 
 class TestSummaryCompaction:
@@ -710,15 +717,15 @@ class TestEvictMarkerReset:
         for record in records[:20]:
             fleet.ingest("t", record)
         fleet.flush()
-        shard = fleet._shards[fleet.shard_of("t")]
-        state = shard.traces["t"]
+        group = fleet._group
+        state = group.shards[fleet.shard_of("t")].traces["t"]
         state.evict_marker = state.monitor.n_events  # simulate futility
-        fleet._futile_at = fleet.live_events
+        group._futile_at = fleet.live_events
         for record in records[20:]:
             fleet.ingest("t", record)
         fleet.flush()
         assert state.evict_marker is None
-        assert fleet._futile_at is None
+        assert group._futile_at is None
 
 
 class TestMixedShapeBudget:

@@ -6,15 +6,25 @@ count of probe slices -- scheduler jitter must not stretch the
 effective timeout), and a dead worker always surfaces as
 :class:`WorkerCrashed`, never as ``TimeoutError``, even when the
 deadline has already expired -- the crash is the truer diagnosis.
+Process workers also freeze the heap they inherit; thread workers,
+which share the dispatcher's heap, do not.
 """
 
+import gc
+import multiprocessing
 import queue
 import threading
 import time
 
 import pytest
 
-from repro.runtime.backends import WorkerCrashed, WorkerHandle
+from repro.runtime import backends
+from repro.runtime.backends import (
+    ProcessBackend,
+    ThreadBackend,
+    WorkerCrashed,
+    WorkerHandle,
+)
 
 
 def handle(alive=lambda: True, inbox_size=1):
@@ -96,3 +106,29 @@ class TestGetTimeout:
         threading.Timer(0.1, dead.set).start()
         with pytest.raises(WorkerCrashed):
             h.get(timeout=5.0)
+
+
+def _report_freeze_count(worker_id, shard_indices, config, inbox, outbox):
+    outbox.put(("frozen", gc.get_freeze_count()))
+
+
+class TestHeapFreeze:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_process_worker_freezes_the_inherited_heap(self, monkeypatch):
+        # Looked up at call time: the stub replaces the real loop.
+        monkeypatch.setattr(backends, "worker_main", _report_freeze_count)
+        handle = ProcessBackend("fork").spawn(0, (0,), {}, 1)
+        kind, count = handle.get(timeout=30)
+        handle.join()
+        assert kind == "frozen" and count > 0
+
+    def test_thread_worker_leaves_the_heap_alone(self, monkeypatch):
+        monkeypatch.setattr(backends, "worker_main", _report_freeze_count)
+        before = gc.get_freeze_count()
+        handle = ThreadBackend().spawn(0, (0,), {}, 1)
+        assert handle.get(timeout=30) == ("frozen", before)
+        handle.join()
+        assert gc.get_freeze_count() == before

@@ -7,7 +7,9 @@ fleet-level recovery protocol -- a SIGKILLed worker respawns from its
 snapshot + journal suffix with bit-identical per-trace results, a whole
 fleet restarts from disk with the producer resuming at
 ``fleet.ingested_records``, and a poison record exhausts the recovery
-budget instead of looping forever.
+budget instead of looping forever.  Restore derives the fixed
+round-robin placement from the configuration and refuses a store whose
+snapshots hold other shards.
 """
 
 import os
@@ -28,6 +30,7 @@ from repro.runtime.durable import (
     scan_frames,
     write_frames,
 )
+from repro.runtime.shard import shard_index_of
 from repro.scenarios.generators import concurrent_workload
 
 
@@ -447,3 +450,99 @@ class TestRecovery:
                 range(0, n_shards, n_workers)
             )
             assert fleet.dropped_records >= 1
+
+
+class _NoSpawnBackend:
+    """A backend that fails the test if a worker is ever started."""
+
+    def spawn(self, *args):
+        raise AssertionError("a worker was started")
+
+
+class TestFixedPlacement:
+    """Placement is the round-robin split for a fleet's lifetime:
+    restore() derives it from the configuration, writes none to disk,
+    and refuses a store whose snapshots disagree with it."""
+
+    def durable_fleet(self, root):
+        return ParallelFleet(
+            Fraction(3, 2),
+            n_workers=3,
+            n_shards=9,
+            batch_size=8,
+            backend="thread",
+            wire_batch=16,
+            durability=Durability(root=root, checkpoint_every=None),
+        )
+
+    def test_restore_keeps_the_round_robin_split(self, tmp_path):
+        stream = list(
+            concurrent_workload(
+                random.Random(41), n_traces=18, records_per_trace=(20, 50)
+            )
+        )
+        expected, expected_violating = serial_reference(stream)
+        cut = len(stream) // 2
+        fleet = self.durable_fleet(tmp_path)
+        fleet.ingest_many(stream[:cut])
+        fleet.checkpoint()
+        del fleet  # abandoned: the checkpoint and journals survive
+        meta, snapshots = DurableStore(tmp_path).load()
+        assert "placement" not in meta
+        assert sorted(snapshots) == [0, 1, 2]
+        restored = ParallelFleet.restore(tmp_path)
+        with restored:
+            assert [restored.worker_of(s) for s in range(9)] == [
+                s % 3 for s in range(9)
+            ]
+            assert restored.ingested_records == cut
+            restored.ingest_many(stream[cut:])
+            assert_matches_serial(
+                restored, stream, expected, expected_violating
+            )
+
+    def test_restore_refuses_swapped_snapshots(self, tmp_path):
+        stream = list(
+            concurrent_workload(
+                random.Random(43), n_traces=12, records_per_trace=(20, 40)
+            )
+        )
+        with self.durable_fleet(tmp_path) as fleet:
+            fleet.ingest_many(stream)
+        # Worker 0's file now holds shards 1, 4, 7 and worker 1's
+        # shards 0, 3, 6: the shape of a store whose shards moved.
+        (w0,) = tmp_path.glob("snap-*-w0.bin")
+        (w1,) = tmp_path.glob("snap-*-w1.bin")
+        swap = tmp_path / "swap.bin"
+        w0.rename(swap)
+        w1.rename(w0)
+        swap.rename(w1)
+        with pytest.raises(ValueError, match="placement"):
+            ParallelFleet.restore(tmp_path, backend=_NoSpawnBackend())
+
+    def test_restore_keeps_a_shard_subset(self, tmp_path):
+        subset = (1, 3, 5, 7)
+        stream = [
+            (tid, record)
+            for tid, record in concurrent_workload(
+                random.Random(47), n_traces=16, records_per_trace=(10, 20)
+            )
+            if shard_index_of(tid, 8) in subset
+        ]
+        with ParallelFleet(
+            n_workers=2,
+            n_shards=8,
+            backend="thread",
+            shard_subset=subset,
+            durability=Durability(root=tmp_path),
+        ) as fleet:
+            fleet.ingest_many(stream)
+            ratios = dict(fleet.all_ratios())
+        with ParallelFleet.restore(tmp_path) as restored:
+            assert [restored.worker_of(s) for s in subset] == [0, 1, 0, 1]
+            assert dict(restored.all_ratios()) == ratios
+            foreign = next(
+                f"x{i}" for i in range(100) if shard_index_of(f"x{i}", 8) == 0
+            )
+            with pytest.raises(ValueError, match="does not own"):
+                restored.ingest(foreign, stream[0][1])

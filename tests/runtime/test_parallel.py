@@ -23,6 +23,7 @@ from repro.runtime import (
     IngestServer,
     MonitorSpec,
     ParallelFleet,
+    ShardGroup,
     TraceSummary,
     WorkerCrashed,
     codec,
@@ -373,6 +374,24 @@ class TestLifecycle:
             with pytest.raises(TypeError):
                 IngestServer(**option)
 
+    def test_placement_is_fixed(self):
+        """Shards stay on their round-robin worker for the fleet's
+        lifetime: nothing moves a shard or a trace between workers."""
+        for name in ("migrate_shard", "rebalance_placement", "placement"):
+            assert not hasattr(ParallelFleet, name)
+        for name in (
+            "export_trace",
+            "import_trace",
+            "export_shard",
+            "import_shard",
+        ):
+            assert not hasattr(ShardGroup, name)
+        with ParallelFleet(n_workers=3, n_shards=9, backend="thread") as fleet:
+            assert [fleet.worker_of(s) for s in range(9)] == [
+                s % 3 for s in range(9)
+            ]
+            assert fleet.shards_of_worker(1) == (1, 4, 7)
+
     def test_spawn_time_config_is_read_only(self):
         """The workers received their configuration at spawn; a write
         to the facade would change only what report() echoes, so it
@@ -641,124 +660,6 @@ class TestMonitorSpecs:
     def test_specs_validation(self):
         with pytest.raises(TypeError):
             ParallelFleet(n_workers=2, monitor_specs="not-a-spec")
-
-
-class TestMigration:
-    def reference(self, stream):
-        serial = MonitorFleet(xi=Fraction(3, 2), n_shards=9, batch_size=8)
-        serial.ingest_many(stream)
-        return serial
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_live_migration_preserves_bit_identity(self, backend):
-        """Move shards between workers mid-stream; every later record
-        routes to the new owner and nothing about the per-trace results
-        changes."""
-        stream = list(
-            concurrent_workload(
-                random.Random(7), n_traces=18, records_per_trace=(20, 50)
-            )
-        )
-        serial = self.reference(stream)
-        cut = len(stream) // 2
-        with ParallelFleet(
-            Fraction(3, 2),
-            n_workers=3,
-            n_shards=9,
-            batch_size=8,
-            backend=backend,
-            wire_batch=16,
-        ) as fleet:
-            fleet.ingest_many(stream[:cut])
-            assert fleet.worker_of(1) == 1
-            fleet.migrate_shard(1, 2)
-            fleet.migrate_shard(4, 0)
-            assert fleet.worker_of(1) == 2
-            assert fleet.worker_of(4) == 0
-            assert fleet.placement[1] == 2
-            fleet.ingest_many(stream[cut:])
-            for tid in sorted({t for t, _ in stream}):
-                assert fleet.worst_ratio(tid) == serial.worst_ratio(tid)
-                assert fleet.is_degraded(tid) == serial.is_degraded(tid)
-            assert set(fleet.violating_traces()) == set(
-                serial.violating_traces()
-            )
-            assert fleet.report().crashed_shards == ()
-
-    def test_migration_validation(self):
-        with ParallelFleet(
-            n_workers=2, n_shards=4, backend="thread"
-        ) as fleet:
-            with pytest.raises(ValueError):
-                fleet.migrate_shard(99, 0)
-            with pytest.raises(ValueError):
-                fleet.migrate_shard(0, 99)
-            fleet.migrate_shard(0, 0)  # no-op: already there
-            # Refuses to leave a worker shardless: worker 1 owns only
-            # shards 1 and 3; stripping both must fail on the last one.
-            fleet.migrate_shard(1, 0)
-            with pytest.raises(ValueError, match="shardless"):
-                fleet.migrate_shard(3, 0)
-
-    def test_rebalance_placement_unpins_skew(self):
-        """A mined-id workload lands (almost) everything on worker 0;
-        rebalance_placement must move shards off it and the results must
-        stay bit-identical to serial."""
-        from repro.scenarios.generators import skewed_workload
-
-        n_shards, n_workers = 9, 3
-        stream = list(
-            skewed_workload(
-                random.Random(13),
-                n_traces=18,
-                records_per_trace=(20, 50),
-                n_shards=n_shards,
-                hot_shards=(0, 3),  # both on worker 0
-                hot_fraction=0.9,
-            )
-        )
-        serial = MonitorFleet(
-            xi=Fraction(3, 2), n_shards=n_shards, batch_size=8
-        )
-        serial.ingest_many(stream)
-        cut = len(stream) // 2
-        with ParallelFleet(
-            Fraction(3, 2),
-            n_workers=n_workers,
-            n_shards=n_shards,
-            batch_size=8,
-            backend="thread",
-            wire_batch=16,
-        ) as fleet:
-            fleet.ingest_many(stream[:cut])
-            moves = fleet.rebalance_placement(threshold=2.0)
-            assert moves, "a 90%-hot workload must trigger moves"
-            for shard, src, dest in moves:
-                assert src == 0
-                assert fleet.worker_of(shard) == dest
-            fleet.ingest_many(stream[cut:])
-            for tid in sorted({t for t, _ in stream}):
-                assert fleet.worst_ratio(tid) == serial.worst_ratio(tid)
-            assert set(fleet.violating_traces()) == set(
-                serial.violating_traces()
-            )
-
-    def test_rebalance_placement_noop_when_even(self):
-        stream = list(
-            concurrent_workload(
-                random.Random(2), n_traces=12, records_per_trace=(15, 30)
-            )
-        )
-        with ParallelFleet(
-            n_workers=2, n_shards=8, backend="thread"
-        ) as fleet:
-            fleet.ingest_many(stream)
-            # A roughly even population should not thrash placement.
-            moves = fleet.rebalance_placement(threshold=4.0)
-            assert moves == []
-        with ParallelFleet(n_workers=2, backend="thread") as fleet:
-            with pytest.raises(ValueError):
-                fleet.rebalance_placement(threshold=1.0)
 
 
 class TestCloseSurface:
