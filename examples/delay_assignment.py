@@ -8,8 +8,8 @@ condition (3) for every Theta > Xi -- the engine behind the paper's
 model-indistinguishability result (Theorem 9): Theta-algorithms cannot
 tell the ABC execution apart from a Theta-Model one.
 
-Also builds the explicit Farkas system of Figure 6 and shows it is
-solvable exactly when the graph is admissible.
+Also builds the explicit Farkas system of Figure 6 and shows that the
+assignment's message delays solve it strictly.
 
 Run:  python examples/delay_assignment.py
 """
@@ -20,7 +20,6 @@ from repro.core import (
     build_farkas_system,
     check_abc,
     normalized_assignment,
-    solve_farkas_lp,
     verify_normalized,
     worst_relevant_ratio,
 )
@@ -47,12 +46,13 @@ def main() -> None:
               f"{assignment.message_delay_ratio(graph)} < {xi}")
 
         system = build_farkas_system(graph, xi)
-        x = solve_farkas_lp(system)
-        print(f"  Figure-6 system: {system.matrix.shape[0]} rows x "
-              f"{system.matrix.shape[1]} cols "
+        x = [assignment.delay(m) for m in system.messages]
+        print(f"  Figure-6 system: {len(system.matrix)} rows x "
+              f"{system.n_messages} cols "
               f"({system.n_relevant} relevant, "
               f"{system.n_nonrelevant} non-relevant cycle rows); "
-              f"LP solvable: {x is not None}")
+              f"the delays solve A x < b strictly: "
+              f"{system.strictly_solved_by(x)}")
 
 
 if __name__ == "__main__":

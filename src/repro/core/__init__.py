@@ -48,9 +48,7 @@ from repro.core.delay_assignment import (
     canonical_solution,
     certificate_from_cycle_coefficients,
     farkas_certificate_value,
-    max_margin,
     normalized_assignment,
-    solve_farkas_lp,
     verify_normalized,
 )
 from repro.core.events import Event, ProcessId
@@ -148,9 +146,7 @@ __all__ = [
     "canonical_solution",
     "certificate_from_cycle_coefficients",
     "farkas_certificate_value",
-    "max_margin",
     "normalized_assignment",
-    "solve_farkas_lp",
     "verify_normalized",
     # visualization
     "to_ascii",

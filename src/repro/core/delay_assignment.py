@@ -13,21 +13,27 @@ Theta-Model condition (3) for every ``Theta > Xi``.
 
 Two constructions are provided:
 
-* :func:`normalized_assignment` - the *potential* method.  Assign an
-  occurrence time ``t(phi)`` to every event with ``1 + eps <= t(head) -
-  t(tail) <= Xi - eps`` per message and ``t(head) - t(tail) >= eps`` per
-  local edge.  Any potential zeroes every cycle sum automatically, so
-  feasibility of this difference-constraint system (a Bellman-Ford
-  shortest-path computation, done in exact rational arithmetic) is
-  equivalent to the existence of a normalized assignment.  The margin
-  ``eps`` is located by an LP (scipy) and certified exactly.
+* :func:`normalized_assignment` - the *potential* method.  With
+  ``Xi = p/q`` and scale ``M = max(#events, 1)``, look for integer event
+  times ``T`` with ``qM + 1 <= T(head) - T(tail) <= pM - 1`` per message
+  and ``T(head) - T(tail) >= 1`` per local edge.  In the constraint graph
+  of these difference constraints a relevant cycle with ``F`` forward
+  messages, ``B`` backward messages and ``L`` local edges weighs
+  ``M(pF - qB) - (F + B + L)``, and a simple cycle has at most ``M``
+  edges, so ``T`` exists iff no relevant cycle has ``B/F >= Xi``.  One
+  integer Bellman-Ford decides it, and ``t = T/(qM)`` is a normalized
+  assignment with certified margin ``1/(qM)``.  Any potential zeroes
+  every cycle sum automatically.
 
 * :func:`build_farkas_system` - the explicit ``A x < b`` system of
-  Figure 6, with one row per message bound and per cycle, solved via LP
-  and accompanied by the canonical-solution machinery of Theorem 12
-  (:func:`canonical_solution`, :func:`farkas_certificate_value`).  This
-  reproduces Section 4.1 literally and is exponential, hence only for
-  small graphs.
+  Figure 6 in exact arithmetic, with one row per message bound and per
+  cycle, and the certificate machinery of Theorem 12
+  (:func:`canonical_solution`, :func:`farkas_certificate_value`).  A
+  normalized assignment's message delays solve it strictly: a cycle's
+  zero sum leaves its row equal to minus its positive local delays.  An
+  inadmissible graph's system is refuted by the Carver certificate of one
+  relevant cycle of ratio at least ``Xi``.  This reproduces Section 4.1
+  literally and is exponential, hence only for small graphs.
 
 Implementation note on the cycle rows: a cycle constrains the message
 weights only when all its local edges lie in one traversal class.  For a
@@ -45,27 +51,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-from scipy.optimize import linprog
-
-from repro.core.cycles import AGAINST, Cycle, classify, enumerate_cycles
+from repro.core.cycles import AGAINST, classify, enumerate_cycles
 from repro.core.events import Event
 from repro.core.execution_graph import Edge, ExecutionGraph, MessageEdge
-from repro.core.synchrony import check_abc
 
 __all__ = [
     "DelayAssignment",
     "normalized_assignment",
     "assignment_exists",
     "verify_normalized",
-    "max_margin",
     "FarkasSystem",
     "build_farkas_system",
-    "solve_farkas_lp",
     "canonical_solution",
     "farkas_certificate_value",
+    "certificate_from_cycle_coefficients",
 ]
 
 
@@ -100,36 +101,35 @@ class DelayAssignment:
         return max(delays) / min(delays)
 
 
-def _feasible_potential(
-    graph: ExecutionGraph, xi: Fraction, eps: Fraction
-) -> dict[Event, Fraction] | None:
-    """Solve the difference-constraint system at a fixed margin ``eps``.
+def normalized_assignment(
+    graph: ExecutionGraph, xi: Fraction | int | float
+) -> DelayAssignment | None:
+    """An exact normalized assignment for ``graph``, or ``None``.
 
-    Constraints (as ``t[v] - t[u] <= c`` edges of a constraint graph):
-
-    * message ``u -> v``: ``t[v] - t[u] <= Xi - eps`` and
-      ``t[u] - t[v] <= -(1 + eps)``;
-    * local edge ``u -> v``: ``t[u] - t[v] <= -eps``.
-
-    Bellman-Ford from a virtual source in exact rational arithmetic;
-    returns the potential or ``None`` on a negative cycle (infeasible).
+    By Theorem 7 the result is not ``None`` exactly when the graph is
+    ABC-admissible for ``xi``.  The integer times ``T`` of the module
+    docstring come from Bellman-Ford over the constraint edges
+    ``T[head] <= T[tail] + c`` from a virtual source; ``None`` means a
+    negative cycle, which is a relevant cycle of ratio at least ``xi``.
     """
+    xi_frac = Fraction(xi)
+    if xi_frac <= 1:
+        raise ValueError(f"the ABC model requires Xi > 1, got {xi_frac}")
     events = list(graph.events())
     index = {ev: i for i, ev in enumerate(events)}
-    constraint_edges: list[tuple[int, int, Fraction]] = []
-    upper = xi - eps
-    lower = -(Fraction(1) + eps)
+    size = max(len(events), 1)
+    scale = xi_frac.denominator * size
+    upper = xi_frac.numerator * size - 1
+    constraint_edges: list[tuple[int, int, int]] = []
     for m in graph.messages:
         u, v = index[m.src], index[m.dst]
         constraint_edges.append((u, v, upper))
-        constraint_edges.append((v, u, lower))
+        constraint_edges.append((v, u, -(scale + 1)))
     for loc in graph.local_edges:
-        u, v = index[loc.src], index[loc.dst]
-        constraint_edges.append((v, u, -eps))
+        constraint_edges.append((index[loc.dst], index[loc.src], -1))
 
-    n = len(events)
-    dist = [Fraction(0)] * n
-    for _ in range(n):
+    dist = [0] * len(events)
+    for _ in range(len(events) + 1):
         changed = False
         for tail, head, weight in constraint_edges:
             candidate = dist[tail] + weight
@@ -137,79 +137,8 @@ def _feasible_potential(
                 dist[head] = candidate
                 changed = True
         if not changed:
-            return {ev: dist[index[ev]] for ev in events}
-    return None
-
-
-def max_margin(graph: ExecutionGraph, xi: Fraction | int | float) -> float:
-    """The LP-optimal margin ``eps*`` of the potential system (float).
-
-    Positive iff a normalized assignment exists (iff the graph is
-    ABC-admissible for ``xi``).  Used to pick a good rational ``eps`` for
-    the exact construction in :func:`normalized_assignment`.
-    """
-    xi_frac = Fraction(xi)
-    events = list(graph.events())
-    index = {ev: i for i, ev in enumerate(events)}
-    n = len(events)
-    # Variables: t_0 .. t_{n-1}, eps.  Maximize eps.
-    rows: list[list[float]] = []
-    rhs: list[float] = []
-
-    def add(con: dict[int, float], eps_coeff: float, bound: float) -> None:
-        row = [0.0] * (n + 1)
-        for var, coeff in con.items():
-            row[var] = coeff
-        row[n] = eps_coeff
-        rows.append(row)
-        rhs.append(bound)
-
-    for m in graph.messages:
-        u, v = index[m.src], index[m.dst]
-        add({v: 1.0, u: -1.0}, 1.0, float(xi_frac))     # t_v - t_u + eps <= Xi
-        add({u: 1.0, v: -1.0}, 1.0, -1.0)               # t_u - t_v + eps <= -1
-    for loc in graph.local_edges:
-        u, v = index[loc.src], index[loc.dst]
-        add({u: 1.0, v: -1.0}, 1.0, 0.0)                # t_u - t_v + eps <= 0
-    if not rows:
-        return float(xi_frac - 1) / 2
-    c = [0.0] * n + [-1.0]  # maximize eps
-    bounds = [(None, None)] * n + [(0.0, float(xi_frac - 1) / 2)]
-    result = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds,
-                     method="highs")
-    if not result.success:
-        return 0.0
-    return float(result.x[-1])
-
-
-def normalized_assignment(
-    graph: ExecutionGraph, xi: Fraction | int | float
-) -> DelayAssignment | None:
-    """An exact normalized assignment for ``graph``, or ``None``.
-
-    By Theorem 7 the result is not ``None`` exactly when the graph is
-    ABC-admissible for ``xi`` (both directions are enforced by the test
-    suite).  The returned potential is exact: every constraint holds in
-    rational arithmetic with margin at least ``epsilon``.
-    """
-    xi_frac = Fraction(xi)
-    if xi_frac <= 1:
-        raise ValueError(f"the ABC model requires Xi > 1, got {xi_frac}")
-    eps_star = max_margin(graph, xi_frac)
-    candidates = []
-    if eps_star > 0:
-        candidates.append(Fraction(eps_star).limit_denominator(10**9) / 2)
-    # Fallback halving search in case the LP margin was optimistic.
-    fallback = (xi_frac - 1) / 4
-    for _ in range(8):
-        candidates.append(fallback)
-        fallback /= 16
-    for eps in candidates:
-        if eps <= 0:
-            continue
-        times = _feasible_potential(graph, xi_frac, eps)
-        if times is not None:
-            return DelayAssignment(times, xi_frac, eps)
+            times = {ev: Fraction(dist[i], scale) for ev, i in index.items()}
+            return DelayAssignment(times, xi_frac, Fraction(1, scale))
     return None
 
 
@@ -253,21 +182,21 @@ def verify_normalized(
 
 @dataclass(frozen=True)
 class FarkasSystem:
-    """The linear system ``A x < b`` of Figure 6.
+    """The linear system ``A x < b`` of Figure 6, in exact arithmetic.
 
     Rows: ``k`` lower bounds (``-tau(e) < -1``), ``k`` upper bounds
     (``tau(e) < Xi``), ``l`` relevant-cycle rows (condition (6)) and ``m``
     non-relevant-cycle rows (sign-flipped (6)).  Columns: one per message.
 
     Attributes:
-        matrix: the ``(2k + l + m) x k`` coefficient matrix ``A``.
+        matrix: the ``2k + l + m`` rows of ``A``, ``k`` ints each.
         rhs: the right-hand side ``b``.
         messages: column order.
         n_relevant / n_nonrelevant: the counts ``l`` and ``m``.
     """
 
-    matrix: np.ndarray
-    rhs: np.ndarray
+    matrix: tuple[tuple[int, ...], ...]
+    rhs: tuple[Fraction, ...]
     messages: tuple[MessageEdge, ...]
     n_relevant: int
     n_nonrelevant: int
@@ -277,15 +206,20 @@ class FarkasSystem:
     def n_messages(self) -> int:
         return len(self.messages)
 
-    def cycle_rows(self) -> np.ndarray:
+    def cycle_rows(self) -> tuple[tuple[int, ...], ...]:
         """The cycle part of ``A`` (relevant rows first)."""
         return self.matrix[2 * self.n_messages :]
 
+    def strictly_solved_by(self, x: Sequence[Fraction]) -> bool:
+        """Whether ``A x < b`` holds in every row (``x`` in column order)."""
+        return all(
+            sum(a * xj for a, xj in zip(row, x, strict=True)) < b
+            for row, b in zip(self.matrix, self.rhs)
+        )
+
 
 def build_farkas_system(
-    graph: ExecutionGraph,
-    xi: Fraction | int | float,
-    max_cycle_length: int | None = None,
+    graph: ExecutionGraph, xi: Fraction | int | float
 ) -> FarkasSystem:
     """Construct the explicit system of Figure 6 (small graphs only).
 
@@ -300,111 +234,84 @@ def build_farkas_system(
     messages = graph.messages
     col = {m: i for i, m in enumerate(messages)}
     k = len(messages)
-    relevant_rows: list[np.ndarray] = []
-    nonrelevant_rows: list[np.ndarray] = []
-    for cycle in enumerate_cycles(graph, max_length=max_cycle_length):
+    relevant_rows: list[tuple[int, ...]] = []
+    nonrelevant_rows: list[tuple[int, ...]] = []
+    for cycle in enumerate_cycles(graph):
         info = classify(cycle)
         local_dirs = {s.direction for s in info.cycle.local_steps()}
         if len(local_dirs) != 1:
             continue  # mixed-local cycles impose no sign constraint
-        row = np.zeros(k)
+        row = [0] * k
         for step in info.cycle.message_steps():
             row[col[step.edge]] += 1 if step.direction == AGAINST else -1
         if info.relevant:
-            relevant_rows.append(row)
+            relevant_rows.append(tuple(row))
         else:
             # Locals all forward under the Definition-3 orientation: the
             # canonical walk has them ALONG, so flip to get the row.
-            nonrelevant_rows.append(-row)
-    lower = -np.eye(k)
-    upper = np.eye(k)
-    blocks = [lower, upper]
-    if relevant_rows:
-        blocks.append(np.array(relevant_rows))
-    if nonrelevant_rows:
-        blocks.append(np.array(nonrelevant_rows))
-    matrix = np.vstack(blocks) if k else np.zeros((0, 0))
-    rhs = np.concatenate(
-        [
-            -np.ones(k),
-            np.full(k, float(xi_frac)),
-            np.zeros(len(relevant_rows) + len(nonrelevant_rows)),
-        ]
-    )
+            nonrelevant_rows.append(tuple(-a for a in row))
+    lower = [tuple(-int(i == j) for j in range(k)) for i in range(k)]
+    upper = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    n_cycles = len(relevant_rows) + len(nonrelevant_rows)
+    rhs = (Fraction(-1),) * k + (xi_frac,) * k + (Fraction(0),) * n_cycles
     return FarkasSystem(
-        matrix, rhs, messages, len(relevant_rows), len(nonrelevant_rows), xi_frac
+        tuple(lower + upper + relevant_rows + nonrelevant_rows),
+        rhs,
+        messages,
+        len(relevant_rows),
+        len(nonrelevant_rows),
+        xi_frac,
     )
 
 
-def solve_farkas_lp(system: FarkasSystem) -> np.ndarray | None:
-    """A strict solution of ``A x < b`` via a maximized slack, or ``None``.
-
-    Solves ``A x <= b - eps`` with ``eps`` maximized; a positive optimum
-    certifies strict feasibility (Theorem 12).
-    """
-    n = system.n_messages
-    if n == 0:
-        return np.zeros(0)
-    a_ub = np.hstack([system.matrix, np.ones((system.matrix.shape[0], 1))])
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    bounds = [(None, None)] * n + [(0.0, float(system.xi))]
-    result = linprog(c, A_ub=a_ub, b_ub=system.rhs, bounds=bounds, method="highs")
-    if not result.success or result.x[-1] <= 1e-9:
-        return None
-    return result.x[:-1]
-
-
-def canonical_solution(system: FarkasSystem, y: np.ndarray) -> np.ndarray:
+def canonical_solution(
+    system: FarkasSystem, y: Sequence[Fraction]
+) -> list[Fraction]:
     """The canonical certificate ``ybar`` of Theorem 12.
 
     Given ``y >= 0`` with ``y^T A = 0``, produce ``ybar`` with the same
-    cycle coefficients, complementary upper coefficients (``ybar_j = 0``
-    or ``ybar_{k+j} = 0``) and integer entries (after clearing rational
-    denominators the caller is responsible for; the construction here
-    keeps the values as given).
+    cycle coefficients and complementary upper coefficients (``ybar_j = 0``
+    or ``ybar_{k+j} = 0``).  Entries stay exact; clearing rational
+    denominators to integers is left to the caller.
     """
     k = system.n_messages
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != system.matrix.shape[0]:
+    if len(y) != len(system.matrix):
         raise ValueError("certificate length does not match the system")
-    ybar = y.copy()
+    ybar = list(y)
     for j in range(k):
         low, up = y[j], y[k + j]
-        if low > up:
-            ybar[j], ybar[k + j] = low - up, 0.0
-        else:
-            ybar[j], ybar[k + j] = 0.0, up - low
+        ybar[j], ybar[k + j] = max(low - up, 0), max(up - low, 0)
     return ybar
 
 
-def farkas_certificate_value(system: FarkasSystem, y: np.ndarray) -> float:
+def farkas_certificate_value(
+    system: FarkasSystem, y: Sequence[Fraction]
+) -> Fraction:
     """``y^T b``; Theorem 10 (Carver) requires this to be positive for all
     ``y > 0`` with ``y^T A = 0`` when ``A x < b`` is solvable."""
-    return float(np.dot(np.asarray(y, dtype=float), system.rhs))
+    return sum(
+        (yi * bi for yi, bi in zip(y, system.rhs, strict=True)), Fraction(0)
+    )
 
 
 def certificate_from_cycle_coefficients(
-    system: FarkasSystem, cycle_coefficients: Iterable[float]
-) -> np.ndarray:
+    system: FarkasSystem, cycle_coefficients: Iterable[Fraction]
+) -> list[Fraction]:
     """Build ``y >= 0`` with ``y^T A = 0`` from given cycle multipliers.
 
     Equation (7) determines the upper coefficients from the combined
     cycle row ``s``: ``y_{k+j} - y_j + s_j = 0`` with the canonical choice
     ``y_j = max(s_j, 0)`` and ``y_{k+j} = max(-s_j, 0)``.  This is how the
     test-suite generates arbitrarily many Farkas certificates to check
-    Lemmas 7 and 11 against the matrix.
+    Lemmas 7 and 11 against the matrix; one unit multiplier on a relevant
+    cycle of ratio ``B/F >= Xi`` gives ``y^T b = Xi F - B <= 0``.
     """
-    coeffs = np.asarray(list(cycle_coefficients), dtype=float)
-    n_cycles = system.n_relevant + system.n_nonrelevant
-    if coeffs.shape[0] != n_cycles:
-        raise ValueError(f"expected {n_cycles} cycle coefficients")
-    if np.any(coeffs < 0):
+    coeffs = list(cycle_coefficients)
+    rows = system.cycle_rows()
+    if len(coeffs) != len(rows):
+        raise ValueError(f"expected {len(rows)} cycle coefficients")
+    if any(c < 0 for c in coeffs):
         raise ValueError("cycle coefficients must be non-negative")
-    k = system.n_messages
-    s = coeffs @ system.cycle_rows() if n_cycles else np.zeros(k)
-    y = np.zeros(2 * k + n_cycles)
-    y[:k] = np.maximum(s, 0.0)
-    y[k : 2 * k] = np.maximum(-s, 0.0)
-    y[2 * k :] = coeffs
-    return y
+    s = [sum(c * row[j] for c, row in zip(coeffs, rows))
+         for j in range(system.n_messages)]
+    return [max(v, 0) for v in s] + [max(-v, 0) for v in s] + coeffs
