@@ -6,7 +6,7 @@ This package puts the parallel runtime behind a socket:
   streaming (the WAL frame format of :mod:`repro.runtime.durable`,
   reused verbatim on the network);
 * :mod:`repro.runtime.net.server` -- :class:`IngestServer`: an asyncio
-  stream server (TCP and/or Unix-domain) feeding N independent
+  server (TCP and/or Unix-domain) feeding N independent
   ingestion fronts, each a :class:`~repro.runtime.parallel.
   ParallelFleet` owning a disjoint slice of the shard space and a
   disjoint interleaved slice of the global tick space, with
@@ -21,7 +21,7 @@ This package puts the parallel runtime behind a socket:
 from repro.runtime.net.client import DeltaSubscriber, ProducerClient
 from repro.runtime.net.deltas import DeltaStore, DeltaView
 from repro.runtime.net.server import IngestServer
-from repro.runtime.net.wire import FrameSocket, ProtocolError, read_frame
+from repro.runtime.net.wire import FrameSocket, ProtocolError
 
 __all__ = [
     "DeltaStore",
@@ -31,5 +31,4 @@ __all__ = [
     "IngestServer",
     "ProducerClient",
     "ProtocolError",
-    "read_frame",
 ]

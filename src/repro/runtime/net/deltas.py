@@ -73,7 +73,11 @@ class DeltaStore:
 
     Sinks are called outside the lock but serially, from whichever
     thread publishes; a sink must be cheap and non-blocking (the server
-    uses per-subscriber queue puts).
+    publishes on its event-loop thread, and each subscriber's sink
+    writes the frame to that subscriber's transport).  On a closed
+    store, :meth:`subscribe` hands the sink its ``end`` frame *before*
+    it returns the snapshot, so a sink that sends must hold that frame
+    until the snapshot is out.
     """
 
     def __init__(self) -> None:

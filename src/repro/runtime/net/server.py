@@ -10,7 +10,11 @@ Architecture (three thread layers, no shared mutable fleet state):
 
 - **asyncio loop thread**: owns the listeners, every connection, the
   producer bookkeeping (sequence numbers, acks) and the row router.
-  Never touches a fleet.
+  Each connection is one ``asyncio.BufferedProtocol``: the transport
+  ``recv_into``s the connection's reused
+  :class:`~repro.runtime.net.wire.FrameDecoder` buffer, and every
+  frame a read completes is handled right there, in arrival order --
+  no stream reader, no task per connection.  Never touches a fleet.
 - **front threads**, one per front: each owns one
   :class:`~repro.runtime.parallel.ParallelFleet` outright and consumes
   a FIFO queue of work items.  All fleet calls happen here.
@@ -70,11 +74,17 @@ frame                                        direction / meaning
 ==========================================  ========================
 
 A frame of any other shape draws an ``error`` frame and closes the
-connection before any of its rows is enqueued.
+connection before any of its rows is enqueued.  Bytes that are not a
+frame at all (an implausible length, a CRC mismatch, a payload that
+does not unpickle) close the connection without an answer; either way
+the producer's ``seen`` and ``acked`` stay where they were, so the
+client reconnects and replays.
 
 Subscribers send ``("hello", ver, "subscribe", name)`` and then just
 read: a ``snapshot`` frame, ``delta`` frames as ingestion progresses,
-and ``end`` at shutdown (:mod:`repro.runtime.net.deltas`).
+and ``end`` at shutdown (:mod:`repro.runtime.net.deltas`).  The
+subscriber's delta-store sink writes each frame to its transport; the
+server publishes on the loop thread, so those writes happen there.
 
 A third role, ``("hello", ver, "metrics", name)``, is a one-shot
 telemetry scrape: the server answers ``("metrics", rows)`` -- the
@@ -94,6 +104,7 @@ so callers on any thread get the fleet's answers without data races.
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
 import queue
 import threading
@@ -106,9 +117,9 @@ from repro.obs import metrics as _obs_metrics
 from repro.runtime.net.deltas import DeltaStore
 from repro.runtime.net.wire import (
     PROTOCOL_VERSION,
+    FrameDecoder,
     ProtocolError,
     frame_bytes,
-    read_frame,
 )
 from repro.runtime.parallel import ParallelFleet
 from repro.runtime.shard import (
@@ -169,10 +180,74 @@ class _Producer:
         self.seen = 0  # highest seq ever enqueued (dedup floor)
         self.acked = 0  # highest contiguously absorbed seq
         self.completed: set[int] = set()  # absorbed above the ack line
-        self.writer: asyncio.StreamWriter | None = None
+        # The transport of the producer's live connection, which acks
+        # are written to; None while it is disconnected.
+        self.writer: asyncio.Transport | None = None
         self.obs = (
             None if registry is None else _ProducerObs(registry, name)
         )
+
+
+class _Connection(asyncio.BufferedProtocol):
+    """One peer connection, served on the loop thread.
+
+    The transport reads into the connection's :class:`FrameDecoder`
+    (:meth:`get_buffer`), and :meth:`buffer_updated` hands each frame
+    the read completed to ``handle(connection, frame)``: the server's
+    hello handler first, then the handler of the role the hello chose.
+    Bytes that are not a valid frame close the connection unanswered;
+    a handler that closes the transport stops the rest of the read.
+    """
+
+    def __init__(self, server: "IngestServer") -> None:
+        self.server = server
+        self.decoder = FrameDecoder()
+        self.transport: asyncio.Transport | None = None
+        self.handle: Callable[[_Connection, Any], None] = server._hello
+        self.producer: _Producer | None = None
+        self.subscribed = False
+        # A subscriber's frames published before its snapshot went out
+        # (a closed store hands over its end marker first).
+        self.held: list[tuple] | None = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.decoder.room()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.decoder.filled(nbytes)
+        transport = self.transport
+        try:
+            for frame in self.decoder.frames():
+                self.handle(self, frame)
+                if transport.is_closing():
+                    return
+        except ProtocolError:
+            transport.close()  # a misbehaving peer; its state is resumable
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.server._drop(self)
+
+    def send(self, frame: tuple) -> None:
+        self.transport.write(frame_bytes(frame))
+
+    def refuse(self, message: str) -> None:
+        """Answer with an ``error`` frame and hang up."""
+        self.send(("error", message))
+        self.transport.close()
+
+    def deliver(self, frame: tuple) -> None:
+        """The subscriber's delta-store sink (runs where the store
+        publishes: the loop thread)."""
+        if self.held is not None:
+            self.held.append(frame)
+        elif not self.transport.is_closing():
+            self.send(frame)
+            if frame[0] == "end":
+                self.transport.close()
 
 
 class _Front:
@@ -187,6 +262,10 @@ class _Front:
         self.thread: threading.Thread | None = None
         self.error: str | None = None
         self.metrics_at = 0.0  # monotonic time of the last staging
+
+
+def _ignore(conn: _Connection, frame: Any) -> None:
+    """The frame handler of a subscriber, which has nothing to say."""
 
 
 def _label_rows(rows: Iterable[tuple], key: str, value: str) -> tuple:
@@ -309,7 +388,7 @@ class IngestServer:
         self._tcp_server: asyncio.AbstractServer | None = None
         self._unix_server: asyncio.AbstractServer | None = None
         self._producers: dict[str, _Producer] = {}
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
         self._inflight = 0  # dispatched produce frames not yet acked
         self._n_subscribers = 0
         self._publish_lock = threading.Lock()
@@ -368,14 +447,16 @@ class IngestServer:
         return future.result(timeout)
 
     async def _open_listeners(self) -> None:
+        loop = asyncio.get_running_loop()
+        connection = functools.partial(_Connection, self)
         if self._host is not None:
-            self._tcp_server = await asyncio.start_server(
-                self._serve_conn, self._host, self._port
+            self._tcp_server = await loop.create_server(
+                connection, self._host, self._port
             )
             self.address = self._tcp_server.sockets[0].getsockname()[:2]
         if self._unix_path is not None:
-            self._unix_server = await asyncio.start_unix_server(
-                self._serve_conn, path=self._unix_path
+            self._unix_server = await loop.create_unix_server(
+                connection, path=self._unix_path
             )
 
     def stop(self) -> None:
@@ -414,7 +495,7 @@ class IngestServer:
         for front in self._fronts:
             front.fleet.shutdown()
         if loop is not None and alive is not None and alive.is_alive():
-            self._run_on_loop(self._drain_conn_tasks())
+            self._run_on_loop(self._close_connections())
             loop.call_soon_threadsafe(loop.stop)
             alive.join(timeout=10.0)
         if loop is not None:
@@ -432,30 +513,25 @@ class IngestServer:
         for server in (self._tcp_server, self._unix_server):
             if server is not None:
                 server.close()
-                await server.wait_closed()
-        # Producer transports: closing them EOFs the read loops, so no
-        # frame can be dispatched after this coroutine returns (both
-        # run on the loop; the read loop sees the closing transport).
+        # Producer transports: a closed transport reads no more, so no
+        # frame can be dispatched after this coroutine returns.  A
+        # connection still without a hello is refused from here on.
         for producer in self._producers.values():
             if producer.writer is not None:
                 producer.writer.close()
 
     async def _finish_stream(self) -> None:
         # On the loop thread: a final publish of anything staged, then
-        # end frames.  Subscriber pump tasks exit after sending "end".
+        # end frames; each subscriber hangs up once its end is written.
         self.deltas.close()
 
-    async def _drain_conn_tasks(self) -> None:
-        # Let connection handlers run their finally blocks to the end
-        # before the loop goes away; cancel any that linger.
-        tasks = [t for t in self._conn_tasks if not t.done()]
-        if not tasks:
-            return
-        _done, pending = await asyncio.wait(tasks, timeout=5.0)
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.wait(pending, timeout=1.0)
+    async def _close_connections(self) -> None:
+        # Every transport must reach connection_lost, which closes its
+        # socket, before the loop goes away.
+        for connection in tuple(self._connections):
+            connection.transport.abort()
+        while self._connections:
+            await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
     # front threads
@@ -528,7 +604,7 @@ class IngestServer:
                 self._publish_scheduled = False
 
     def _publish_now(self) -> None:
-        # Loop thread: sinks are subscriber queue puts, safe here.
+        # Loop thread: sinks write to subscriber transports, safe here.
         with self._publish_lock:
             self._publish_scheduled = False
         self.deltas.publish()
@@ -537,67 +613,34 @@ class IngestServer:
     # connections (loop thread)
     # ------------------------------------------------------------------
 
-    async def _send(
-        self, writer: asyncio.StreamWriter, frame: tuple
-    ) -> None:
-        writer.write(frame_bytes(frame))
-        await writer.drain()
+    def _hello(self, conn: _Connection, hello: Any) -> None:
+        """A connection's first frame: check it and start its role."""
+        if (
+            not isinstance(hello, tuple)
+            or len(hello) != 4
+            or hello[0] != "hello"
+        ):
+            conn.refuse("expected hello")
+            return
+        _kind, version, role, name = hello
+        if version != PROTOCOL_VERSION:
+            conn.refuse(f"protocol {version} != {PROTOCOL_VERSION}")
+        elif role == "produce":
+            self._start_producer(conn, str(name))
+        elif role == "subscribe":
+            self._start_subscriber(conn)
+        elif role == "metrics":
+            # One-shot: the latest staged readings (plus the server's
+            # own registry), answered inline from the loop thread --
+            # no front round trip, no blocking.
+            conn.send(("metrics", self.staged_metrics_rows()))
+            conn.transport.close()
+        else:
+            conn.refuse(f"unknown role {role!r}")
 
-    async def _serve_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        try:
-            hello = await read_frame(reader)
-            if hello is None:
-                return
-            if (
-                not isinstance(hello, tuple)
-                or len(hello) != 4
-                or hello[0] != "hello"
-            ):
-                await self._send(writer, ("error", "expected hello"))
-                return
-            _kind, version, role, name = hello
-            if version != PROTOCOL_VERSION:
-                await self._send(
-                    writer,
-                    ("error", f"protocol {version} != {PROTOCOL_VERSION}"),
-                )
-                return
-            if role == "produce":
-                await self._serve_producer(str(name), reader, writer)
-            elif role == "subscribe":
-                await self._serve_subscriber(writer)
-            elif role == "metrics":
-                # One-shot: the latest staged readings (plus the
-                # server's own registry), answered inline from the
-                # loop thread -- no front round trip, no blocking.
-                await self._send(
-                    writer, ("metrics", self.staged_metrics_rows())
-                )
-            else:
-                await self._send(writer, ("error", f"unknown role {role!r}"))
-        except (ProtocolError, ConnectionError, OSError):
-            pass  # dead or misbehaving peer; its state is resumable
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _serve_producer(
-        self,
-        name: str,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    def _start_producer(self, conn: _Connection, name: str) -> None:
         if self._stopping:
-            await self._send(writer, ("error", "server is stopping"))
+            conn.refuse("server is stopping")
             return
         producer = self._producers.get(name)
         if producer is None:
@@ -607,9 +650,10 @@ class IngestServer:
         # Newest connection wins: preempt any stale one for this id.
         if producer.writer is not None:
             producer.writer.close()
-        producer.writer = writer
-        await self._send(
-            writer,
+        producer.writer = conn.transport
+        conn.producer = producer
+        conn.handle = self._produce
+        conn.send(
             (
                 "welcome",
                 PROTOCOL_VERSION,
@@ -617,65 +661,50 @@ class IngestServer:
                 self._n_shards,
                 producer.acked,
                 self._credit_window,
-            ),
+            )
         )
+
+    def _produce(self, conn: _Connection, frame: Any) -> None:
+        """One frame from a producer after its welcome."""
+        if not isinstance(frame, tuple) or not frame:
+            conn.refuse("expected a tuple")
+            return
+        if frame[0] == "bye":
+            conn.transport.close()
+            return
+        if frame[0] != "produce":
+            conn.refuse(f"unexpected {frame[0]!r}")
+            return
+        if not (
+            len(frame) == 3
+            and type(frame[1]) is int
+            and isinstance(frame[2], (list, tuple))
+        ):
+            conn.refuse("expected ('produce', int seq, rows)")
+            return
+        _kind, seq, rows = frame
+        producer = conn.producer
+        if seq <= producer.seen:
+            return  # replay of an already-enqueued frame
+        if seq != producer.seen + 1:
+            conn.refuse(
+                f"sequence gap: expected {producer.seen + 1}, got {seq}"
+            )
+            return
+        obs = producer.obs
+        start = 0 if obs is None else time.perf_counter_ns()
         try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    return
-                if not isinstance(frame, tuple) or not frame:
-                    await self._send(writer, ("error", "expected a tuple"))
-                    return
-                if frame[0] == "bye":
-                    return
-                if frame[0] != "produce":
-                    await self._send(
-                        writer, ("error", f"unexpected {frame[0]!r}")
-                    )
-                    return
-                if not (
-                    len(frame) == 3
-                    and type(frame[1]) is int
-                    and isinstance(frame[2], (list, tuple))
-                ):
-                    await self._send(
-                        writer,
-                        ("error", "expected ('produce', int seq, rows)"),
-                    )
-                    return
-                _kind, seq, rows = frame
-                if seq <= producer.seen:
-                    continue  # replay of an already-enqueued frame
-                if seq != producer.seen + 1:
-                    await self._send(
-                        writer,
-                        (
-                            "error",
-                            f"sequence gap: expected {producer.seen + 1},"
-                            f" got {seq}",
-                        ),
-                    )
-                    return
-                obs = producer.obs
-                start = 0 if obs is None else time.perf_counter_ns()
-                try:
-                    by_front = self._route(rows)
-                except ValueError as exc:
-                    await self._send(writer, ("error", str(exc)))
-                    return
-                producer.seen = seq
-                self._dispatch(producer, seq, by_front)
-                if obs is not None:
-                    self._accept_ns.observe(
-                        time.perf_counter_ns() - start
-                    )
-                    obs.frames.inc()
-                    obs.records.inc(len(rows))
-                    obs.credit.set(producer.seen - producer.acked)
-        finally:
-            if producer.writer is writer:
-                producer.writer = None
+            by_front = self._route(rows)
+        except ValueError as exc:
+            conn.refuse(str(exc))
+            return
+        producer.seen = seq
+        self._dispatch(producer, seq, by_front)
+        if obs is not None:
+            self._accept_ns.observe(time.perf_counter_ns() - start)
+            obs.frames.inc()
+            obs.records.inc(len(rows))
+            obs.credit.set(producer.seen - producer.acked)
 
     def _route(self, rows: Iterable[tuple]) -> dict[int, list[tuple]]:
         """Split a produce frame's rows by front (loop thread); raises
@@ -739,28 +768,33 @@ class IngestServer:
             producer.obs.credit.set(producer.seen - producer.acked)
         writer = producer.writer
         if advanced and writer is not None and not writer.is_closing():
-            # write() only buffers; ack frames are tiny and the
-            # transport flushes them without an explicit drain.
+            # write() sends at once or buffers what the socket does not
+            # take; ack frames are tiny, so nothing waits on a drain.
             writer.write(frame_bytes(("ack", producer.acked)))
 
-    async def _serve_subscriber(
-        self, writer: asyncio.StreamWriter
-    ) -> None:
-        frames: asyncio.Queue[tuple] = asyncio.Queue()
-        sink = frames.put_nowait  # publishes happen on this loop
+    def _start_subscriber(self, conn: _Connection) -> None:
+        conn.handle = _ignore  # a subscriber only reads
+        conn.subscribed = True
         self._n_subscribers += 1
         if self._subscribers_gauge is not None:
             self._subscribers_gauge.inc()
-        snapshot = self.deltas.subscribe(sink)
-        try:
-            await self._send(writer, snapshot)
-            while True:
-                frame = await frames.get()
-                await self._send(writer, frame)
-                if frame[0] == "end":
-                    return
-        finally:
-            self.deltas.unsubscribe(sink)
+        # The snapshot goes out first, then whatever the store handed
+        # the sink meanwhile (on a closed store, its end marker).
+        conn.held = []
+        snapshot = self.deltas.subscribe(conn.deliver)
+        held, conn.held = conn.held, None
+        conn.send(snapshot)
+        for frame in held:
+            conn.deliver(frame)
+
+    def _drop(self, conn: _Connection) -> None:
+        """A connection is gone (its transport reached connection_lost)."""
+        self._connections.discard(conn)
+        producer = conn.producer
+        if producer is not None and producer.writer is conn.transport:
+            producer.writer = None
+        if conn.subscribed:
+            self.deltas.unsubscribe(conn.deliver)
             self._n_subscribers -= 1
             if self._subscribers_gauge is not None:
                 self._subscribers_gauge.dec()

@@ -10,9 +10,11 @@ backpressure, and subscribers reconstructing the fleet's aggregates
 from the delta stream alone.
 """
 
+import logging
 import random
 import socket
 import threading
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,8 @@ from repro.runtime.net import (
     ProducerClient,
     ProtocolError,
 )
-from repro.runtime.net.wire import PROTOCOL_VERSION, frame_bytes
+from repro.runtime.durable import _HEADER
+from repro.runtime.net.wire import PROTOCOL_VERSION, FrameDecoder, frame_bytes
 from repro.runtime import codec
 from repro.runtime.shard import shard_index_of
 from repro.scenarios.generators import concurrent_workload
@@ -59,14 +62,44 @@ def serial_answers(stream, n_shards=8, batch_size=16):
 # ----------------------------------------------------------------------
 
 
-class TestFrameSocket:
+def feed(decoder, data, chunk):
+    """Read ``data`` into ``decoder`` ``chunk`` bytes at a time, the way
+    a socket reader does; return every frame decoded on the way."""
+    frames = []
+    for i in range(0, len(data), chunk):
+        piece = data[i : i + chunk]
+        while piece:
+            with decoder.room() as room:
+                n = min(len(room), len(piece))
+                room[:n] = piece[:n]
+            decoder.filled(n)
+            piece = piece[n:]
+            frames.extend(decoder.frames())
+    return frames
+
+
+def undecodable_frame():
+    """A frame whose CRC is right but whose payload does not unpickle."""
+    payload = b"\x80\x05garbage"
+    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+class TestFrameDecoder:
+    """The one frame decoder, fed directly and through its client-side
+    reader, :class:`FrameSocket` (the server's connections are
+    covered over raw sockets in :class:`TestServerFraming`)."""
+
     def pair(self):
         a, b = socket.socketpair()
         return FrameSocket(a), FrameSocket(b)
 
     def test_round_trip_and_eof(self):
-        left, right = self.pair()
         frames = [("hello", 1, "produce", "p"), ("produce", 1, ((1, 2),))]
+        decoder = FrameDecoder()
+        blob = b"".join(frame_bytes(f) for f in frames)
+        assert feed(decoder, blob, len(blob)) == frames
+        assert not decoder.partial  # EOF here is clean
+        left, right = self.pair()
         for frame in frames:
             left.send(frame)
         left.sock.close()
@@ -75,30 +108,57 @@ class TestFrameSocket:
         right.close()
 
     def test_split_delivery_reassembles(self):
-        left, right = self.pair()
         payload = ("produce", 7, tuple((f"t{i}", ("x",) * 4) for i in range(50)))
         blob = frame_bytes(payload)
+        for chunk in (1, 13):
+            assert feed(FrameDecoder(), blob, chunk) == [payload]
+        left, right = self.pair()
         for i in range(0, len(blob), 13):  # drip-feed odd-sized chunks
             left.sock.sendall(blob[i : i + 13])
         assert right.recv() == payload
         left.close(), right.close()
 
     def test_corrupt_crc_raises(self):
-        left, right = self.pair()
         blob = bytearray(frame_bytes(("ack", 3)))
         blob[-1] ^= 0xFF
+        with pytest.raises(ProtocolError, match="CRC"):
+            feed(FrameDecoder(), bytes(blob), len(blob))
+        left, right = self.pair()
         left.sock.sendall(bytes(blob))
         with pytest.raises(ProtocolError, match="CRC"):
             right.recv()
         left.close(), right.close()
 
     def test_eof_mid_frame_raises(self):
+        blob = frame_bytes(("ack", 3))[:-2]
+        decoder = FrameDecoder()
+        assert feed(decoder, blob, len(blob)) == []
+        assert decoder.partial
         left, right = self.pair()
-        left.sock.sendall(frame_bytes(("ack", 3))[:-2])
+        left.sock.sendall(blob)
         left.sock.close()
         with pytest.raises(ProtocolError, match="mid-frame"):
             right.recv()
         right.close()
+
+    def test_undecodable_payload_raises(self):
+        with pytest.raises(ProtocolError, match="unpickle"):
+            feed(FrameDecoder(), undecodable_frame(), 64)
+        left, right = self.pair()
+        left.sock.sendall(undecodable_frame())
+        with pytest.raises(ProtocolError, match="unpickle"):
+            right.recv()
+        left.close(), right.close()
+
+    def test_buffer_grows_and_compacts(self):
+        """Frames straddling reads, and one larger than the initial
+        receive buffer, come out intact in order."""
+        big = ("produce", 2, tuple((f"t{i}", (i,) * 8) for i in range(20000)))
+        frames = [("ack", 1), big, ("ack", 2), ("ack", 3)]
+        blob = b"".join(frame_bytes(f) for f in frames)
+        assert len(frame_bytes(big)) > 4 * len(FrameDecoder().room())
+        for chunk in (7001, 1 << 16, len(blob)):
+            assert feed(FrameDecoder(), blob, chunk) == frames
 
 
 # ----------------------------------------------------------------------
@@ -582,3 +642,214 @@ class TestProduceFrames:
             fs.close()
             server.flush()
             assert server.ingested_records == 0
+
+
+def produce_frames(stream, rows_per_frame):
+    """The wire rows of ``stream`` cut into numbered produce frames."""
+    rows = [(tid, codec.encode_record(rec)) for tid, rec in stream]
+    return [
+        ("produce", seq, rows[i : i + rows_per_frame])
+        for seq, i in enumerate(range(0, len(rows), rows_per_frame), 1)
+    ]
+
+
+def read_acks(fs, last):
+    """Read ack frames until ``last`` is acked; return their values."""
+    acks = []
+    while not acks or acks[-1] < last:
+        kind, acked = fs.recv()
+        assert kind == "ack"
+        acks.append(acked)
+    return acks
+
+
+def assert_matches_serial(server, stream):
+    ratios, degraded, violating = serial_answers(stream)
+    server.flush()
+    assert {tid: server.worst_ratio(tid) for tid in ratios} == ratios
+    assert {tid: server.is_degraded(tid) for tid in ratios} == degraded
+    assert set(server.violating_traces()) == violating
+    assert server.ingested_records == len(stream)
+    assert server.front_errors() == ()
+
+
+def no_error_logs(caplog):
+    return not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+class TestServerFraming:
+    """The server's connections over raw sockets: however the bytes of
+    a frame are cut into reads, each frame is handled once, in order;
+    bytes that are not a frame close the connection and leave the
+    producer's ``seen`` and ``acked`` where they were."""
+
+    connect = staticmethod(TestProduceFrames.connect)
+
+    @staticmethod
+    def server():
+        return IngestServer(
+            XI, n_fronts=2, n_shards=8, batch_size=16, backend="thread"
+        )
+
+    def test_frame_fed_one_byte_at_a_time(self):
+        stream = workload(seed=31, n_traces=4, records_per_trace=(5, 10))
+        [frame] = produce_frames(stream, len(stream))
+        with self.server() as server:
+            fs, _acked = self.connect(server, "drip")
+            fs.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in frame_bytes(frame):
+                fs.sock.sendall(bytes((byte,)))
+            assert read_acks(fs, 1) == [1]
+            fs.close()
+            assert_matches_serial(server, stream)
+
+    def test_frame_larger_than_the_receive_buffer(self):
+        stream = workload(seed=32, n_traces=100, records_per_trace=(50, 50))
+        [frame] = produce_frames(stream, len(stream))
+        assert len(frame_bytes(frame)) > 256 * 1024
+        with self.server() as server:
+            fs, _acked = self.connect(server, "bulk")
+            fs.send(frame)
+            assert read_acks(fs, 1) == [1]
+            fs.close()
+            assert_matches_serial(server, stream)
+
+    def test_coalesced_frames_acked_in_order(self):
+        stream = workload(seed=33, n_traces=12)
+        frames = produce_frames(stream, 17)
+        with self.server() as server:
+            fs, _acked = self.connect(server, "burst")
+            fs.sock.sendall(b"".join(frame_bytes(f) for f in frames))
+            acks = read_acks(fs, len(frames))
+            assert acks == sorted(set(acks))  # increasing, none repeated
+            fs.close()
+            assert_matches_serial(server, stream)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["crc", "zero-length", "unpickle"],
+    )
+    def test_bad_bytes_close_without_ingesting(self, bad, caplog):
+        stream = workload(seed=34, n_traces=6)
+        first, second = produce_frames(stream, len(stream) // 2 + 1)
+        if bad == "crc":
+            blob = bytearray(frame_bytes(second))
+            blob[5] ^= 0xFF  # inside the CRC field
+            blob = bytes(blob)
+        elif bad == "zero-length":
+            blob = _HEADER.pack(0, 0) + frame_bytes(second)
+        else:
+            blob = undecodable_frame()
+        with self.server() as server:
+            fs, _acked = self.connect(server, "p")
+            fs.send(first)
+            assert read_acks(fs, 1) == [1]
+            fs.sock.sendall(blob)
+            assert fs.recv() is None  # the server hung up, unanswered
+            fs.close()
+            assert server.ingested_records == len(first[2])
+            fs, acked = self.connect(server, "p")
+            assert acked == 1
+            fs.send(second)  # seq 2 is still the next frame
+            assert read_acks(fs, 2) == [2]
+            fs.close()
+            assert_matches_serial(server, stream)
+        assert no_error_logs(caplog)
+
+    def test_undecodable_hello_closes_quietly(self, caplog):
+        with self.server() as server:
+            sock = socket.create_connection(server.address, timeout=10)
+            fs = FrameSocket(sock)
+            fs.sock.sendall(undecodable_frame())
+            assert fs.recv() is None
+            fs.close()
+            fs, acked = self.connect(server, "after")
+            assert acked == 0
+            fs.close()
+        assert no_error_logs(caplog)
+
+    def test_eof_mid_frame_then_replay_matches_serial(self):
+        stream = workload(seed=35, n_traces=10)
+        frames = produce_frames(stream, 23)
+        cut = len(frames) // 2
+        with self.server() as server:
+            fs, _acked = self.connect(server, "torn")
+            for frame in frames[:cut]:
+                fs.send(frame)
+            torn = frame_bytes(frames[cut])
+            fs.sock.sendall(torn[: len(torn) // 2])
+            fs.sock.shutdown(socket.SHUT_WR)
+            while fs.recv() is not None:  # acks, then the hang-up
+                pass
+            fs.close()
+            fs, acked = self.connect(server, "torn")
+            assert acked <= cut
+            for frame in frames[acked:]:  # replay from the ack line
+                fs.send(frame)
+            read_acks(fs, len(frames))
+            fs.close()
+            assert_matches_serial(server, stream)
+
+
+class TestSubscriberOrder:
+    def test_late_subscriber_gets_snapshot_then_end(self):
+        """A subscriber of a closed store gets the snapshot first: the
+        store hands the sink its end marker before it returns."""
+        stream = workload(seed=36, n_traces=10)
+        with IngestServer(
+            XI, n_fronts=2, n_shards=8, batch_size=16, backend="thread"
+        ) as server:
+            drive(server, stream)
+            server.flush()
+            hist = server.worst_ratio_histogram()
+            assert hist
+            server.deltas.close()
+            with DeltaSubscriber(server.address, name="late") as sub:
+                view = sub.run_to_end()
+            assert view.worst_ratio_histogram() == hist
+
+
+class TestProducerReconnect:
+    def test_undecodable_server_frame_reconnects_and_replays(self):
+        """A frame the client cannot decode is a ProtocolError, which
+        the producer answers by reconnecting and replaying its unacked
+        frames."""
+        stream = workload(seed=37, n_traces=1, records_per_trace=(3, 3))
+        listener = socket.create_server(("127.0.0.1", 0))
+        received = []
+
+        def serve():
+            for attempt in range(2):
+                conn, _addr = listener.accept()
+                fs = FrameSocket(conn)
+                fs.sock.settimeout(10)
+                assert fs.recv()[0] == "hello"
+                fs.send(("welcome", PROTOCOL_VERSION, 1, 8, 0, 4))
+                frame = fs.recv()
+                received.append(frame)
+                if attempt == 0:
+                    fs.sock.sendall(undecodable_frame())
+                else:
+                    fs.send(("ack", frame[1]))
+                    assert fs.recv() == ("bye",)
+                fs.close()
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        try:
+            with ProducerClient(
+                listener.getsockname(),
+                producer_id="p",
+                batch=len(stream),
+                timeout=10,
+            ) as client:
+                for tid, rec in stream:
+                    client.send(tid, rec)
+                client.flush()
+                assert client.unacked_frames == 0
+            server.join(timeout=10)
+            assert not server.is_alive()
+        finally:
+            listener.close()
+        assert len(received) == 2 and received[0] == received[1]
+        assert received[0][1] == 1
