@@ -16,7 +16,7 @@ system of independent workers -- the deployment shape the ROADMAP's
   one :class:`ShardGroup`;
 * :mod:`repro.runtime.backends` -- process and thread execution
   backends (bounded inboxes, liveness probing);
-* :mod:`repro.runtime.durable` -- record journals plus periodic shard
+* :mod:`repro.runtime.durable` -- batch journals plus periodic shard
   snapshots (:class:`Durability` / :class:`DurableStore`): the
   persistence layer behind worker recovery and whole-fleet restore;
 * :mod:`repro.runtime.parallel` -- the :class:`ParallelFleet` facade:

@@ -495,11 +495,22 @@ def encode_group_snapshot(group: ShardGroup) -> tuple:
     )
 
 
-def group_snapshot_shards(wire: tuple) -> tuple[int, ...]:
-    """The shard indices a group snapshot holds, ascending, read
-    without unpickling a monitor."""
+def _check_group_snapshot(wire: tuple) -> None:
+    """``ValueError`` unless ``wire`` is a group snapshot frame of this
+    build's :data:`SNAPSHOT_VERSION`."""
     if not isinstance(wire, tuple) or wire[:1] != (GROUP_SNAPSHOT_MAGIC,):
         raise ValueError("not a shard-group snapshot frame")
+    if wire[1] != SNAPSHOT_VERSION:
+        raise ValueError(
+            f"snapshot version {wire[1]} not supported "
+            f"(this build reads version {SNAPSHOT_VERSION})"
+        )
+
+
+def group_snapshot_shards(wire: tuple) -> tuple[int, ...]:
+    """The shard indices a group snapshot holds, ascending, read
+    without unpickling a monitor (``ValueError`` on another version)."""
+    _check_group_snapshot(wire)
     return tuple(sorted(image[0] for image in wire[-1]))
 
 
@@ -507,14 +518,8 @@ def decode_group_snapshot(
     wire: tuple,
 ) -> tuple[int, list[TraceId], int, int, list[FleetShard]]:
     """-> (tick, violations, budget_overruns, peak, shards)."""
-    if not isinstance(wire, tuple) or wire[:1] != (GROUP_SNAPSHOT_MAGIC,):
-        raise ValueError("not a shard-group snapshot frame")
-    magic, version, tick, violations, overruns, peak, images = wire
-    if version != SNAPSHOT_VERSION:
-        raise ValueError(
-            f"snapshot version {version} not supported "
-            f"(this build reads version {SNAPSHOT_VERSION})"
-        )
+    _check_group_snapshot(wire)
+    _magic, _version, tick, violations, overruns, peak, images = wire
     return (
         tick,
         list(violations),

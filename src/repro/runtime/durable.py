@@ -1,4 +1,4 @@
-"""The durability plane: record journals plus periodic shard snapshots.
+"""The durability plane: batch journals plus periodic shard snapshots.
 
 PR 5 proved that live monitors -- checker digraphs, deep
 ``SummaryEdge`` chains, tombstone state -- pickle bit-identically;
@@ -7,37 +7,35 @@ the classic snapshot + write-ahead-log pair (in the spirit of
 cylc-flow's ``rundb.py``/``suite_db_mgr.py``, per the roadmap notes),
 kept stdlib-only:
 
-* **Record journal (WAL).**  Every ingested record is appended, as a
-  ``(tick, shard, trace_id, wire_record)`` frame, to the journal of
-  the worker its shard is placed on -- placement is fixed for the
-  fleet's lifetime, so each journal belongs to one worker for good
-  and the journals hold disjoint frames.  Frames buffer in
-  memory at ingest time (tick order by construction) and hit disk when
-  the dispatcher ships the corresponding wire batch -- so anything a
-  worker may have absorbed is on disk no later than it left the
-  dispatcher.  Files are length-prefixed, CRC-guarded pickle frames; a
-  reader stops cleanly at a torn tail, so a crash mid-append costs at
-  most the interrupted frame.
+* **Batch journal (WAL).**  Just before the dispatcher ships a batch,
+  it appends it as one ``(shard, rows)`` frame (``rows``: the batch's
+  ``(tick, trace_id, wire_record)`` rows, in tick order) to the
+  journal of the worker the shard is placed on.  Placement is fixed
+  for the fleet's lifetime, so each journal belongs to one worker for
+  good and replays as exactly the batches that worker was shipped;
+  rows still in the dispatcher's shard buffers are not journaled yet.
+  Files are length-prefixed, CRC-guarded pickle frames; a reader stops
+  cleanly at a torn tail, so a crash mid-append costs at most the
+  interrupted batch.
 
 * **Snapshots.**  At a checkpoint, every worker emits its
   :meth:`~repro.runtime.shard.ShardGroup.snapshot` frame (taken
   *without* flushing: pending buffers travel verbatim).  The store
   writes one snapshot file per worker plus a metadata frame carrying
-  the fleet configuration and the dispatcher's own durable state; the
-  metadata ``os.replace`` is the commit point.
-  Journals are then reset -- a WAL frame is live only until the first
-  checkpoint whose snapshots subsume it (and a replay additionally
-  skips frames at or below the committed tick, so a crash between the
-  commit and the reset cannot double-apply).
+  the fleet configuration, the dispatcher's own durable state and the
+  :data:`JOURNAL_FORMAT`; the metadata ``os.replace`` is the commit
+  point.  Journals are then reset (a replay also skips frames at or
+  below the committed tick, so a crash between the commit and the
+  reset cannot double-apply).
 
 * **Recovery.**  A crashed worker is respawned, handed its snapshot,
-  and replayed its journal suffix; a whole fleet restarts from the
-  metadata + snapshots + merged journals.  Per-worker journals flush
-  at different moments, so after a full-process crash the on-disk
-  frames cover a *ragged* frontier; :func:`contiguous_prefix` computes
-  the longest gap-free tick prefix, which is exactly the stream prefix
-  the restored fleet has provably absorbed -- the producer resumes
-  from ``fleet.ingested_records``.
+  and replayed its journal; a whole fleet restarts from the metadata +
+  snapshots + journals.  Unshipped rows are missing from the journals,
+  so after a full-process crash the journaled ticks stop at a *ragged*
+  frontier; :func:`contiguous_prefix` cuts the frames at the longest
+  gap-free tick prefix, the stream prefix the restored fleet has
+  provably absorbed -- the producer re-feeds from
+  ``fleet.ingested_records``.
 
 Frame format (all integers big-endian): ``[length u32][crc32 u32]
 [payload]`` where ``payload`` is a pickled plain tuple.  See
@@ -61,6 +59,7 @@ from typing import Any, Iterable, Iterator
 from repro.obs import metrics as _obs_metrics
 
 __all__ = [
+    "JOURNAL_FORMAT",
     "Durability",
     "DurableStore",
     "JournalScan",
@@ -77,24 +76,28 @@ _HEADER = struct.Struct(">II")
 _MAX_FRAME = 1 << 31
 _META_NAME = "meta.bin"
 
+# Recorded in every checkpoint: 2 is one ``(shard, rows)`` frame per
+# shipped batch; stores that record none hold one frame per record (1).
+JOURNAL_FORMAT = 2
+
 
 class _StoreObs:
     """The store's instrument bundle (all wall-clock, none deterministic:
-    flush/checkpoint timing depends on the host, and frame counts depend
+    append/checkpoint timing depends on the host, and frame counts depend
     on ship batching)."""
 
-    __slots__ = ("flush_ns", "fsync_ns", "checkpoint_ns", "frames")
+    __slots__ = ("append_ns", "fsync_ns", "checkpoint_ns", "frames")
 
     def __init__(self, registry: "_obs_metrics.MetricsRegistry") -> None:
-        self.flush_ns = registry.histogram(
-            "repro_durable_flush_ns",
+        self.append_ns = registry.histogram(
+            "repro_durable_append_ns",
             deterministic=False,
-            help="journal flush latency (write + flush + optional fsync)",
+            help="journal append latency (write + optional fsync)",
         )
         self.fsync_ns = registry.histogram(
             "repro_durable_fsync_ns",
             deterministic=False,
-            help="os.fsync latency on journal flushes",
+            help="os.fsync latency on journal appends",
         )
         self.checkpoint_ns = registry.histogram(
             "repro_durable_checkpoint_ns",
@@ -119,7 +122,7 @@ class Durability:
             (``None`` = only the baseline checkpoint at start,
             explicit :meth:`ParallelFleet.checkpoint` calls and the
             final one at shutdown).
-        fsync: ``os.fsync`` every journal flush and snapshot write.
+        fsync: ``os.fsync`` every journal, snapshot and metadata write.
             Off by default: the journals then survive *process* crashes
             (the failure mode recovery targets) but a same-instant OS
             crash may cost the tail.
@@ -303,32 +306,34 @@ def scan_frames(path: str | os.PathLike, *, strict: bool = False) -> JournalScan
 def contiguous_prefix(
     frames: Iterable[tuple], after_tick: int
 ) -> tuple[list[tuple], int]:
-    """The longest gap-free run of WAL frames following ``after_tick``.
+    """Journal frames cut at the longest gap-free tick run following
+    ``after_tick``.
 
     Every ingest stamps exactly one global tick, so the union of all
     journals *should* cover ``after_tick+1, after_tick+2, ...`` -- but
-    per-worker journals flush at different moments (and tails can
-    tear), so the union may stop raggedly.  Only the contiguous prefix
-    is a stream prefix the restored fleet can honestly claim; returns
-    ``(frames_in_tick_order, last_covered_tick)``.
+    unshipped rows are missing from it (and tails can tear), so it
+    stops raggedly.  Only the contiguous prefix is a stream prefix the
+    restored fleet can honestly claim.  Returns ``(prefix,
+    last_covered_tick)``: the ``(shard, rows)`` frames in their given
+    order, each cut to its rows in ``after_tick+1 ..
+    last_covered_tick`` and dropped when none are left.
 
-    Exact-duplicate ticks are skipped, keeping the first copy.  With
-    placement fixed the journals hold disjoint frames, but a duplicate
-    is *coverage*, not a gap, so the claim stays right if one ever
-    appears -- only a genuinely missing tick ends it.
+    A tick in two frames is coverage, not a gap: the first copy is
+    kept, so the claim and the replay stay exact if a duplicate ever
+    appears -- only a genuinely missing tick ends the claim.
     """
-    ordered = sorted(
-        (f for f in frames if f[0] > after_tick), key=lambda f: f[0]
-    )
-    prefix: list[tuple] = []
+    frames = list(frames)
+    covered = {row[0] for _shard, rows in frames for row in rows}
     tick = after_tick
-    for frame in ordered:
-        if frame[0] == tick:
-            continue
-        if frame[0] != tick + 1:
-            break
-        tick = frame[0]
-        prefix.append(frame)
+    while tick + 1 in covered:
+        tick += 1
+    unclaimed = set(range(after_tick + 1, tick + 1))
+    prefix: list[tuple] = []
+    for shard, rows in frames:
+        kept = [row for row in rows if row[0] in unclaimed]
+        unclaimed.difference_update(row[0] for row in kept)
+        if kept:
+            prefix.append((shard, kept))
     return prefix, tick
 
 
@@ -340,7 +345,7 @@ class DurableStore:
         meta.bin             committed checkpoint metadata (one frame);
                              its atomic replace is the commit point
         snap-<epoch>-w<k>.bin  worker ``k``'s group snapshot (one frame)
-        wal-w<k>.log         worker ``k``'s record journal
+        wal-w<k>.log         worker ``k``'s batch journal
 
     The store itself is mechanism only -- what goes *into* frames and
     when checkpoints happen is the dispatcher's protocol (see
@@ -358,35 +363,32 @@ class DurableStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self._obs = None if metrics is None else _StoreObs(metrics)
-        # Per-worker in-memory journal tails, appended at ingest time
-        # (hence tick-ordered), written out by flush().
-        self._pending: dict[int, list[tuple]] = {}
+
+    def _write(self, path: Path, frames: Iterable[Any]) -> None:
+        """Write frames to a temp file beside ``path``, fsynced when
+        configured, then ``os.replace`` it: a crash or an error midway
+        leaves the old file whole."""
+        tmp = path.with_name(path.name + ".tmp")
+        write_frames(tmp, frames)
+        if self.fsync:
+            with open(tmp, "rb") as fh:
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
 
     # -- journal ------------------------------------------------------
 
     def wal_path(self, worker_id: int) -> Path:
         return self.root / f"wal-w{worker_id}.log"
 
-    def append(
-        self, worker_id: int, tick: int, shard: int, trace_id, wire_record
-    ) -> None:
-        """Buffer one record frame on its worker's journal tail."""
-        self._pending.setdefault(worker_id, []).append(
-            (tick, shard, trace_id, wire_record)
-        )
-
-    def flush(self, worker_id: int) -> None:
-        """Write the buffered tail to the worker's journal file."""
-        tail = self._pending.pop(worker_id, None)
-        if not tail:
-            return
+    def append(self, worker_id: int, shard: int, rows: list[tuple]) -> None:
+        """Journal one shipped batch: append ``(shard, rows)`` as one
+        frame to the worker's journal."""
         obs = self._obs
         start = 0 if obs is None else time.perf_counter_ns()
         with open(self.wal_path(worker_id), "ab") as fh:
-            for frame in tail:
-                fh.write(frame_bytes(frame))
-            fh.flush()
+            fh.write(frame_bytes((shard, rows)))
             if self.fsync:
+                fh.flush()
                 sync_start = 0 if obs is None else time.perf_counter_ns()
                 os.fsync(fh.fileno())
                 if obs is not None:
@@ -394,16 +396,21 @@ class DurableStore:
                         time.perf_counter_ns() - sync_start
                     )
         if obs is not None:
-            obs.flush_ns.observe(time.perf_counter_ns() - start)
-            obs.frames.inc(len(tail))
+            obs.append_ns.observe(time.perf_counter_ns() - start)
+            obs.frames.inc()
 
-    def flush_all(self) -> None:
-        for worker_id in list(self._pending):
-            self.flush(worker_id)
+    def rewrite_journal(self, worker_id: int, frames: Iterable[tuple]) -> None:
+        """Replace the worker's journal with ``frames``, atomically."""
+        self._write(self.wal_path(worker_id), frames)
 
     def wal_frames(self, worker_id: int, after_tick: int) -> list[tuple]:
-        """The worker's journal frames above ``after_tick`` (buffered
-        tail flushed first, so the answer is complete).
+        """The worker's journal frames above ``after_tick``, in journal
+        order.
+
+        A checkpoint ships every buffered row before it commits, so a
+        frame lies wholly above or wholly at or below a committed tick;
+        frames at or below it are leftovers of a crash between the
+        commit and the journal reset.
 
         Reads via :func:`scan_frames`: a torn tail is dropped silently
         (the expected crash leftover), but mid-file corruption --
@@ -413,11 +420,8 @@ class DurableStore:
         returned (:func:`contiguous_prefix` stops the claim at the
         gap the damage left).
         """
-        self.flush(worker_id)
         path = self.wal_path(worker_id)
-        if not path.exists():
-            return []
-        scan = scan_frames(path)
+        scan = scan_frames(path)  # a missing journal scans as empty
         if scan.corrupt:
             logger.warning(
                 "journal %s has mid-file corruption: %d bytes "
@@ -436,7 +440,11 @@ class DurableStore:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        return [f for f in scan.frames if f[0] > after_tick]
+        return [
+            (shard, rows)
+            for shard, rows in scan.frames
+            if rows[-1][0] > after_tick
+        ]
 
     # -- checkpoints --------------------------------------------------
 
@@ -459,18 +467,9 @@ class DurableStore:
         start = 0 if obs is None else time.perf_counter_ns()
         epoch = meta["epoch"]
         for worker_id, frame in snapshots.items():
-            path = self.snapshot_path(epoch, worker_id)
-            write_frames(path, [frame])
-            if self.fsync:
-                with open(path, "rb") as fh:
-                    os.fsync(fh.fileno())
-        tmp = self.root / (_META_NAME + ".tmp")
-        write_frames(tmp, [meta])
-        if self.fsync:
-            with open(tmp, "rb") as fh:
-                os.fsync(fh.fileno())
-        os.replace(tmp, self.root / _META_NAME)
-        self._pending.clear()
+            self._write(self.snapshot_path(epoch, worker_id), [frame])
+        meta = dict(meta, journal_format=JOURNAL_FORMAT)
+        self._write(self.root / _META_NAME, [meta])
         for path in self.root.glob("wal-w*.log"):
             path.unlink()
         for path in self.root.glob("snap-*-w*.bin"):
@@ -487,7 +486,9 @@ class DurableStore:
 
     def load(self) -> tuple[dict[str, Any], dict[int, tuple]] | None:
         """The committed checkpoint: ``(meta, {worker_id: snapshot})``,
-        or ``None`` when no checkpoint was ever committed."""
+        or ``None`` when no checkpoint was ever committed.  A store
+        written under another :data:`JOURNAL_FORMAT` raises
+        ``ValueError``: its journals do not replay here."""
         meta_path = self.root / _META_NAME
         if not meta_path.exists():
             return None
@@ -495,6 +496,13 @@ class DurableStore:
         if not frames:
             raise ValueError(f"corrupt checkpoint metadata: {meta_path}")
         meta = frames[0]
+        journal_format = meta.get("journal_format", 1)
+        if journal_format != JOURNAL_FORMAT:
+            raise ValueError(
+                f"{self.root} holds journal format {journal_format}; this "
+                f"build reads format {JOURNAL_FORMAT} -- start the fleet "
+                "over in a fresh directory"
+            )
         epoch = meta["epoch"]
         snapshots: dict[int, tuple] = {}
         prefix = f"snap-{epoch:08d}-w"

@@ -77,16 +77,18 @@ unboundedly on a dead peer.
 
 **Durability and recovery.**  With ``durability=`` configured (see
 :class:`~repro.runtime.durable.Durability`), crash containment becomes
-crash *recovery*: every ingested record is journaled write-ahead (its
-frame reaches disk no later than its wire batch leaves the
-dispatcher), periodic checkpoints store each worker's full
+crash *recovery*: every shipped batch is journaled write-ahead, as one
+``(shard, rows)`` frame written just before it leaves the dispatcher,
+periodic checkpoints store each worker's full
 :meth:`~repro.runtime.shard.ShardGroup.snapshot`, and a dead worker is
-respawned, handed its last snapshot, and replayed its journal suffix
--- the fleet then reports zero ``crashed_shards`` and bit-identical
-per-trace ratios, degraded flags, and violating sets.  A whole fleet
-restarts the same way: :meth:`ParallelFleet.restore` rebuilds the
-dispatcher from the checkpoint metadata, restores every worker, and
-replays the journals' contiguous tick prefix; the producer resumes
+respawned, handed its last snapshot, and replayed the batches it was
+shipped since, as they were shipped (rows still buffered in the
+dispatcher ship as usual) -- the fleet then reports zero
+``crashed_shards`` and bit-identical per-trace ratios, degraded flags,
+and violating sets.  A whole fleet restarts the same way:
+:meth:`ParallelFleet.restore` rebuilds the dispatcher from the
+checkpoint metadata, restores every worker, and replays the journals'
+contiguous tick prefix through the same routine; the producer resumes
 feeding from ``fleet.ingested_records``.  Recovery is bounded by
 ``max_recoveries`` per worker -- a deterministic poison record
 eventually degrades the shards exactly as without durability.
@@ -106,6 +108,7 @@ import logging
 import os
 import time
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Any, Callable, Iterable
 
 # Imported before any worker forks, so forked workers share the
@@ -122,12 +125,7 @@ from repro.runtime.backends import (
     WorkerCrashed,
     WorkerHandle,
 )
-from repro.runtime.durable import (
-    Durability,
-    DurableStore,
-    contiguous_prefix,
-    write_frames,
-)
+from repro.runtime.durable import Durability, DurableStore, contiguous_prefix
 from repro.runtime.shard import (
     FleetReport,
     MonitorSpec,
@@ -402,7 +400,7 @@ class ParallelFleet:
         if _restore is not None:
             # Checked before any worker exists: a worker restored from a
             # snapshot of other shards would be routed records for shards
-            # it does not hold.
+            # it does not hold (another snapshot version raises here too).
             for worker_id, frame in sorted(_restore[1].items()):
                 held = codec.group_snapshot_shards(frame)
                 expected = self.shards_of_worker(worker_id)
@@ -426,7 +424,6 @@ class ParallelFleet:
         )
         self._ckpt_epoch = 0
         self._ckpt_tick = 0
-        self._records_since_ckpt = 0
         self._in_checkpoint = False
         self._recoveries: dict[int, int] = {}
         # Dropped-record estimates of crashed-but-recoverable workers:
@@ -686,13 +683,12 @@ class ParallelFleet:
             self._durability.max_recoveries,
         )
         shards = self.shards_of_worker(worker_id)
-        handle = self._backend.spawn(
+        self._handles[worker_id] = self._backend.spawn(
             worker_id,
             shards,
             self._worker_config(worker_id),
             self._inbox_capacity,
         )
-        self._handles[worker_id] = handle
         del self._dead[worker_id]
         self._live_cache[worker_id] = 0
         self._epoch_peak[worker_id] = 0
@@ -702,21 +698,12 @@ class ParallelFleet:
             snap = self._snap_cache.get(worker_id)
             if snap is not None:
                 self._request(worker_id, ("restore", snap))
-            # Replay the journal suffix.  Records still sitting in the
-            # dispatcher's per-shard buffers were journaled at ingest
-            # time too, so the replay delivers them as well -- drop the
-            # buffers to keep delivery exactly-once.
-            frames = self._durable.wal_frames(worker_id, self._ckpt_tick)
-            by_shard: dict[int, list[tuple]] = {}
-            for tick, shard, trace_id, wire in frames:
-                by_shard.setdefault(shard, []).append(
-                    (tick, trace_id, wire)
-                )
-            for shard in sorted(by_shard):
-                replayed += len(by_shard[shard])
-                handle.put(("ingest", shard, by_shard[shard]))
-            for shard in shards:
-                self._buffers.pop(shard, None)
+            # Replay the batches shipped since the checkpoint.  Rows
+            # still in the dispatcher's shard buffers were never
+            # shipped, so they are not journaled and ship as usual.
+            replayed = self._replay(
+                self._durable.wal_frames(worker_id, self._ckpt_tick)
+            )
             self._request(worker_id, ("fence",))
         except WorkerCrashed:
             logger.warning(
@@ -755,6 +742,23 @@ class ParallelFleet:
             self._obs.recoveries.inc()
             self._obs.replayed.inc(replayed)
         return True
+
+    def _replay(self, frames: Iterable[tuple]) -> int:
+        """Put journal frames to their live workers as the batches they
+        were, in journal order; returns the rows replayed.  A worker
+        that dies on the put is marked dead, as in :meth:`_post`."""
+        replayed = 0
+        for shard, rows in frames:
+            worker_id = self._placement[shard]
+            if worker_id in self._dead:
+                continue
+            try:
+                self._handles[worker_id].put(("ingest", shard, rows))
+            except WorkerCrashed as exc:
+                self._mark_dead(worker_id, str(exc))
+                raise self._crash_error(worker_id) from None
+            replayed += len(rows)
+        return replayed
 
     def _absorb(self, worker_id: int, message: tuple) -> None:
         """Handle one unsolicited outbound message."""
@@ -906,7 +910,6 @@ class ParallelFleet:
         buffers = self._buffers
         wire_batch = self.wire_batch
         durable = self._durable
-        placement = self._placement
         step = self._tick_step
         tick = self._tick
         accepted = 0
@@ -923,11 +926,6 @@ class ParallelFleet:
                 if buffer is None:
                     buffer = buffers[shard] = []
                 buffer.append((tick, trace_id, wire))
-                if durable is not None:
-                    durable.append(
-                        placement[shard], tick, shard, trace_id, wire
-                    )
-                    self._records_since_ckpt += 1
                 if len(buffer) >= wire_batch:
                     self._tick = tick
                     self._ship(shard)
@@ -948,25 +946,21 @@ class ParallelFleet:
         obs = self._obs
         route_start = 0 if obs is None else time.perf_counter_ns()
         worker_id = self.worker_of(shard)
-        if worker_id in self._dead:
-            if self._try_recover(worker_id):
-                # The popped batch was journaled at ingest time, so the
-                # recovery replay already delivered it.
-                return
-            self.dropped_records += len(batch)
-            return
-        handle = self._handles[worker_id]
         if self._durable is not None:
-            # Write-ahead: the journal holds every record before its
-            # wire batch leaves the dispatcher.
-            self._durable.flush(worker_id)
-        try:
-            handle.put(("ingest", shard, batch))
-        except WorkerCrashed as exc:
-            self._mark_dead(worker_id, str(exc))
-            if self._try_recover(worker_id):
-                return  # journaled above; the replay delivered it
-            self.dropped_records += len(batch)
+            # Write-ahead: the batch is on disk before it leaves the
+            # dispatcher -- for a dead worker too, so its recovery
+            # replays the batch.
+            self._durable.append(worker_id, shard, batch)
+        if worker_id not in self._dead:
+            try:
+                self._handles[worker_id].put(("ingest", shard, batch))
+            except WorkerCrashed as exc:
+                self._mark_dead(worker_id, str(exc))
+        if worker_id in self._dead:
+            # Journaled above, so a recovery's replay delivers the
+            # batch; without one it is lost.
+            if not self._try_recover(worker_id):
+                self.dropped_records += len(batch)
             return
         self._shipped[worker_id] = self._shipped.get(worker_id, 0) + len(
             batch
@@ -1106,14 +1100,10 @@ class ParallelFleet:
         return self._ingested
 
     def _maybe_checkpoint(self) -> None:
-        every = (
-            None
-            if self._durability is None
-            else self._durability.checkpoint_every
-        )
+        every = self._durability.checkpoint_every
         if (
             every is not None
-            and self._records_since_ckpt >= every
+            and self._tick - self._ckpt_tick >= every
             and not self._in_checkpoint
         ):
             self._checkpoint()
@@ -1164,7 +1154,6 @@ class ParallelFleet:
             self._durable.checkpoint(meta, snapshots)
             self._ckpt_epoch = meta["epoch"]
             self._ckpt_tick = self._tick
-            self._records_since_ckpt = 0
         finally:
             self._in_checkpoint = False
 
@@ -1204,15 +1193,17 @@ class ParallelFleet:
 
         Workers are respawned with the round-robin placement the
         configuration fixes, handed their checkpoint snapshots, and
-        replayed the journals' contiguous tick prefix; per-trace worst
-        ratios, degraded flags and violating sets are bit-identical to
-        the state the journals cover.  The producer resumes from
-        ``fleet.ingested_records`` (records past the contiguous journal
-        frontier were never made durable and must be re-fed).  Every
-        constructor setting -- including ``monitor_specs`` --
-        round-trips through the metadata.  A store whose worker
-        snapshots hold other shards than that placement gives them
-        raises ``ValueError`` before any worker is started.
+        replayed the journals' contiguous tick prefix, batch by batch;
+        per-trace worst ratios, degraded flags and violating sets are
+        bit-identical to the state the journals cover.  The producer
+        resumes from ``fleet.ingested_records``: rows the dispatcher
+        had not shipped at the crash were never journaled, so they and
+        everything after them must be re-fed.  Every constructor
+        setting -- including ``monitor_specs`` -- round-trips through
+        the metadata.  A store of another journal format or snapshot
+        version, or whose worker snapshots hold other shards than that
+        placement gives them, raises ``ValueError`` before any worker
+        is started.
         """
         store = DurableStore(path)
         loaded = store.load()
@@ -1267,23 +1258,18 @@ class ParallelFleet:
             if worker_id in self._dead:
                 continue
             acks[worker_id] = self._post(worker_id, ("restore", frame))
-        # Per-worker journals flush at different moments, so only the
+        # Unshipped rows are missing from the journals, so only the
         # contiguous tick prefix of their union is a stream prefix the
-        # restored fleet can honestly claim.
-        frames: list[tuple] = []
-        for worker_id in range(self.n_workers):
-            frames.extend(
-                self._durable.wal_frames(worker_id, self._ckpt_tick)
-            )
-        prefix, last_tick = contiguous_prefix(frames, self._ckpt_tick)
-        by_shard: dict[int, list[tuple]] = {}
-        for tick, shard, trace_id, wire in prefix:
-            by_shard.setdefault(shard, []).append((tick, trace_id, wire))
-        for shard in sorted(by_shard):
-            worker_id = self._placement[shard]
-            if worker_id in self._dead:
-                continue
-            self._handles[worker_id].put(("ingest", shard, by_shard[shard]))
+        # restored fleet can honestly claim.  Interleaving the journals
+        # frame by frame (each keeps its order) lets the workers replay
+        # side by side.
+        journals = [
+            self._durable.wal_frames(worker_id, self._ckpt_tick)
+            for worker_id in range(self.n_workers)
+        ]
+        merged = [f for frames in zip_longest(*journals) for f in frames if f]
+        prefix, last_tick = contiguous_prefix(merged, self._ckpt_tick)
+        self._replay(prefix)
         for worker_id, req_id in acks.items():
             self._collect(worker_id, req_id)
         self._tick = last_tick
@@ -1291,15 +1277,10 @@ class ParallelFleet:
         # Normalize the journals to the claimed prefix: frames beyond
         # the contiguous frontier carry ticks the resumed producer will
         # legitimately reissue, so they must not survive on disk.
-        by_worker: dict[int, list[tuple]] = {}
-        for frame in prefix:
-            by_worker.setdefault(self._placement[frame[1]], []).append(
-                frame
-            )
         for worker_id in range(self.n_workers):
-            write_frames(
-                self._durable.wal_path(worker_id),
-                by_worker.get(worker_id, []),
+            self._durable.rewrite_journal(
+                worker_id,
+                (f for f in prefix if self._placement[f[0]] == worker_id),
             )
         # One report barrier: syncs the replay (fence-by-FIFO), fires
         # re-detected post-checkpoint violations, and refreshes the

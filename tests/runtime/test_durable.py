@@ -1,15 +1,17 @@
 """Tests for the durability plane: WAL framing, checkpoints, recovery.
 
 Three layers, bottom up: the frame format (torn tails must truncate,
-never corrupt), the store's checkpoint commit semantics (the metadata
-replace is the commit point; journals reset only after it), and the
-fleet-level recovery protocol -- a SIGKILLed worker respawns from its
-snapshot + journal suffix with bit-identical per-trace results, a whole
-fleet restarts from disk with the producer resuming at
-``fleet.ingested_records``, and a poison record exhausts the recovery
-budget instead of looping forever.  Restore derives the fixed
-round-robin placement from the configuration and refuses a store whose
-snapshots hold other shards.
+never corrupt), the store's journal of ``(shard, rows)`` batch frames
+and its checkpoint commit semantics (the metadata replace is the
+commit point; journals reset only after it, and a journal rewrite is
+atomic), and the fleet-level recovery protocol -- a SIGKILLed worker
+respawns from its snapshot + journal with bit-identical per-trace
+results, a whole fleet restarts from disk with the producer resuming
+at ``fleet.ingested_records``, and a poison record exhausts the
+recovery budget instead of looping forever.  Restore derives the fixed
+round-robin placement from the configuration and, before starting any
+worker, refuses a store whose snapshots hold other shards or were
+written under another journal format or snapshot version.
 """
 
 import os
@@ -22,7 +24,9 @@ import pytest
 
 from repro.analysis.fleet import MonitorFleet
 from repro.runtime import Durability, ParallelFleet, WorkerCrashed
+from repro.runtime.codec import SNAPSHOT_VERSION
 from repro.runtime.durable import (
+    JOURNAL_FORMAT,
     DurableStore,
     contiguous_prefix,
     frame_bytes,
@@ -79,48 +83,61 @@ class TestFrames:
         assert len(got) < 3
 
 
+def batch(shard, *ticks, wire="w"):
+    """A journal frame: one shipped batch of ``shard`` at ``ticks``."""
+    return (shard, [(t, f"tr{t}", wire) for t in ticks])
+
+
 class TestContiguousPrefix:
     def test_gap_free_union_is_fully_claimed(self):
-        frames = [(t, t % 3, f"tr{t}", "w") for t in range(1, 11)]
+        frames = [
+            batch(1, 1, 4),
+            batch(2, 2, 5),
+            batch(0, 3, 6),
+            batch(1, 7, 10),
+            batch(2, 8, 11),
+            batch(0, 9, 12),
+        ]
         random.Random(0).shuffle(frames)
         prefix, tick = contiguous_prefix(frames, after_tick=0)
-        assert tick == 10
-        assert [f[0] for f in prefix] == list(range(1, 11))
+        assert tick == 12
+        # Nothing is cut: the frames come back whole, in their order.
+        assert prefix == frames
 
-    def test_gap_cuts_the_claim(self):
-        frames = [(t, 0, "tr", "w") for t in (1, 2, 3, 5, 6)]
+    def test_gap_cuts_each_frame_at_the_frontier(self):
+        # Tick 6 was never journaled (still in a dispatcher buffer).
+        frames = [batch(0, 1, 2, 4, 7), batch(1, 3, 5, 8), batch(2, 9)]
         prefix, tick = contiguous_prefix(frames, after_tick=0)
-        assert tick == 3
-        assert [f[0] for f in prefix] == [1, 2, 3]
+        assert tick == 5
+        assert prefix == [batch(0, 1, 2, 4), batch(1, 3, 5)]
 
     def test_after_tick_filters_committed_frames(self):
-        frames = [(t, 0, "tr", "w") for t in range(1, 8)]
+        frames = [batch(0, 1, 2, 3, 4), batch(0, 5, 6, 7)]
         prefix, tick = contiguous_prefix(frames, after_tick=4)
-        assert [f[0] for f in prefix] == [5, 6, 7]
+        assert prefix == [batch(0, 5, 6, 7)]
         assert tick == 7
 
     def test_empty_union_claims_nothing(self):
         assert contiguous_prefix([], after_tick=9) == ([], 9)
 
     def test_duplicate_tick_is_coverage_not_a_gap(self):
-        """A record re-journaled after a crash-replay shows up as a
-        duplicate tick; the claim must skip the copy and keep going --
-        only a genuinely *missing* tick cuts the prefix."""
-        frames = [(t, 0, "tr", "w") for t in (1, 2, 2, 3, 4)]
+        """A tick journaled twice must not cut the claim: the copy is
+        skipped and the claim keeps going -- only a genuinely *missing*
+        tick cuts the prefix."""
+        frames = [batch(0, 1, 2), batch(0, 2, 3, 4)]
         prefix, tick = contiguous_prefix(frames, after_tick=0)
         assert tick == 4
-        assert [f[0] for f in prefix] == [1, 2, 3, 4]
+        assert prefix == [batch(0, 1, 2), batch(0, 3, 4)]
 
     def test_duplicate_keeps_first_copy_and_gap_still_cuts(self):
         frames = [
-            (1, 0, "tr", "first"),
-            (1, 0, "tr", "second"),
-            (2, 0, "tr", "w"),
-            (4, 0, "tr", "w"),  # 3 is missing: claim ends at 2
+            batch(0, 1, wire="first"),
+            (1, [(1, "tr1", "second"), (2, "tr2", "w")]),
+            batch(0, 4),  # 3 is missing: claim ends at 2
         ]
         prefix, tick = contiguous_prefix(frames, after_tick=0)
         assert tick == 2
-        assert [f[3] for f in prefix] == ["first", "w"]
+        assert prefix == [batch(0, 1, wire="first"), batch(1, 2)]
 
 
 # ----------------------------------------------------------------------
@@ -192,21 +209,20 @@ class TestScanFrames:
         the re-feed remedy, while the salvaged tail is still served."""
         store = DurableStore(tmp_path)
         for tick in range(1, 7):
-            store.append(0, tick, 0, "t", "w" * 30)
-        store.flush(0)
+            store.append(0, *batch(0, tick, wire="w" * 30))
         path = store.wal_path(0)
         with open(path, "rb") as fh:
             blob = bytearray(fh.read())
-        first = len(frame_bytes((1, 0, "t", "w" * 30)))
+        first = len(frame_bytes(batch(0, 1, wire="w" * 30)))
         blob[first + 12] ^= 0xFF  # damage tick 2's frame
         path.write_bytes(bytes(blob))
         fresh = DurableStore(tmp_path)
         with pytest.warns(RuntimeWarning, match="ingested_records"):
             frames = fresh.wal_frames(0, after_tick=0)
-        assert [f[0] for f in frames] == [1, 3, 4, 5, 6]
+        assert [rows[0][0] for _shard, rows in frames] == [1, 3, 4, 5, 6]
         # The contiguous claim then honestly stops before the hole.
         prefix, tick = contiguous_prefix(frames, after_tick=0)
-        assert tick == 1 and [f[0] for f in prefix] == [1]
+        assert tick == 1 and prefix == [batch(0, 1, wire="w" * 30)]
 
 
 # ----------------------------------------------------------------------
@@ -214,32 +230,59 @@ class TestScanFrames:
 # ----------------------------------------------------------------------
 
 
+class _Unpicklable:
+    def __reduce__(self):
+        raise RuntimeError("cannot pickle this row")
+
+
 class TestDurableStore:
-    def test_journal_append_flush_read(self, tmp_path):
+    def test_journal_append_read(self, tmp_path):
         store = DurableStore(tmp_path)
-        store.append(0, 1, 2, "t", "wire-1")
-        store.append(0, 2, 2, "t", "wire-2")
-        store.append(1, 3, 5, "u", "wire-3")
-        # wal_frames flushes the buffered tail first, so the answer is
-        # complete without an explicit flush call.
-        assert store.wal_frames(0, after_tick=0) == [
-            (1, 2, "t", "wire-1"),
-            (2, 2, "t", "wire-2"),
+        store.append(0, *batch(2, 1, 2))
+        store.append(1, *batch(5, 3))
+        store.append(0, *batch(4, 4))
+        # Each append is one frame on disk at once: a fresh store on
+        # the same directory reads every batch back, in journal order.
+        fresh = DurableStore(tmp_path)
+        assert fresh.wal_frames(0, after_tick=0) == [
+            batch(2, 1, 2),
+            batch(4, 4),
         ]
-        assert store.wal_frames(0, after_tick=1) == [(2, 2, "t", "wire-2")]
-        assert store.wal_frames(1, after_tick=0) == [(3, 5, "u", "wire-3")]
-        assert store.wal_frames(2, after_tick=0) == []
+        assert fresh.wal_frames(0, after_tick=2) == [batch(4, 4)]
+        assert fresh.wal_frames(1, after_tick=0) == [batch(5, 3)]
+        assert fresh.wal_frames(2, after_tick=0) == []
+
+    def test_rewrite_journal_replaces_it_whole(self, tmp_path):
+        store = DurableStore(tmp_path)
+        old = [batch(0, 1, 2), batch(2, 3), batch(0, 4)]
+        for frame in old:
+            store.append(0, *frame)
+        store.rewrite_journal(0, old[:2])
+        assert store.wal_frames(0, after_tick=0) == old[:2]
+        # A rewrite that fails midway leaves the old journal intact.
+        with pytest.raises(RuntimeError, match="cannot pickle"):
+            store.rewrite_journal(
+                0, [batch(0, 1), (2, [(3, "tr3", _Unpicklable())])]
+            )
+        assert store.wal_frames(0, after_tick=0) == old[:2]
+
+    def test_load_refuses_another_journal_format(self, tmp_path):
+        store = DurableStore(tmp_path)
+        store.checkpoint({"epoch": 1, "tick": 0}, {0: ("snap", 0)})
+        # A store from before the batch journal records no format.
+        write_frames(tmp_path / "meta.bin", [{"epoch": 1, "tick": 0}])
+        with pytest.raises(ValueError, match="journal format 1"):
+            store.load()
 
     def test_checkpoint_commits_and_resets_journals(self, tmp_path):
         store = DurableStore(tmp_path)
-        store.append(0, 1, 0, "t", "w")
-        store.flush(0)
+        store.append(0, *batch(0, 1))
         meta = {"epoch": 1, "tick": 1}
         store.checkpoint(meta, {0: ("snap", 0), 1: ("snap", 1)})
         loaded = store.load()
         assert loaded is not None
         got_meta, snapshots = loaded
-        assert got_meta == meta
+        assert got_meta == {**meta, "journal_format": JOURNAL_FORMAT}
         assert snapshots == {0: ("snap", 0), 1: ("snap", 1)}
         # Journals are reset: the committed snapshot subsumes them.
         assert store.wal_frames(0, after_tick=0) == []
@@ -319,12 +362,64 @@ class TestRecovery:
         ) as fleet:
             cut = len(stream) // 2
             fleet.ingest_many(stream[:cut])
+            # Rows still buffered for the killed worker's shards were
+            # never shipped, so they are not in its journal: they must
+            # ship after the recovery, exactly once.
+            assert any(
+                fleet._buffers.get(shard)
+                for shard in fleet.shards_of_worker(1)
+            )
             os.kill(fleet._backend._processes[1].pid, signal.SIGKILL)
             time.sleep(0.2)
             fleet.ingest_many(stream[cut:])
             assert_matches_serial(fleet, stream, expected, expected_violating)
             assert fleet.dropped_records == 0
             assert fleet._recoveries.get(1, 0) >= 1
+            assert fleet.report().records == len(stream)
+
+    def test_recovery_leaves_unshipped_rows_to_ship_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A crash found by a blocked put recovers mid-ingest, while the
+        dead worker's other shards still buffer rows that were never
+        shipped and so never journaled: the replay does not carry them
+        and the recovery must not drop them -- they ship afterwards,
+        exactly once."""
+        buffered_at_replay = []
+        replay = ParallelFleet._replay
+
+        def recording_replay(fleet, frames):
+            buffered_at_replay.append(
+                sum(len(fleet._buffers.get(s, ())) for s in (1, 4, 7))
+            )
+            return replay(fleet, frames)
+
+        monkeypatch.setattr(ParallelFleet, "_replay", recording_replay)
+        stream = self.make_stream(seed=29)
+        expected, expected_violating = serial_reference(stream)
+        with ParallelFleet(
+            Fraction(3, 2),
+            n_workers=3,
+            n_shards=9,
+            batch_size=8,
+            backend="process",
+            wire_batch=16,
+            # A one-batch inbox makes a put find the dead worker within
+            # two batches; no checkpoint barrier ships the buffers first.
+            inbox_capacity=1,
+            durability=Durability(root=tmp_path, checkpoint_every=None),
+        ) as fleet:
+            assert fleet.shards_of_worker(1) == (1, 4, 7)
+            cut = len(stream) // 2
+            fleet.ingest_many(stream[:cut])
+            os.kill(fleet._backend._processes[1].pid, signal.SIGKILL)
+            time.sleep(0.2)
+            fleet.ingest_many(stream[cut:])
+            assert fleet._recoveries.get(1, 0) == 1
+            assert buffered_at_replay[0] > 0
+            assert_matches_serial(fleet, stream, expected, expected_violating)
+            assert fleet.dropped_records == 0
+            assert fleet.report().records == len(stream)
 
     def test_full_restart_resumes_at_ingested_records(self, tmp_path):
         """Kill the whole fleet (abandon it un-shut-down), restore from
@@ -546,3 +641,72 @@ class TestFixedPlacement:
             )
             with pytest.raises(ValueError, match="does not own"):
                 restored.ingest(foreign, stream[0][1])
+
+
+class TestRestoreSafety:
+    """restore() refuses a store it cannot replay before starting any
+    worker, and rewrites the journals it claims durably."""
+
+    def abandoned_store(self, root, *, fsync=False):
+        """A durable 3-worker fleet checkpointed mid-stream, then fed
+        and flushed (so every worker journals batches) and abandoned."""
+        stream = list(
+            concurrent_workload(
+                random.Random(53), n_traces=12, records_per_trace=(20, 40)
+            )
+        )
+        fleet = ParallelFleet(
+            Fraction(3, 2),
+            n_workers=3,
+            n_shards=9,
+            batch_size=8,
+            backend="thread",
+            wire_batch=16,
+            durability=Durability(
+                root=root, checkpoint_every=None, fsync=fsync
+            ),
+        )
+        fleet.ingest_many(stream[: len(stream) // 2])
+        fleet.checkpoint()
+        fleet.ingest_many(stream[len(stream) // 2 :])
+        fleet.flush()
+        return stream
+
+    def test_restore_refuses_another_journal_format(self, tmp_path):
+        self.abandoned_store(tmp_path)
+        meta_path = tmp_path / "meta.bin"
+        (meta,) = read_frames(meta_path)
+        assert meta["journal_format"] == JOURNAL_FORMAT
+        del meta["journal_format"]  # what a per-record store recorded
+        write_frames(meta_path, [meta])
+        with pytest.raises(ValueError, match="journal format 1"):
+            ParallelFleet.restore(tmp_path, backend=_NoSpawnBackend())
+
+    def test_restore_refuses_a_stale_snapshot_version(self, tmp_path):
+        """Only worker 0's snapshot is stale: restore must refuse the
+        store before it starts any worker, not crash the ones it
+        started while they decode."""
+        self.abandoned_store(tmp_path)
+        (w0,) = tmp_path.glob("snap-*-w0.bin")
+        (frame,) = read_frames(w0)
+        write_frames(w0, [(frame[0], SNAPSHOT_VERSION - 1, *frame[2:])])
+        with pytest.raises(ValueError, match="snapshot version"):
+            ParallelFleet.restore(tmp_path, backend=_NoSpawnBackend())
+
+    def test_restore_fsyncs_every_rewritten_journal(
+        self, tmp_path, monkeypatch
+    ):
+        stream = self.abandoned_store(tmp_path, fsync=True)
+        synced = set()
+        fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.add(os.fstat(fd).st_ino)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        with ParallelFleet.restore(tmp_path) as restored:
+            store = DurableStore(tmp_path)
+            journals = {store.wal_path(w).stat().st_ino for w in range(3)}
+            assert journals <= synced
+            assert restored.ingested_records == len(stream)

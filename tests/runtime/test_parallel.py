@@ -28,6 +28,8 @@ from repro.runtime import (
     WorkerCrashed,
     codec,
 )
+from repro.runtime.backends import WorkerHandle
+from repro.runtime.shard import shard_index_of
 from repro.scenarios.generators import (
     concurrent_workload,
     profiled_trace_records,
@@ -411,11 +413,13 @@ class TestLifecycle:
 
 class TestIngestLoop:
     """``ingest``, ``ingest_wire`` and ``ingest_many`` all feed
-    ``ingest_wire_many``: one loop routes each record, stamps its tick,
-    journals it and ships its shard batch, whichever entry point the
-    caller uses."""
+    ``ingest_wire_many``: one loop routes each record, stamps its tick
+    and ships its shard batch, which is journaled as it leaves,
+    whichever entry point the caller uses."""
 
     N_WORKERS = 2
+    N_SHARDS = 4
+    WIRE_BATCH = 16
 
     def make_stream(self):
         return list(
@@ -430,10 +434,10 @@ class TestIngestLoop:
         feed, report and ingest count."""
         with ParallelFleet(
             Fraction(3),
-            n_shards=4,
+            n_shards=self.N_SHARDS,
             n_workers=self.N_WORKERS,
             batch_size=8,
-            wire_batch=16,
+            wire_batch=self.WIRE_BATCH,
             backend="thread",
             durability=Durability(root=root, checkpoint_every=None),
         ) as fleet:
@@ -470,11 +474,14 @@ class TestIngestLoop:
         assert self.run(tmp_path / "record", per_record) == reference
         assert self.run(tmp_path / "wire", per_wire_record) == reference
         journals, ratios, feed, report, ingested = reference
-        frames = sorted(frame for journal in journals for frame in journal)
-        assert [frame[0] for frame in frames] == list(
-            range(1, len(stream) + 1)
+        rows = sorted(
+            row
+            for journal in journals
+            for _shard, batch in journal
+            for row in batch
         )
-        assert [(frame[2], frame[3]) for frame in frames] == [
+        assert [row[0] for row in rows] == list(range(1, len(stream) + 1))
+        assert [(row[1], row[2]) for row in rows] == [
             (trace_id, codec.encode_record(record))
             for trace_id, record in stream
         ]
@@ -484,6 +491,36 @@ class TestIngestLoop:
             for trace_id, records in by_trace(stream).items()
         }
         assert feed, "Xi=3 must catch some traces"
+
+    def test_journal_frame_is_a_shipped_batch(self, tmp_path, monkeypatch):
+        """Each worker's journal is the batches it was shipped, one
+        frame per batch, in ship order: at most ``wire_batch`` rows of
+        one shard each, in tick order, and after ``flush()`` the rows
+        cover every tick."""
+        shipped = defaultdict(list)
+        put = WorkerHandle.put
+
+        def recording_put(handle, message, timeout=None):
+            if message[0] == "ingest":
+                shipped[handle.worker_id].append((message[1], message[2]))
+            put(handle, message, timeout)
+
+        monkeypatch.setattr(WorkerHandle, "put", recording_put)
+        stream = self.make_stream()
+        journals = self.run(tmp_path, lambda f: f.ingest_many(stream))[0]
+        assert journals == [shipped[w] for w in range(self.N_WORKERS)]
+        ticks = []
+        for journal in journals:
+            for shard, batch in journal:
+                assert 0 < len(batch) <= self.WIRE_BATCH
+                batch_ticks = [row[0] for row in batch]
+                assert batch_ticks == sorted(batch_ticks)
+                assert all(
+                    shard_index_of(row[1], self.N_SHARDS) == shard
+                    for row in batch
+                )
+                ticks.extend(batch_ticks)
+        assert sorted(ticks) == list(range(1, len(stream) + 1))
 
     def test_failing_stream_keeps_its_accepted_records(self, tmp_path):
         """A stream that raises mid-iteration leaves the records it
