@@ -19,17 +19,17 @@ shard space and of the global tick space).  Three claims are gated:
   pull-side answers exactly;
 * **throughput** -- N fronts ingest the multi-producer stream at least
   ``--min-speedup`` times faster than the single front with the same
-  total worker count.  A single dispatcher serializes routing, wire
-  encoding and -- critically -- *blocking*: when one worker's bounded
-  inbox fills, the lone dispatcher stalls and every other worker
-  starves behind it (head-of-line blocking).  Independent fronts stall
-  independently.  The CI gate runs ``--min-speedup 1.1`` -- a
-  deliberately shared-runner-safe floor: the win comes from overlap of
-  stalls, which survives core contention, but wall-clock ratios on
-  shared runners are too noisy to gate the ~1.3-1.6x nominal on a
-  quiet multi-core box.  The pytest entry asserts bit-identity and
-  delta reconstruction always but skips the throughput floor on
-  single-core machines.
+  total worker count.  The gate was built on independent fronts, each
+  on its own thread, stalling independently: when one worker's bounded
+  inbox fills, a lone dispatcher stalls and every other worker starves
+  behind it.  That premise is gone.  The server's event-loop thread
+  drives every front, so a full inbox blocks all of them alike, and a
+  second front adds routing and a second fleet's dispatch but no
+  overlap.  On a 2-vCPU box one front is now the faster shape (about
+  0.75x for two fronts), under the CI gate's ``--min-speedup 1.1``;
+  the gate goes with the second front (ROADMAP item 3).  The pytest
+  entry asserts bit-identity and delta reconstruction always but skips
+  the throughput floor on single-core machines.
 
 Also runnable as a script (CI smoke / the gate)::
 
@@ -66,9 +66,9 @@ DEFAULT_WIRE_BATCH = 128
 DEFAULT_INBOX = 4
 DEFAULT_SEED = 11
 DEFAULT_XI = Fraction(3)
-# The CI floor at 2 fronts / 2 total workers.  Conservative (see module
-# docstring): the multi-front win is stall overlap, not raw CPU, so it
-# survives shared runners, but 1.1x leaves room for their jitter.
+# The CI floor at 2 fronts / 2 total workers.  Its premise, stall
+# overlap between front threads, is gone (see the module docstring);
+# the floor stays as it is until the gate is retired.
 HARD_SPEEDUP_FLOOR = 1.1
 
 

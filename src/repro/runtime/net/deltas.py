@@ -6,11 +6,12 @@ every worker -- a sync barrier per dashboard refresh.  At network
 scale that inverts the cost model: the *monitor* ends up doing more
 work serving dashboards than monitoring.  This module flips the
 direction.  Fronts push the two incremental feeds the fleet already
-produces for free -- worst-ratio updates (workers piggyback them on
-every outbound message) and the violation feed -- into a
-:class:`DeltaStore`, which streams numbered delta frames to
-subscribers.  A subscriber folds them into a :class:`DeltaView` and
-answers every aggregate query *locally*, from the stream alone.
+produces for free -- worst-ratio updates and violation rows (workers
+piggyback both on their outbound messages, and the fleet hands each
+over once, as it arrives) -- into a :class:`DeltaStore`, which streams
+numbered delta frames to subscribers.  A subscriber folds them into a
+:class:`DeltaView` and answers every aggregate query *locally*, from
+the stream alone.
 
 Frames (plain tuples, like everything on this wire):
 
@@ -64,12 +65,13 @@ def _metric_key(row: tuple) -> tuple:
 class DeltaStore:
     """Thread-safe accumulator and publisher of delta frames.
 
-    Writers (front threads) call :meth:`update_ratios` /
-    :meth:`extend_violations`; the publisher thread calls
-    :meth:`publish` to cut the staged changes into one numbered delta
-    frame and fan it out to sinks.  :meth:`subscribe` registers a sink
-    and returns its snapshot frame atomically -- no frame published
-    after the snapshot can be missed, none before it can be duplicated.
+    Writers call :meth:`update_ratios` / :meth:`extend_violations` (the
+    ingest server stages each front's drained feeds on its loop
+    thread); the publisher calls :meth:`publish` to cut the staged
+    changes into one numbered delta frame and fan it out to sinks.
+    :meth:`subscribe` registers a sink and returns its snapshot frame
+    atomically -- no frame published after the snapshot can be missed,
+    none before it can be duplicated.
 
     Sinks are called outside the lock but serially, from whichever
     thread publishes; a sink must be cheap and non-blocking (the server
@@ -112,8 +114,9 @@ class DeltaStore:
     def extend_violations(
         self, rows: Iterable[tuple[int, TraceId]]
     ) -> None:
-        """Stage violation rows; duplicates (a feed is cumulative, so
-        re-offering known rows is the normal case) are dropped."""
+        """Stage violation rows; a row already staged is dropped (a
+        cumulative feed re-offers its rows, and a worker recovery can
+        re-detect one)."""
         with self._lock:
             for row in rows:
                 if row not in self._seen_violations:

@@ -4,20 +4,20 @@
 listens on TCP and/or a Unix-domain socket for length-prefixed frames
 (:mod:`repro.runtime.net.wire`) from two kinds of peers -- *producers*
 streaming ``(trace_id, wire_record)`` rows and *subscribers* tailing
-the delta feed -- and drives ``n_fronts`` independent ingestion fronts.
+the delta feed -- and drives ``n_fronts`` ingestion fronts, each one
+:class:`~repro.runtime.parallel.ParallelFleet` over a shard subset.
 
-Architecture (three thread layers, no shared mutable fleet state):
+Architecture (two thread layers, no shared mutable fleet state):
 
 - **asyncio loop thread**: owns the listeners, every connection, the
-  producer bookkeeping (sequence numbers, acks) and the row router.
-  Each connection is one ``asyncio.BufferedProtocol``: the transport
-  ``recv_into``s the connection's reused
-  :class:`~repro.runtime.net.wire.FrameDecoder` buffer, and every
-  frame a read completes is handled right there, in arrival order --
-  no stream reader, no task per connection.  Never touches a fleet.
-- **front threads**, one per front: each owns one
-  :class:`~repro.runtime.parallel.ParallelFleet` outright and consumes
-  a FIFO queue of work items.  All fleet calls happen here.
+  producer bookkeeping (sequence numbers, acks), the row router and
+  every front's fleet.  Each connection is one
+  ``asyncio.BufferedProtocol``: the transport ``recv_into``s the
+  connection's reused :class:`~repro.runtime.net.wire.FrameDecoder`
+  buffer, and every frame a read completes is handled right there, in
+  arrival order -- routed, handed to each front it touches through
+  ``ingest_wire_many``, its deltas staged and the frame acked, with no
+  thread hop.  Queries from other threads run on this thread too.
 - **worker threads/processes** under each fleet, as usual.
 
 Sharded fronts
@@ -27,32 +27,36 @@ Sharded fronts
     fronts partition both the trace space and the tick space.  Rows
     are routed by the same CRC32 ``shard_index_of`` the fleets
     themselves use; per-trace record order is preserved end to end
-    (FIFO connection, FIFO front queue, FIFO worker inbox), so every
-    per-trace ratio is bit-identical to a serial fleet over the same
-    records, and violation rows carry globally unique ticks that merge
-    into one deterministic ``(tick, trace id)`` order.
+    (FIFO connection, frames handled in arrival order, FIFO worker
+    inbox), so every per-trace ratio is bit-identical to a serial
+    fleet over the same records, and violation rows carry globally
+    unique ticks that merge into one deterministic ``(tick, trace
+    id)`` order.
 
 Exactly-once ingestion
     Producers number their ``produce`` frames.  The server tracks, per
-    producer id, the highest sequence *enqueued* (``seen``; replays at
-    or below it are dropped) and the highest sequence *fully absorbed
-    in contiguous order* (``acked``; advertised in ``welcome`` and in
-    ``ack`` frames).  A frame is acked only after every front holding
-    one of its rows has returned from ``ingest_wire_many`` -- at which
-    point the rows are inside fleet buffers, in memory only: the
-    server takes no durability.  A reconnecting producer resumes from
-    the server's ``acked`` and replays its unacked tail; ``seen``
-    deduplicates, so a frame is ingested exactly once no matter how
-    often the connection dies around it.  That bookkeeping lives in
-    the server process, so exactly-once does not survive a server
-    restart.
+    producer id, the highest sequence *taken in* (``seen``; replays at
+    or below it are dropped) and the highest sequence *absorbed*
+    (``acked``; advertised in ``welcome`` and in ``ack`` frames).  A
+    frame is acked once every front holding one of its rows has
+    returned from ``ingest_wire_many`` -- at which point the rows are
+    inside fleet buffers, in memory only: the server takes no
+    durability.  Frames are handled one at a time, so they are acked
+    in order.  A reconnecting producer resumes from the server's
+    ``acked`` and replays its unacked tail; ``seen`` deduplicates, so a
+    frame is ingested exactly once no matter how often the connection
+    dies around it.  That bookkeeping lives in the server process, so
+    exactly-once does not survive a server restart.
 
 Backpressure
-    Producers hold at most ``credit_window`` unacked frames; the
-    per-front queues are unbounded but their depth is bounded by
-    ``credit_window x producers`` frames, and the fleets' bounded
-    worker inboxes (``inbox_capacity``) gate the front threads
-    themselves.  Slow workers therefore stall producers, not memory.
+    Producers hold at most ``credit_window`` unacked frames.  The
+    fleets' bounded worker inboxes (``inbox_capacity``) reach the
+    producers through the loop itself: a front shipping to a full
+    inbox blocks the loop thread, which then reads no socket and acks
+    no frame until the worker catches up, so every producer's window
+    fills and it waits.  Slow workers therefore stall producers, not
+    memory -- and while the loop is blocked, every connection waits,
+    a ``metrics`` scrape and a query included.
 
 Producer protocol (client side in :mod:`repro.runtime.net.client`):
 
@@ -67,14 +71,13 @@ frame                                        direction / meaning
                                             a list or tuple of
                                             ``(trace_id, wire_record)``
                                             pairs
-``("ack", acked)``                          highest contiguous
-                                            absorbed seq
+``("ack", acked)``                          highest absorbed seq
 ``("bye",)``                                clean producer exit
 ``("error", message)``                      protocol failure
 ==========================================  ========================
 
 A frame of any other shape draws an ``error`` frame and closes the
-connection before any of its rows is enqueued.  Bytes that are not a
+connection before any of its rows is ingested.  Bytes that are not a
 frame at all (an implausible length, a CRC mismatch, a payload that
 does not unpickle) close the connection without an answer; either way
 the producer's ``seen`` and ``acked`` stay where they were, so the
@@ -91,14 +94,14 @@ telemetry scrape: the server answers ``("metrics", rows)`` -- the
 latest staged instrument readings (see
 :meth:`IngestServer.staged_metrics_rows`) -- and closes.  Answered
 inline on the loop thread from the delta store's staged copy, so a
-scrape never blocks on (or barriers) a front.  Delta frames also
-carry the same readings as their fifth element, refreshed every
-``metrics_interval`` seconds per front, so long-lived subscribers
-get metrics pushed rather than polling.
+scrape never barriers a front (it does wait while the loop is blocked
+on a full inbox).  Delta frames also carry the same readings as their
+fifth element, refreshed every ``metrics_interval`` seconds per front,
+so long-lived subscribers get metrics pushed rather than polling.
 
 The query surface (``worst_ratio``, ``violating_traces``,
-``report()``, ...) marshals each call onto the owning front's thread,
-so callers on any thread get the fleet's answers without data races.
+``report()``, ...) runs each call on the loop thread, between frames,
+so callers on any thread get the fleets' answers without data races.
 """
 
 from __future__ import annotations
@@ -106,7 +109,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import logging
-import queue
 import threading
 import time
 import traceback
@@ -141,7 +143,7 @@ class _ProducerObs:
     All wall-clock shaped -- frame arrival, replay and dedup depend on
     the network -- so none are in the deterministic dump."""
 
-    __slots__ = ("frames", "records", "credit")
+    __slots__ = ("frames", "records")
 
     def __init__(
         self, registry: "_obs_metrics.MetricsRegistry", name: str
@@ -159,17 +161,12 @@ class _ProducerObs:
             deterministic=False,
             help="records accepted from this producer",
         )
-        self.credit = registry.gauge(
-            "repro_net_credit_inflight",
-            labels,
-            help="unacked produce frames (credit-window occupancy)",
-        )
 
 
 class _Producer:
     """Per-producer-id ingestion bookkeeping (survives reconnects)."""
 
-    __slots__ = ("name", "seen", "acked", "completed", "writer", "obs")
+    __slots__ = ("name", "seen", "acked", "writer", "obs")
 
     def __init__(
         self,
@@ -177,11 +174,10 @@ class _Producer:
         registry: "_obs_metrics.MetricsRegistry | None" = None,
     ) -> None:
         self.name = name
-        self.seen = 0  # highest seq ever enqueued (dedup floor)
-        self.acked = 0  # highest contiguously absorbed seq
-        self.completed: set[int] = set()  # absorbed above the ack line
-        # The transport of the producer's live connection, which acks
-        # are written to; None while it is disconnected.
+        self.seen = 0  # highest seq ever taken in (dedup floor)
+        self.acked = 0  # highest absorbed seq
+        # The transport of the producer's live connection (a newer one
+        # closes it); None while it is disconnected.
         self.writer: asyncio.Transport | None = None
         self.obs = (
             None if registry is None else _ProducerObs(registry, name)
@@ -251,15 +247,14 @@ class _Connection(asyncio.BufferedProtocol):
 
 
 class _Front:
-    """One ingestion front: a fleet plus the thread that owns it."""
+    """One ingestion front: a fleet over a shard subset, driven by the
+    loop thread."""
 
-    __slots__ = ("index", "fleet", "queue", "thread", "error", "metrics_at")
+    __slots__ = ("index", "fleet", "error", "metrics_at")
 
     def __init__(self, index: int, fleet: ParallelFleet) -> None:
         self.index = index
         self.fleet = fleet
-        self.queue: queue.Queue[tuple] = queue.Queue()
-        self.thread: threading.Thread | None = None
         self.error: str | None = None
         self.metrics_at = 0.0  # monotonic time of the last staging
 
@@ -281,6 +276,13 @@ def _label_rows(rows: Iterable[tuple], key: str, value: str) -> tuple:
 
 class IngestServer:
     """Network ingestion plane over ``n_fronts`` sharded fleet fronts.
+
+    One thread, the event loop, serves every connection and drives
+    every front's fleet; the fleets' workers run under it.  A front
+    shipping to a full worker inbox therefore blocks the whole server
+    -- producers, subscribers, ``metrics`` scrapes and queries -- until
+    that worker catches up, which is how backpressure reaches the
+    producers.
 
     Args mirror :class:`~repro.runtime.parallel.ParallelFleet` where
     they configure the per-front fleets; ``event_budget`` is a global
@@ -360,9 +362,9 @@ class IngestServer:
             )
             self._fronts.append(_Front(f, fleet))
         self.deltas = DeltaStore()
-        # The server's own registry (per-producer counters, credit
-        # occupancy, subscriber gauge, front_accept spans); None keeps
-        # every hook one attribute test when telemetry is off.
+        # The server's own registry (per-producer counters, subscriber
+        # gauge, front_accept spans); None keeps every hook one
+        # attribute test when telemetry is off.
         self._metrics = _obs_metrics.registry_if_enabled()
         self._metrics_interval = metrics_interval
         self._accept_ns = (
@@ -389,9 +391,7 @@ class IngestServer:
         self._unix_server: asyncio.AbstractServer | None = None
         self._producers: dict[str, _Producer] = {}
         self._connections: set[_Connection] = set()
-        self._inflight = 0  # dispatched produce frames not yet acked
         self._n_subscribers = 0
-        self._publish_lock = threading.Lock()
         self._publish_scheduled = False
         self._state_lock = threading.Lock()
         self._started = False
@@ -420,14 +420,6 @@ class IngestServer:
         )
         self._loop_thread.start()
         ready.wait()
-        for front in self._fronts:
-            front.thread = threading.Thread(
-                target=self._front_loop,
-                args=(front,),
-                name=f"ingest-front-{front.index}",
-                daemon=True,
-            )
-            front.thread.start()
         try:
             self._run_on_loop(self._open_listeners())
         except BaseException:
@@ -460,9 +452,10 @@ class IngestServer:
             )
 
     def stop(self) -> None:
-        """Drain and shut down: close listeners, absorb every dispatched
-        frame, publish the final deltas, end the subscriber streams,
-        stop the fronts, shut the fleets down."""
+        """Drain and shut down: close listeners and producer
+        connections (every frame read so far is already absorbed),
+        flush every front, publish the final deltas, end the subscriber
+        streams, shut the fleets down."""
         with self._state_lock:
             if not self._started or self._stopped:
                 self._stopped = True
@@ -471,40 +464,28 @@ class IngestServer:
         self._stopping = True
         loop, alive = self._loop, self._loop_thread
         if loop is not None and alive is not None and alive.is_alive():
-            # No new connections or frames, then wait out the in-flight.
             self._run_on_loop(self._close_network())
-            self._wait(lambda: self._inflight == 0, timeout=120.0)
-        # Final barrier per front so retirement/violations are final,
-        # then final deltas (the call path stages them).
-        for front in self._fronts:
-            if front.thread is not None and front.thread.is_alive():
+            # Final barrier per front so retirement/violations are
+            # final, then final deltas (the call path stages them).
+            for front in self._fronts:
                 try:
                     self._call(front, lambda fl: fl.flush())
                 except Exception:  # pragma: no cover - crashed fleet
                     pass
-        if loop is not None and alive is not None and alive.is_alive():
             self._run_on_loop(self._finish_stream())
             self._wait(lambda: self._n_subscribers == 0, timeout=10.0)
-        else:
-            self.deltas.close()
-        for front in self._fronts:
-            front.queue.put(("stop",))
-        for front in self._fronts:
-            if front.thread is not None:
-                front.thread.join(timeout=60.0)
-        for front in self._fronts:
-            front.fleet.shutdown()
-        if loop is not None and alive is not None and alive.is_alive():
-            self._run_on_loop(self._close_connections())
+            self._run_on_loop(self._close())
             loop.call_soon_threadsafe(loop.stop)
             alive.join(timeout=10.0)
+        else:
+            self.deltas.close()
+            for front in self._fronts:
+                front.fleet.shutdown()
         if loop is not None:
             loop.close()
 
     @staticmethod
     def _wait(done: Callable[[], bool], timeout: float) -> None:
-        import time
-
         deadline = time.monotonic() + timeout
         while not done() and time.monotonic() < deadline:
             time.sleep(0.005)
@@ -514,8 +495,8 @@ class IngestServer:
             if server is not None:
                 server.close()
         # Producer transports: a closed transport reads no more, so no
-        # frame can be dispatched after this coroutine returns.  A
-        # connection still without a hello is refused from here on.
+        # frame is ingested after this coroutine returns.  A connection
+        # still without a hello is refused from here on.
         for producer in self._producers.values():
             if producer.writer is not None:
                 producer.writer.close()
@@ -525,7 +506,11 @@ class IngestServer:
         # end frames; each subscriber hangs up once its end is written.
         self.deltas.close()
 
-    async def _close_connections(self) -> None:
+    async def _close(self) -> None:
+        # The fleets shut down on the loop thread, so a query still
+        # queued for it finds them shut down rather than half way.
+        for front in self._fronts:
+            front.fleet.shutdown()
         # Every transport must reach connection_lost, which closes its
         # socket, before the loop goes away.
         for connection in tuple(self._connections):
@@ -534,50 +519,33 @@ class IngestServer:
             await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
-    # front threads
+    # fronts (loop thread)
     # ------------------------------------------------------------------
 
-    def _front_loop(self, front: _Front) -> None:
-        fleet = front.fleet
-        while True:
-            item = front.queue.get()
-            kind = item[0]
-            if kind == "rows":
-                _kind, rows, done = item
-                try:
-                    fleet.ingest_wire_many(rows)
-                except Exception:  # keep the front alive; surface it
-                    front.error = traceback.format_exc()
-                    logger.error(
-                        "ingest batch failed on front %d:\n%s",
-                        front.index,
-                        front.error,
-                    )
-                finally:
-                    done()
-                self._stage_deltas(front)
-            elif kind == "call":
-                _kind, fn, box, event = item
-                try:
-                    box["value"] = fn(fleet)
-                except BaseException as exc:
-                    box["error"] = exc
-                finally:
-                    event.set()
-                self._stage_deltas(front)
-            elif kind == "stop":
-                return
+    def _ingest(self, front: _Front, rows: list[tuple]) -> None:
+        try:
+            front.fleet.ingest_wire_many(rows)
+        except Exception:  # keep serving; surface it
+            front.error = traceback.format_exc()
+            logger.error(
+                "ingest batch failed on front %d:\n%s",
+                front.index,
+                front.error,
+            )
+        self._stage_deltas(front)
 
     def _stage_deltas(self, front: _Front) -> None:
         fleet = front.fleet
         updates = fleet.drain_ratio_updates()
         if updates:
             self.deltas.update_ratios(updates)
-        self.deltas.extend_violations(fleet.violation_feed())
+        violations = fleet.drain_violations()
+        if violations:
+            self.deltas.extend_violations(violations)
         if self._metrics is not None:
             # Periodic metrics staging (throttled per front): cumulative
             # readings ride the delta stream and answer "metrics"
-            # request frames without touching any front thread.
+            # request frames without a barrier.
             now = time.monotonic()
             if now - front.metrics_at >= self._metrics_interval:
                 front.metrics_at = now
@@ -586,27 +554,14 @@ class IngestServer:
                         fleet.metrics_rows(), "front", str(front.index)
                     )
                 )
-        if updates or self.deltas.dirty:
-            self._schedule_publish()
-
-    def _schedule_publish(self) -> None:
-        loop = self._loop
-        if loop is None or not loop.is_running():
-            return
-        with self._publish_lock:
-            if self._publish_scheduled:
-                return
+        if not self._publish_scheduled and self.deltas.dirty:
+            # One publish per loop turn, after the frames of this read.
             self._publish_scheduled = True
-        try:
-            loop.call_soon_threadsafe(self._publish_now)
-        except RuntimeError:  # loop shut down under us
-            with self._publish_lock:
-                self._publish_scheduled = False
+            self._loop.call_soon(self._publish)
 
-    def _publish_now(self) -> None:
-        # Loop thread: sinks write to subscriber transports, safe here.
-        with self._publish_lock:
-            self._publish_scheduled = False
+    def _publish(self) -> None:
+        # Sinks write to subscriber transports, safe on the loop thread.
+        self._publish_scheduled = False
         self.deltas.publish()
 
     # ------------------------------------------------------------------
@@ -632,7 +587,7 @@ class IngestServer:
         elif role == "metrics":
             # One-shot: the latest staged readings (plus the server's
             # own registry), answered inline from the loop thread --
-            # no front round trip, no blocking.
+            # no barrier on any front.
             conn.send(("metrics", self.staged_metrics_rows()))
             conn.transport.close()
         else:
@@ -685,7 +640,7 @@ class IngestServer:
         _kind, seq, rows = frame
         producer = conn.producer
         if seq <= producer.seen:
-            return  # replay of an already-enqueued frame
+            return  # replay of an already-ingested frame
         if seq != producer.seen + 1:
             conn.refuse(
                 f"sequence gap: expected {producer.seen + 1}, got {seq}"
@@ -699,17 +654,20 @@ class IngestServer:
             conn.refuse(str(exc))
             return
         producer.seen = seq
-        self._dispatch(producer, seq, by_front)
         if obs is not None:
             self._accept_ns.observe(time.perf_counter_ns() - start)
             obs.frames.inc()
             obs.records.inc(len(rows))
-            obs.credit.set(producer.seen - producer.acked)
+        for front_index, front_rows in by_front.items():
+            self._ingest(self._fronts[front_index], front_rows)
+        # Every front holding a row has it: the frame is absorbed.
+        producer.acked = seq
+        conn.send(("ack", seq))
 
     def _route(self, rows: Iterable[tuple]) -> dict[int, list[tuple]]:
-        """Split a produce frame's rows by front (loop thread); raises
-        ``ValueError`` if a row is not a ``(trace_id, wire_record)``
-        pair, before anything is enqueued."""
+        """Split a produce frame's rows by front; raises ``ValueError``
+        if a row is not a ``(trace_id, wire_record)`` pair, before any
+        row is ingested."""
         n_fronts, n_shards = len(self._fronts), self._n_shards
         by_front: dict[int, list[tuple]] = {}
         for row in rows:
@@ -722,55 +680,6 @@ class IngestServer:
             front_index = shard_index_of(trace_id, n_shards) % n_fronts
             by_front.setdefault(front_index, []).append(row)
         return by_front
-
-    def _dispatch(
-        self,
-        producer: _Producer,
-        seq: int,
-        by_front: dict[int, list[tuple]],
-    ) -> None:
-        """Enqueue a produce frame's routed rows on their fronts (loop
-        thread).
-
-        The ack for ``seq`` is released only once every front involved
-        has absorbed its slice; per-front FIFO queues preserve the
-        producer's per-trace row order."""
-        self._inflight += 1
-        if not by_front:  # an empty frame still advances the seq line
-            self._complete(producer, seq)
-            return
-        remaining = len(by_front)
-        loop = self._loop
-        assert loop is not None
-
-        def absorbed() -> None:  # called from a front thread
-            loop.call_soon_threadsafe(front_done)
-
-        def front_done() -> None:  # back on the loop thread
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                self._complete(producer, seq)
-
-        for front_index, front_rows in by_front.items():
-            front = self._fronts[front_index]
-            front.queue.put(("rows", front_rows, absorbed))
-
-    def _complete(self, producer: _Producer, seq: int) -> None:
-        self._inflight -= 1
-        producer.completed.add(seq)
-        advanced = False
-        while producer.acked + 1 in producer.completed:
-            producer.completed.remove(producer.acked + 1)
-            producer.acked += 1
-            advanced = True
-        if advanced and producer.obs is not None:
-            producer.obs.credit.set(producer.seen - producer.acked)
-        writer = producer.writer
-        if advanced and writer is not None and not writer.is_closing():
-            # write() sends at once or buffers what the socket does not
-            # take; ack frames are tiny, so nothing waits on a drain.
-            writer.write(frame_bytes(("ack", producer.acked)))
 
     def _start_subscriber(self, conn: _Connection) -> None:
         conn.handle = _ignore  # a subscriber only reads
@@ -809,12 +718,34 @@ class IngestServer:
         fn: Callable[[ParallelFleet], Any],
         timeout: float = 60.0,
     ) -> Any:
-        """Run ``fn(fleet)`` on the front's own thread and return its
-        result -- the only safe way to query a front's fleet."""
+        """Run ``fn(fleet)`` on the loop thread, between frames, and
+        return its result -- the only safe way to query a front's
+        fleet.  Inline when called there; from any other thread the
+        call waits up to ``timeout`` seconds for the loop."""
+
+        def run() -> Any:
+            try:
+                return fn(front.fleet)
+            finally:
+                self._stage_deltas(front)
+
+        if threading.current_thread() is self._loop_thread:
+            return run()
+        if self._loop is None:
+            raise RuntimeError("the server has not been started")
         box: dict[str, Any] = {}
-        event = threading.Event()
-        front.queue.put(("call", fn, box, event))
-        if not event.wait(timeout):
+        done = threading.Event()
+
+        def on_loop() -> None:
+            try:
+                box["value"] = run()
+            except BaseException as exc:  # re-raised on the caller's thread
+                box["error"] = exc
+            finally:
+                done.set()
+
+        self._loop.call_soon_threadsafe(on_loop)
+        if not done.wait(timeout):
             raise TimeoutError(
                 f"front {front.index} did not answer within {timeout}s"
             )

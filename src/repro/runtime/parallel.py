@@ -446,6 +446,9 @@ class ParallelFleet:
         # long-running fleet must not hold every witness walk forever.
         self._pending_notices: list[tuple] = []
         self._fired_notices: list[tuple[int, TraceId]] = []
+        # (tick, trace_id) rows of notices that arrived since the last
+        # drain_violations(), in arrival order.
+        self._new_violations: list[tuple[int, TraceId]] = []
         # Worst-ratio updates piggybacked on worker messages, coalesced
         # last-wins per trace (wire-encoded fractions); drained by the
         # delta plane via drain_ratio_updates().
@@ -499,6 +502,7 @@ class ParallelFleet:
             self._ckpt_epoch = meta["epoch"]
             self._ckpt_tick = meta["tick"]
             self._fired_notices = list(meta["fired_notices"])
+            self._new_violations = list(self._fired_notices)
             self.dropped_records = meta["dropped_records"]
             self._peak = meta["peak"]
             self._recoveries = {
@@ -615,10 +619,7 @@ class ParallelFleet:
                 # violation, which would crash the dispatcher inside
                 # the crash-containment path itself.
                 _k, _rid, _payload, notices, ratios, live, peak = message
-                self._pending_notices.extend(notices)
-                self._ratio_updates.update(ratios)
-                self._live_cache[worker_id] = live
-                self._epoch_peak[worker_id] = peak
+                self._fold(worker_id, notices, ratios, live, peak)
             else:
                 self._absorb(worker_id, message)
         self._dead[worker_id] = reason
@@ -694,6 +695,7 @@ class ParallelFleet:
         self._epoch_peak[worker_id] = 0
         self._stall_folded[worker_id] = (0, 0)
         replayed = 0
+        arrived = len(self._new_violations)
         try:
             snap = self._snap_cache.get(worker_id)
             if snap is not None:
@@ -713,15 +715,20 @@ class ParallelFleet:
         # Replay re-detects violations whose first notice already fired
         # before the crash (the snapshot predates the detection); keep
         # callbacks once-per-detection by dropping those re-detections.
+        # The drain feed gets the same filter, over the rows the replay
+        # brought: rows that arrived before it are first detections.
         fired = {trace_id for _tick, trace_id in self._fired_notices}
         owned = set(shards)
-        self._pending_notices = [
-            notice
-            for notice in self._pending_notices
-            if not (
+
+        def first(notice: tuple) -> bool:
+            return not (
                 notice[1] in fired and self.shard_of(notice[1]) in owned
             )
-        ]
+
+        self._pending_notices = list(filter(first, self._pending_notices))
+        self._new_violations[arrived:] = filter(
+            first, self._new_violations[arrived:]
+        )
         # Refresh the last-synced report so future crash accounting
         # starts from the recovered state, not the pre-crash one.
         try:
@@ -760,15 +767,31 @@ class ParallelFleet:
             replayed += len(rows)
         return replayed
 
+    def _fold(
+        self,
+        worker_id: int,
+        notices: tuple,
+        ratios: tuple,
+        live: int,
+        peak: int,
+    ) -> None:
+        """Take in what a worker message carries besides its payload:
+        violation notices, worst-ratio updates and live-event counts."""
+        if notices:
+            self._pending_notices.extend(notices)
+            self._new_violations.extend(
+                (tick, trace_id) for tick, trace_id, _w in notices
+            )
+        self._ratio_updates.update(ratios)
+        self._live_cache[worker_id] = live
+        self._epoch_peak[worker_id] = peak
+
     def _absorb(self, worker_id: int, message: tuple) -> None:
         """Handle one unsolicited outbound message."""
         kind = message[0]
         if kind == "notices":
             _kind, notices, ratios, live, peak = message
-            self._pending_notices.extend(notices)
-            self._ratio_updates.update(ratios)
-            self._live_cache[worker_id] = live
-            self._epoch_peak[worker_id] = peak
+            self._fold(worker_id, notices, ratios, live, peak)
         elif kind == "crash":
             self._mark_dead(worker_id, message[2])
         else:  # pragma: no cover - protocol violation
@@ -806,10 +829,7 @@ class ParallelFleet:
                 raise self._crash_error(worker_id) from None
             if message[0] == "reply":
                 _kind, rid, payload, notices, ratios, live, peak = message
-                self._pending_notices.extend(notices)
-                self._ratio_updates.update(ratios)
-                self._live_cache[worker_id] = live
-                self._epoch_peak[worker_id] = peak
+                self._fold(worker_id, notices, ratios, live, peak)
                 if rid != req_id:  # pragma: no cover - protocol violation
                     raise RuntimeError(
                         f"worker {worker_id} answered request {rid}, "
@@ -1244,7 +1264,14 @@ class ParallelFleet:
             on_violation=on_violation,
             _restore=(meta, snapshots),
         )
-        fleet._finish_restore(snapshots)
+        try:
+            fleet._finish_restore(snapshots)
+        except BaseException:
+            # The caller gets no fleet to shut down: stop its workers
+            # here, with no barrier and no checkpoint, so the store
+            # stays as the failed restore found it.
+            fleet._abandon()
+            raise
         return fleet
 
     def _finish_restore(self, snapshots: dict[int, tuple]) -> None:
@@ -1411,13 +1438,29 @@ class ParallelFleet:
         self._ratio_updates.clear()
         return out
 
+    def drain_violations(self) -> list[tuple[int, TraceId]]:
+        """Violation rows ``(tick, trace_id)`` that arrived since the
+        last drain, in arrival order: the twin of
+        :meth:`drain_ratio_updates` for :meth:`violation_feed`.
+
+        Barrier-free, and it costs nothing while no notice arrives.
+        Draining transfers ownership: each row is returned once, and
+        the rows of every drain together are the rows of
+        :meth:`violation_feed`."""
+        rows = self._new_violations
+        if not rows:
+            return []
+        self._new_violations = []
+        return rows
+
     def violation_feed(self) -> tuple[tuple[int, TraceId], ...]:
         """Every violation known so far -- fired *and* still pending --
         as ``(tick, trace_id)`` rows in the deterministic merged order.
 
         Unlike :meth:`violating_traces` this is barrier-free (pending
-        notices arrive unsolicited during ingest), so a delta publisher
-        can diff it incrementally without collapsing wire batching."""
+        notices arrive unsolicited during ingest).  It sorts every row
+        on each call; a publisher that stages rows as they come takes
+        them from :meth:`drain_violations` instead."""
         rows = list(self._fired_notices)
         rows.extend((t, tid) for t, tid, _w in self._pending_notices)
         return tuple(
@@ -1639,6 +1682,22 @@ class ParallelFleet:
         # joins so a misbehaving callback can never leave workers
         # unjoined.
         self._fire_pending()
+
+    def _abandon(self) -> None:
+        """Stop and join every live worker without a barrier, a
+        checkpoint or a callback.  Replies to requests nobody collected
+        (a restore that raised midway leaves some) are read past."""
+        self._stopped = True
+        for worker_id in self._alive_workers():
+            handle = self._handles[worker_id]
+            self._req += 1
+            try:
+                handle.put(("stop", self._req))
+                while handle.get()[:2] != ("reply", self._req):
+                    pass
+            except WorkerCrashed:
+                pass
+            handle.join()
 
     def __enter__(self) -> "ParallelFleet":
         return self

@@ -14,6 +14,7 @@ worker, refuses a store whose snapshots hold other shards or were
 written under another journal format or snapshot version.
 """
 
+import multiprocessing
 import os
 import random
 import signal
@@ -377,6 +378,37 @@ class TestRecovery:
             assert fleet._recoveries.get(1, 0) >= 1
             assert fleet.report().records == len(stream)
 
+    def test_recovery_drains_each_violation_once(self, tmp_path):
+        """Replay re-detects violations whose notices fired before the
+        crash; drain_violations hands over each detection once, as the
+        fired feed keeps it."""
+        stream = self.make_stream(seed=37)
+        with ParallelFleet(
+            Fraction(3, 2),
+            n_workers=3,
+            n_shards=9,
+            batch_size=8,
+            backend="process",
+            wire_batch=16,
+            durability=Durability(root=tmp_path, checkpoint_every=None),
+        ) as fleet:
+            cut = len(stream) // 2
+            fleet.ingest_many(stream[:cut])
+            fleet.flush()  # fires them; the empty snapshot predates them
+            drained = fleet.drain_violations()
+            owned = set(fleet.shards_of_worker(1))
+            assert any(fleet.shard_of(tid) in owned for _t, tid in drained)
+            os.kill(fleet._backend._processes[1].pid, signal.SIGKILL)
+            time.sleep(0.2)
+            fleet.ingest_many(stream[cut:])
+            fleet.flush()  # finds the worker dead
+            fleet.flush()  # recovers it, replaying its journal
+            assert fleet._recoveries.get(1, 0) == 1
+            drained += fleet.drain_violations()
+            feed = fleet.violation_feed()
+        assert len(drained) == len(set(drained))
+        assert set(drained) == set(feed)
+
     def test_recovery_leaves_unshipped_rows_to_ship_once(
         self, tmp_path, monkeypatch
     ):
@@ -692,6 +724,32 @@ class TestRestoreSafety:
         write_frames(w0, [(frame[0], SNAPSHOT_VERSION - 1, *frame[2:])])
         with pytest.raises(ValueError, match="snapshot version"):
             ParallelFleet.restore(tmp_path, backend=_NoSpawnBackend())
+
+    def test_failed_restore_leaves_no_worker_running(self, tmp_path):
+        """Worker 0's snapshot holds the right shards of the right
+        version, so restore() starts both workers, and worker 0 then
+        crashes decoding it: the fleet the caller never gets must not
+        leave worker 1 behind."""
+        stream = list(
+            concurrent_workload(
+                random.Random(1), n_traces=20, records_per_trace=(20, 40)
+            )
+        )
+        with ParallelFleet(
+            Fraction(3, 2),
+            n_workers=2,
+            backend="process",
+            durability=Durability(root=tmp_path),
+        ) as fleet:
+            fleet.ingest_many(stream)  # shutdown commits a checkpoint
+        (w0,) = tmp_path.glob("snap-*-w0.bin")
+        (frame,) = read_frames(w0)
+        images = tuple((image[0], None) for image in frame[-1])
+        write_frames(w0, [(*frame[:-1], images)])
+        before = set(multiprocessing.active_children())
+        with pytest.raises(WorkerCrashed):
+            ParallelFleet.restore(tmp_path)
+        assert set(multiprocessing.active_children()) <= before
 
     def test_restore_fsyncs_every_rewritten_journal(
         self, tmp_path, monkeypatch

@@ -6,8 +6,9 @@ front plumbing on :class:`ParallelFleet` (shard subsets, interleaved
 tick spaces, wire-row ingestion), and the full server: multi-producer
 ingest over real sockets bit-identical to the serial fleet,
 exactly-once resume across killed connections, credit-window
-backpressure, and subscribers reconstructing the fleet's aggregates
-from the delta stream alone.
+backpressure, subscribers reconstructing the fleet's aggregates
+from the delta stream alone, and the one loop thread that drives
+every front.
 """
 
 import logging
@@ -537,6 +538,104 @@ class TestIngestServer:
                 tid: server.worst_ratio(tid) for tid in ids
             } == ratios
             assert set(server.violating_traces()) == violating
+
+
+class TestOneThread:
+    """The loop thread drives every front's fleet: no front threads,
+    violation rows staged as they arrive, queries served between
+    frames."""
+
+    def test_no_front_threads(self):
+        stream = workload(seed=3, n_traces=16)
+        ratios, degraded, violating = serial_answers(stream)
+        with IngestServer(
+            XI, n_fronts=2, n_shards=8, batch_size=16, backend="thread"
+        ) as server:
+            names = [thread.name for thread in threading.enumerate()]
+            assert not [n for n in names if n.startswith("ingest-front")]
+            drive(server, stream, n_producers=3)
+            assert {tid: server.worst_ratio(tid) for tid in ratios} == ratios
+            assert {
+                tid: server.is_degraded(tid) for tid in ratios
+            } == degraded
+            assert set(server.violating_traces()) == violating
+
+    def test_staging_never_sorts_the_violation_feed(self, monkeypatch):
+        stream = workload(seed=1, n_traces=24)
+        _ratios, _degraded, violating = serial_answers(stream)
+        assert violating
+        calls = []
+        feed = ParallelFleet.violation_feed
+
+        def counted(fleet):
+            calls.append(fleet)
+            return feed(fleet)
+
+        monkeypatch.setattr(ParallelFleet, "violation_feed", counted)
+        with IngestServer(
+            XI, n_fronts=2, n_shards=8, batch_size=16, backend="thread"
+        ) as server:
+            sub = DeltaSubscriber(server.address, name="dash")
+            drive(server, stream, n_producers=3)
+            assert calls == []
+            server.flush()
+            assert calls == []
+            rows = server.violation_feed()
+        view = sub.run_to_end()
+        sub.close()
+        assert {tid for _tick, tid in rows} == violating
+        assert view.violation_feed() == rows
+
+    def test_queries_from_another_thread_while_producers_stream(self):
+        stream = workload(seed=11, n_traces=20)
+        ratios, _degraded, violating = serial_answers(stream)
+        ids = sorted(ratios, key=str)
+        owner = {tid: i % 3 for i, tid in enumerate(ids)}
+        with IngestServer(
+            XI, n_fronts=2, n_shards=8, batch_size=16, backend="thread"
+        ) as server:
+            streaming = threading.Event()
+            streaming.set()
+            answers = []
+            errors = []
+
+            def query():
+                try:
+                    while streaming.is_set():
+                        answers.append(
+                            (server.report(), server.all_ratios())
+                        )
+                except BaseException as exc:  # asserted empty below
+                    errors.append(exc)
+
+            def produce(i):
+                with ProducerClient(
+                    server.address, producer_id=f"p{i}", batch=6
+                ) as client:
+                    for tid, rec in stream:
+                        if owner[tid] == i:
+                            client.send(tid, rec)
+
+            querier = threading.Thread(target=query)
+            producers = [
+                threading.Thread(target=produce, args=(i,))
+                for i in range(3)
+            ]
+            querier.start()
+            for thread in producers:
+                thread.start()
+            for thread in producers:
+                thread.join(timeout=60)
+            streaming.clear()
+            querier.join(timeout=60)
+            assert not querier.is_alive()
+            assert not any(thread.is_alive() for thread in producers)
+            assert errors == []
+            assert answers
+            report = server.report()
+            assert report.records == len(stream)
+            assert set(report.violating_traces) == violating
+            assert dict(server.all_ratios()) == ratios
 
 
 class TestProduceFrames:

@@ -169,6 +169,40 @@ class TestDifferential:
         # callback firing respects batch by batch.
         assert tuple(dict.fromkeys(first_order)) == first_listed
 
+    def test_drain_violations_hands_each_row_once(self):
+        stream = list(
+            concurrent_workload(
+                random.Random(1), n_traces=20, records_per_trace=(30, 60)
+            )
+        )
+        half = len(stream) // 2
+        with ParallelFleet(
+            xi=Fraction(4),
+            n_shards=8,
+            n_workers=2,
+            batch_size=16,
+            backend="thread",
+            wire_batch=16,
+        ) as fleet:
+            fleet.ingest_many(stream[:half])
+            assert fleet.live_events  # a round trip, not a barrier
+            pending = fleet.drain_violations()
+            assert pending
+            assert set(pending) <= set(fleet.violation_feed())
+            assert fleet.drain_violations() == []
+            fleet.flush()  # the barrier fires the rows drained above
+            during = fleet.drain_violations()
+            assert not set(pending) & set(during)
+            fleet.ingest_many(stream[half:])
+            fleet.flush()
+            rest = fleet.drain_violations()
+            feed = fleet.violation_feed()
+            violating = fleet.violating_traces()
+        drained = pending + during + rest
+        assert len(drained) == len(set(drained))
+        assert set(drained) == set(feed)
+        assert {tid for _tick, tid in drained} == set(violating)
+
 
 class TestBudget:
     @pytest.mark.parametrize("backend", BACKENDS)
