@@ -28,9 +28,9 @@ shape batches actually have when they reach a worker:
   batch).  Doubles as the differential harness: every rep asserts the
   per-batch worst-ratio sequences, oracle-call counts, ratio-change
   logs and forgotten-edge counters **bit-identical**.
-* **ingest plane (reported, not gated)** -- the >=400-trace
-  multi-producer workload of ``bench_ingest`` (storm/burst/idler mix)
-  pushed through a full :class:`~repro.runtime.shard.ShardGroup` on the
+* **ingest plane (reported, not gated)** -- a >=400-trace concurrent
+  workload (storm/burst/idler mix, :func:`build_workload`) pushed
+  through a full :class:`~repro.runtime.shard.ShardGroup` on the
   one path, watermark flushes and violation bookkeeping included.
   Per-trace worst ratios and the violating set are checked against
   ``worst_relevant_ratio(build_execution_graph(...))`` per trace;
@@ -62,7 +62,10 @@ from repro.analysis.online import OnlineAbcMonitor
 from repro.core.events import Event
 from repro.core.synchrony import AdmissibilityChecker, worst_relevant_ratio
 from repro.runtime.shard import ShardGroup, shard_index_of
-from repro.scenarios.generators import profiled_trace_records
+from repro.scenarios.generators import (
+    concurrent_workload,
+    profiled_trace_records,
+)
 from repro.sim.trace import (
     ReceiveRecord,
     SendRecord,
@@ -70,8 +73,6 @@ from repro.sim.trace import (
     build_execution_graph,
     encode_record,
 )
-
-from bench_ingest import build_workload
 
 DEFAULT_GATE_EVENTS = 200
 DEFAULT_GATE_TRACES = 15
@@ -87,6 +88,19 @@ PLANE_RECORDS = (40, 80)
 PLANE_SHARDS = 8
 PLANE_SEED = 11
 PLANE_XI = Fraction(3)
+
+
+def build_workload(seed, n_traces, records_per_trace):
+    """The ingest plane's concurrent workload: storm-heavy, so dense
+    digraphs keep the shard engine's flushes and oracle busy."""
+    return list(
+        concurrent_workload(
+            random.Random(seed),
+            n_traces=n_traces,
+            records_per_trace=records_per_trace,
+            profile_weights={"storm": 0.5, "burst": 0.35, "idler": 0.15},
+        )
+    )
 
 
 def encode_stream(records) -> list[tuple]:
@@ -451,7 +465,7 @@ def plane_references(records_stream) -> dict:
 def plane_run(
     seed, n_traces, records_per_trace, n_shards, batch_size, wire_batch
 ) -> dict:
-    """The one path on the bench_ingest workload: answers checked
+    """The one path on the ingest plane's workload: answers checked
     against per-trace batch references, throughput reported."""
     records_stream = build_workload(seed, n_traces, records_per_trace)
     stream = [

@@ -1,7 +1,7 @@
-"""Remote ingestion: producers over sockets, sharded fronts, delta push.
+"""Remote ingestion: producers over sockets, one fleet, delta push.
 
-Stands up an :class:`~repro.runtime.net.IngestServer` with two
-ingestion fronts on a loopback TCP port, streams one concurrent
+Stands up an :class:`~repro.runtime.net.IngestServer` (one parallel
+fleet on two workers) on a loopback TCP port, streams one concurrent
 workload into it from three :class:`~repro.runtime.net.ProducerClient`
 threads (each owning a disjoint set of traces -- the single-writer-
 per-trace discipline determinism rests on), and tails the delta feed
@@ -9,8 +9,8 @@ with a :class:`~repro.runtime.net.DeltaSubscriber`:
 
 * every per-trace worst ratio answered by the server is
   **bit-identical** to the serial :class:`~repro.analysis.fleet.
-  MonitorFleet` over the same records -- fronts partition the shard
-  and tick spaces, they never change answers;
+  MonitorFleet` over the same records -- which worker runs a trace's
+  shard never changes its answer;
 * one producer's connection is killed mid-stream; its client
   reconnects, resumes at the server's acked frame, and not a record is
   lost or duplicated;
@@ -50,10 +50,10 @@ def main() -> None:
     serial.flush()
 
     with IngestServer(
-        xi, n_fronts=2, n_shards=8, batch_size=32, backend="thread"
+        xi, n_shards=8, batch_size=32, backend="thread"
     ) as server:
         host, port = server.address
-        print(f"server: {host}:{port}, {server.n_fronts} fronts over "
+        print(f"server: {host}:{port}, one fleet over "
               f"{server.n_shards} shards")
         subscriber = DeltaSubscriber(server.address, name="dashboard")
 

@@ -10,8 +10,8 @@ batches (``ctx_id`` is unique per process); each pipeline stage opens a
   registry's bounded event buffer.
 
 The canonical stages, in record order: ``client_encode`` (producer
-builds the wire frame), ``front_accept`` (the server checks a produce
-frame and routes its rows to fronts, up to the fleets' ingest),
+builds the wire frame), ``front_accept`` (the server checks the shape
+of a produce frame's rows, up to the fleet's ingest),
 ``dispatch_route`` (dispatcher shards and ships),
 ``worker_absorb`` (worker decodes and buffers/flushes), and
 ``kernel_sweep`` (the monitor's incremental ratio refresh).  Stage

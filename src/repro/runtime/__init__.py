@@ -27,7 +27,7 @@ system of independent workers -- the deployment shape the ROADMAP's
   ``durability=``, and per-trace results bit-identical to
   :class:`repro.analysis.fleet.MonitorFleet`;
 * :mod:`repro.runtime.net` -- the network ingestion plane: an asyncio
-  ingest server over N sharded fleet fronts, exactly-once producer
+  ingest server driving one parallel fleet, exactly-once producer
   clients, and delta-streaming observability
   (:class:`IngestServer` / :class:`ProducerClient` /
   :class:`DeltaSubscriber`).

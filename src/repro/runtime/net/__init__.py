@@ -1,4 +1,4 @@
-"""The network ingestion plane: remote producers over sharded fronts.
+"""The network ingestion plane: remote producers into one fleet.
 
 This package puts the parallel runtime behind a socket:
 
@@ -6,11 +6,10 @@ This package puts the parallel runtime behind a socket:
   streaming (the WAL frame format of :mod:`repro.runtime.durable`,
   reused verbatim on the network);
 * :mod:`repro.runtime.net.server` -- :class:`IngestServer`: an asyncio
-  server (TCP and/or Unix-domain) feeding N independent
-  ingestion fronts, each a :class:`~repro.runtime.parallel.
-  ParallelFleet` owning a disjoint slice of the shard space and a
-  disjoint interleaved slice of the global tick space, with
-  exactly-once producer resume and credit-window backpressure;
+  server (TCP and/or Unix-domain) whose one event-loop thread feeds
+  one :class:`~repro.runtime.parallel.ParallelFleet` over the whole
+  shard space, with exactly-once producer resume and credit-window
+  backpressure;
 * :mod:`repro.runtime.net.client` -- :class:`ProducerClient` (batching,
   replay-on-reconnect, windowed) and :class:`DeltaSubscriber`;
 * :mod:`repro.runtime.net.deltas` -- :class:`DeltaStore` /

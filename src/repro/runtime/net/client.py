@@ -158,7 +158,6 @@ class ProducerClient:
         self._seq = 0
         self._acked = 0
         self._fs: FrameSocket | None = None
-        self.n_fronts = 0
         self.n_shards = 0
         self._window = 0
         # Record-lifecycle tracing: encode latency lands in the
@@ -181,9 +180,9 @@ class ProducerClient:
         if welcome[0] != "welcome":
             fs.close()
             raise ProtocolError(f"expected welcome, got {welcome[0]!r}")
-        _kind, _ver, n_fronts, n_shards, acked, window = welcome
+        _kind, _ver, n_shards, acked, window = welcome
         self._fs = fs
-        self.n_fronts, self.n_shards = n_fronts, n_shards
+        self.n_shards = n_shards
         self._window = (
             window
             if self._window_cap is None

@@ -39,9 +39,9 @@ Correctness rests on two properties of the feeds: ratio updates are
 monotone per trace (so last-wins coalescing loses nothing a final
 value needs), and violation rows are immutable facts (so set-union
 across deltas reconstructs the full feed).  Violation rows carry their
-global ingest tick, which is what lets a view merge rows from several
-interleaved fronts into the same deterministic ``(tick, trace id)``
-order the fleets themselves report.
+global ingest tick, which is what lets a view put rows that arrive in
+worker order into the same deterministic ``(tick, trace id)`` order the
+fleet itself reports.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class DeltaStore:
     """Thread-safe accumulator and publisher of delta frames.
 
     Writers call :meth:`update_ratios` / :meth:`extend_violations` (the
-    ingest server stages each front's drained feeds on its loop
+    ingest server stages the fleet's drained feeds on its loop
     thread); the publisher calls :meth:`publish` to cut the staged
     changes into one numbered delta frame and fan it out to sinks.
     :meth:`subscribe` registers a sink and returns its snapshot frame
@@ -130,7 +130,7 @@ class DeltaStore:
         ``rows`` are serialized cumulative readings (the shape
         :meth:`repro.obs.metrics.MetricsRegistry.to_rows` emits), so a
         newer reading simply replaces the older one; rows from
-        different sources (fronts, the server's own registry) coexist
+        different sources (the fleet, the server's own registry) coexist
         as long as their instrument names or labels differ."""
         with self._lock:
             for row in rows:
@@ -142,7 +142,7 @@ class DeltaStore:
     def metrics_rows(self) -> tuple[tuple, ...]:
         """The latest staged instrument readings, deterministically
         ordered (the rows a ``metrics`` request frame is answered
-        from, without touching any front)."""
+        from, without touching the fleet)."""
         with self._lock:
             rows = list(self._metrics.values())
         rows.sort(key=lambda row: (row[1], row[2], row[0]))
@@ -308,8 +308,8 @@ class DeltaView:
 
     def violation_feed(self) -> tuple[tuple[int, TraceId], ...]:
         """All known violation rows in the deterministic merged order
-        (fronts stamp disjoint global ticks, so sorting merges their
-        interleaved feeds exactly as one fleet would have)."""
+        (rows arrive in worker order; sorting by their global ticks
+        gives exactly the fleet's own order)."""
         return tuple(sorted(self._rows, key=lambda n: (n[0], str(n[1]))))
 
     def violating_traces(self) -> tuple[TraceId, ...]:

@@ -1,62 +1,60 @@
-"""The ingestion server: remote producers, sharded fronts, delta push.
+"""The ingestion server: remote producers, one fleet, delta push.
 
 :class:`IngestServer` is the network face of the parallel runtime.  It
 listens on TCP and/or a Unix-domain socket for length-prefixed frames
 (:mod:`repro.runtime.net.wire`) from two kinds of peers -- *producers*
 streaming ``(trace_id, wire_record)`` rows and *subscribers* tailing
-the delta feed -- and drives ``n_fronts`` ingestion fronts, each one
-:class:`~repro.runtime.parallel.ParallelFleet` over a shard subset.
+the delta feed -- and drives one
+:class:`~repro.runtime.parallel.ParallelFleet` over the whole shard
+space.
 
 Architecture (two thread layers, no shared mutable fleet state):
 
 - **asyncio loop thread**: owns the listeners, every connection, the
-  producer bookkeeping (sequence numbers, acks), the row router and
-  every front's fleet.  Each connection is one
-  ``asyncio.BufferedProtocol``: the transport ``recv_into``s the
-  connection's reused :class:`~repro.runtime.net.wire.FrameDecoder`
-  buffer, and every frame a read completes is handled right there, in
-  arrival order -- routed, handed to each front it touches through
-  ``ingest_wire_many``, its deltas staged and the frame acked, with no
-  thread hop.  Queries from other threads run on this thread too.
-- **worker threads/processes** under each fleet, as usual.
+  producer bookkeeping (sequence numbers, acks) and the fleet.  Each
+  connection is one ``asyncio.BufferedProtocol``: the transport
+  ``recv_into``s the connection's reused
+  :class:`~repro.runtime.net.wire.FrameDecoder` buffer, and every frame
+  a read completes is handled right there, in arrival order -- its
+  rows checked, handed to the fleet in one ``ingest_wire_many`` call,
+  its deltas staged and the frame acked, with no thread hop.  Queries
+  from other threads run on this thread too.
+- **worker threads/processes** under the fleet, as usual.
 
-Sharded fronts
-    Front ``f`` of ``n`` owns shard subset ``{s : s % n == f}`` of one
-    global ``n_shards`` space and stamps global ingest ticks
-    ``f+1, f+1+n, f+1+2n, ...`` (``tick_start``/``tick_step``), so the
-    fronts partition both the trace space and the tick space.  Rows
-    are routed by the same CRC32 ``shard_index_of`` the fleets
-    themselves use; per-trace record order is preserved end to end
-    (FIFO connection, frames handled in arrival order, FIFO worker
-    inbox), so every per-trace ratio is bit-identical to a serial
-    fleet over the same records, and violation rows carry globally
-    unique ticks that merge into one deterministic ``(tick, trace
-    id)`` order.
+One fleet
+    The fleet routes each row by the CRC32 ``shard_index_of`` of its
+    trace id and keeps shard ``s`` on worker ``s % n_workers``; the
+    server never hashes a row.  Per-trace record order is preserved
+    end to end (FIFO connection, frames handled in arrival order, FIFO
+    worker inbox), so every per-trace ratio is bit-identical to a
+    serial fleet over the same records.  A sync barrier (``flush()``,
+    ``report()``, ``violating_traces()``, the fleet shutdown in
+    ``stop()``) posts to every worker before it collects any reply.
 
 Exactly-once ingestion
     Producers number their ``produce`` frames.  The server tracks, per
     producer id, the highest sequence *taken in* (``seen``; replays at
     or below it are dropped) and the highest sequence *absorbed*
     (``acked``; advertised in ``welcome`` and in ``ack`` frames).  A
-    frame is acked once every front holding one of its rows has
-    returned from ``ingest_wire_many`` -- at which point the rows are
-    inside fleet buffers, in memory only: the server takes no
-    durability.  Frames are handled one at a time, so they are acked
-    in order.  A reconnecting producer resumes from the server's
-    ``acked`` and replays its unacked tail; ``seen`` deduplicates, so a
-    frame is ingested exactly once no matter how often the connection
-    dies around it.  That bookkeeping lives in the server process, so
+    frame is acked once the fleet has returned from
+    ``ingest_wire_many`` -- at which point the rows are inside fleet
+    buffers, in memory only: the server takes no durability.  Frames
+    are handled one at a time, so they are acked in order.  A
+    reconnecting producer resumes from the server's ``acked`` and
+    replays its unacked tail; ``seen`` deduplicates, so a frame is
+    ingested exactly once no matter how often the connection dies
+    around it.  That bookkeeping lives in the server process, so
     exactly-once does not survive a server restart.
 
 Backpressure
     Producers hold at most ``credit_window`` unacked frames.  The
-    fleets' bounded worker inboxes (``inbox_capacity``) reach the
-    producers through the loop itself: a front shipping to a full
-    inbox blocks the loop thread, which then reads no socket and acks
-    no frame until the worker catches up, so every producer's window
-    fills and it waits.  Slow workers therefore stall producers, not
-    memory -- and while the loop is blocked, every connection waits,
-    a ``metrics`` scrape and a query included.
+    fleet's bounded worker inboxes (``inbox_capacity``) reach the
+    producers through the loop itself: shipping to a full inbox blocks
+    the loop thread, which then reads no socket and acks no frame
+    until the worker catches up, so every producer's window fills and
+    it waits.  Slow workers therefore stall producers, not memory --
+    and while the loop is blocked, every connection waits, a
+    ``metrics`` scrape and a query included.
 
 Producer protocol (client side in :mod:`repro.runtime.net.client`):
 
@@ -64,8 +62,8 @@ Producer protocol (client side in :mod:`repro.runtime.net.client`):
 frame                                        direction / meaning
 ==========================================  ========================
 ``("hello", ver, "produce", producer_id)``  first client frame
-``("welcome", ver, n_fronts, n_shards,      server reply: resume
-``  ``acked, credit_window)``               point + credit window
+``("welcome", ver, n_shards, acked,         server reply: resume
+``  ``credit_window)``                      point + credit window
 ``("produce", seq, rows)``                  numbered row batch:
                                             ``seq`` an int, ``rows``
                                             a list or tuple of
@@ -94,14 +92,15 @@ telemetry scrape: the server answers ``("metrics", rows)`` -- the
 latest staged instrument readings (see
 :meth:`IngestServer.staged_metrics_rows`) -- and closes.  Answered
 inline on the loop thread from the delta store's staged copy, so a
-scrape never barriers a front (it does wait while the loop is blocked
-on a full inbox).  Delta frames also carry the same readings as their
-fifth element, refreshed every ``metrics_interval`` seconds per front,
-so long-lived subscribers get metrics pushed rather than polling.
+scrape never barriers the fleet (it does wait while the loop is
+blocked on a full inbox).  Delta frames also carry the same readings
+as their fifth element, refreshed at most every ``metrics_interval``
+seconds, so long-lived subscribers get metrics pushed rather than
+polling.
 
 The query surface (``worst_ratio``, ``violating_traces``,
 ``report()``, ...) runs each call on the loop thread, between frames,
-so callers on any thread get the fleets' answers without data races.
+so callers on any thread get the fleet's answers without data races.
 """
 
 from __future__ import annotations
@@ -113,7 +112,7 @@ import threading
 import time
 import traceback
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.obs import metrics as _obs_metrics
 from repro.runtime.net.deltas import DeltaStore
@@ -124,13 +123,7 @@ from repro.runtime.net.wire import (
     frame_bytes,
 )
 from repro.runtime.parallel import ParallelFleet
-from repro.runtime.shard import (
-    FleetReport,
-    TraceId,
-    ratio_histogram,
-    shard_index_of,
-    top_k_riskiest,
-)
+from repro.runtime.shard import FleetReport, TraceId
 
 __all__ = ["IngestServer"]
 
@@ -246,52 +239,29 @@ class _Connection(asyncio.BufferedProtocol):
                 self.transport.close()
 
 
-class _Front:
-    """One ingestion front: a fleet over a shard subset, driven by the
-    loop thread."""
-
-    __slots__ = ("index", "fleet", "error", "metrics_at")
-
-    def __init__(self, index: int, fleet: ParallelFleet) -> None:
-        self.index = index
-        self.fleet = fleet
-        self.error: str | None = None
-        self.metrics_at = 0.0  # monotonic time of the last staging
-
-
 def _ignore(conn: _Connection, frame: Any) -> None:
     """The frame handler of a subscriber, which has nothing to say."""
 
 
-def _label_rows(rows: Iterable[tuple], key: str, value: str) -> tuple:
-    """Re-key serialized instrument rows with an extra label pair, so
-    identically named instruments from different sources (fronts)
-    stay distinct series instead of clobbering each other."""
-    labeled = []
-    for kind, name, labels, deterministic, payload in rows:
-        new_labels = tuple(sorted((*labels, (key, value))))
-        labeled.append((kind, name, new_labels, deterministic, payload))
-    return tuple(labeled)
-
-
 class IngestServer:
-    """Network ingestion plane over ``n_fronts`` sharded fleet fronts.
+    """Network ingestion plane over one :class:`ParallelFleet`.
 
-    One thread, the event loop, serves every connection and drives
-    every front's fleet; the fleets' workers run under it.  A front
-    shipping to a full worker inbox therefore blocks the whole server
-    -- producers, subscribers, ``metrics`` scrapes and queries -- until
-    that worker catches up, which is how backpressure reaches the
-    producers.
+    One thread, the event loop, serves every connection and drives the
+    fleet; its workers run under it.  Shipping to a full worker inbox
+    therefore blocks the whole server -- producers, subscribers,
+    ``metrics`` scrapes and queries -- until that worker catches up,
+    which is how backpressure reaches the producers.
 
-    Args mirror :class:`~repro.runtime.parallel.ParallelFleet` where
-    they configure the per-front fleets; ``event_budget`` is a global
-    cap split evenly across fronts.  ``host``/``port`` open a TCP
-    listener (``port=0`` picks a free port; ``host=None`` disables
+    The fleet runs ``n_fronts * workers_per_front`` workers; only that
+    product matters (the two names are kept for existing callers).  The
+    other fleet arguments mirror :class:`~repro.runtime.parallel.
+    ParallelFleet`, ``event_budget`` included: the fleet apportions it
+    across its workers by live-event demand.  ``host``/``port`` open a
+    TCP listener (``port=0`` picks a free port; ``host=None`` disables
     TCP), ``unix_path`` additionally/instead serves a Unix-domain
     socket.  ``credit_window`` is the max unacked frames advertised to
-    each producer.  ``metrics_interval`` throttles how often each
-    front's telemetry is staged into the delta stream (only relevant
+    each producer.  ``metrics_interval`` throttles how often the
+    fleet's telemetry is staged into the delta stream (only relevant
     with ``REPRO_OBS`` on).
 
     Use as a context manager, or call :meth:`start` / :meth:`stop`.
@@ -325,42 +295,27 @@ class IngestServer:
             raise ValueError("credit_window must be positive")
         if host is None and unix_path is None:
             raise ValueError("need a TCP host or a unix_path to listen on")
-        if n_shards is None:
-            n_shards = max(8, n_fronts * workers_per_front)
-        if n_shards < n_fronts * workers_per_front:
-            raise ValueError(
-                f"{n_shards} shards cannot cover {n_fronts} fronts x "
-                f"{workers_per_front} workers"
-            )
-        self._n_shards = n_shards
         self._host, self._port = host, port
         self._unix_path = unix_path
         self._credit_window = credit_window
-        self._fronts: list[_Front] = []
-        for f in range(n_fronts):
-            share = None
-            if event_budget is not None:
-                share = event_budget // n_fronts + (
-                    1 if f < event_budget % n_fronts else 0
-                )
-            fleet = ParallelFleet(
-                xi,
-                n_workers=workers_per_front,
-                n_shards=n_shards,
-                batch_size=batch_size,
-                event_budget=share,
-                backend=backend,
-                start_method=start_method,
-                wire_batch=wire_batch,
-                inbox_capacity=inbox_capacity,
-                monitor_specs=monitor_specs,
-                shard_subset=tuple(
-                    s for s in range(n_shards) if s % n_fronts == f
-                ),
-                tick_start=f + 1,
-                tick_step=n_fronts,
-            )
-            self._fronts.append(_Front(f, fleet))
+        # Built after every check of the server's own arguments: the
+        # fleet validates its arguments before it starts a worker, so a
+        # refused constructor leaves no worker behind.
+        self._fleet = ParallelFleet(
+            xi,
+            n_workers=n_fronts * workers_per_front,
+            n_shards=n_shards,
+            batch_size=batch_size,
+            event_budget=event_budget,
+            backend=backend,
+            start_method=start_method,
+            wire_batch=wire_batch,
+            inbox_capacity=inbox_capacity,
+            monitor_specs=monitor_specs,
+        )
+        # The traceback of the last ingest call that raised.
+        self._error: str | None = None
+        self._metrics_at = 0.0  # monotonic time of the last staging
         self.deltas = DeltaStore()
         # The server's own registry (per-producer counters, subscriber
         # gauge, front_accept spans); None keeps every hook one
@@ -453,9 +408,9 @@ class IngestServer:
 
     def stop(self) -> None:
         """Drain and shut down: close listeners and producer
-        connections (every frame read so far is already absorbed),
-        flush every front, publish the final deltas, end the subscriber
-        streams, shut the fleets down."""
+        connections (every frame read so far is already absorbed), shut
+        the fleet down (its final barrier), publish the final deltas
+        and end the subscriber streams."""
         with self._state_lock:
             if not self._started or self._stopped:
                 self._stopped = True
@@ -465,13 +420,14 @@ class IngestServer:
         loop, alive = self._loop, self._loop_thread
         if loop is not None and alive is not None and alive.is_alive():
             self._run_on_loop(self._close_network())
-            # Final barrier per front so retirement/violations are
-            # final, then final deltas (the call path stages them).
-            for front in self._fronts:
-                try:
-                    self._call(front, lambda fl: fl.flush())
-                except Exception:  # pragma: no cover - crashed fleet
-                    pass
+            # The fleet's shutdown is its final barrier, so retirement
+            # and violations are final; the call path stages the final
+            # deltas.  On the loop thread, a query still queued for it
+            # finds the fleet shut down rather than half way.
+            try:
+                self._call(lambda fl: fl.shutdown())
+            except Exception:  # pragma: no cover - crashed fleet
+                pass
             self._run_on_loop(self._finish_stream())
             self._wait(lambda: self._n_subscribers == 0, timeout=10.0)
             self._run_on_loop(self._close())
@@ -479,8 +435,7 @@ class IngestServer:
             alive.join(timeout=10.0)
         else:
             self.deltas.close()
-            for front in self._fronts:
-                front.fleet.shutdown()
+            self._fleet.shutdown()
         if loop is not None:
             loop.close()
 
@@ -507,10 +462,6 @@ class IngestServer:
         self.deltas.close()
 
     async def _close(self) -> None:
-        # The fleets shut down on the loop thread, so a query still
-        # queued for it finds them shut down rather than half way.
-        for front in self._fronts:
-            front.fleet.shutdown()
         # Every transport must reach connection_lost, which closes its
         # socket, before the loop goes away.
         for connection in tuple(self._connections):
@@ -519,23 +470,19 @@ class IngestServer:
             await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
-    # fronts (loop thread)
+    # the fleet (loop thread)
     # ------------------------------------------------------------------
 
-    def _ingest(self, front: _Front, rows: list[tuple]) -> None:
+    def _ingest(self, rows: list[tuple] | tuple) -> None:
         try:
-            front.fleet.ingest_wire_many(rows)
+            self._fleet.ingest_wire_many(rows)
         except Exception:  # keep serving; surface it
-            front.error = traceback.format_exc()
-            logger.error(
-                "ingest batch failed on front %d:\n%s",
-                front.index,
-                front.error,
-            )
-        self._stage_deltas(front)
+            self._error = traceback.format_exc()
+            logger.error("ingest batch failed:\n%s", self._error)
+        self._stage_deltas()
 
-    def _stage_deltas(self, front: _Front) -> None:
-        fleet = front.fleet
+    def _stage_deltas(self) -> None:
+        fleet = self._fleet
         updates = fleet.drain_ratio_updates()
         if updates:
             self.deltas.update_ratios(updates)
@@ -543,17 +490,13 @@ class IngestServer:
         if violations:
             self.deltas.extend_violations(violations)
         if self._metrics is not None:
-            # Periodic metrics staging (throttled per front): cumulative
-            # readings ride the delta stream and answer "metrics"
-            # request frames without a barrier.
+            # Periodic metrics staging (throttled): cumulative readings
+            # ride the delta stream and answer "metrics" request frames
+            # without a barrier.
             now = time.monotonic()
-            if now - front.metrics_at >= self._metrics_interval:
-                front.metrics_at = now
-                self.deltas.update_metrics(
-                    _label_rows(
-                        fleet.metrics_rows(), "front", str(front.index)
-                    )
-                )
+            if now - self._metrics_at >= self._metrics_interval:
+                self._metrics_at = now
+                self.deltas.update_metrics(fleet.metrics_rows())
         if not self._publish_scheduled and self.deltas.dirty:
             # One publish per loop turn, after the frames of this read.
             self._publish_scheduled = True
@@ -587,7 +530,7 @@ class IngestServer:
         elif role == "metrics":
             # One-shot: the latest staged readings (plus the server's
             # own registry), answered inline from the loop thread --
-            # no barrier on any front.
+            # no barrier on the fleet.
             conn.send(("metrics", self.staged_metrics_rows()))
             conn.transport.close()
         else:
@@ -612,8 +555,7 @@ class IngestServer:
             (
                 "welcome",
                 PROTOCOL_VERSION,
-                len(self._fronts),
-                self._n_shards,
+                self._fleet.n_shards,
                 producer.acked,
                 self._credit_window,
             )
@@ -648,38 +590,23 @@ class IngestServer:
             return
         obs = producer.obs
         start = 0 if obs is None else time.perf_counter_ns()
+        # Every row is checked before any is ingested, so a frame is
+        # taken in whole or not at all.  Routing is the fleet's job.
         try:
-            by_front = self._route(rows)
-        except ValueError as exc:
-            conn.refuse(str(exc))
+            for _trace_id, _record in rows:
+                pass
+        except (TypeError, ValueError):
+            conn.refuse("produce row is not a (trace_id, wire_record) pair")
             return
         producer.seen = seq
         if obs is not None:
             self._accept_ns.observe(time.perf_counter_ns() - start)
             obs.frames.inc()
             obs.records.inc(len(rows))
-        for front_index, front_rows in by_front.items():
-            self._ingest(self._fronts[front_index], front_rows)
-        # Every front holding a row has it: the frame is absorbed.
+        self._ingest(rows)
+        # The fleet holds every row: the frame is absorbed.
         producer.acked = seq
         conn.send(("ack", seq))
-
-    def _route(self, rows: Iterable[tuple]) -> dict[int, list[tuple]]:
-        """Split a produce frame's rows by front; raises ``ValueError``
-        if a row is not a ``(trace_id, wire_record)`` pair, before any
-        row is ingested."""
-        n_fronts, n_shards = len(self._fronts), self._n_shards
-        by_front: dict[int, list[tuple]] = {}
-        for row in rows:
-            try:
-                trace_id, _record = row
-            except (TypeError, ValueError):
-                raise ValueError(
-                    "produce row is not a (trace_id, wire_record) pair"
-                ) from None
-            front_index = shard_index_of(trace_id, n_shards) % n_fronts
-            by_front.setdefault(front_index, []).append(row)
-        return by_front
 
     def _start_subscriber(self, conn: _Connection) -> None:
         conn.handle = _ignore  # a subscriber only reads
@@ -714,20 +641,19 @@ class IngestServer:
 
     def _call(
         self,
-        front: _Front,
         fn: Callable[[ParallelFleet], Any],
         timeout: float = 60.0,
     ) -> Any:
         """Run ``fn(fleet)`` on the loop thread, between frames, and
-        return its result -- the only safe way to query a front's
-        fleet.  Inline when called there; from any other thread the
-        call waits up to ``timeout`` seconds for the loop."""
+        return its result -- the only safe way to query the fleet.
+        Inline when called there; from any other thread the call waits
+        up to ``timeout`` seconds for the loop."""
 
         def run() -> Any:
             try:
-                return fn(front.fleet)
+                return fn(self._fleet)
             finally:
-                self._stage_deltas(front)
+                self._stage_deltas()
 
         if threading.current_thread() is self._loop_thread:
             return run()
@@ -747,124 +673,59 @@ class IngestServer:
         self._loop.call_soon_threadsafe(on_loop)
         if not done.wait(timeout):
             raise TimeoutError(
-                f"front {front.index} did not answer within {timeout}s"
+                f"the fleet did not answer within {timeout}s"
             )
         if "error" in box:
             raise box["error"]
         return box["value"]
 
-    def _front_of(self, trace_id: TraceId) -> _Front:
-        index = shard_index_of(trace_id, self._n_shards)
-        return self._fronts[index % len(self._fronts)]
-
-    @property
-    def n_fronts(self) -> int:
-        return len(self._fronts)
-
     @property
     def n_shards(self) -> int:
-        return self._n_shards
+        return self._fleet.n_shards
 
     @property
     def ingested_records(self) -> int:
-        return sum(
-            self._call(front, lambda fl: fl.ingested_records)
-            for front in self._fronts
-        )
+        return self._call(lambda fl: fl.ingested_records)
 
     def front_errors(self) -> tuple[str, ...]:
-        """Tracebacks of ingest batches that failed inside a front
-        (empty in healthy operation; the rows of a failed batch are
-        acked but lost, exactly like a crashed worker's tail)."""
-        return tuple(f.error for f in self._fronts if f.error is not None)
+        """The traceback of the last ingest call that failed inside the
+        fleet, if any (empty in healthy operation; the rows of a failed
+        call are acked but lost, exactly like a crashed worker's
+        tail)."""
+        return () if self._error is None else (self._error,)
 
     def flush(self) -> None:
-        """Sync barrier on every front (violations fire, deltas cut)."""
-        for front in self._fronts:
-            self._call(front, lambda fl: fl.flush())
+        """One sync barrier on the fleet (violations fire, deltas cut)."""
+        self._call(lambda fl: fl.flush())
 
     def worst_ratio(self, trace_id: TraceId) -> Fraction | None:
-        front = self._front_of(trace_id)
-        return self._call(front, lambda fl: fl.worst_ratio(trace_id))
+        return self._call(lambda fl: fl.worst_ratio(trace_id))
 
     def is_degraded(self, trace_id: TraceId) -> bool:
-        front = self._front_of(trace_id)
-        return self._call(front, lambda fl: fl.is_degraded(trace_id))
+        return self._call(lambda fl: fl.is_degraded(trace_id))
 
     def all_ratios(self) -> list[tuple[TraceId, Fraction | None]]:
-        out: list[tuple[TraceId, Fraction | None]] = []
-        for front in self._fronts:
-            out.extend(self._call(front, lambda fl: fl.all_ratios()))
-        return out
+        return self._call(lambda fl: fl.all_ratios())
 
     def worst_ratio_histogram(self) -> dict[Fraction | None, int]:
-        return ratio_histogram(self.all_ratios())
+        return self._call(lambda fl: fl.worst_ratio_histogram())
 
     def top_k_riskiest(
         self, k: int
     ) -> list[tuple[TraceId, Fraction | None]]:
-        return top_k_riskiest(self.all_ratios(), k)
+        return self._call(lambda fl: fl.top_k_riskiest(k))
 
     def violation_feed(self) -> tuple[tuple[int, TraceId], ...]:
-        """All fronts' violation rows in one deterministic merged order
-        (front ticks are disjoint, so a plain sort interleaves them
-        exactly as a single fleet would have stamped them)."""
-        rows: list[tuple[int, TraceId]] = []
-        for front in self._fronts:
-            rows.extend(self._call(front, lambda fl: fl.violation_feed()))
-        return tuple(sorted(rows, key=lambda n: (n[0], str(n[1]))))
+        """Every violation row known so far, in the fleet's
+        deterministic ``(tick, trace id)`` order."""
+        return self._call(lambda fl: fl.violation_feed())
 
     def violating_traces(self) -> tuple[TraceId, ...]:
-        self.flush()
-        return tuple(
-            dict.fromkeys(tid for _t, tid in self.violation_feed())
-        )
+        return self._call(lambda fl: fl.violating_traces())
 
     def report(self) -> FleetReport:
-        """One merged :class:`FleetReport` across every front (sync
-        barrier).  Counters sum; ``peak_live_events`` sums the fronts'
-        epoch watermarks (a sound upper bound on the global peak);
-        violating traces merge in global tick order."""
-        reports = [
-            self._call(front, lambda fl: fl.report())
-            for front in self._fronts
-        ]
-        shards = sorted(
-            (s for r in reports for s in r.shards), key=lambda s: s.shard
-        )
-        violating = tuple(
-            dict.fromkeys(tid for _t, tid in self.violation_feed())
-        )
-        first = reports[0]
-        return FleetReport(
-            xi=first.xi,
-            n_shards=self._n_shards,
-            batch_size=first.batch_size,
-            event_budget=sum(
-                (r.event_budget or 0) for r in reports
-            )
-            or None,
-            open_traces=sum(r.open_traces for r in reports),
-            retired_traces=sum(r.retired_traces for r in reports),
-            records=sum(r.records for r in reports),
-            flushes=sum(r.flushes for r in reports),
-            oracle_calls=sum(r.oracle_calls for r in reports),
-            live_events=sum(r.live_events for r in reports),
-            peak_live_events=sum(r.peak_live_events for r in reports),
-            tombstoned_events=sum(r.tombstoned_events for r in reports),
-            evictions=sum(r.evictions for r in reports),
-            summary_compactions=sum(
-                r.summary_compactions for r in reports
-            ),
-            summary_edges=sum(r.summary_edges for r in reports),
-            budget_overruns=sum(r.budget_overruns for r in reports),
-            degraded_traces=sum(r.degraded_traces for r in reports),
-            violating_traces=violating,
-            shards=tuple(shards),
-            crashed_shards=tuple(
-                s for r in reports for s in r.crashed_shards
-            ),
-        )
+        """The fleet's :class:`FleetReport` (one sync barrier)."""
+        return self._call(lambda fl: fl.report())
 
     # ------------------------------------------------------------------
     # telemetry
@@ -872,26 +733,20 @@ class IngestServer:
 
     def staged_metrics_rows(self) -> tuple[tuple, ...]:
         """The latest *staged* readings -- what a ``metrics`` request
-        frame is answered from: front rows last staged into the delta
-        store (front-labeled) plus the server's own registry.  Never
-        blocks on a front thread; may lag by ``metrics_interval``."""
+        frame is answered from: the fleet's rows last staged into the
+        delta store plus the server's own registry.  Never barriers the
+        fleet; may lag by ``metrics_interval``."""
         row_sets = [self.deltas.metrics_rows()]
         if self._metrics is not None:
             row_sets.append(self._metrics.to_rows())
         return _obs_metrics.merge_row_sets(row_sets)
 
     def metrics_rows(self) -> tuple[tuple, ...]:
-        """Fresh merged readings: every front's fleet is polled on its
-        own thread (each worker contributes its registry), rows are
-        labeled ``front=<index>`` so identically named per-front
-        instruments stay distinct series, and the server's own
-        registry rides along.  Also refreshes the staged copy the
-        delta stream and ``metrics`` frames serve."""
-        for front in self._fronts:
-            rows = self._call(front, lambda fl: fl.metrics_rows())
-            self.deltas.update_metrics(
-                _label_rows(rows, "front", str(front.index))
-            )
+        """Fresh merged readings: the fleet is polled on the loop thread
+        (each worker contributes its registry) and the server's own
+        registry rides along.  Also refreshes the staged copy the delta
+        stream and ``metrics`` frames serve."""
+        self.deltas.update_metrics(self._call(lambda fl: fl.metrics_rows()))
         return self.staged_metrics_rows()
 
     def metrics_snapshot(self, *, deterministic_only: bool = False) -> dict:

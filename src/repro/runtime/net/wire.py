@@ -39,9 +39,10 @@ __all__ = [
     "frame_bytes",
 ]
 
-# 2: one produce-frame shape, ("produce", seq, rows); no columnar frame
-# and no trailing fields.
-PROTOCOL_VERSION = 2
+# 3: the welcome frame carries no front count, ("welcome", ver,
+# n_shards, acked, credit_window).  2: one produce-frame shape,
+# ("produce", seq, rows); no columnar frame and no trailing fields.
+PROTOCOL_VERSION = 3
 
 # A receive buffer's starting size: under glibc's 128 KiB mmap
 # threshold, so it comes from the heap once per connection.

@@ -242,23 +242,6 @@ class ParallelFleet:
             snapshot recovery plane -- see the module docstring.
         on_violation: ``callback(trace_id, witness)``, fired at sync
             barriers in the deterministic merged order.
-        shard_subset: restrict this fleet to a subset of the global
-            ``n_shards`` shard space (the *ingestion front* shape of
-            :mod:`repro.runtime.net`: N fronts, each a fleet over a
-            disjoint subset, together covering the space).  Routing is
-            untouched -- ``shard_of`` still hashes over the global
-            ``n_shards`` -- so a record whose trace hashes outside the
-            subset is rejected with ``ValueError``; the caller (the
-            ingest server) routes each trace to the front owning its
-            shard.  ``None`` (the default) means the full space.
-        tick_start / tick_step: the arithmetic progression of global
-            ingest ticks this fleet stamps (record ``k`` gets tick
-            ``tick_start + k*tick_step``).  Fronts interleave --
-            front ``f`` of ``N`` uses ``tick_start=f+1, tick_step=N``
-            -- so their tick ranges are disjoint and the merged
-            violation order across fronts is deterministic.  Durability
-            requires the default ``(1, 1)`` progression (journal
-            recovery claims assume +1 ticks).
     """
 
     def __init__(
@@ -278,41 +261,16 @@ class ParallelFleet:
         monitor_specs: MonitorSpec | dict[TraceId, MonitorSpec] | None = None,
         durability: Durability | str | os.PathLike | None = None,
         on_violation: Callable[[TraceId, CycleClassification], None] | None = None,
-        shard_subset: Iterable[int] | None = None,
-        tick_start: int = 1,
-        tick_step: int = 1,
         _restore: tuple[dict, dict] | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
         if n_shards is None:
             n_shards = max(8, n_workers)
-        if shard_subset is not None:
-            shard_subset = tuple(sorted(set(shard_subset)))
-            if not all(0 <= s < n_shards for s in shard_subset):
-                raise ValueError(
-                    f"shard_subset {shard_subset} must lie within "
-                    f"range({n_shards})"
-                )
-            if len(shard_subset) < n_workers:
-                raise ValueError(
-                    f"shard_subset holds {len(shard_subset)} shards; "
-                    f"every one of the {n_workers} workers needs one"
-                )
-        elif n_shards < n_workers:
+        if n_shards < n_workers:
             raise ValueError(
                 f"n_shards ({n_shards}) must be at least n_workers "
                 f"({n_workers}): every worker needs a shard"
-            )
-        if tick_step < 1:
-            raise ValueError("tick_step must be positive")
-        if tick_start < 1:
-            raise ValueError("tick_start must be positive")
-        if durability is not None and (tick_start != 1 or tick_step != 1):
-            raise ValueError(
-                "durability requires the default tick progression "
-                "(tick_start=1, tick_step=1): journal recovery claims "
-                "assume +1 ticks"
             )
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
@@ -364,13 +322,8 @@ class ParallelFleet:
             self._backend_kind = "thread"
         else:
             self._backend_kind = "custom"
-        self._tick_start = tick_start
-        self._tick_step = tick_step
-        self._tick = tick_start - tick_step
-        # Records accepted (== the tick only for the default +1
-        # progression; a front stamping every N-th tick still counts
-        # every record it accepted).
-        self._ingested = 0
+        # The last stamped ingest tick: records accepted so far.
+        self._tick = 0
         self._req = 0
         self._stopped = False
         self.dropped_records = 0
@@ -388,15 +341,6 @@ class ParallelFleet:
         # Handle stall counters already folded into the registry (the
         # handles keep cumulative counts; folding takes deltas).
         self._stall_folded: dict[int, tuple[int, int]] = {}
-        # Shard -> worker placement: the round-robin split over the
-        # owned shard space, fixed for the fleet's lifetime.
-        owned = (
-            tuple(range(n_shards)) if shard_subset is None else shard_subset
-        )
-        self._shard_subset = shard_subset
-        self._placement: dict[int, int] = {
-            s: i % n_workers for i, s in enumerate(owned)
-        }
         if _restore is not None:
             # Checked before any worker exists: a worker restored from a
             # snapshot of other shards would be routed records for shards
@@ -498,7 +442,6 @@ class ParallelFleet:
         if _restore is not None:
             meta = _restore[0]
             self._tick = meta["tick"]
-            self._ingested = meta["tick"]
             self._ckpt_epoch = meta["epoch"]
             self._ckpt_tick = meta["tick"]
             self._fired_notices = list(meta["fired_notices"])
@@ -571,16 +514,10 @@ class ParallelFleet:
 
     def worker_of(self, shard_index: int) -> int:
         """The worker owning a shard (the fixed round-robin split)."""
-        return self._placement[shard_index]
+        return shard_index % self._n_workers
 
     def shards_of_worker(self, worker_id: int) -> tuple[int, ...]:
-        return tuple(
-            sorted(
-                shard
-                for shard, owner in self._placement.items()
-                if owner == worker_id
-            )
-        )
+        return tuple(range(worker_id, self._n_shards, self._n_workers))
 
     def crashed_shards(self) -> tuple[int, ...]:
         """Shards owned by dead workers, ascending (empty = all healthy)."""
@@ -756,7 +693,7 @@ class ParallelFleet:
         that dies on the put is marked dead, as in :meth:`_post`."""
         replayed = 0
         for shard, rows in frames:
-            worker_id = self._placement[shard]
+            worker_id = self.worker_of(shard)
             if worker_id in self._dead:
                 continue
             try:
@@ -899,19 +836,10 @@ class ParallelFleet:
         )
 
     def _route_miss(self, trace_id: TraceId) -> int:
-        """Fill the routing memo for one trace, validating subset
-        ownership (a front must never silently buffer a record for a
-        shard another front owns)."""
+        """Fill the routing memo for one trace."""
         if len(self._route) >= self._route_memo_max:
             self._route.clear()
-        shard = self.shard_of(trace_id)
-        if shard not in self._placement:
-            raise ValueError(
-                f"trace {trace_id!r} hashes to shard {shard}, which this "
-                "fleet does not own -- route it to the front whose "
-                "shard_subset holds that shard"
-            )
-        self._route[trace_id] = shard
+        shard = self._route[trace_id] = self.shard_of(trace_id)
         return shard
 
     def ingest_wire_many(
@@ -919,7 +847,7 @@ class ParallelFleet:
     ) -> None:
         """Bulk :meth:`ingest_wire`: consume ``(trace_id, wire_record)``
         rows.  The dispatcher's one ingest loop -- every other ingest
-        entry point feeds it -- and the ingestion front's hot loop:
+        entry point feeds it -- and the ingest server's hot loop:
         produce frames arrive as wire rows, and re-encoding (or even
         decoding) each record on the dispatch path would pay the codec
         twice per record.
@@ -930,18 +858,13 @@ class ParallelFleet:
         buffers = self._buffers
         wire_batch = self.wire_batch
         durable = self._durable
-        step = self._tick_step
         tick = self._tick
-        accepted = 0
         try:
             for trace_id, wire in rows:
                 shard = route.get(trace_id)
                 if shard is None:
-                    # Routing first: a subset-rejected record must not
-                    # burn a tick (fronts share the global tick space).
                     shard = self._route_miss(trace_id)
-                tick += step
-                accepted += 1
+                tick += 1
                 buffer = buffers.get(shard)
                 if buffer is None:
                     buffer = buffers[shard] = []
@@ -957,7 +880,6 @@ class ParallelFleet:
             # reissued -- duplicate ticks would corrupt the LRU
             # eviction order and the deterministic violation-merge keys.
             self._tick = tick
-            self._ingested += accepted
 
     def _ship(self, shard: int) -> None:
         batch = self._buffers.pop(shard, None)
@@ -1112,12 +1034,10 @@ class ParallelFleet:
 
     @property
     def ingested_records(self) -> int:
-        """Records accepted so far.  After :meth:`restore` this is the
-        count the recovered state provably covers -- the producer
-        resumes feeding from here.  (Equal to the last stamped tick
-        only under the default +1 tick progression; an interleaved
-        front counts its own records.)"""
-        return self._ingested
+        """Records accepted so far (the last stamped tick).  After
+        :meth:`restore` this is the count the recovered state provably
+        covers -- the producer resumes feeding from here."""
+        return self._tick
 
     def _maybe_checkpoint(self) -> None:
         every = self._durability.checkpoint_every
@@ -1184,7 +1104,6 @@ class ParallelFleet:
             ),
             "n_workers": self._n_workers,
             "n_shards": self._n_shards,
-            "shard_subset": self._shard_subset,
             "batch_size": self._batch_size,
             "event_budget": self._event_budget,
             "faulty": tuple(self._faulty),
@@ -1250,7 +1169,6 @@ class ParallelFleet:
             codec.decode_fraction(cfg["xi"]),
             n_workers=cfg["n_workers"],
             n_shards=cfg["n_shards"],
-            shard_subset=cfg.get("shard_subset"),
             batch_size=cfg["batch_size"],
             event_budget=cfg["event_budget"],
             faulty=frozenset(cfg["faulty"]),
@@ -1300,14 +1218,13 @@ class ParallelFleet:
         for worker_id, req_id in acks.items():
             self._collect(worker_id, req_id)
         self._tick = last_tick
-        self._ingested = last_tick
         # Normalize the journals to the claimed prefix: frames beyond
         # the contiguous frontier carry ticks the resumed producer will
         # legitimately reissue, so they must not survive on disk.
         for worker_id in range(self.n_workers):
             self._durable.rewrite_journal(
                 worker_id,
-                (f for f in prefix if self._placement[f[0]] == worker_id),
+                (f for f in prefix if self.worker_of(f[0]) == worker_id),
             )
         # One report barrier: syncs the replay (fence-by-FIFO), fires
         # re-detected post-checkpoint violations, and refreshes the

@@ -291,8 +291,10 @@ class TestServer:
             ]
             assert sum(produced) == len(records)
             assert len(produced) == 2  # one series per producer
-            # fronts label their fleet rows so series never clobber
-            assert any('front="0"' in key for key in scraped)
+            # One fleet: its dispatcher's series carries no front label.
+            shipped = scraped["repro_dispatcher_shipped_records_total"]
+            assert shipped["value"] == len(records)
+            assert not [key for key in scraped if "front=" in key]
             text = server.render_prometheus()
             assert "repro_net_produced_records_total" in text
         view = sub.run_to_end()

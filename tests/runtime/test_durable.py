@@ -35,7 +35,6 @@ from repro.runtime.durable import (
     scan_frames,
     write_frames,
 )
-from repro.runtime.shard import shard_index_of
 from repro.scenarios.generators import concurrent_workload
 
 
@@ -646,33 +645,6 @@ class TestFixedPlacement:
         swap.rename(w1)
         with pytest.raises(ValueError, match="placement"):
             ParallelFleet.restore(tmp_path, backend=_NoSpawnBackend())
-
-    def test_restore_keeps_a_shard_subset(self, tmp_path):
-        subset = (1, 3, 5, 7)
-        stream = [
-            (tid, record)
-            for tid, record in concurrent_workload(
-                random.Random(47), n_traces=16, records_per_trace=(10, 20)
-            )
-            if shard_index_of(tid, 8) in subset
-        ]
-        with ParallelFleet(
-            n_workers=2,
-            n_shards=8,
-            backend="thread",
-            shard_subset=subset,
-            durability=Durability(root=tmp_path),
-        ) as fleet:
-            fleet.ingest_many(stream)
-            ratios = dict(fleet.all_ratios())
-        with ParallelFleet.restore(tmp_path) as restored:
-            assert [restored.worker_of(s) for s in subset] == [0, 1, 0, 1]
-            assert dict(restored.all_ratios()) == ratios
-            foreign = next(
-                f"x{i}" for i in range(100) if shard_index_of(f"x{i}", 8) == 0
-            )
-            with pytest.raises(ValueError, match="does not own"):
-                restored.ingest(foreign, stream[0][1])
 
 
 class TestRestoreSafety:

@@ -1,17 +1,18 @@
 """Tests for the network ingestion plane.
 
 Bottom up: the frame codec (CRC rejection, torn streams), the delta
-store/view pair (atomic subscribe, gap detection, reconstruction), the
-front plumbing on :class:`ParallelFleet` (shard subsets, interleaved
-tick spaces, wire-row ingestion), and the full server: multi-producer
-ingest over real sockets bit-identical to the serial fleet,
-exactly-once resume across killed connections, credit-window
-backpressure, subscribers reconstructing the fleet's aggregates
-from the delta stream alone, and the one loop thread that drives
-every front.
+store/view pair (atomic subscribe, gap detection, reconstruction),
+wire-row ingestion on :class:`ParallelFleet`, and the full server:
+multi-producer ingest over real sockets bit-identical to the serial
+fleet, exactly-once resume across killed connections, credit-window
+backpressure, subscribers reconstructing the fleet's aggregates from
+the delta stream alone, the one loop thread that drives the fleet, and
+the one fleet behind the server (``n_fronts * workers_per_front``
+workers, one ingest call per frame, one barrier per flush).
 """
 
 import logging
+import multiprocessing
 import random
 import socket
 import threading
@@ -34,6 +35,7 @@ from repro.runtime.net import (
 from repro.runtime.durable import _HEADER
 from repro.runtime.net.wire import PROTOCOL_VERSION, FrameDecoder, frame_bytes
 from repro.runtime import codec
+from repro.runtime.backends import WorkerHandle
 from repro.runtime.shard import shard_index_of
 from repro.scenarios.generators import concurrent_workload
 
@@ -227,96 +229,11 @@ class TestDeltas:
 
 
 # ----------------------------------------------------------------------
-# the front plumbing on ParallelFleet
+# wire rows into ParallelFleet
 # ----------------------------------------------------------------------
 
 
-class TestFrontPlumbing:
-    def test_shard_subset_rejects_foreign_trace(self):
-        with ParallelFleet(
-            XI,
-            n_workers=1,
-            n_shards=8,
-            backend="thread",
-            shard_subset=(0, 2, 4, 6),
-            tick_start=1,
-            tick_step=2,
-        ) as fleet:
-            stream = workload(n_traces=12)
-            mine = [
-                (tid, rec)
-                for tid, rec in stream
-                if shard_index_of(tid, 8) % 2 == 0
-            ]
-            foreign = next(
-                tid
-                for tid, _ in stream
-                if shard_index_of(tid, 8) % 2 == 1
-            )
-            fleet.ingest_many(mine)
-            with pytest.raises(ValueError, match="does not own"):
-                fleet.ingest(foreign, stream[0][1])
-            # A rejected record burns neither a tick nor a count.
-            assert fleet.ingested_records == len(mine)
-
-    def test_subset_validation(self):
-        with pytest.raises(ValueError, match="within"):
-            ParallelFleet(XI, n_workers=1, n_shards=4, shard_subset=(5,))
-        with pytest.raises(ValueError, match="tick_step"):
-            ParallelFleet(XI, n_workers=1, tick_step=0)
-
-    def test_interleaved_fronts_match_serial_and_merge_feeds(self):
-        """Two fronts over disjoint shard subsets and interleaved tick
-        ranges: per-trace ratios bit-identical to serial, and the two
-        violation feeds merge on globally unique ticks."""
-        stream = workload(seed=3, n_traces=30)
-        ratios, degraded, violating = serial_answers(stream)
-        fronts = [
-            ParallelFleet(
-                XI,
-                n_workers=1,
-                n_shards=8,
-                batch_size=16,
-                backend="thread",
-                shard_subset=tuple(s for s in range(8) if s % 2 == f),
-                tick_start=f + 1,
-                tick_step=2,
-            )
-            for f in range(2)
-        ]
-        try:
-            for tid, rec in stream:
-                front = shard_index_of(tid, 8) % 2
-                fronts[front].ingest(tid, rec)
-            for front in fronts:
-                front.flush()
-            got_ratios = {}
-            got_degraded = {}
-            rows = []
-            for front in fronts:
-                got_ratios.update(dict(front.all_ratios()))
-                rows.extend(front.violation_feed())
-            for tid in got_ratios:
-                got_degraded[tid] = fronts[
-                    shard_index_of(tid, 8) % 2
-                ].is_degraded(tid)
-            assert got_ratios == ratios
-            assert got_degraded == degraded
-            ticks = [t for t, _ in rows]
-            assert len(ticks) == len(set(ticks))  # globally unique
-            merged = tuple(
-                dict.fromkeys(
-                    tid
-                    for _t, tid in sorted(
-                        rows, key=lambda n: (n[0], str(n[1]))
-                    )
-                )
-            )
-            assert set(merged) == violating
-        finally:
-            for front in fronts:
-                front.shutdown()
-
+class TestWireIngest:
     def test_ingest_wire_matches_ingest(self):
         stream = workload(seed=9, n_traces=10)
         with ParallelFleet(
@@ -330,17 +247,6 @@ class TestFrontPlumbing:
             )
             assert dict(plain.all_ratios()) == dict(wired.all_ratios())
             assert wired.ingested_records == len(stream)
-
-    def test_durability_refuses_interleaved_ticks(self, tmp_path):
-        with pytest.raises(ValueError, match="tick"):
-            ParallelFleet(
-                XI,
-                n_workers=1,
-                n_shards=8,
-                backend="thread",
-                durability=str(tmp_path),
-                tick_step=2,
-            )
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +409,7 @@ class TestIngestServer:
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="front"):
             IngestServer(XI, n_fronts=0)
-        with pytest.raises(ValueError, match="cover"):
+        with pytest.raises(ValueError, match="every worker needs a shard"):
             IngestServer(XI, n_fronts=4, workers_per_front=2, n_shards=4)
         with pytest.raises(ValueError, match="listen"):
             IngestServer(XI, host=None)
@@ -541,9 +447,8 @@ class TestIngestServer:
 
 
 class TestOneThread:
-    """The loop thread drives every front's fleet: no front threads,
-    violation rows staged as they arrive, queries served between
-    frames."""
+    """The loop thread drives the fleet: no front threads, violation
+    rows staged as they arrive, queries served between frames."""
 
     def test_no_front_threads(self):
         stream = workload(seed=3, n_traces=16)
@@ -650,7 +555,7 @@ class TestProduceFrames:
         fs.send(("hello", PROTOCOL_VERSION, "produce", name))
         welcome = fs.recv()
         assert welcome[0] == "welcome"
-        return fs, welcome[4]
+        return fs, welcome[3]
 
     def test_interleaved_producers_match_serial(self):
         stream = workload(seed=21, n_traces=18)
@@ -890,6 +795,147 @@ class TestServerFraming:
             assert_matches_serial(server, stream)
 
 
+class TestOneFleet:
+    """One fleet behind the server: ``n_fronts * workers_per_front``
+    workers, one ``ingest_wire_many`` call per produce frame, and one
+    barrier per flush that posts to every worker before it reads any
+    reply."""
+
+    def test_flush_posts_to_every_worker_before_reading_a_reply(
+        self, monkeypatch
+    ):
+        stream = workload(seed=41, n_traces=12)
+        events = []
+        put, get = WorkerHandle.put, WorkerHandle.get
+
+        def recording_put(handle, message, timeout=None):
+            if message[0] == "flush":
+                events.append(("put", handle.worker_id))
+            put(handle, message, timeout)
+
+        def recording_get(handle, timeout=None):
+            message = get(handle, timeout)
+            if message[0] == "reply":
+                events.append(("get", handle.worker_id))
+            return message
+
+        with IngestServer(
+            XI, n_fronts=2, n_shards=8, batch_size=16, backend="thread"
+        ) as server:
+            drive(server, stream)
+            monkeypatch.setattr(WorkerHandle, "put", recording_put)
+            monkeypatch.setattr(WorkerHandle, "get", recording_get)
+            server.flush()
+            monkeypatch.undo()
+            assert_matches_serial(server, stream)
+        first_reply = next(
+            i for i, (op, _w) in enumerate(events) if op == "get"
+        )
+        posted = [w for op, w in events[:first_reply] if op == "put"]
+        assert sorted(posted) == [0, 1]
+
+    def test_frame_is_one_ingest_call(self, monkeypatch):
+        stream = workload(seed=42, n_traces=12)
+        [frame] = produce_frames(stream, len(stream))
+        # The frame's rows span both workers' shards.
+        assert {shard_index_of(tid, 8) % 2 for tid, _ in frame[2]} == {0, 1}
+        calls = []
+        ingest = ParallelFleet.ingest_wire_many
+
+        def counted(fleet, rows):
+            calls.append(len(rows))
+            return ingest(fleet, rows)
+
+        monkeypatch.setattr(ParallelFleet, "ingest_wire_many", counted)
+        with IngestServer(
+            XI, n_fronts=2, n_shards=8, batch_size=16, backend="thread"
+        ) as server:
+            fs, _acked = TestProduceFrames.connect(server, "p")
+            fs.send(frame)
+            assert read_acks(fs, 1) == [1]
+            fs.close()
+            assert calls == [len(stream)]
+            assert_matches_serial(server, stream)
+
+    def test_budgeted_server_matches_serial(self):
+        """A global budget goes to the one fleet, which apportions it
+        across its workers; with sends metadata every answer stays
+        bit-identical to the serial fleet under the same budget."""
+        stream = workload(seed=43, n_traces=16)
+        budget = 240
+        serial = MonitorFleet(
+            xi=XI, n_shards=8, batch_size=16, event_budget=budget
+        )
+        serial.ingest_many(stream)
+        ids = sorted({tid for tid, _ in stream}, key=str)
+        with IngestServer(
+            XI,
+            n_fronts=2,
+            n_shards=8,
+            batch_size=16,
+            event_budget=budget,
+            backend="thread",
+        ) as server:
+            drive(server, stream, n_producers=3)
+            server.flush()
+            assert {tid: server.worst_ratio(tid) for tid in ids} == {
+                tid: serial.worst_ratio(tid) for tid in ids
+            }
+            assert {tid: server.is_degraded(tid) for tid in ids} == {
+                tid: serial.is_degraded(tid) for tid in ids
+            }
+            assert set(server.violating_traces()) == set(
+                serial.violating_traces()
+            )
+            report = server.report()
+        assert report.records == len(stream)
+        assert report.event_budget == budget
+        assert report.peak_live_events <= budget
+        assert report.tombstoned_events > 0  # the budget bit
+
+    def test_refused_budget_starts_no_worker(self):
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="got 1$"):
+            IngestServer(3, n_fronts=2, event_budget=1, backend="process")
+        assert not set(multiprocessing.active_children()) - before
+
+    def test_process_workers_match_serial_and_rebuild_deltas(self):
+        """On process workers, small inboxes and storm-heavy traffic: a
+        multi-producer socket run answers bit-identically to the serial
+        fleet, and a subscriber rebuilds ratios, histogram, top-k and
+        violation feed from the delta stream alone."""
+        stream = workload(
+            seed=44,
+            n_traces=30,
+            profile_weights={"storm": 0.5, "burst": 0.35, "idler": 0.15},
+        )
+        ratios, degraded, violating = serial_answers(stream)
+        assert violating
+        with IngestServer(
+            XI,
+            n_fronts=2,
+            n_shards=8,
+            batch_size=16,
+            backend="process",
+            wire_batch=32,
+            inbox_capacity=2,
+        ) as server:
+            sub = DeltaSubscriber(server.address, name="dash")
+            drive(server, stream, n_producers=3)
+            assert_matches_serial(server, stream)
+            assert dict(server.all_ratios()) == ratios
+            hist = server.worst_ratio_histogram()
+            topk = server.top_k_riskiest(5)
+            feed = server.violation_feed()
+        view = sub.run_to_end()
+        sub.close()
+        assert view.ratios == ratios
+        assert view.worst_ratio_histogram() == hist
+        assert view.top_k_riskiest(5) == topk
+        assert view.violation_feed() == feed
+        assert {tid for _tick, tid in feed} == violating
+
+
 class TestSubscriberOrder:
     def test_late_subscriber_gets_snapshot_then_end(self):
         """A subscriber of a closed store gets the snapshot first: the
@@ -923,7 +969,7 @@ class TestProducerReconnect:
                 fs = FrameSocket(conn)
                 fs.sock.settimeout(10)
                 assert fs.recv()[0] == "hello"
-                fs.send(("welcome", PROTOCOL_VERSION, 1, 8, 0, 4))
+                fs.send(("welcome", PROTOCOL_VERSION, 8, 0, 4))
                 frame = fs.recv()
                 received.append(frame)
                 if attempt == 0:

@@ -40,7 +40,6 @@ HEADLINES = {
     "fleet": "speedup",
     "parallel": "speedup",
     "recovery": "ratio",
-    "ingest": "speedup",
     "e2e": "gate.e2e_speedup",
     # lower is better: the telemetry residue with instruments off,
     # ceilinged at 0.02 in CI
